@@ -494,8 +494,8 @@ def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter,
         gaps = sol.v.gap_array()
         entries.append({
             "epsilon": eps, "sigma": s.sigma, "m": cfg.m,
-            "iterations": sol.iterations, "residual": sol.residual,
-            "method": sol.method,
+            "iterations": sol.iterations, "conditioning": sol.conditioning,
+            "residual": sol.residual, "method": sol.method,
             "mean_gap": float(np.mean(gaps)),
             "mean_spacing": s.rho + float(np.mean(gaps)),
         })

@@ -20,7 +20,7 @@ class WindowError(DomainError):
 
 
 class IterationError(AclayersError, RuntimeError):
-    """A root finder or fixed-point loop exhausted its iteration budget."""
+    """A root finder or Newton iteration exhausted its iteration budget."""
 
 
 class ConvergenceError(AclayersError, RuntimeError):

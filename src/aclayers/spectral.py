@@ -40,7 +40,7 @@ from .geometry import (
 )
 from .profile import SQRT2, ProfileConstants, exact_constants
 from .scales import scales_of
-from .toda import TodaMatrices, _gaps_of, build_matrices, interaction_weights
+from .toda import TodaMatrices, _gap_block_matrix, _gaps_of, build_matrices, interaction_weights
 
 DEFAULT_C_GAP = 0.5
 _TIE_RTOL = 1e-12
@@ -115,15 +115,7 @@ def assemble_A(vbar_k, sigma: float, K: PeriodicField,
 
 def _l_sigma_matrix(A: MatrixFieldA, sigma: float) -> np.ndarray:
     """Dense symmetric discretization of -sigma d^2/dy^2 - A(y)."""
-    n = A.grid.n
-    mm = A.m - 1
-    d2 = second_derivative_matrix(A.grid)
-    L = np.zeros((mm * n, mm * n))
-    for i in range(mm):
-        L[i * n:(i + 1) * n, i * n:(i + 1) * n] = -sigma * d2
-        for j in range(mm):
-            idx = np.arange(n)
-            L[i * n + idx, j * n + idx] -= A.entries[idx, i, j]
+    L = _gap_block_matrix(sigma, A.grid, A.entries)
     return 0.5 * (L + L.T)
 
 

@@ -9,8 +9,9 @@ v_l = h_{l+1} - h_l (plus the sum variable v_m) the system decouples into
 
 with C the (m-1) tridiagonal (-1, 2, -1) matrix, and a scalar equation
 sigma (v_m'' + K v_m) = g_m for the sum. The explicit profile v^1 kills the
-O(1) part exactly; sigma^k corrections and a contraction (with a damped
-Newton fallback) finish the solve.
+O(1) part exactly; sigma^k corrections refine it, and one damped Newton
+iteration, started from that profile shifted to the forced leading-order
+balance, finishes the solve.
 
 All gap operators take the coupling sigma as a plain number so formal sigma
 sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DomainError, ResonanceError
 from .geometry import PeriodicField, PeriodicGrid, jacobi_is_degenerate, second_derivative, second_derivative_matrix
@@ -30,7 +30,7 @@ from .scales import Scales
 
 MAX_CORRECTION_ORDER = 6
 _RESONANCE_RATIO = 1e-6  # s_min below this multiple of the median singular value
-_FIXED_POINT_MAX = 50
+_MAX_ITERATIONS = 50
 _RESIDUAL_TOL = 1e-10
 
 
@@ -300,62 +300,35 @@ def iterate_corrections(K: PeriodicField, scales: Coupling, m: int, k: int) -> L
     return LayerStack.from_arrays(K.grid, gaps)
 
 
-@dataclass(frozen=True)
-class LinearSolveReport:
-    """Conditioning summary of one linearized gap solve."""
+def _gap_block_matrix(sigma: float, grid: PeriodicGrid, field: np.ndarray) -> np.ndarray:
+    """Dense matrix of omega -> -sigma omega'' - F(y) omega on (m-1) stacked fields.
 
-    smallest_singular_value: float
-    median_singular_value: float
-    residual: float
-
-
-def _linearized_matrix(vbar_base, sigma: float, K: PeriodicField) -> np.ndarray:
-    """Dense matrix of L(omega) = -sigma [omega'' + K omega] - DS0_bar(base) omega.
-
-    Unknown layout: omega flattened as (m-1, n) row-major.
+    F is a pointwise (n, m-1, m-1) field; the unknown omega is flattened as
+    (m-1, n) row-major, so each diagonal n x n block carries -sigma D2 and the
+    block (i, j) carries -F[:, i, j] on its diagonal.
     """
-    gaps = _gaps_of(vbar_base)
-    mm, n = gaps.shape
-    d2 = second_derivative_matrix(K.grid)
-    block = -sigma * (d2 + np.diag(K.values))
-    L = np.zeros((mm * n, mm * n))
-    for i in range(mm):
-        L[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
-    J = DS0_bar(gaps)  # (n, m-1, m-1)
-    for i in range(mm):
-        for j in range(mm):
-            idx = np.arange(n)
-            L[i * n + idx, j * n + idx] -= J[idx, i, j]
+    n, mm, _ = field.shape
+    L = np.kron(np.eye(mm), -sigma * second_derivative_matrix(grid))
+    idx = np.arange(n)
+    L.reshape(mm, n, mm, n)[:, idx, :, idx] -= field
     return L
 
 
-def solve_linearized(g: np.ndarray, vbar_base, sigma: float,
-                     K: PeriodicField) -> tuple[np.ndarray, LinearSolveReport]:
-    """Solve the linearized gap system L omega = g directly.
-
-    Raises a resonance error when the smallest singular value of L falls
-    under 1e-6 times the median one; that threshold is the numerical face of
-    the bad-sigma set the continuous problem must avoid.
-    """
-    gaps = _gaps_of(vbar_base)
-    g_arr = np.atleast_2d(np.asarray(g, dtype=float))
-    if g_arr.shape != gaps.shape:
-        raise DomainError(f"right-hand side shape {g_arr.shape} != base shape {gaps.shape}")
-    L = _linearized_matrix(gaps, sigma, K)
-    s = np.linalg.svd(L, compute_uv=False)
-    s_min, s_med = float(s[-1]), float(np.median(s))
-    if s_min < _RESONANCE_RATIO * s_med:
-        raise ResonanceError(
-            f"linearized gap system is resonant: smallest singular value {s_min:.3e} "
-            f"below {_RESONANCE_RATIO:.0e} of the median {s_med:.3e}")
-    omega = np.linalg.solve(L, g_arr.reshape(-1)).reshape(g_arr.shape)
-    resid = float(np.max(np.abs(L @ omega.reshape(-1) - g_arr.reshape(-1))))
-    return omega, LinearSolveReport(s_min, s_med, resid)
+def _linearized_matrix(vbar_base, sigma: float, K: PeriodicField) -> np.ndarray:
+    """Dense matrix of L(omega) = -sigma [omega'' + K omega] - DS0_bar(base) omega."""
+    J = DS0_bar(_gaps_of(vbar_base))  # (n, m-1, m-1)
+    mm = J.shape[1]
+    field = J + sigma * K.values[:, None, None] * np.eye(mm)[None, :, :]
+    return _gap_block_matrix(sigma, K.grid, field)
 
 
 @dataclass(frozen=True)
 class TodaSolution:
-    """Converged gap solve: stacks, iteration count, residual, method used."""
+    """Converged gap solve: stacks, Newton steps, residual, method, conditioning.
+
+    conditioning is s_min/s_median of the linearized gap operator at the
+    starting profile, the margin the resonance check tests.
+    """
 
     v: LayerStack
     h: HStack
@@ -363,6 +336,7 @@ class TodaSolution:
     residual: float
     method: str
     sigma: float
+    conditioning: float
 
 
 def _as_gbar(gbar, shape: tuple[int, int]) -> np.ndarray:
@@ -384,15 +358,18 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
                tolerance: float | None = None) -> TodaSolution:
     """Solve S_bar(v) = gbar (gaps) and sigma (vm'' + K vm) = g_m (sum).
 
-    Contraction from the order-k_start profile: omega <- L^{-1}(S_bar(v^k)
-    - gbar + N1(omega)) with the quadratic remainder N1; if the plain
-    iteration stalls, a damped Newton on the same equations takes over (both
-    agree to 1e-9 where both converge). The sum variable is forced to zero
-    for a zero right-hand side; otherwise its equation requires a
-    nondegenerate Jacobi operator. max_iterations and tolerance default to
-    the module budget (50 steps, 1e-10).
+    One damped Newton iteration on F(v) = S_bar(v) - gbar. It starts from the
+    order-k_start profile v^k shifted to the forced leading-order balance
+    C e^{-sqrt(2) v} = beta K [1..1] - gbar, which is a zero shift without
+    forcing; a forcing with no positive balance is a DomainError. The
+    resonance check runs on the first Jacobian; each step refreshes the
+    Jacobian and halves its length until the sup-norm residual drops
+    (Armijo), and a step that cannot be made to drop is a ConvergenceError.
+    The sum variable is forced to zero for a zero right-hand side; otherwise
+    its equation requires a nondegenerate Jacobi operator. max_iterations
+    (Newton steps) and tolerance default to the module budget (50, 1e-10).
     """
-    iter_cap = _FIXED_POINT_MAX if max_iterations is None else int(max_iterations)
+    iter_cap = _MAX_ITERATIONS if max_iterations is None else int(max_iterations)
     resid_tol = _RESIDUAL_TOL if tolerance is None else float(tolerance)
     if iter_cap < 1:
         raise DomainError("max_iterations must be at least 1")
@@ -402,82 +379,50 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
     vk = iterate_corrections(K, scales, m, k_start).gap_array()
     target = _as_gbar(gbar, vk.shape)
 
-    L = _linearized_matrix(vk, sigma, K)
+    # at leading order e^{-sqrt(2) v} = C^{-1}(beta K [1..1] - gbar), against
+    # (beta/2) K a for v^1 without forcing; shift v^k by the log of the ratio
+    balance = np.linalg.solve(build_matrices(m).C, beta * K.values[None, :] - target)
+    if not np.all(balance > 0.0):
+        raise DomainError("forcing leaves no positive leading-order gap balance")
+    unforced = 0.5 * beta * np.outer(interaction_weights(m), K.values)
+    gaps = vk - np.log(balance / unforced) / SQRT2
+
+    # trial steps can swing to large negative gaps: an exp overflow (and the
+    # inf - inf it feeds) marks a rejected trial, so keep those inside errstate
+    def residual_of(trial: np.ndarray) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = float(np.max(np.abs(S_bar(trial, sigma, K, beta) - target)))
+        return r if np.isfinite(r) else np.inf
+
+    L = _linearized_matrix(gaps, sigma, K)
     s = np.linalg.svd(L, compute_uv=False)
-    if s[-1] < _RESONANCE_RATIO * np.median(s):
+    s_min, s_med = float(s[-1]), float(np.median(s))
+    if s_min < _RESONANCE_RATIO * s_med:
         raise ResonanceError(
             f"gap system resonant at sigma={sigma:.6g}: smallest singular value "
-            f"{s[-1]:.3e} vs median {np.median(s):.3e}")
-    lu = scipy.linalg.lu_factor(L)
-    base_s0 = S0_bar(vk)
-    J_base = DS0_bar(vk)
+            f"{s_min:.3e} vs median {s_med:.3e}")
 
-    # trial iterates can swing to large negative gaps; exp overflow to inf is
-    # the intended "reject this step" signal, so silence only that warning
-    def residual_of(gaps: np.ndarray) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.max(np.abs(S_bar(gaps, sigma, K, beta) - target)))
-
-    def n1(omega: np.ndarray) -> np.ndarray:
-        lin = np.einsum("nij,jn->in", J_base, omega)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return S0_bar(vk + omega) - base_s0 - lin
-
-    s_vk = S_bar(vk, sigma, K, beta)
-    omega = np.zeros_like(vk)
-    best = residual_of(vk)
-    method = "fixed-point"
-    converged = False
+    r_now = residual_of(gaps)
     iterations = 0
-    stall = 0
-    for iterations in range(1, iter_cap + 1):
-        rhs = (s_vk - target + n1(omega)).reshape(-1)
-        omega = scipy.linalg.lu_solve(lu, rhs).reshape(vk.shape)
-        r = residual_of(vk + omega)
-        if r < resid_tol:
-            converged = True
-            break
-        # only a finite improvement resets the counter: inf/nan trials must
-        # count as stalls or a single bad step could poison `best` forever
-        if np.isfinite(r) and r < best:
-            best = r
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 3:
-                break
-
-    gaps = vk + omega
-    if not converged:
-        # damped Newton on F(v) = S_bar(v) - target, Jacobian refreshed each step
-        method = "damped-newton"
-        gaps = vk.copy()
-        r_now = residual_of(gaps)
-        for newton_it in range(iter_cap):
-            if r_now < resid_tol:
-                converged = True
-                break
-            Ln = _linearized_matrix(gaps, sigma, K)
-            F = (S_bar(gaps, sigma, K, beta) - target).reshape(-1)
-            # note L = -(dS_bar/dv), so the Newton step solves Ln d = +F
-            step = np.linalg.solve(Ln, F).reshape(gaps.shape)
-            t = 1.0
-            while t > 1e-6:
-                trial = gaps + t * step
-                r_trial = residual_of(trial)
-                if r_trial < (1.0 - 0.25 * t) * r_now:
-                    gaps, r_now = trial, r_trial
-                    break
-                t *= 0.5
-            else:
-                break
-            iterations += 1
-        if r_now < resid_tol:
-            converged = True
-    final_residual = residual_of(gaps)
-    if not converged:
-        raise ConvergenceError(
-            f"gap solve stalled at residual {final_residual:.3e} after {iterations} iterations")
+    while r_now >= resid_tol:
+        if iterations == iter_cap:
+            raise ConvergenceError(
+                f"gap solve did not converge in {iter_cap} Newton steps: "
+                f"residual {r_now:.3e}")
+        if iterations > 0:
+            L = _linearized_matrix(gaps, sigma, K)
+        # L = -(dS_bar/dv), so the Newton step solves L d = +F
+        F = S_bar(gaps, sigma, K, beta) - target
+        step = np.linalg.solve(L, F.reshape(-1)).reshape(gaps.shape)
+        t = 1.0
+        while (r_trial := residual_of(gaps + t * step)) >= (1.0 - 0.25 * t) * r_now:
+            t *= 0.5
+            if t <= 1e-6:
+                raise ConvergenceError(
+                    f"gap solve did not converge: line search stalled at "
+                    f"residual {r_now:.3e} after {iterations} Newton steps")
+        gaps, r_now = gaps + t * step, r_trial
+        iterations += 1
 
     # sum variable: forced zero for homogeneous data, else a direct solve
     if g_m is None or not np.any(g_m.values):
@@ -491,5 +436,5 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
 
     v = LayerStack.from_arrays(K.grid, gaps, vm)
     h = h_from_v(v)
-    return TodaSolution(v=v, h=h, iterations=iterations,
-                        residual=final_residual, method=method, sigma=sigma)
+    return TodaSolution(v=v, h=h, iterations=iterations, residual=r_now,
+                        method="newton", sigma=sigma, conditioning=s_min / s_med)

@@ -220,6 +220,8 @@ def test_toda_solve_artifacts(tmp_path):
     doc = json.loads((out / "toda_solve.json").read_text())
     entry = doc["entries"][0]
     assert entry["residual"] < 1e-9
+    assert entry["method"] == "newton"
+    assert 0.0 < entry["conditioning"] <= 1.0
     assert entry["mean_spacing"] == pytest.approx(5.5208, abs=2e-3)
     lines = (out / "toda_gaps_00.csv").read_text().splitlines()
     assert lines[1] == "y,f_1,f_2,v_1"

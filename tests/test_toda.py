@@ -5,6 +5,7 @@ y-independent (m-1)-dimensional system, built here with its own Jacobian.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from aclayers.toda import (
     h_from_v,
     interaction_weights,
     iterate_corrections,
-    solve_linearized,
     solve_toda,
     v_from_h,
 )
@@ -282,31 +282,6 @@ def test_corrections_order_bounds():
         iterate_corrections(K, c, 2, 7)
 
 
-# --- linearized solve ---
-
-def test_solve_linearized_constant():
-    K = unit_K(32)
-    sigma = 0.05
-    v1 = first_order_profile(K, 2, BETA_EXACT)
-    g = np.full((1, 32), 0.3)
-    omega, report = solve_linearized(g, v1, sigma, K)
-    # constants: omega = -(sigma K + DS0)^{-1} g
-    scalar = -(0.3) / (sigma + DS0_bar(v1)[0, 0, 0])
-    assert omega[0] == pytest.approx(np.full(32, scalar), rel=1e-12)
-    assert report.residual < 1e-10 * 0.3
-
-
-def test_solve_linearized_random_residual():
-    K = wavy_K(48)
-    rng = np.random.default_rng(2)
-    v1 = first_order_profile(K, 4, BETA_EXACT)
-    g = rng.standard_normal((3, 48))
-    omega, report = solve_linearized(g, v1, 0.07, K)
-    # re-apply the operator through S_bar pieces: finite check via report
-    assert report.residual < 1e-10 * np.max(np.abs(g))
-    assert report.smallest_singular_value > 1e-6 * report.median_singular_value
-
-
 # --- full solve ---
 
 def _algebraic_oracle(m, sigma, beta, K_const=1.0, gbar=0.0, tol=1e-13):
@@ -357,16 +332,56 @@ def test_solve_toda_continuity_in_K():
     assert drifts[1] < drifts[0] / 5.0  # O(delta)
 
 
-def test_solve_toda_equilibrium_forcing():
-    # layer-position gaps: root of sigma K v + (1/beta) K = 2 e^{-sqrt2 v} for m=2
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_solve_toda_equilibrium_forcing(m):
+    # layer-position gaps: the forcing swaps beta K for (1/beta) K in the balance
     s = scales_of(0.05)
     K = unit_K(32)
-    gbar = equilibrium_gap_forcing(K, 2, s.beta)
-    sol = solve_toda(K, s, 2, k_start=3, gbar=gbar)
-    v = sol.v.gap_array()[0, 0]
-    bal = s.sigma * v + 1.0 / s.beta - 2.0 * math.exp(-SQRT2 * v)
-    assert abs(bal) < 1e-10
-    assert v > 0.0  # spacing widens: positions sit beyond rho
+    gbar = equilibrium_gap_forcing(K, m, s.beta)
+    sol = solve_toda(K, s, m, k_start=3, gbar=gbar)
+    oracle = _algebraic_oracle(m, s.sigma, s.beta, gbar=s.beta - 1.0 / s.beta)
+    assert np.max(np.abs(sol.v.gap_array() - oracle[:, None])) < 1e-9
+    assert sol.method == "newton"
+    assert 0.0 < sol.conditioning <= 1.0
+    if m == 2:
+        v = sol.v.gap_array()[0, 0]
+        bal = s.sigma * v + 1.0 / s.beta - 2.0 * math.exp(-SQRT2 * v)
+        assert abs(bal) < 1e-10
+        assert v > 0.0  # spacing widens: positions sit beyond rho
+
+
+def test_solve_toda_forcing_without_balance_rejected():
+    s = scales_of(0.05)
+    K = unit_K(32)
+    with pytest.raises(DomainError, match="balance"):
+        solve_toda(K, s, 2, gbar=2.0 * s.beta * K.values[None, :])
+
+
+def _shape_A(n, turn):
+    """Benchmark shape A = 1 + 0.25 cos y + 0.025 cos(2y + 1.25), turned by grid steps."""
+    curve = ClosedCurve.fourier(TWO_PI, 1.0, cos=[0.25, 0.025 * math.cos(1.25)],
+                                sin=[0.0, -0.025 * math.sin(1.25)])
+    K = sample_curvature(curve, circle_grid(n))
+    return PeriodicField(K.grid, np.roll(K.values, turn))
+
+
+@pytest.mark.parametrize("K,m,eps", [
+    (wavy_K(64, amp=0.2), 2, 0.05),
+    (wavy_K(64, amp=0.2), 3, 0.05),
+    (wavy_K(128, amp=0.2), 2, 0.05),
+    (_shape_A(128, 3), 2, 0.0152),
+    (_shape_A(128, 92), 2, 0.0152),
+    *[(unit_K(128), 3, float(eps)) for eps in np.geomspace(0.00625, 0.05, 8)],
+])
+def test_solve_toda_forced_converges_fast(K, m, eps):
+    # the forced start lies near the root, and an overflowing trial step is
+    # rejected by the line search, never raised or warned about
+    s = scales_of(eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
+    assert sol.residual < 1e-10
+    assert sol.iterations <= 10
 
 
 def test_solve_toda_gm_solve():
