@@ -48,7 +48,13 @@ from .errors import (
     NumericalError,
     ResonanceError,
 )
-from .geometry import ClosedCurve, PeriodicField, PeriodicGrid, sample_curvature
+from .geometry import (
+    ClosedCurve,
+    PeriodicField,
+    PeriodicGrid,
+    jacobi_is_degenerate,
+    sample_curvature,
+)
 from .profile import compute_constants, exact_constants
 from .scales import EPS_MAX, rho_expansion, scales_of
 from .spectral import (
@@ -542,22 +548,26 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
 def _cmd_resonance_scan(cfg: RunConfig, writer: ArtifactWriter,
                         args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
-
-    def one(eps: float):
-        return resonance_margin(eps, K, cfg.m, c_gap=cfg.c_gap)
-
-    reports = _map_epsilons(one, cfg.epsilons, args.threads)
+    eps = cfg.epsilons
+    # a sweep is scan_epsilons' own log ladder (_parse_epsilon), so one scan serves it
+    if len(eps) > 1:
+        scan = scan_epsilons(eps[0], eps[-1], len(eps), K, cfg.m, c_gap=cfg.c_gap)
+        rows = zip(scan.epsilons, scan.sigmas, scan.min_margins, scan.admissible)
+        degenerate, lam_covered = jacobi_is_degenerate(K), scan.lam_covered
+    else:
+        r = resonance_margin(eps[0], K, cfg.m, c_gap=cfg.c_gap)
+        rows = [(r.epsilon, r.sigma, r.min_margin, r.admissible)]
+        degenerate, lam_covered = r.jacobi_degenerate, r.lam_covered
     entries = [{
-        "epsilon": r.epsilon, "sigma": r.sigma,
-        "min_margin": r.min_margin, "admissible": r.admissible,
-        "jacobi_degenerate": r.jacobi_degenerate,
-    } for r in reports]
-    payload = {"m": cfg.m, "c_gap": cfg.c_gap, "entries": entries,
+        "epsilon": float(e), "sigma": float(sg),
+        "min_margin": float(mg), "admissible": bool(ok),
+        "jacobi_degenerate": degenerate,
+    } for e, sg, mg, ok in rows]
+    payload = {"m": cfg.m, "c_gap": cfg.c_gap, "lam_covered": lam_covered,
+               "entries": entries,
                "admissible_epsilons": [e["epsilon"] for e in entries
                                        if e["admissible"]]}
-    if len(cfg.epsilons) > 1:
-        scan = scan_epsilons(cfg.epsilons[0], cfg.epsilons[-1],
-                             len(cfg.epsilons), K, cfg.m, c_gap=cfg.c_gap)
+    if len(eps) > 1:
         payload["dyadic_best"] = {
             str(expo): {"epsilon": pair[0], "margin": pair[1]}
             for expo, pair in sorted(scan.dyadic_best.items())

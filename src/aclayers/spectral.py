@@ -11,9 +11,10 @@ At the first-order profile the zero crossings decouple: with mu_i the
 eigenvalues of (beta/sqrt(2)) C^{1/2} diag(a) C^{1/2}, resonance happens when
 sigma^{-1} mu_i hits an eigenvalue of the curvature-weighted string problem
 -phi'' = lambda K phi. This module assembles A, computes spectra, verifies the
-eigenvalue monotonicity bounds in sigma, counts modes Weyl-style, solves the
-weighted string problem directly and through its Liouville normal form, and
-scans for admissible parameters.
+eigenvalue monotonicity bounds in sigma, counts modes Weyl-style and scans for
+admissible parameters. The string spectrum is the closed form (2 pi j/ell)^2/K
+for constant K, else one standard symmetric eigvalsh (checked against the
+Liouville normal form); a scan reads all its margins from one covering spectrum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import brentq
 
 from .errors import DomainError
@@ -44,13 +44,6 @@ from .toda import TodaMatrices, _gap_block_matrix, _gaps_of, build_matrices, int
 
 DEFAULT_C_GAP = 0.5
 _TIE_RTOL = 1e-12
-
-
-def eigen_count_cap(sigma: float) -> int:
-    """How many low eigenvalues a sigma-scan needs: 4 ceil(sigma^-1/2) + 20."""
-    if not sigma > 0.0:
-        raise DomainError("sigma must be positive")
-    return 4 * math.ceil(sigma ** -0.5) + 20
 
 
 @dataclass(frozen=True)
@@ -211,18 +204,17 @@ def weyl_count(sigma: float, a_plus: float, curve: ClosedCurve) -> int:
 def sturm_liouville_eigs(K: PeriodicField, count: int) -> np.ndarray:
     """Smallest eigenvalues of -phi'' = lambda K(y) phi, periodic in y.
 
-    Solved as the generalized symmetric problem (-D2) phi = lambda diag(K) phi
-    with spectral D2. The constant eigenfunction gives lambda_0 = 0.
+    Standard symmetric form K^{-1/2} (-D2) K^{-1/2} psi = lambda psi, psi = K^{1/2}
+    phi, with spectral D2: one eigvalsh. The constant eigenfunction gives 0.
     """
     if np.min(K.values) <= 0.0:
         raise DomainError("weight K must be positive")
     n = K.grid.n
     if count > n:
         raise DomainError(f"asked for {count} eigenvalues on an n={n} grid")
-    stiff = -second_derivative_matrix(K.grid)
-    stiff = 0.5 * (stiff + stiff.T)
-    lam = scipy.linalg.eigh(stiff, np.diag(K.values), eigvals_only=True)
-    return np.sort(lam)[:count]
+    w = K.values ** -0.5
+    H = -second_derivative_matrix(K.grid) * w[:, None] * w[None, :]
+    return np.linalg.eigvalsh(0.5 * (H + H.T))[:count]
 
 
 @dataclass(frozen=True)
@@ -305,15 +297,29 @@ def decoupled_couplings(m: int, beta: float) -> np.ndarray:
 
 
 def _sl_eigs_covering(K: PeriodicField, lam_max: float) -> np.ndarray:
-    """Weighted string eigenvalues out past lam_max, refining the grid as needed."""
-    ell_ref = float(K.grid.length * np.mean(np.sqrt(K.values)))
-    j_max = int(math.ceil(ell_ref / (2.0 * math.pi) * math.sqrt(max(lam_max, 1.0)))) + 3
-    count = 2 * j_max + 1
-    n_needed = max(K.grid.n, 4 * j_max, 64)
-    if n_needed % 2:
-        n_needed += 1
-    K_fine = resample_field(K, n_needed)
-    return sturm_liouville_eigs(K_fine, count)
+    """String eigenvalues past 1.3 lam_max + 10, which settle every margin at couplings
+    >= max(mu)/lam_max: (2 pi j/ell)^2/K for constant K, else solved on a finer grid."""
+    if np.min(K.values) <= 0.0:
+        raise DomainError("weight K must be positive")
+    ell_0 = K.grid.spacing * float(np.sum(np.sqrt(K.values)))
+    j_max = int(math.ceil(ell_0 / (2.0 * math.pi) * math.sqrt(1.3 * lam_max + 10.0))) + 3
+    if np.all(K.values == K.values[0]):
+        j = np.repeat(np.arange(j_max + 1), 2)[1:]
+        return (2.0 * math.pi * j / K.grid.length) ** 2 / K.values[0]
+    K_fine = resample_field(K, max(K.grid.n, 4 * j_max, 64))
+    return sturm_liouville_eigs(K_fine, 2 * j_max + 1)
+
+
+def _margins(mu: np.ndarray, sigma: float, lam: np.ndarray) -> np.ndarray:
+    return np.abs(mu[:, None] / sigma - lam[None, :]) * math.sqrt(sigma)
+
+
+def _resonances(K: PeriodicField, mu: np.ndarray, lo: float,
+                hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct mu_i / lambda_j (lambda_j > 0) in [lo, hi]; the spectrum used."""
+    lam = _sl_eigs_covering(K, float(np.max(mu)) / lo)
+    vals = (mu[:, None] / lam[None, lam > 1e-9]).ravel()
+    return np.unique(vals[(vals >= lo) & (vals <= hi)]), lam
 
 
 @dataclass(frozen=True)
@@ -329,6 +335,7 @@ class ResonanceReport:
     c_gap: float
     admissible: bool
     jacobi_degenerate: bool
+    lam_covered: float  # largest string eigenvalue the margins used
 
     def __post_init__(self) -> None:
         if self.admissible != (self.min_margin >= self.c_gap):
@@ -338,9 +345,10 @@ class ResonanceReport:
 def sigma_margin(sigma: float, K: PeriodicField, m: int,
                  beta: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(min margin, full margin matrix, mu) at a bare coupling sigma."""
+    if not sigma > 0.0:
+        raise DomainError("sigma must be positive")
     mu = decoupled_couplings(m, beta)
-    lam = _sl_eigs_covering(K, float(np.max(mu)) / sigma * 1.3 + 10.0)
-    margins = np.abs(mu[:, None] / sigma - lam[None, :]) * math.sqrt(sigma)
+    margins = _margins(mu, sigma, _sl_eigs_covering(K, float(np.max(mu)) / sigma))
     return float(np.min(margins)), margins, mu
 
 
@@ -355,31 +363,28 @@ def resonance_margin(epsilon: float, K: PeriodicField, m: int,
     """
     if constants is None:
         constants = exact_constants()
-    if np.min(K.values) <= 0.0:
-        raise DomainError("curvature must be positive")
     s = scales_of(epsilon, constants)
-    min_margin, margins, mu = sigma_margin(s.sigma, K, m, constants.beta)
-    curve_like = ClosedCurve.from_samples(K.grid.length, K.values)
-    l0 = ell0(curve_like, K.grid)
+    mu = decoupled_couplings(m, constants.beta)
+    lam = _sl_eigs_covering(K, float(np.max(mu)) / s.sigma)
+    margins = _margins(mu, s.sigma, lam)
+    min_margin = float(np.min(margins))
+    l0 = K.grid.spacing * float(np.sum(np.sqrt(K.values)))
     nu = mu * l0**2 / (4.0 * math.pi**2) * (s.sigma * math.log(1.0 / epsilon))
     return ResonanceReport(
         epsilon=epsilon, sigma=s.sigma, mu=mu, nu=nu, margins=margins,
-        min_margin=min_margin, c_gap=c_gap,
-        admissible=min_margin >= c_gap,
-        jacobi_degenerate=jacobi_is_degenerate(K))
+        min_margin=min_margin, c_gap=c_gap, admissible=min_margin >= c_gap,
+        jacobi_degenerate=jacobi_is_degenerate(K), lam_covered=float(lam[-1]))
 
 
 def resonant_sigmas(K: PeriodicField, m: int, beta: float | None = None,
                     sigma_min: float = 1e-4, sigma_max: float = 1.0) -> np.ndarray:
     """All couplings sigma* = mu_i / lambda_j falling in [sigma_min, sigma_max]."""
+    if not 0.0 < sigma_min < sigma_max:
+        raise DomainError("need 0 < sigma_min < sigma_max")
     if beta is None:
         beta = exact_constants().beta
     mu = decoupled_couplings(m, beta)
-    lam = _sl_eigs_covering(K, float(np.max(mu)) / sigma_min * 1.1 + 10.0)
-    lam = lam[lam > 1e-9]
-    vals = (mu[:, None] / lam[None, :]).ravel()
-    vals = vals[(vals >= sigma_min) & (vals <= sigma_max)]
-    return np.unique(np.sort(vals))
+    return _resonances(K, mu, sigma_min, sigma_max)[0]
 
 
 def admissible_sigma_in(sigma_lo: float, sigma_hi: float, K: PeriodicField,
@@ -395,16 +400,14 @@ def admissible_sigma_in(sigma_lo: float, sigma_hi: float, K: PeriodicField,
         raise DomainError("need 0 < sigma_lo < sigma_hi")
     if beta is None:
         beta = exact_constants().beta
-    res = resonant_sigmas(K, m, beta, sigma_min=sigma_lo, sigma_max=sigma_hi)
+    mu = decoupled_couplings(m, beta)
+    res, lam = _resonances(K, mu, sigma_lo, sigma_hi)
     knots = np.concatenate([[sigma_lo], res, [sigma_hi]])
     cands = 0.5 * (knots[:-1] + knots[1:])
-    best: tuple[float, float] | None = None
-    for sg in cands:
-        margin, _, _ = sigma_margin(float(sg), K, m, beta)
-        if best is None or margin > best[1]:
-            best = (float(sg), margin)
-    if best is not None and best[1] >= c_gap:
-        return best
+    margins = [float(np.min(_margins(mu, float(sg), lam))) for sg in cands]
+    best = int(np.argmax(margins))  # first of equal maxima
+    if margins[best] >= c_gap:
+        return float(cands[best]), margins[best]
     return None
 
 
@@ -417,6 +420,7 @@ class ScanResult:
     min_margins: np.ndarray
     admissible: np.ndarray  # boolean mask
     dyadic_best: dict  # dyadic sigma-interval exponent -> (epsilon, margin)
+    lam_covered: float  # largest string eigenvalue the margins used; 0 if empty
 
 
 def scan_epsilons(eps_min: float, eps_max: float, steps: int, K: PeriodicField,
@@ -427,24 +431,20 @@ def scan_epsilons(eps_min: float, eps_max: float, steps: int, K: PeriodicField,
         raise DomainError("epsilon range must sit inside (0, 0.2)")
     if steps < 1:
         return ScanResult(np.array([]), np.array([]), np.array([]),
-                          np.array([], dtype=bool), {})
+                          np.array([], dtype=bool), {}, 0.0)
     if constants is None:
         constants = exact_constants()
     eps = np.geomspace(eps_min, eps_max, steps)
-    sigmas = np.empty(steps)
-    margins = np.empty(steps)
-    for i, e in enumerate(eps):
-        rep = resonance_margin(float(e), K, m, constants, c_gap)
-        sigmas[i] = rep.sigma
-        margins[i] = rep.min_margin
+    sigmas = np.array([scales_of(float(e), constants).sigma for e in eps])
+    mu = decoupled_couplings(m, constants.beta)
+    lam = _sl_eigs_covering(K, float(np.max(mu) / np.min(sigmas)))
+    margins = np.array([float(np.min(_margins(mu, sg, lam))) for sg in sigmas])
     admissible = margins >= c_gap
     dyadic: dict = {}
-    for i in range(steps):
-        if not admissible[i]:
-            continue
-        expo = int(math.floor(-math.log2(sigmas[i])))
-        cur = dyadic.get(expo)
-        if cur is None or margins[i] > cur[1]:
-            dyadic[expo] = (float(eps[i]), float(margins[i]))
+    for e, sg, mg in zip(eps[admissible], sigmas[admissible], margins[admissible]):
+        expo = int(math.floor(-math.log2(sg)))
+        if expo not in dyadic or mg > dyadic[expo][1]:
+            dyadic[expo] = (float(e), float(mg))
     return ScanResult(epsilons=eps, sigmas=sigmas, min_margins=margins,
-                      admissible=admissible, dyadic_best=dyadic)
+                      admissible=admissible, dyadic_best=dyadic,
+                      lam_covered=float(lam[-1]))

@@ -14,7 +14,9 @@ from aclayers.errors import (
     NumericalError,
     ResonanceError,
 )
+from aclayers.profile import BETA_EXACT
 from aclayers.scales import scales_of
+from aclayers.spectral import decoupled_couplings
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,7 +250,15 @@ def test_resonance_scan_sweep(tmp_path):
     doc = json.loads((out / "resonance_scan.json").read_text())
     assert len(doc["entries"]) == 5
     assert len(doc["admissible_epsilons"]) > 0
-    assert "dyadic_best" in doc
+    best = {}
+    for e in doc["entries"]:
+        expo = str(math.floor(-math.log2(e["sigma"])))
+        if e["admissible"] and (expo not in best
+                                or e["min_margin"] > best[expo]["margin"]):
+            best[expo] = {"epsilon": e["epsilon"], "margin": e["min_margin"]}
+    assert doc["dyadic_best"] == best
+    mu_max = float(np.max(decoupled_couplings(doc["m"], BETA_EXACT)))
+    assert doc["lam_covered"] >= max(mu_max / e["sigma"] for e in doc["entries"])
 
 
 def test_spectrum_artifacts(tmp_path):

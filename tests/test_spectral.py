@@ -9,10 +9,10 @@ from aclayers import DomainError
 from aclayers.geometry import ClosedCurve, PeriodicField, PeriodicGrid
 from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.spectral import (
+    _sl_eigs_covering,
     admissible_sigma_in,
     assemble_A,
     decoupled_couplings,
-    eigen_count_cap,
     eigs_L_sigma,
     liouville_eigs,
     liouville_transform,
@@ -230,12 +230,6 @@ def test_weyl_successive_estimates_close():
         assert abs(a - b) < 0.05 * max(a, b)
 
 
-def test_eigen_count_cap():
-    assert eigen_count_cap(0.01) == 4 * 10 + 20
-    with pytest.raises(DomainError):
-        eigen_count_cap(0.0)
-
-
 # --- weighted string problem ---
 
 def test_sturm_liouville_circle_spectrum():
@@ -248,6 +242,17 @@ def test_sturm_liouville_constant_scaling():
     lam1 = sturm_liouville_eigs(PeriodicField(g, np.ones(g.n)), 5)
     lam4 = sturm_liouville_eigs(PeriodicField(g, 4.0 * np.ones(g.n)), 5)
     assert lam4 == pytest.approx(lam1 / 4.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("value", [1.0, 4.0])
+@pytest.mark.parametrize("length", [TWO_PI, 1.0])
+def test_covering_closed_form_matches_numeric(value, length):
+    # constant K skips the eigensolve; the numeric solve on the same grid agrees
+    K = PeriodicField(PeriodicGrid(n=64, length=length), np.full(64, value))
+    closed = _sl_eigs_covering(K, 50.0)
+    numeric = sturm_liouville_eigs(K, len(closed))
+    assert (len(closed) - 1) // 2 < 32  # highest mode resolved on 64 points
+    assert closed == pytest.approx(numeric, rel=1e-10, abs=1e-10)
 
 
 def test_sturm_liouville_nonnegative_zero_ground():
@@ -340,6 +345,17 @@ def test_resonance_margin_monotone_in_cgap():
         assert s or not l  # large-threshold admissibility implies small-threshold
 
 
+@pytest.mark.parametrize("call", [
+    lambda K: sigma_margin(0.0, K, 2, BETA_EXACT),
+    lambda K: sigma_margin(-0.1, K, 2, BETA_EXACT),
+    lambda K: resonant_sigmas(K, 2, BETA_EXACT, sigma_min=0.0),
+    lambda K: resonant_sigmas(K, 2, BETA_EXACT, sigma_min=0.5, sigma_max=0.1),
+], ids=["sigma-zero", "sigma-negative", "sigma-min-zero", "sigma-range-reversed"])
+def test_sigma_entry_points_reject_bad_couplings(call):
+    with pytest.raises(DomainError):
+        call(unit_K(64))
+
+
 def test_admissible_sigma_in_dyadic():
     K = unit_K(128)
     hit = admissible_sigma_in(0.025, 0.05, K, 2, c_gap=0.1)
@@ -347,6 +363,33 @@ def test_admissible_sigma_in_dyadic():
     sg, margin = hit
     assert 0.025 <= sg <= 0.05
     assert margin >= 0.1
+
+
+def test_admissible_sigma_in_matches_per_candidate_margins():
+    # one shared spectrum gives what a fresh sigma_margin per candidate gives
+    K = wavy_K(64, amp=0.2)
+    for lo, hi, m in ((0.025, 0.05, 2), (0.01, 0.02, 3)):
+        knots = np.concatenate([[lo], resonant_sigmas(K, m, BETA_EXACT, lo, hi), [hi]])
+        cands = 0.5 * (knots[:-1] + knots[1:])
+        margins = [sigma_margin(float(sg), K, m, BETA_EXACT)[0] for sg in cands]
+        best = int(np.argmax(margins))
+        got = admissible_sigma_in(lo, hi, K, m, c_gap=0.0, beta=BETA_EXACT)
+        assert got == pytest.approx((cands[best], margins[best]), rel=1e-10)
+
+
+@pytest.mark.parametrize("values, m", [
+    (lambda y: 1.0 + 0.2 * np.cos(y), 3),
+    (lambda y: 1.0 + 0.03 * np.cos(y) + 0.01 * np.cos(2.0 * y + 4.0), 4),
+], ids=["cos", "weak-pair"])
+def test_scan_epsilons_matches_resonance_margin(values, m):
+    # every step reads the one spectrum covering the smallest sigma
+    K = PeriodicField.from_function(circle_grid(64), values)
+    res = scan_epsilons(0.00625, 0.05, 16, K, m)
+    for e, sg, got in zip(res.epsilons, res.sigmas, res.min_margins):
+        rep = resonance_margin(float(e), K, m)
+        assert got == pytest.approx(rep.min_margin, rel=1e-10)
+        assert res.lam_covered >= np.max(rep.mu) / sg
+        assert rep.lam_covered >= np.max(rep.mu) / sg
 
 
 def test_scan_epsilons_basic():
