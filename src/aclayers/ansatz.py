@@ -46,6 +46,9 @@ M_BUDGET = 2.0
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 STATE_BOUND = 1.5
+# automatic strip size: transverse room past the outer layers, target t-step
+_T_MARGIN = 6.0
+_DT_TARGET = 0.125
 
 
 @dataclass(frozen=True)
@@ -149,23 +152,26 @@ def _on_strip(f: PeriodicField, grid: StripGrid, epsilon: float) -> np.ndarray:
 
 
 def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
-                       n_y: int | None = None, dt_target: float = 0.125,
-                       margin: float = 6.0) -> StripGrid:
-    """Auto-sized strip: T = (m/2 + 1) rho + margin, dt near dt_target.
+                       n_y: int | None = None, t_extent: float | None = None,
+                       n_t: int | None = None) -> StripGrid:
+    """Auto-sized strip: T = (m/2 + 1) rho + 6, t-spacing near 1/8.
 
-    The default y-resolution keeps the spacing near 2 in stretched units so
-    that norm comparisons across epsilon sweeps use a fixed cell size.
+    `n_y`, `t_extent` and `n_t` override the automatic size; an `n_t` left
+    automatic follows `t_extent`. The default y-resolution keeps the spacing
+    near 2 in stretched units so that norm comparisons across epsilon sweeps
+    use a fixed cell size.
     """
     if m < 1:
         raise DomainError("need at least one layer")
-    s = scales_of(epsilon)
-    t_extent = (m / 2.0 + 1.0) * s.rho + margin
+    if t_extent is None:
+        t_extent = (m / 2.0 + 1.0) * scales_of(epsilon).rho + _T_MARGIN
     stretched = K.grid.length / epsilon
     if n_y is None:
         n_y = max(16, 2 * int(round(stretched / 4.0)))
-    n_t = int(math.ceil(2.0 * t_extent / dt_target)) + 1
-    if n_t % 2 == 0:
-        n_t += 1
+    if n_t is None:
+        n_t = int(math.ceil(2.0 * t_extent / _DT_TARGET)) + 1
+        if n_t % 2 == 0:
+            n_t += 1
     return StripGrid(y_grid=PeriodicGrid(n=n_y, length=stretched),
                      t_extent=t_extent, n_t=n_t)
 
@@ -194,15 +200,19 @@ def assemble_u0(f: Sequence[PeriodicField], grid: StripGrid,
     return StripField(grid, vals)
 
 
+def _strip_linear(vals: np.ndarray, kv: np.ndarray, grid: StripGrid,
+                  epsilon: float) -> np.ndarray:
+    """u_zz + u_yy - eps^2 z kv u_z on raw values, kv = K sampled on the strip."""
+    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
+    z = grid.t[None, :]
+    return (vals @ d2t.T + _d2y(vals, grid.y_grid.length)
+            - epsilon**2 * z * kv[:, None] * (vals @ d1t.T))
+
+
 def strip_operator(u: StripField, K: PeriodicField, epsilon: float) -> StripField:
     """Leading Laplacian on the strip: u_zz + u_yy - eps^2 z K(eps y) u_z."""
-    grid = u.grid
-    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
-    kv = _on_strip(K, grid, epsilon)
-    z = grid.t[None, :]
-    out = u.values @ d2t.T + _d2y(u.values, grid.y_grid.length)
-    out -= epsilon**2 * z * kv[:, None] * (u.values @ d1t.T)
-    return StripField(grid, out)
+    kv = _on_strip(K, u.grid, epsilon)
+    return StripField(u.grid, _strip_linear(u.values, kv, u.grid, epsilon))
 
 
 def residual(u0: StripField, K: PeriodicField, epsilon: float) -> StripField:
@@ -247,18 +257,6 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
                        - e2 * (fpp + z * kv[:, None]) * wp)
     out += u0 - u0**3
     return StripField(grid, out)
-
-
-def cutoff(s) -> np.ndarray:
-    """Smooth bump: 1 for s < 1, 0 for s > 2, cubic smoothstep between."""
-    s = np.asarray(s, dtype=float)
-    x = np.clip(s - 1.0, 0.0, 1.0)
-    return (1.0 - x * x * (3.0 - 2.0 * x))[()]
-
-
-def window_cutoff(t, rho: float, margin: float = M_BUDGET) -> np.ndarray:
-    """Layer-window cutoff: one inside |t| < rho/2 + 2*margin + 1, decaying out."""
-    return cutoff(np.abs(t) - 0.5 * rho - 2.0 * margin)
 
 
 def _expansion_terms(ell: int, h: HStack, K: PeriodicField, epsilon: float,
@@ -312,23 +310,6 @@ def _expansion_terms(ell: int, h: HStack, K: PeriodicField, epsilon: float,
         "gradient_sq": sign * grad_sq,
     }
     return terms, t_loc
-
-
-def expansion_prediction(ell: int, h: HStack, K: PeriodicField, epsilon: float,
-                         grid: StripGrid, t_window: float) -> StripField:
-    """Pointwise prediction of S(u0) on the window |z - f_ell| <= t_window.
-
-    Zero outside the window. The window may not exceed rho/2 + M (the layer
-    neighborhood where the expansion is valid).
-    """
-    s = scales_of(epsilon)
-    cap = 0.5 * s.rho + M_BUDGET
-    if not 0.0 < t_window <= cap * (1.0 + 1e-12):
-        raise WindowError(
-            f"t_window {t_window:.4g} outside (0, rho/2 + M] = (0, {cap:.4g}]")
-    terms, t_loc = _expansion_terms(ell, h, K, epsilon, grid, s)
-    total = sum(terms.values())
-    return StripField(grid, np.where(np.abs(t_loc) <= t_window, total, 0.0))
 
 
 def _ball_offsets(dy: float, dt: float) -> list[tuple[int, int]]:
@@ -619,16 +600,11 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
         raise DomainError("initial state has no transition layers")
 
     kv = _on_strip(K, grid, epsilon)
-    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
-    z = grid.t[None, :]
-    length = grid.y_grid.length
     n_y, n_t = grid.shape
     kfreq = 2.0 * np.pi * np.fft.rfftfreq(n_y, d=grid.y_grid.spacing)
 
     def full_residual(vals: np.ndarray) -> np.ndarray:
-        lin = vals @ d2t.T + _d2y(vals, length) \
-            - epsilon**2 * z * kv[:, None] * (vals @ d1t.T)
-        return lin + vals - vals**3
+        return _strip_linear(vals, kv, grid, epsilon) + vals - vals**3
 
     u = u_init.values.copy()
     res = full_residual(u)
@@ -654,9 +630,7 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
 
         def matvec(x: np.ndarray) -> np.ndarray:
             v = x.reshape(n_y, n_t)
-            out = v @ d2t.T + _d2y(v, length) \
-                - epsilon**2 * z * kv[:, None] * (v @ d1t.T) + coeff * v
-            return out.ravel()
+            return (_strip_linear(v, kv, grid, epsilon) + coeff * v).ravel()
 
         factors = _mode_preconditioner(u, grid, kv, epsilon, kfreq)
 

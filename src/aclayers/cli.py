@@ -22,10 +22,10 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy
@@ -75,38 +75,32 @@ from .toda import (
 
 SCHEMA = "aclayers/1"
 
-_TOP_KEYS = {"geometry", "m", "epsilon", "grid", "toda", "spectral", "output"}
-_GEOMETRY_KEYS = {"length", "curvature", "samples"}
-_GRID_KEYS = {"n_y", "n_t", "t_extent"}
-_TODA_KEYS = {"k", "max_iterations", "tolerance"}
-_SPECTRAL_KEYS = {"c_gap", "eigen_count"}
-_OUTPUT_KEYS = {"directory", "formats"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run description with every default filled in.
 
-    `epsilons` is the resolved sweep (a single value unless the config gave
-    an epsilon range); `t_extent` of None means size the strip automatically
-    from the layer spacing.
+    `parse_config` builds it; the defaults live in `_FIELDS`. `epsilons` is
+    the resolved sweep (a single value unless the config gave an epsilon
+    range); `t_extent` of None means size the strip automatically from the
+    layer spacing.
     """
 
-    length: float = 2.0 * math.pi
-    curvature: dict = field(default_factory=lambda: {"constant": 1.0})
-    samples: int = 64
-    m: int = 2
-    epsilons: tuple[float, ...] = (0.05,)
-    n_y: int | None = None
-    n_t: int | None = None
-    t_extent: float | None = None
-    toda_k: int = 3
-    toda_max_iterations: int = 50
-    toda_tolerance: float = 1e-10
-    c_gap: float = DEFAULT_C_GAP
-    eigen_count: int = 40
-    out_dir: str = "out"
-    formats: tuple[str, ...] = ("json", "csv")
+    length: float
+    curvature: dict
+    samples: int
+    m: int
+    epsilons: tuple[float, ...]
+    n_y: int | None
+    n_t: int | None
+    t_extent: float | None
+    toda_k: int
+    toda_max_iterations: int
+    toda_tolerance: float
+    c_gap: float
+    eigen_count: int
+    out_dir: str
+    formats: tuple[str, ...]
 
     def curve(self) -> ClosedCurve:
         if "constant" in self.curvature:
@@ -123,40 +117,27 @@ class RunConfig:
         return sample_curvature(self.curve(), grid)
 
     def strip_grid(self, K: PeriodicField, epsilon: float) -> StripGrid:
-        auto = default_strip_grid(K, epsilon, self.m, n_y=self.n_y)
-        if self.t_extent is None and self.n_t is None:
-            return auto
-        t_extent = auto.t_extent if self.t_extent is None else self.t_extent
-        n_t = self.n_t
-        if n_t is None:
-            n_t = int(math.ceil(2.0 * t_extent / 0.125)) + 1
-            if n_t % 2 == 0:
-                n_t += 1
-        return StripGrid(y_grid=auto.y_grid, t_extent=t_extent, n_t=n_t)
+        return default_strip_grid(K, epsilon, self.m, n_y=self.n_y,
+                                  t_extent=self.t_extent, n_t=self.n_t)
 
     def resolved(self) -> dict:
-        """Canonical config document with defaults filled (hash input)."""
-        return {
-            "geometry": {
-                "length": self.length,
-                "curvature": dict(self.curvature),
-                "samples": self.samples,
-            },
-            "m": self.m,
-            "epsilon": list(self.epsilons),
-            "grid": {
-                "n_y": self.n_y,
-                "n_t": self.n_t,
-                "t_extent": "auto" if self.t_extent is None else self.t_extent,
-            },
-            "toda": {
-                "k": self.toda_k,
-                "max_iterations": self.toda_max_iterations,
-                "tolerance": self.toda_tolerance,
-            },
-            "spectral": {"c_gap": self.c_gap, "eigen_count": self.eigen_count},
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
-        }
+        """Canonical config document with defaults filled (hash input).
+
+        An unset field (None) reads as its document default, so an automatic
+        `t_extent` appears as "auto".
+        """
+        doc: dict = {}
+        for f in _FIELDS:
+            section, _, key = f.path.rpartition(".")
+            value = getattr(self, f.attr)
+            if value is None:
+                value = f.default
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            (doc.setdefault(section, {}) if section else doc)[key] = value
+        return doc
 
     def sha256(self) -> str:
         canonical = json.dumps(self.resolved(), sort_keys=True,
@@ -202,14 +183,7 @@ def _check_epsilon_value(value: float, path: str) -> float:
     return value
 
 
-def _parse_geometry(doc: dict, strict: bool) -> tuple[float, dict, int]:
-    geo = _section(doc, "geometry")
-    _check_keys(geo, _GEOMETRY_KEYS, "geometry", strict)
-    length = _real(geo.get("length", 2.0 * math.pi), "geometry.length")
-    if not length > 0.0:
-        raise ConfigError(f"geometry.length: must be positive, got {length}")
-
-    curv = geo.get("curvature", {"constant": 1.0})
+def _parse_curvature(curv, parsed: dict, strict: bool) -> dict:
     if not isinstance(curv, dict):
         raise ConfigError("geometry.curvature: must be an object")
     if "constant" in curv:
@@ -218,27 +192,19 @@ def _parse_geometry(doc: dict, strict: bool) -> tuple[float, dict, int]:
         if not value > 0.0:
             raise ConfigError(
                 f"geometry.curvature: curvature must be positive, got {value}")
-        canonical = {"constant": value}
-    else:
-        _check_keys(curv, {"mean", "cos", "sin"}, "geometry.curvature", strict)
-        mean = _real(curv.get("mean", 1.0), "geometry.curvature.mean")
-        cos = [_real(a, "geometry.curvature.cos") for a in curv.get("cos", [])]
-        sin = [_real(a, "geometry.curvature.sin") for a in curv.get("sin", [])]
-        canonical = {"mean": mean, "cos": cos, "sin": sin}
-        try:
-            ClosedCurve.fourier(length, mean, cos=cos, sin=sin)
-        except DomainError as exc:
-            raise ConfigError(f"geometry.curvature: {exc}") from exc
-
-    samples = _integer(geo.get("samples", 64), "geometry.samples")
-    if samples < 16 or samples % 2 != 0:
-        raise ConfigError(
-            f"geometry.samples: must be even and at least 16, got {samples}")
-    return length, canonical, samples
+        return {"constant": value}
+    _check_keys(curv, {"mean", "cos", "sin"}, "geometry.curvature", strict)
+    mean = _real(curv.get("mean", 1.0), "geometry.curvature.mean")
+    cos = [_real(a, "geometry.curvature.cos") for a in curv.get("cos", [])]
+    sin = [_real(a, "geometry.curvature.sin") for a in curv.get("sin", [])]
+    try:
+        ClosedCurve.fourier(parsed["length"], mean, cos=cos, sin=sin)
+    except DomainError as exc:
+        raise ConfigError(f"geometry.curvature: {exc}") from exc
+    return {"mean": mean, "cos": cos, "sin": sin}
 
 
-def _parse_epsilon(doc: dict, strict: bool) -> tuple[float, ...]:
-    spec = doc.get("epsilon", 0.05)
+def _parse_epsilon(spec, parsed: dict, strict: bool) -> tuple[float, ...]:
     if isinstance(spec, dict):
         _check_keys(spec, {"min", "max", "steps"}, "epsilon", strict)
         lo = _check_epsilon_value(_real(spec.get("min", 0.01), "epsilon.min"),
@@ -255,6 +221,78 @@ def _parse_epsilon(doc: dict, strict: bool) -> tuple[float, ...]:
     return (_check_epsilon_value(value, "epsilon"),)
 
 
+def _parse_t_extent(value, parsed: dict, strict: bool) -> float | None:
+    if value == "auto":
+        return None
+    t_extent = _real(value, "grid.t_extent")
+    if not t_extent > 0.0:
+        raise ConfigError(
+            f"grid.t_extent: must be positive or \"auto\", got {t_extent}")
+    return t_extent
+
+
+def _parse_directory(value, parsed: dict, strict: bool) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError("output.directory: must be a nonempty string")
+    return value
+
+
+def _parse_formats(value, parsed: dict, strict: bool) -> tuple[str, ...]:
+    if (not isinstance(value, list) or not value
+            or any(f not in ("json", "csv") for f in value)):
+        raise ConfigError(
+            "output.formats: must be a nonempty list drawn from "
+            "[\"json\", \"csv\"]")
+    return tuple(value)
+
+
+class _Field(NamedTuple):
+    """One config field: where it sits in the document and how it parses.
+
+    A scalar field has `kind` int or float and a range: `ok` tests a value
+    of that kind, `requirement` says what it demands. Any other field names
+    its own parser as `kind`, called with the JSON value, the fields parsed
+    before it and the strict flag.
+    """
+
+    path: str  # JSON path: "key" or "section.key"
+    attr: str  # RunConfig attribute
+    default: object  # JSON value taken when the key is absent
+    kind: Callable
+    ok: Callable[[float], bool] | None = None
+    requirement: str = ""
+
+
+# Every config field, in document order: this order is the order of the
+# checks (so of the first error reported) and of the keys in `resolved()`.
+_FIELDS = (
+    _Field("geometry.length", "length", 2.0 * math.pi, float,
+           lambda v: v > 0.0, "must be positive"),
+    _Field("geometry.curvature", "curvature", {"constant": 1.0},
+           _parse_curvature),
+    _Field("geometry.samples", "samples", 64, int,
+           lambda v: v >= 16 and v % 2 == 0, "must be even and at least 16"),
+    _Field("m", "m", 2, int, lambda v: v >= 1, "must be at least 1"),
+    _Field("epsilon", "epsilons", 0.05, _parse_epsilon),
+    _Field("grid.n_y", "n_y", None, int,
+           lambda v: v >= 16 and v % 2 == 0, "must be even and at least 16"),
+    _Field("grid.n_t", "n_t", None, int,
+           lambda v: v >= 15 and v % 2 == 1, "must be odd and at least 15"),
+    _Field("grid.t_extent", "t_extent", "auto", _parse_t_extent),
+    _Field("toda.k", "toda_k", 3, int, lambda v: 1 <= v <= 6, "must lie in 1..6"),
+    _Field("toda.max_iterations", "toda_max_iterations", 50, int,
+           lambda v: v >= 1, "must be at least 1"),
+    _Field("toda.tolerance", "toda_tolerance", 1e-10, float,
+           lambda v: v > 0.0, "must be positive"),
+    _Field("spectral.c_gap", "c_gap", DEFAULT_C_GAP, float,
+           lambda v: v > 0.0, "must be positive"),
+    _Field("spectral.eigen_count", "eigen_count", 40, int,
+           lambda v: v >= 1, "must be at least 1"),
+    _Field("output.directory", "out_dir", "out", _parse_directory),
+    _Field("output.formats", "formats", ["json", "csv"], _parse_formats),
+)
+
+
 def parse_config(text: str, strict: bool = False) -> RunConfig:
     """Parse and validate a JSON run config, filling defaults.
 
@@ -269,82 +307,27 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
             f"(line {exc.lineno}, column {exc.colno})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "", strict)
+    _check_keys(doc, {f.path.split(".")[0] for f in _FIELDS}, "", strict)
 
-    length, curvature, samples = _parse_geometry(doc, strict)
-
-    m = _integer(doc.get("m", 2), "m")
-    if m < 1:
-        raise ConfigError(f"m: must be at least 1, got {m}")
-
-    epsilons = _parse_epsilon(doc, strict)
-
-    grid = _section(doc, "grid")
-    _check_keys(grid, _GRID_KEYS, "grid", strict)
-    n_y = grid.get("n_y")
-    if n_y is not None:
-        n_y = _integer(n_y, "grid.n_y")
-        if n_y < 16 or n_y % 2 != 0:
-            raise ConfigError(
-                f"grid.n_y: must be even and at least 16, got {n_y}")
-    n_t = grid.get("n_t")
-    if n_t is not None:
-        n_t = _integer(n_t, "grid.n_t")
-        if n_t < 15 or n_t % 2 == 0:
-            raise ConfigError(
-                f"grid.n_t: must be odd and at least 15, got {n_t}")
-    t_extent = grid.get("t_extent", "auto")
-    if t_extent == "auto":
-        t_extent = None
-    else:
-        t_extent = _real(t_extent, "grid.t_extent")
-        if not t_extent > 0.0:
-            raise ConfigError(
-                f"grid.t_extent: must be positive or \"auto\", got {t_extent}")
-
-    toda = _section(doc, "toda")
-    _check_keys(toda, _TODA_KEYS, "toda", strict)
-    toda_k = _integer(toda.get("k", 3), "toda.k")
-    if not 1 <= toda_k <= 6:
-        raise ConfigError(f"toda.k: must lie in 1..6, got {toda_k}")
-    toda_max = _integer(toda.get("max_iterations", 50), "toda.max_iterations")
-    if toda_max < 1:
-        raise ConfigError(
-            f"toda.max_iterations: must be at least 1, got {toda_max}")
-    toda_tol = _real(toda.get("tolerance", 1e-10), "toda.tolerance")
-    if not toda_tol > 0.0:
-        raise ConfigError(f"toda.tolerance: must be positive, got {toda_tol}")
-
-    spectral = _section(doc, "spectral")
-    _check_keys(spectral, _SPECTRAL_KEYS, "spectral", strict)
-    c_gap = _real(spectral.get("c_gap", DEFAULT_C_GAP), "spectral.c_gap")
-    if not c_gap > 0.0:
-        raise ConfigError(f"spectral.c_gap: must be positive, got {c_gap}")
-    eigen_count = _integer(spectral.get("eigen_count", 40),
-                           "spectral.eigen_count")
-    if eigen_count < 1:
-        raise ConfigError(
-            f"spectral.eigen_count: must be at least 1, got {eigen_count}")
-
-    output = _section(doc, "output")
-    _check_keys(output, _OUTPUT_KEYS, "output", strict)
-    out_dir = output.get("directory", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("output.directory: must be a nonempty string")
-    formats = output.get("formats", ["json", "csv"])
-    if (not isinstance(formats, list) or not formats
-            or any(f not in ("json", "csv") for f in formats)):
-        raise ConfigError(
-            "output.formats: must be a nonempty list drawn from "
-            "[\"json\", \"csv\"]")
-
-    return RunConfig(
-        length=length, curvature=curvature, samples=samples, m=m,
-        epsilons=epsilons, n_y=n_y, n_t=n_t, t_extent=t_extent,
-        toda_k=toda_k, toda_max_iterations=toda_max, toda_tolerance=toda_tol,
-        c_gap=c_gap, eigen_count=eigen_count,
-        out_dir=out_dir, formats=tuple(formats),
-    )
+    parsed: dict = {}
+    checked = {""}
+    for f in _FIELDS:
+        name, _, key = f.path.rpartition(".")
+        section = _section(doc, name) if name else doc
+        if name not in checked:
+            checked.add(name)
+            _check_keys(section, {g.path.rpartition(".")[2] for g in _FIELDS
+                                  if g.path.startswith(name + ".")},
+                        name, strict)
+        value = section.get(key, f.default)
+        if f.kind not in (int, float):
+            value = f.kind(value, parsed, strict)
+        elif value is not None or f.default is not None:  # null: stays unset
+            value = _integer(value, f.path) if f.kind is int else _real(value, f.path)
+            if not f.ok(value):
+                raise ConfigError(f"{f.path}: {f.requirement}, got {value}")
+        parsed[f.attr] = value
+    return RunConfig(**parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +396,13 @@ class ArtifactWriter:
         for row in np.atleast_2d(values):
             lines.append(",".join(repr(float(v)) for v in row))
         self._record(name).write_text("\n".join(lines) + "\n")
+
+
+def _strip_comment(grid: StripGrid) -> str:
+    """Grid metadata line of a strip-field CSV (`ArtifactWriter.matrix`)."""
+    return (f"strip field: rows = y ({grid.y_grid.n} points, stretched "
+            f"length {grid.y_grid.length!r}), cols = t in "
+            f"[-{grid.t_extent!r}, {grid.t_extent!r}] ({grid.n_t} points)")
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
@@ -520,11 +510,10 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
                   args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
     mats = build_matrices(cfg.m)
-    beta = exact_constants().beta
+    v1 = first_order_profile(K, cfg.m, exact_constants().beta)
 
     def one(eps: float):
         s = scales_of(eps)
-        v1 = first_order_profile(K, cfg.m, beta)
         A = assemble_A(v1, s.sigma, K, mats)
         return s, eigs_L_sigma(A, s.sigma)
 
@@ -549,15 +538,16 @@ def _cmd_resonance_scan(cfg: RunConfig, writer: ArtifactWriter,
                         args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
     eps = cfg.epsilons
+    degenerate = jacobi_is_degenerate(K)
     # a sweep is scan_epsilons' own log ladder (_parse_epsilon), so one scan serves it
     if len(eps) > 1:
         scan = scan_epsilons(eps[0], eps[-1], len(eps), K, cfg.m, c_gap=cfg.c_gap)
         rows = zip(scan.epsilons, scan.sigmas, scan.min_margins, scan.admissible)
-        degenerate, lam_covered = jacobi_is_degenerate(K), scan.lam_covered
+        lam_covered = scan.lam_covered
     else:
         r = resonance_margin(eps[0], K, cfg.m, c_gap=cfg.c_gap)
         rows = [(r.epsilon, r.sigma, r.min_margin, r.admissible)]
-        degenerate, lam_covered = r.jacobi_degenerate, r.lam_covered
+        lam_covered = r.lam_covered
     entries = [{
         "epsilon": float(e), "sigma": float(sg),
         "min_margin": float(mg), "admissible": bool(ok),
@@ -587,11 +577,10 @@ def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter,
     K = cfg.curvature_field()
     curve = cfg.curve()
     mats = build_matrices(cfg.m)
-    beta = exact_constants().beta
+    v1 = first_order_profile(K, cfg.m, exact_constants().beta)
     entries = []
     for eps in cfg.epsilons:
         s = scales_of(eps)
-        v1 = first_order_profile(K, cfg.m, beta)
         A = assemble_A(v1, s.sigma, K, mats)
         a_plus = A.ellipticity()[1]
         count = weyl_count(s.sigma, a_plus, curve)
@@ -634,9 +623,7 @@ def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
             "remainder": rep.remainder, "total": rep.total,
             "slack": rep.slack,
         })
-        comment = (f"strip field: rows = y ({grid.y_grid.n} points, stretched "
-                   f"length {grid.y_grid.length!r}), cols = t in "
-                   f"[-{grid.t_extent!r}, {grid.t_extent!r}] ({grid.n_t} points)")
+        comment = _strip_comment(grid)
         writer.matrix(f"u0_{i:02d}.csv", u0.values, comment)
         writer.matrix(f"residual_{i:02d}.csv", res.values, comment)
     writer.json("ansatz_residual.json", {"m": cfg.m, "entries": entries})
@@ -669,10 +656,7 @@ def _cmd_newton_solve(cfg: RunConfig, writer: ArtifactWriter,
         "level_curve_means": [float(np.mean(report.level_curves[:, j]))
                               for j in range(report.level_curves.shape[1])],
     })
-    comment = (f"strip field: rows = y ({grid.y_grid.n} points, stretched "
-               f"length {grid.y_grid.length!r}), cols = t in "
-               f"[-{grid.t_extent!r}, {grid.t_extent!r}] ({grid.n_t} points)")
-    writer.matrix("solution.csv", report.solution.values, comment)
+    writer.matrix("solution.csv", report.solution.values, _strip_comment(grid))
     if getattr(args, "emit_levelsets", False):
         y = grid.y_grid.points()
         m = report.level_curves.shape[1]

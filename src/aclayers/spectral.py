@@ -33,7 +33,6 @@ from .geometry import (
     PeriodicGrid,
     _trig_eval,
     ell0,
-    jacobi_is_degenerate,
     resample_field,
     second_derivative,
     second_derivative_matrix,
@@ -334,7 +333,6 @@ class ResonanceReport:
     min_margin: float
     c_gap: float
     admissible: bool
-    jacobi_degenerate: bool
     lam_covered: float  # largest string eigenvalue the margins used
 
     def __post_init__(self) -> None:
@@ -358,8 +356,8 @@ def resonance_margin(epsilon: float, K: PeriodicField, m: int,
     """Admissibility of one epsilon: scaled spectral gaps at sigma = sigma_eps.
 
     A degenerate Jacobi operator (periodic Jacobi fields, e.g. the round unit
-    circle) is recorded in the report; it obstructs the sum-variable equation
-    but not the gap margins themselves.
+    circle; see `geometry.jacobi_is_degenerate`) obstructs the sum-variable
+    equation but not the gap margins themselves.
     """
     if constants is None:
         constants = exact_constants()
@@ -373,7 +371,7 @@ def resonance_margin(epsilon: float, K: PeriodicField, m: int,
     return ResonanceReport(
         epsilon=epsilon, sigma=s.sigma, mu=mu, nu=nu, margins=margins,
         min_margin=min_margin, c_gap=c_gap, admissible=min_margin >= c_gap,
-        jacobi_degenerate=jacobi_is_degenerate(K), lam_covered=float(lam[-1]))
+        lam_covered=float(lam[-1]))
 
 
 def resonant_sigmas(K: PeriodicField, m: int, beta: float | None = None,

@@ -13,13 +13,11 @@ import pytest
 
 from aclayers import ConvergenceError, DomainError, NumericalError, WindowError
 from aclayers.ansatz import (
-    M_BUDGET,
     StripField,
     StripGrid,
+    _expansion_terms,
     assemble_u0,
-    cutoff,
     default_strip_grid,
-    expansion_prediction,
     level_sets,
     newton_allen_cahn,
     residual,
@@ -30,7 +28,6 @@ from aclayers.ansatz import (
     strip_operator,
     truncation_error,
     weighted_norm,
-    window_cutoff,
 )
 from aclayers.geometry import ClosedCurve, PeriodicField, PeriodicGrid, sample_curvature
 from aclayers.profile import SQRT2, heteroclinic, heteroclinic_derivative
@@ -258,9 +255,9 @@ def test_expansion_center_layer_balance():
     eps = 0.05
     s = scales_of(eps)
     grid = default_strip_grid(K, eps, 3, n_y=16)
-    pred = expansion_prediction(2, flat_layers(K, 3), K, eps, grid,
-                                t_window=s.rho / 2.0)
-    assert np.abs(pred.values[:, grid.n_t // 2]).max() < 1e-15
+    terms, t_loc = _expansion_terms(2, flat_layers(K, 3), K, eps, grid, s)
+    pred = np.where(np.abs(t_loc) <= s.rho / 2.0, sum(terms.values()), 0.0)
+    assert np.abs(pred[:, grid.n_t // 2]).max() < 1e-15
 
 
 def test_expansion_tracks_residual():
@@ -271,9 +268,10 @@ def test_expansion_tracks_residual():
     f = f_from_h(h, s)
     grid = default_strip_grid(K, eps, 2, n_y=16)
     res = residual_closed_form(f, grid, K, eps)
-    pred = expansion_prediction(2, h, K, eps, grid, t_window=s.rho / 2.0)
+    terms, t_loc = _expansion_terms(2, h, K, eps, grid, s)
+    pred = np.where(np.abs(t_loc) <= s.rho / 2.0, sum(terms.values()), 0.0)
     mask = np.abs(grid.t - f[1].values[0]) <= s.rho / 2.0
-    err = np.abs(res.values[:, mask] - pred.values[:, mask]).max()
+    err = np.abs(res.values[:, mask] - pred[:, mask]).max()
     scale = np.abs(res.values[:, mask]).max()
     assert err < 0.08 * scale
 
@@ -284,14 +282,10 @@ def test_expansion_window_validation():
     s = scales_of(eps)
     grid = default_strip_grid(K, eps, 2, n_y=16)
     h = flat_layers(K, 2)
-    with pytest.raises(WindowError):
-        expansion_prediction(1, h, K, eps, grid, t_window=s.rho / 2.0 + M_BUDGET + 1.0)
-    with pytest.raises(WindowError):
-        expansion_prediction(1, h, K, eps, grid, t_window=0.0)
     with pytest.raises(DomainError):
-        expansion_prediction(3, h, K, eps, grid, t_window=1.0)
+        _expansion_terms(3, h, K, eps, grid, s)
     with pytest.raises(DomainError):
-        expansion_prediction(0, h, K, eps, grid, t_window=1.0)
+        _expansion_terms(0, h, K, eps, grid, s)
 
 
 # ---------------------------------------------------------------- norms
@@ -511,27 +505,6 @@ def test_residual_report_decays():
         reps.append(residual_report(sol.h, K, eps, grid))
     assert reps[1].total < 0.55 * reps[0].total
     assert reps[1].remainder < 0.25 * reps[0].remainder
-
-
-# ---------------------------------------------------------------- cutoffs
-
-
-def test_cutoff_profile():
-    assert cutoff(0.5) == 1.0
-    assert cutoff(1.5) == pytest.approx(0.5)
-    assert cutoff(2.5) == 0.0
-    s = np.linspace(0.0, 3.0, 301)
-    vals = cutoff(s)
-    assert np.all(np.diff(vals) <= 1e-15)
-
-
-def test_window_cutoff_plateau():
-    rho = 4.0
-    t = np.array([0.0, rho / 2.0 + 2.0 * M_BUDGET + 0.9, rho / 2.0 + 2.0 * M_BUDGET + 2.1])
-    vals = window_cutoff(t, rho)
-    assert vals[0] == 1.0
-    assert vals[1] == 1.0
-    assert vals[2] == 0.0
 
 
 # ---------------------------------------------------------------- newton

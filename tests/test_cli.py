@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +147,33 @@ def test_samples_must_be_even():
         parse_config(json.dumps({"geometry": {"samples": 15}}))
 
 
+_OUT_OF_RANGE = {
+    "geometry.length": 0.0, "geometry.samples": 15, "m": 0, "grid.n_y": 17,
+    "grid.n_t": 20, "toda.k": 7, "toda.max_iterations": 0,
+    "toda.tolerance": 0.0, "spectral.c_gap": -0.1, "spectral.eigen_count": 0,
+}
+_SCALAR_FIELDS = [f for f in cli._FIELDS if f.kind in (int, float)]
+
+
+@pytest.mark.parametrize("field", _SCALAR_FIELDS, ids=lambda f: f.path)
+def test_scalar_field_rejects_bool_and_out_of_range(field):
+    assert set(_OUT_OF_RANGE) == {f.path for f in _SCALAR_FIELDS}
+    section, _, key = field.path.rpartition(".")
+    for value in (True, _OUT_OF_RANGE[field.path]):
+        doc = {section: {key: value}} if section else {key: value}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value).startswith(f"{field.path}:")
+
+
+def test_readme_config_example_parses_strictly():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example, strict=True)
+    assert cfg.curvature == {"mean": 1.0, "cos": [0.1], "sin": []}
+    assert len(cfg.epsilons) == 7
+
+
 # ---------------------------------------------------------------------------
 # RunConfig helpers
 
@@ -168,6 +196,20 @@ def test_runconfig_strip_grid_overrides():
     auto = parse_config(json.dumps({"epsilon": 0.1})).strip_grid(K, 0.1)
     rho = scales_of(0.1).rho
     assert auto.t_extent == pytest.approx(2.0 * rho + 6.0)
+
+
+@pytest.mark.parametrize("doc,digest", [
+    ({}, "b5778ba29d16c5f961626d2065dbc4abeb7b321f8e1662f61f18e603f5266a15"),
+    ({"m": 3, "epsilon": {"min": 0.02, "max": 0.08, "steps": 5},
+      "grid": {"n_t": 201, "t_extent": 12.0},
+      "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}, "samples": 128},
+      "toda": {"k": 2}, "spectral": {"c_gap": 0.1},
+      "output": {"formats": ["json"]}},
+     "44a8b6c2a5ae22ba32c79a0a1e8defff47c085b24260dfbf79831bf60267e119"),
+], ids=["defaults", "sweep"])
+def test_config_hash_is_stable(doc, digest):
+    # the manifests of earlier runs carry these hashes
+    assert parse_config(json.dumps(doc)).sha256() == digest
 
 
 def test_config_hash_tracks_content():

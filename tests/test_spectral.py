@@ -331,7 +331,6 @@ def test_resonance_margin_report():
     rep = resonance_margin(0.05, K, 2, c_gap=0.1)
     assert rep.sigma == pytest.approx(1.0 / (BETA_EXACT * 3.3762268364408143), rel=1e-12)
     assert rep.admissible == (rep.min_margin >= 0.1)
-    assert rep.jacobi_degenerate  # round unit circle supports Jacobi fields
     assert len(rep.mu) == 1
     assert len(rep.nu) == 1
 
