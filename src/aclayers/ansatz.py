@@ -26,8 +26,8 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConvergenceError, DomainError, NumericalError, WindowError
 from .geometry import (
@@ -97,7 +97,8 @@ class StripField:
             raise DomainError("strip field values must be finite")
 
 
-# 6th-order centered stencils
+# 6th-order centered stencils; t-operators built from them have half-bandwidth 3
+_BAND = 3
 _D1_W = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2_W = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
@@ -326,18 +327,6 @@ def _ball_offsets(dy: float, dt: float) -> list[tuple[int, int]]:
     return offsets
 
 
-def _shifted(vals: np.ndarray, jy: int, it: int) -> np.ndarray:
-    """out[i, j] = vals[i + jy (mod), j + it], zero where j + it leaves [0, n)."""
-    out = np.roll(vals, -jy, axis=0)
-    if it > 0:
-        pad = np.zeros((out.shape[0], it))
-        out = np.concatenate([out[:, it:], pad], axis=1)
-    elif it < 0:
-        pad = np.zeros((out.shape[0], -it))
-        out = np.concatenate([pad, out[:, :it]], axis=1)
-    return out
-
-
 def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     """sup over grid points of e^{sigma|t|} times the local L^p ball norm.
 
@@ -352,19 +341,21 @@ def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     if not 0.0 < sigma_decay < SQRT2:
         raise DomainError("sigma_decay must lie in (0, sqrt(2))")
     grid = field.grid
-    offsets = _ball_offsets(grid.y_grid.spacing, grid.dt)
     weight = np.exp(sigma_decay * np.abs(grid.t))[None, :]
-    g = field.values
-    if math.isinf(p):
-        acc = np.zeros_like(g)
-        for jy, it in offsets:
-            np.maximum(acc, np.abs(_shifted(g, jy, it)), out=acc)
-        return float(np.max(weight * acc))
-    cell = grid.y_grid.spacing * grid.dt
-    acc = np.zeros_like(g)
+    inf = math.isinf(p)
+    vals = np.abs(field.values) if inf else np.abs(field.values) ** p
+    combine = np.maximum if inf else np.add
+    offsets = _ball_offsets(grid.y_grid.spacing, grid.dt)
+    n_y, n_t = vals.shape
+    ry = max(abs(jy) for jy, _ in offsets)
+    rt = max(abs(it) for _, it in offsets)
+    # periodic in y, zero past the t-edges: adding 0.0 leaves acc as it is
+    padded = np.pad(vals[np.arange(-ry, n_y + ry) % n_y], ((0, 0), (rt, rt)))
+    acc = np.zeros_like(vals)
     for jy, it in offsets:
-        acc += np.abs(_shifted(g, jy, it)) ** p
-    return float(np.max(weight * (cell * acc) ** (1.0 / p)))
+        combine(acc, padded[ry + jy:ry + jy + n_y, rt + it:rt + it + n_t], out=acc)
+    local = acc if inf else (grid.y_grid.spacing * grid.dt * acc) ** (1.0 / p)
+    return float(np.max(weight * local))
 
 
 @dataclass(frozen=True)
@@ -468,6 +459,28 @@ def _trapezoid_weights(grid: StripGrid) -> np.ndarray:
     return wt
 
 
+def _mode_solver(base: np.ndarray, k2: np.ndarray):
+    """Inverse of base - k^2 I on (len(k2), n_t) mode arrays, all k at once.
+
+    The stack of shifted copies of `base` keeps its half-bandwidth _BAND: one
+    dgbtrf factors it, one dgbtrs on real and imaginary parts applies it."""
+    n = base.shape[0]
+    ab = np.zeros((3 * _BAND + 1, len(k2), n))
+    for d in range(-_BAND, _BAND + 1):  # band storage: A[i, i + d] in row 2 _BAND - d
+        ab[2 * _BAND - d, :, max(d, 0):n + min(d, 0)] = np.diagonal(base, d)
+    ab[2 * _BAND] -= k2[:, None]
+    lu, piv, info = dgbtrf(ab.reshape(3 * _BAND + 1, -1), _BAND, _BAND)
+    if info != 0:
+        raise NumericalError(f"transverse operator is singular (dgbtrf info {info})")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        cols = np.array([rhs.real.ravel(), rhs.imag.ravel()]).T
+        x, _ = dgbtrs(lu, _BAND, _BAND, cols, piv)
+        return (x[:, 0] + 1j * x[:, 1]).reshape(rhs.shape)
+
+    return solve
+
+
 def solve_projected(g: StripField, epsilon: float) -> tuple[StripField, PeriodicField]:
     """Invert d_tt + d_yy + F'(w(t)) modulo the kernel direction w'.
 
@@ -478,37 +491,31 @@ def solve_projected(g: StripField, epsilon: float) -> tuple[StripField, Periodic
 
     where W holds trapezoid weights, so that int phi w' dt = 0 holds per y
     to machine precision and c(y) w'(t) absorbs the kernel component of g;
-    c(y) equals -int g w' dt / int (w')^2 dt up to discretization.
+    c(y) equals -int g w' dt / int (w')^2 dt up to discretization. One banded
+    LU of all blocks A = core - k^2 I eliminates it: phi = A^{-1}(g + c w'),
+    c = -(b.A^{-1} g)/(b.A^{-1} w'), b = W w'. At k = 0, A is near-singular (w'
+    is nearly its kernel), so one step of iterative refinement follows.
     """
     grid = g.grid
-    t = grid.t
-    w = heteroclinic(t)
-    wp = heteroclinic_derivative(t)
-    _, d2t = _t_matrices(grid.n_t, grid.dt)
-    core = d2t + np.diag(1.0 - 3.0 * w * w)
-    wt = _trapezoid_weights(grid)
-
     n_y = grid.y_grid.n
-    n_t = grid.n_t
-    kfreq = 2.0 * np.pi * np.fft.rfftfreq(n_y, d=grid.y_grid.spacing)
+    w, wp = heteroclinic(grid.t), heteroclinic_derivative(grid.t)
+    core = _t_matrices(grid.n_t, grid.dt)[1] + np.diag(1.0 - 3.0 * w * w)
+    b = _trapezoid_weights(grid) * wp
+    k2 = (2.0 * np.pi * np.fft.rfftfreq(n_y, d=grid.y_grid.spacing)) ** 2
+    solve = _mode_solver(core, k2)
+    x2 = solve(np.broadcast_to(wp, (len(k2), grid.n_t)))
+
+    def bordered(r: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+        x1 = solve(r)
+        c = (s - x1 @ b) / (x2 @ b)
+        return x1 + c[:, None] * x2, c
+
     ghat = np.fft.rfft(g.values, axis=0)
-    phihat = np.empty_like(ghat)
-    chat = np.empty(len(kfreq), dtype=complex)
-
-    M = np.zeros((n_t + 1, n_t + 1))
-    M[:n_t, n_t] = -wp
-    M[n_t, :n_t] = wt * wp
-    eye = np.eye(n_t)
-    for idx, k in enumerate(kfreq):
-        M[:n_t, :n_t] = core - (k * k) * eye
-        lu = scipy.linalg.lu_factor(M)
-        sol_r = scipy.linalg.lu_solve(lu, np.append(ghat[idx].real, 0.0))
-        sol_i = scipy.linalg.lu_solve(lu, np.append(ghat[idx].imag, 0.0))
-        phihat[idx] = sol_r[:n_t] + 1j * sol_i[:n_t]
-        chat[idx] = sol_r[n_t] + 1j * sol_i[n_t]
-
-    phi = np.fft.irfft(phihat, n=n_y, axis=0)
-    c = np.fft.irfft(chat, n=n_y)
+    phihat, chat = bordered(ghat, 0.0)
+    r = ghat - (phihat @ core.T - k2[:, None] * phihat) + chat[:, None] * wp
+    dphi, dc = bordered(r, -(phihat @ b))
+    phi = np.fft.irfft(phihat + dphi, n=n_y, axis=0)
+    c = np.fft.irfft(chat + dc, n=n_y)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(c))):
         raise NumericalError("projected transverse solve produced non-finite values")
     return StripField(grid, phi), PeriodicField(grid.y_grid, c)
@@ -533,30 +540,25 @@ def strip_energy(u: StripField, epsilon: float) -> float:
 def level_sets(u: StripField) -> np.ndarray:
     """Zero crossings of u in t per y-row, located by linear interpolation.
 
+    A crossing is a node where u is exactly zero, or a sign change between
+    neighbouring nodes, placed at t_j - u_j (t_{j+1} - t_j)/(u_{j+1} - u_j).
     Returns an (n_y, count) array of crossing t-values; the count must be
     the same on every row.
     """
     t = u.grid.t
-    rows: list[list[float]] = []
-    count = -1
-    for row in u.values:
-        crossings: list[float] = []
-        for j in range(len(row) - 1):
-            a, b = row[j], row[j + 1]
-            if a == 0.0:
-                if not crossings or crossings[-1] != t[j]:
-                    crossings.append(float(t[j]))
-            elif a * b < 0.0:
-                crossings.append(float(t[j] - a * (t[j + 1] - t[j]) / (b - a)))
-        if row[-1] == 0.0:
-            crossings.append(float(t[-1]))
-        if count < 0:
-            count = len(crossings)
-        elif len(crossings) != count:
-            raise NumericalError(
-                f"level-set count varies along the curve: {len(crossings)} vs {count}")
-        rows.append(crossings)
-    return np.array(rows)
+    v = u.values
+    change = v[:, :-1] * v[:, 1:] < 0.0
+    hit = np.append(change | (v[:, :-1] == 0.0), v[:, -1:] == 0.0, axis=1)
+    counts = hit.sum(axis=1)
+    bad = np.flatnonzero(counts != counts[0])
+    if bad.size:
+        raise NumericalError(
+            f"level-set count varies along the curve: {counts[bad[0]]} vs {counts[0]}")
+    where = np.tile(t, (v.shape[0], 1))
+    rows, cols = np.nonzero(change)
+    a, b = v[rows, cols], v[rows, cols + 1]
+    where[rows, cols] = t[cols] - a * (t[cols + 1] - t[cols]) / (b - a)
+    return where[hit].reshape(v.shape[0], counts[0])
 
 
 @dataclass(frozen=True)
@@ -571,15 +573,15 @@ class NewtonReport:
 
 
 def _mode_preconditioner(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
-                         epsilon: float, kfreq: np.ndarray):
-    """Per-y-mode LU factors of the y-averaged linearization."""
+                         epsilon: float):
+    """Inverse of the y-averaged linearization base - k^2 I on every y-mode k,
+    base = d_tt - eps^2 mean(K) t d_t + mean(F'(u)), from one banded LU."""
     d1t, d2t = _t_matrices(grid.n_t, grid.dt)
-    z = grid.t
     dbar = np.mean(1.0 - 3.0 * u * u, axis=0)
     kbar = float(np.mean(kv))
-    base = d2t - epsilon**2 * kbar * (z[:, None] * d1t) + np.diag(dbar)
-    eye = np.eye(grid.n_t)
-    return [scipy.linalg.lu_factor(base - (k * k) * eye) for k in kfreq]
+    base = d2t - epsilon**2 * kbar * (grid.t[:, None] * d1t) + np.diag(dbar)
+    kfreq = 2.0 * np.pi * np.fft.rfftfreq(grid.y_grid.n, d=grid.y_grid.spacing)
+    return _mode_solver(base, kfreq * kfreq)
 
 
 def newton_allen_cahn(u_init: StripField, K: PeriodicField,
@@ -587,8 +589,9 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     """Damped Newton on strip_operator(u) + u - u^3 = 0 with Neumann walls.
 
     The Newton step is solved by GMRES preconditioned with the y-averaged
-    transverse operator, mode by mode; an Armijo line search on the squared
-    residual damps the step. Converges when the sup-norm residual falls
+    transverse operator, all y-modes from one banded LU (`_mode_solver`),
+    to 1e-12 relative or 1e-3 NEWTON_TOL absolute; an Armijo line search on
+    the squared residual damps the step. Converges when the sup-norm residual falls
     under 1e-9; the returned level curves must be as numerous as in the
     initial state (the layer count is conserved or the solve is rejected).
     """
@@ -601,7 +604,6 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
 
     kv = _on_strip(K, grid, epsilon)
     n_y, n_t = grid.shape
-    kfreq = 2.0 * np.pi * np.fft.rfftfreq(n_y, d=grid.y_grid.spacing)
 
     def full_residual(vals: np.ndarray) -> np.ndarray:
         return _strip_linear(vals, kv, grid, epsilon) + vals - vals**3
@@ -632,22 +634,20 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
             v = x.reshape(n_y, n_t)
             return (_strip_linear(v, kv, grid, epsilon) + coeff * v).ravel()
 
-        factors = _mode_preconditioner(u, grid, kv, epsilon, kfreq)
+        mode_inverse = _mode_preconditioner(u, grid, kv, epsilon)
 
         def apply_prec(x: np.ndarray) -> np.ndarray:
-            v = x.reshape(n_y, n_t)
-            vhat = np.fft.rfft(v, axis=0)
-            for idx, lu in enumerate(factors):
-                vhat[idx] = (scipy.linalg.lu_solve(lu, vhat[idx].real)
-                             + 1j * scipy.linalg.lu_solve(lu, vhat[idx].imag))
-            return np.fft.irfft(vhat, n=n_y, axis=0).ravel()
+            vhat = np.fft.rfft(x.reshape(n_y, n_t), axis=0)
+            return np.fft.irfft(mode_inverse(vhat), n=n_y, axis=0).ravel()
 
         size = n_y * n_t
         op = scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec)
         prec = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply_prec)
+        # inexact-Newton floor: near its round-off floor a residual cannot be
+        # cut 1e-12 relative, and a step residual far under NEWTON_TOL suffices
         step, info = scipy.sparse.linalg.gmres(
-            op, -res.ravel(), M=prec, rtol=1e-12, atol=0.0, restart=60,
-            maxiter=50)
+            op, -res.ravel(), M=prec, rtol=1e-12, atol=1e-3 * NEWTON_TOL,
+            restart=60, maxiter=50)
         if info != 0:
             raise ConvergenceError(
                 f"Newton step solve did not converge (GMRES info {info}) "

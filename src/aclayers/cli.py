@@ -393,8 +393,8 @@ class ArtifactWriter:
         if "csv" not in self.formats:
             return
         lines = [f"# schema: {SCHEMA}", f"# {comment}"]
-        for row in np.atleast_2d(values):
-            lines.append(",".join(repr(float(v)) for v in row))
+        for row in np.atleast_2d(np.asarray(values, dtype=float)):
+            lines.append(",".join(map(repr, row.tolist())))
         self._record(name).write_text("\n".join(lines) + "\n")
 
 

@@ -10,12 +10,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from aclayers import ConvergenceError, DomainError, NumericalError, WindowError
 from aclayers.ansatz import (
+    NEWTON_TOL,
     StripField,
     StripGrid,
     _expansion_terms,
+    _mode_preconditioner,
+    _on_strip,
+    _t_matrices,
     assemble_u0,
     default_strip_grid,
     level_sets,
@@ -414,6 +419,50 @@ def test_projected_self_adjoint():
     assert i12 == pytest.approx(i21, rel=1e-12)
 
 
+def dense_bordered_reference(g):
+    """Per-mode dense LU of the bordered system of `solve_projected`."""
+    grid = g.grid
+    n_t = grid.n_t
+    w = heteroclinic(grid.t)
+    wp = heteroclinic_derivative(grid.t)
+    _, d2t = _t_matrices(n_t, grid.dt)
+    core = d2t + np.diag(1.0 - 3.0 * w * w)
+    kfreq = 2.0 * np.pi * np.fft.rfftfreq(grid.y_grid.n, d=grid.y_grid.spacing)
+    ghat = np.fft.rfft(g.values, axis=0)
+    phihat = np.empty_like(ghat)
+    chat = np.empty(len(kfreq), dtype=complex)
+    M = np.zeros((n_t + 1, n_t + 1))
+    M[:n_t, n_t] = -wp
+    M[n_t, :n_t] = trapezoid(grid) * wp
+    for idx, k in enumerate(kfreq):
+        M[:n_t, :n_t] = core - (k * k) * np.eye(n_t)
+        lu = scipy.linalg.lu_factor(M)
+        sol_r = scipy.linalg.lu_solve(lu, np.append(ghat[idx].real, 0.0))
+        sol_i = scipy.linalg.lu_solve(lu, np.append(ghat[idx].imag, 0.0))
+        phihat[idx] = sol_r[:n_t] + 1j * sol_i[:n_t]
+        chat[idx] = sol_r[n_t] + 1j * sol_i[n_t]
+    return (np.fft.irfft(phihat, n=grid.y_grid.n, axis=0),
+            np.fft.irfft(chat, n=grid.y_grid.n))
+
+
+@pytest.mark.parametrize("grid", [
+    projected_grid(),
+    default_strip_grid(circle_K(), 0.05, 2),  # 62 x 207
+], ids=["16x201", "62x207"])
+def test_projected_matches_dense_bordered(grid):
+    # the k = 0 block core is near-singular (w' is its discrete near-kernel);
+    # the banded elimination needs its refinement step to match
+    rng = np.random.default_rng(5)
+    g = StripField(grid, rng.standard_normal(grid.shape)
+                   * np.exp(-0.8 * np.abs(grid.t))[None, :])
+    phi, c = solve_projected(g, 0.05)
+    phi_ref, c_ref = dense_bordered_reference(g)
+    assert np.abs(phi.values - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+    assert np.abs(c.values - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+    wp = heteroclinic_derivative(grid.t)
+    assert np.abs(phi.values @ (trapezoid(grid) * wp)).max() <= 1e-12
+
+
 def test_projected_stability_across_epsilon():
     # the inversion constant stays O(1) as the strip lengthens
     ratios = []
@@ -477,6 +526,45 @@ def test_level_sets_inconsistent_count():
         level_sets(StripField(grid, vals))
 
 
+def level_sets_loop(u):
+    """Row-by-row reference for `level_sets`."""
+    t = u.grid.t
+    rows = []
+    for row in u.values:
+        crossings = []
+        for j in range(len(row) - 1):
+            a, b = row[j], row[j + 1]
+            if a == 0.0:
+                if not crossings or crossings[-1] != t[j]:
+                    crossings.append(float(t[j]))
+            elif a * b < 0.0:
+                crossings.append(float(t[j] - a * (t[j + 1] - t[j]) / (b - a)))
+        if row[-1] == 0.0:
+            crossings.append(float(t[-1]))
+        rows.append(crossings)
+    return np.array(rows)
+
+
+def test_level_sets_match_loop_with_exact_zeros():
+    # one sign pattern on every row, random magnitudes, so every row has the
+    # same crossing count but its own interpolated positions
+    grid = StripGrid(PeriodicGrid(16, TWO_PI), 6.0, 49)
+    rng = np.random.default_rng(3)
+    sign = np.where(np.sin(0.7 * grid.t + 0.1) >= 0.0, 1.0, -1.0)
+    vals = sign[None, :] * rng.uniform(0.1, 1.0, grid.shape)
+    edge = int(np.flatnonzero(sign[1:] != sign[:-1])[0])
+    zeros = vals.copy()
+    zeros[:, edge] = 0.0  # zero node just before a sign change
+    zeros[:, 20:22] = 0.0  # two zero nodes in a row
+    zeros[:, 30] = -0.0
+    zeros[:, -1] = 0.0  # zero at the last node
+    for field in (vals, zeros):
+        u = StripField(grid, field)
+        curves = level_sets(u)
+        assert curves.shape[1] >= 3
+        np.testing.assert_array_equal(curves, level_sets_loop(u))
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -537,6 +625,61 @@ def test_newton_two_layers_matches_toda_spacing():
     spacing = float((rep.level_curves[:, 1] - rep.level_curves[:, 0]).mean())
     predicted = s.rho + float(sol.v.gap_array()[0].mean())
     assert abs(spacing - predicted) < 0.01 * predicted
+
+
+def test_mode_preconditioner_matches_dense_modes():
+    K = circle_K(amp=0.2)
+    eps = 0.05
+    s = scales_of(eps)
+    grid = default_strip_grid(K, eps, 2, n_y=16)
+    u = assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps).values
+    kv = _on_strip(K, grid, eps)
+    kfreq = 2.0 * np.pi * np.fft.rfftfreq(16, d=grid.y_grid.spacing)
+    inverse = _mode_preconditioner(u, grid, kv, eps)
+    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
+    base = (d2t - eps**2 * kv.mean() * (grid.t[:, None] * d1t)
+            + np.diag(np.mean(1.0 - 3.0 * u * u, axis=0)))
+    rng = np.random.default_rng(4)
+    rhs = (rng.standard_normal((len(kfreq), grid.n_t))
+           + 1j * rng.standard_normal((len(kfreq), grid.n_t)))
+    got = inverse(rhs)
+    for idx, k in enumerate(kfreq):
+        ref = np.linalg.solve(base - k * k * np.eye(grid.n_t), rhs[idx])
+        assert np.abs(got[idx] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("amp", [1e-9, 2e-9])
+def test_newton_converges_from_round_off_floor(amp):
+    # a solved state nudged to a residual of a few NEWTON_TOL: the step
+    # solve cannot cut that residual by 1e-12 relative (it sits near the
+    # round-off floor), yet one Newton step must finish the solve
+    K = circle_K()
+    eps = 0.05
+    s = scales_of(eps)
+    grid = default_strip_grid(K, eps, 2, n_y=16)
+    u0 = assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps)
+    solved = newton_allen_cahn(u0, K, eps).solution.values
+    y = grid.y_grid.points()
+    bump = (np.cos(TWO_PI * y / grid.y_grid.length)[:, None]
+            * heteroclinic_derivative(grid.t)[None, :])
+    rep = newton_allen_cahn(StripField(grid, solved + amp * bump), K, eps)
+    assert NEWTON_TOL < rep.residual_norms[0] < 5.0 * NEWTON_TOL
+    assert rep.iterations == 1
+    assert rep.residual_norms[-1] < NEWTON_TOL
+
+
+@pytest.mark.parametrize("eps, m", [(0.04, 2), (0.0125, 3)])
+def test_newton_converges_on_varying_curvature(eps, m):
+    # K = 1 + 0.2 cos y: both points used to end in GMRES info 50 once the
+    # Newton residual neared its round-off floor
+    K = circle_K(n=64, amp=0.2)
+    s = scales_of(eps)
+    grid = default_strip_grid(K, eps, m)
+    u0 = assemble_u0(f_from_h(toda_layers(K, m, eps).h, s), grid, eps)
+    rep = newton_allen_cahn(u0, K, eps)
+    assert rep.iterations <= 6
+    assert rep.residual_norms[-1] < NEWTON_TOL
+    assert rep.level_curves.shape == (grid.y_grid.n, m)
 
 
 def test_newton_rejects_bad_initial_state():

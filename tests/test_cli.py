@@ -327,6 +327,17 @@ def test_weyl_artifacts(tmp_path):
                                                       rel=0.05)
 
 
+def test_matrix_writes_shortest_round_trip_reprs(tmp_path):
+    writer = cli.ArtifactWriter(tmp_path, ("csv",))
+    writer.matrix("m.csv", np.array([[-0.0, 1e-300, 0.1], [1.0 / 3.0, 2.0, -5e-324]]),
+                  "note")
+    assert (tmp_path / "m.csv").read_bytes() == (
+        f"# schema: {cli.SCHEMA}\n# note\n"
+        "-0.0,1e-300,0.1\n0.3333333333333333,2.0,-5e-324\n").encode()
+    writer.matrix("v.csv", [1, 2], "ints")
+    assert (tmp_path / "v.csv").read_text().endswith("\n1.0,2.0\n")
+
+
 def test_ansatz_residual_artifacts(tmp_path):
     code, out = _run(tmp_path, "ansatz-residual", "--epsilon", "0.1")
     assert code == 0
