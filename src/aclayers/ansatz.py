@@ -21,7 +21,7 @@ truncation is controlled; `truncation_error` reports the standard bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -218,7 +218,8 @@ def strip_operator(u: StripField, K: PeriodicField, epsilon: float) -> StripFiel
 
 def residual(u0: StripField, K: PeriodicField, epsilon: float) -> StripField:
     """S(u0) = strip_operator(u0) + u0 - u0^3."""
-    vals = strip_operator(u0, K, epsilon).values + u0.values - u0.values**3
+    v = u0.values
+    vals = strip_operator(u0, K, epsilon).values + v - v * v * v
     return StripField(u0.grid, vals)
 
 
@@ -368,7 +369,8 @@ class ResidualReport:
     windows, i.e. the expansion error on the region where the expansion
     applies. The triangle inequality gives total <= sum of terms + remainder
     + slack, where slack carries the residual content outside every window
-    (pure far-field tails) plus a roundoff margin.
+    (pure far-field tails) plus a roundoff margin. `residual` keeps the
+    S(u0) field that was decomposed.
     """
 
     epsilon: float
@@ -381,6 +383,7 @@ class ResidualReport:
     remainder: float
     total: float
     slack: float
+    residual: StripField = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bound = (self.interaction + self.curvature + self.jacobi
@@ -441,7 +444,8 @@ def residual_report(h: HStack, K: PeriodicField, epsilon: float,
                           curvature=norms["curvature"],
                           jacobi=norms["jacobi"],
                           gradient_sq=norms["gradient_sq"],
-                          remainder=remainder, total=total, slack=slack)
+                          remainder=remainder, total=total, slack=slack,
+                          residual=res)
 
 
 def truncation_error(grid: StripGrid, f: Sequence[PeriodicField]) -> float:
@@ -570,6 +574,7 @@ class NewtonReport:
     residual_norms: tuple[float, ...]  # sup norms, one per iterate incl. final
     energies: tuple[float, ...]  # discrete energy at each accepted iterate
     level_curves: np.ndarray  # (n_y, m) zero-crossing positions
+    linear_iterations: tuple[int, ...]  # GMRES inner iterations per Newton step
 
 
 def _mode_preconditioner(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
@@ -584,16 +589,49 @@ def _mode_preconditioner(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
     return _mode_solver(base, kfreq * kfreq)
 
 
+def _right_preconditioned(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
+                          epsilon: float):
+    """The Newton Jacobian J at u, right-preconditioned by the y-averaged P.
+
+    Returns (fused, precondition). fused maps a flat strip vector x to
+    J P^{-1} x = x + (J - P) P^{-1} x; precondition maps it to P^{-1} x as
+    an (n_y, n_t) array (`_mode_preconditioner`). P carries J's d_tt, d_yy
+    and mean terms exactly, so only the y-varying parts are left in
+    (J - P) y = dF' y - eps^2 t (K - mean K) y_t, with
+    dF' = F'(u) - mean_y F'(u). One application of fused costs one rfft,
+    one banded solve, one irfft and one d_t product.
+    """
+    n_y, n_t = grid.shape
+    d1t_T = _t_matrices(n_t, grid.dt)[0].T
+    coeff = 1.0 - 3.0 * u * u
+    dcoeff = coeff - np.mean(coeff, axis=0)
+    dtransport = epsilon**2 * grid.t[None, :] * (kv - np.mean(kv))[:, None]
+    mode_inverse = _mode_preconditioner(u, grid, kv, epsilon)
+
+    def precondition(x: np.ndarray) -> np.ndarray:
+        vhat = np.fft.rfft(x.reshape(n_y, n_t), axis=0)
+        return np.fft.irfft(mode_inverse(vhat), n=n_y, axis=0)
+
+    def fused(x: np.ndarray) -> np.ndarray:
+        y = precondition(x)
+        return x + (dcoeff * y - dtransport * (y @ d1t_T)).ravel()
+
+    return fused, precondition
+
+
 def newton_allen_cahn(u_init: StripField, K: PeriodicField,
                       epsilon: float) -> NewtonReport:
     """Damped Newton on strip_operator(u) + u - u^3 = 0 with Neumann walls.
 
-    The Newton step is solved by GMRES preconditioned with the y-averaged
-    transverse operator, all y-modes from one banded LU (`_mode_solver`),
-    to 1e-12 relative or 1e-3 NEWTON_TOL absolute; an Armijo line search on
-    the squared residual damps the step. Converges when the sup-norm residual falls
-    under 1e-9; the returned level curves must be as numerous as in the
-    initial state (the layer count is conserved or the solve is rejected).
+    Each Newton step solves J d = -R right-preconditioned: GMRES solves
+    J P^{-1} z = -R for z, with P the y-averaged transverse operator whose
+    y-modes share one banded LU (`_mode_solver`), and the step is
+    d = P^{-1} z. GMRES therefore minimizes and stops on the true linear
+    residual |R + J d|, at 1e-12 relative or 1e-3 NEWTON_TOL absolute; an
+    Armijo line search on the squared residual damps the step. Converges
+    when the sup-norm residual falls under 1e-9; the returned level curves
+    must be as numerous as in the initial state (the layer count is
+    conserved or the solve is rejected).
     """
     grid = u_init.grid
     if float(np.max(np.abs(u_init.values))) > STATE_BOUND:
@@ -604,14 +642,16 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
 
     kv = _on_strip(K, grid, epsilon)
     n_y, n_t = grid.shape
+    size = n_y * n_t
 
     def full_residual(vals: np.ndarray) -> np.ndarray:
-        return _strip_linear(vals, kv, grid, epsilon) + vals - vals**3
+        return _strip_linear(vals, kv, grid, epsilon) + vals - vals * vals * vals
 
     u = u_init.values.copy()
     res = full_residual(u)
     res_norms = [float(np.max(np.abs(res)))]
     energies = [strip_energy(StripField(grid, u), epsilon)]
+    linear_iterations: list[int] = []
 
     for iteration in range(NEWTON_MAX_ITER + 1):
         if res_norms[-1] < NEWTON_TOL:
@@ -624,35 +664,25 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
                                 iterations=iteration,
                                 residual_norms=tuple(res_norms),
                                 energies=tuple(energies),
-                                level_curves=levels)
+                                level_curves=levels,
+                                linear_iterations=tuple(linear_iterations))
         if iteration == NEWTON_MAX_ITER:
             break
 
-        coeff = 1.0 - 3.0 * u * u
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            v = x.reshape(n_y, n_t)
-            return (_strip_linear(v, kv, grid, epsilon) + coeff * v).ravel()
-
-        mode_inverse = _mode_preconditioner(u, grid, kv, epsilon)
-
-        def apply_prec(x: np.ndarray) -> np.ndarray:
-            vhat = np.fft.rfft(x.reshape(n_y, n_t), axis=0)
-            return np.fft.irfft(mode_inverse(vhat), n=n_y, axis=0).ravel()
-
-        size = n_y * n_t
-        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec)
-        prec = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply_prec)
+        fused, precondition = _right_preconditioned(u, grid, kv, epsilon)
+        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=fused)
+        inner: list[float] = []  # one relative residual per inner iteration
         # inexact-Newton floor: near its round-off floor a residual cannot be
         # cut 1e-12 relative, and a step residual far under NEWTON_TOL suffices
-        step, info = scipy.sparse.linalg.gmres(
-            op, -res.ravel(), M=prec, rtol=1e-12, atol=1e-3 * NEWTON_TOL,
-            restart=60, maxiter=50)
+        z, info = scipy.sparse.linalg.gmres(
+            op, -res.ravel(), rtol=1e-12, atol=1e-3 * NEWTON_TOL,
+            restart=60, maxiter=50, callback=inner.append, callback_type="pr_norm")
         if info != 0:
             raise ConvergenceError(
                 f"Newton step solve did not converge (GMRES info {info}) "
                 f"at iteration {iteration}")
-        direction = step.reshape(n_y, n_t)
+        linear_iterations.append(len(inner))
+        direction = precondition(z)
 
         r2 = float(np.sum(res * res))
         damping = 1.0

@@ -37,7 +37,6 @@ from .ansatz import (
     assemble_u0,
     default_strip_grid,
     newton_allen_cahn,
-    residual_closed_form,
     residual_report,
 )
 from .errors import (
@@ -609,13 +608,11 @@ def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
         report = residual_report(sol.h, K, eps, grid)
         f = f_from_h(sol.h, s)
         u0 = assemble_u0(f, grid, eps)
-        res = residual_closed_form(f, grid, K, eps)
-        return grid, report, u0, res
+        return grid, report, u0
 
     results = _map_epsilons(one, cfg.epsilons, args.threads)
     entries = []
-    for i, (eps, (grid, rep, u0, res)) in enumerate(zip(cfg.epsilons,
-                                                        results)):
+    for i, (eps, (grid, rep, u0)) in enumerate(zip(cfg.epsilons, results)):
         entries.append({
             "epsilon": eps, "p": rep.p, "sigma_decay": rep.sigma_decay,
             "interaction": rep.interaction, "curvature": rep.curvature,
@@ -625,7 +622,7 @@ def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
         })
         comment = _strip_comment(grid)
         writer.matrix(f"u0_{i:02d}.csv", u0.values, comment)
-        writer.matrix(f"residual_{i:02d}.csv", res.values, comment)
+        writer.matrix(f"residual_{i:02d}.csv", rep.residual.values, comment)
     writer.json("ansatz_residual.json", {"m": cfg.m, "entries": entries})
     writer.csv("ansatz_residual.csv",
                ("epsilon", "p", "sigma_decay", "interaction", "curvature",
@@ -651,6 +648,7 @@ def _cmd_newton_solve(cfg: RunConfig, writer: ArtifactWriter,
     writer.json("newton_solve.json", {
         "epsilon": eps, "m": cfg.m,
         "iterations": report.iterations,
+        "linear_iterations": report.linear_iterations,
         "residual_norms": report.residual_norms,
         "energies": report.energies,
         "level_curve_means": [float(np.mean(report.level_curves[:, j]))

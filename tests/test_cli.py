@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aclayers.ansatz as ansatz
 import aclayers.cli as cli
 from aclayers.cli import RunConfig, main, parse_config
 from aclayers.errors import (
@@ -351,12 +352,36 @@ def test_ansatz_residual_artifacts(tmp_path):
     assert (out / "residual_00.csv").exists()
 
 
+def test_ansatz_residual_evaluates_residual_once_per_epsilon(tmp_path,
+                                                             monkeypatch):
+    # the CSV writes the field the report decomposed, not a second evaluation
+    closed_form = ansatz.residual_closed_form
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])  # epsilon
+        return closed_form(*args)
+
+    monkeypatch.setattr(ansatz, "residual_closed_form", counted)
+    monkeypatch.setattr(cli, "residual_closed_form", counted, raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"epsilon": {"min": 0.08, "max": 0.1, "steps": 2}}))
+    code, out = _run(tmp_path, "ansatz-residual", "--config", str(cfg))
+    assert code == 0
+    assert sorted(calls) == pytest.approx([0.08, 0.1])
+    assert (out / "residual_01.csv").exists()
+
+
 def test_newton_solve_artifacts(tmp_path):
     code, out = _run(tmp_path, "newton-solve", "--epsilon", "0.05",
                      "--emit-levelsets")
     assert code == 0
     doc = json.loads((out / "newton_solve.json").read_text())
     assert doc["residual_norms"][-1] < 1e-9
+    inner = doc["linear_iterations"]
+    assert len(inner) == doc["iterations"]
+    assert all(isinstance(n, int) and n >= 1 for n in inner)
     means = doc["level_curve_means"]
     assert len(means) == 2
     assert means[0] == pytest.approx(-means[1], abs=1e-6)
