@@ -255,9 +255,9 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
         w = heteroclinic(tj)
         wp = heteroclinic_derivative(tj)
         u0 += sign * w
-        out += sign * ((1.0 + e2 * fp * fp) * (w**3 - w)
+        out += sign * ((1.0 + e2 * fp * fp) * (w * w * w - w)
                        - e2 * (fpp + z * kv[:, None]) * wp)
-    out += u0 - u0**3
+    out += u0 - u0 * u0 * u0
     return StripField(grid, out)
 
 
@@ -281,7 +281,7 @@ def _expansion_terms(ell: int, h: HStack, K: PeriodicField, epsilon: float,
     t_loc = grid.t[None, :] - f_ell[:, None]
     w = heteroclinic(t_loc)
     wp = heteroclinic_derivative(t_loc)
-    wpp = w**3 - w
+    wpp = w * w * w - w
     sign = (-1.0) ** (ell - 1)
     e2 = epsilon * epsilon
 

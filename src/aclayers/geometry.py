@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DomainError
 
@@ -190,13 +191,17 @@ def ell0(curve: ClosedCurve, grid: PeriodicGrid) -> float:
 
 
 def second_derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
-    """Dense spectral d^2/dy^2 as an n x n matrix (for eigenproblems)."""
-    n = grid.n
+    """Dense spectral d^2/dy^2 as an n x n matrix (for eigenproblems).
+
+    D2 is a symmetric circulant, fixed by its first column: D2 applied to the
+    unit impulse, one inverse FFT of the multipliers. Averaging that column
+    with its reflection makes col[j] == col[n-j] bit for bit, so D2 == D2.T
+    exactly.
+    """
     k = _fourier_multipliers(grid)
-    mult = -(k * k)
-    eye = np.eye(n)
-    # transform columns of the identity; D2 is symmetric circulant
-    return np.fft.irfft(mult[:, None] * np.fft.rfft(eye, axis=0), n=n, axis=0)
+    col = np.fft.irfft(-(k * k), n=grid.n)
+    col = 0.5 * (col + np.roll(col[::-1], 1))
+    return scipy.linalg.circulant(col)
 
 
 def resample_field(f: PeriodicField, n: int) -> PeriodicField:

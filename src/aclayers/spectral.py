@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .geometry import (
@@ -107,8 +106,7 @@ def assemble_A(vbar_k, sigma: float, K: PeriodicField,
 
 def _l_sigma_matrix(A: MatrixFieldA, sigma: float) -> np.ndarray:
     """Dense symmetric discretization of -sigma d^2/dy^2 - A(y)."""
-    L = _gap_block_matrix(sigma, A.grid, A.entries)
-    return 0.5 * (L + L.T)
+    return _gap_block_matrix(sigma, A.grid, A.entries)
 
 
 def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
@@ -212,8 +210,8 @@ def sturm_liouville_eigs(K: PeriodicField, count: int) -> np.ndarray:
     if count > n:
         raise DomainError(f"asked for {count} eigenvalues on an n={n} grid")
     w = K.values ** -0.5
-    H = -second_derivative_matrix(K.grid) * w[:, None] * w[None, :]
-    return np.linalg.eigvalsh(0.5 * (H + H.T))[:count]
+    H = -second_derivative_matrix(K.grid) * np.outer(w, w)
+    return np.linalg.eigvalsh(H)[:count]
 
 
 @dataclass(frozen=True)
@@ -233,6 +231,9 @@ def liouville_transform(K: PeriodicField, curve: ClosedCurve,
     term cancels and the potential is q = ell0^2 Psi'' / (pi^2 Psi K).
     Constant curvature gives q identically zero.
     """
+    # scipy.optimize costs about 0.2 s and 15 MB to import; only this function uses it
+    from scipy.optimize import brentq
+
     if np.min(K.values) <= 0.0:
         raise DomainError("curvature must be positive")
     grid = K.grid
@@ -274,16 +275,6 @@ def liouville_transform(K: PeriodicField, curve: ClosedCurve,
         lo = y_at_t[i]
     q_t = _trig_eval(q_y, ell, y_at_t)
     return LiouvilleData(ell0=ell_0, t_grid=t_grid, q=q_t)
-
-
-def liouville_eigs(data: LiouvilleData, count: int) -> np.ndarray:
-    """Eigenvalues of the weighted string problem via its normal form."""
-    n = len(data.q)
-    grid = PeriodicGrid(n=n, length=math.pi)
-    H = -second_derivative_matrix(grid) - np.diag(data.q)
-    H = 0.5 * (H + H.T)
-    lam = np.sort(np.linalg.eigvalsh(H))[:count]
-    return (math.pi**2 / data.ell0**2) * lam
 
 
 def decoupled_couplings(m: int, beta: float) -> np.ndarray:

@@ -193,6 +193,31 @@ def test_second_derivative_matrix_matches_transform():
     d2 = second_derivative_matrix(g)
     assert d2 @ v == pytest.approx(second_derivative(f).values, rel=1e-12, abs=1e-12)
 
+    # a smooth field on a larger grid; matvec roundoff scales with |D2| |f|
+    g = PeriodicGrid(n=184, length=3.0)
+    f = PeriodicField(g, np.exp(np.sin(2.0 * np.pi * g.points() / g.length)))
+    d2 = second_derivative_matrix(g)
+    tol = 1e-14 * np.max(np.abs(d2)) * np.max(np.abs(f.values))
+    assert np.max(np.abs(d2 @ f.values - second_derivative(f).values)) <= tol
+
+
+def _d2_by_transforming_identity(grid):
+    # reference: the n x n identity pushed through rfft, the multipliers, irfft
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
+    eye = np.eye(grid.n)
+    return np.fft.irfft(-(k * k)[:, None] * np.fft.rfft(eye, axis=0), n=grid.n, axis=0)
+
+
+@pytest.mark.parametrize("n", [16, 64, 184, 428, 564])
+def test_second_derivative_matrix_is_exact_symmetric_circulant(n):
+    g = PeriodicGrid(n=n, length=TWO_PI)
+    d2 = second_derivative_matrix(g)
+    assert np.array_equal(d2, d2.T)
+    for i in range(n):
+        assert np.array_equal(d2[i], np.roll(d2[0], i))
+    ref = _d2_by_transforming_identity(g)
+    assert np.max(np.abs(d2 - ref)) <= 1e-12 * np.max(np.abs(d2))
+
 
 def test_flat_circle_jacobi_degenerate():
     g = unit_circle_grid()

@@ -1,20 +1,24 @@
 """Spectra, monotonicity bounds, Weyl counts, string problem, resonance scans."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aclayers
 from aclayers import DomainError
-from aclayers.geometry import ClosedCurve, PeriodicField, PeriodicGrid
+from aclayers.geometry import ClosedCurve, PeriodicField, PeriodicGrid, second_derivative_matrix
 from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.spectral import (
+    _l_sigma_matrix,
     _sl_eigs_covering,
     admissible_sigma_in,
     assemble_A,
     decoupled_couplings,
     eigs_L_sigma,
-    liouville_eigs,
     liouville_transform,
     monotonicity_check,
     resonance_margin,
@@ -262,7 +266,31 @@ def test_sturm_liouville_nonnegative_zero_ground():
     assert lam[1] > 1e-3  # ground state simple
 
 
+def test_l_sigma_and_string_matrices_exactly_symmetric(monkeypatch):
+    # D2 is an exact symmetric circulant, so no symmetrizing pass is needed
+    K = wavy_K(64, amp=0.2)
+    mats = build_matrices(3)
+    A = assemble_A(first_order_profile(K, 3, BETA_EXACT), 0.06, K, mats)
+    L = _l_sigma_matrix(A, 0.06)
+    assert np.array_equal(L, L.T)
+
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: seen.append(H) or eigvalsh(H))
+    sturm_liouville_eigs(wavy_K(184, amp=0.2), 5)
+    assert len(seen) == 1 and seen[0].shape == (184, 184)
+    assert np.array_equal(seen[0], seen[0].T)
+
+
 # --- liouville transform ---
+
+def liouville_eigs(data, count):
+    """Eigenvalues of the weighted string problem via its normal form."""
+    grid = PeriodicGrid(n=len(data.q), length=math.pi)
+    H = -second_derivative_matrix(grid) - np.diag(data.q)
+    lam = np.linalg.eigvalsh(H)[:count]
+    return (math.pi**2 / data.ell0**2) * lam
+
 
 def test_liouville_constant_curvature():
     g = PeriodicGrid(n=64, length=1.0)
@@ -333,6 +361,26 @@ def test_resonance_margin_report():
     assert rep.admissible == (rep.min_margin >= 0.1)
     assert len(rep.mu) == 1
     assert len(rep.nu) == 1
+
+
+# min_margin of 1 + 0.2 cos y (64 samples, m 3) on the 8-point ladder, recorded
+# when D2 was still built by transforming the identity
+_LADDER_MARGINS = [
+    (0.00625, 0.20189168904695837),
+    (0.008411876203952232, 1.8980698626529715),
+    (0.011321545803298836, 2.0333310373503695),
+    (0.01523767067755595, 1.327703709681594),
+    (0.020508383900190944, 4.198817810836325),
+    (0.027602237841845314, 3.228360581683886),
+    (0.03714985722842371, 1.3726131006423685),
+    (0.05, 0.10867581657000915),
+]
+
+
+@pytest.mark.parametrize("eps, pinned", _LADDER_MARGINS)
+def test_resonance_margin_pinned_on_varying_curvature(eps, pinned):
+    rep = resonance_margin(eps, wavy_K(64, amp=0.2), 3)
+    assert rep.min_margin == pytest.approx(pinned, rel=1e-9)
 
 
 def test_resonance_margin_monotone_in_cgap():
@@ -406,3 +454,14 @@ def test_scan_epsilons_empty():
     K = unit_K(64)
     res = scan_epsilons(0.02, 0.15, 0, K, 2)
     assert len(res.epsilons) == 0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only liouville_transform needs brentq; importing the package must not pay for it
+    code = "import sys, aclayers, aclayers.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(aclayers.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
