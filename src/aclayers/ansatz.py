@@ -33,6 +33,8 @@ from .errors import ConvergenceError, DomainError, NumericalError, WindowError
 from .geometry import (
     PeriodicField,
     PeriodicGrid,
+    _fourier_multipliers,
+    _spectral_derivative,
     _trig_eval,
     first_derivative,
     second_derivative,
@@ -125,21 +127,6 @@ def _t_matrices(n_t: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return d1 / dt, d2 / (dt * dt)
 
 
-def _d1y(values: np.ndarray, length: float) -> np.ndarray:
-    n = values.shape[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
-    mult = 1j * k
-    if n % 2 == 0:
-        mult[-1] = 0.0  # odd derivative of the Nyquist mode is not representable
-    return np.fft.irfft(mult[:, None] * np.fft.rfft(values, axis=0), n=n, axis=0)
-
-
-def _d2y(values: np.ndarray, length: float) -> np.ndarray:
-    n = values.shape[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
-    return np.fft.irfft(-(k[:, None] ** 2) * np.fft.rfft(values, axis=0), n=n, axis=0)
-
-
 def _on_strip(f: PeriodicField, grid: StripGrid, epsilon: float) -> np.ndarray:
     """Sample a curve field at the stretched nodes, arclength s = eps*y."""
     if not epsilon > 0.0:
@@ -206,7 +193,7 @@ def _strip_linear(vals: np.ndarray, kv: np.ndarray, grid: StripGrid,
     """u_zz + u_yy - eps^2 z kv u_z on raw values, kv = K sampled on the strip."""
     d1t, d2t = _t_matrices(grid.n_t, grid.dt)
     z = grid.t[None, :]
-    return (vals @ d2t.T + _d2y(vals, grid.y_grid.length)
+    return (vals @ d2t.T + _spectral_derivative(vals, grid.y_grid, 2, axis=0)
             - epsilon**2 * z * kv[:, None] * (vals @ d1t.T))
 
 
@@ -505,7 +492,7 @@ def solve_projected(g: StripField, epsilon: float) -> tuple[StripField, Periodic
     w, wp = heteroclinic(grid.t), heteroclinic_derivative(grid.t)
     core = _t_matrices(grid.n_t, grid.dt)[1] + np.diag(1.0 - 3.0 * w * w)
     b = _trapezoid_weights(grid) * wp
-    k2 = (2.0 * np.pi * np.fft.rfftfreq(n_y, d=grid.y_grid.spacing)) ** 2
+    k2 = _fourier_multipliers(grid.y_grid) ** 2
     solve = _mode_solver(core, k2)
     x2 = solve(np.broadcast_to(wp, (len(k2), grid.n_t)))
 
@@ -535,7 +522,7 @@ def strip_energy(u: StripField, epsilon: float) -> float:
     grid = u.grid
     d1t, _ = _t_matrices(grid.n_t, grid.dt)
     uz = u.values @ d1t.T
-    uy = _d1y(u.values, grid.y_grid.length)
+    uy = _spectral_derivative(u.values, grid.y_grid, 1, axis=0)
     dens = 0.5 * (uy * uy + uz * uz) + 0.25 * (1.0 - u.values**2) ** 2
     wt = _trapezoid_weights(grid)
     return float(epsilon * grid.y_grid.spacing * np.sum(dens * wt[None, :]))
@@ -585,7 +572,7 @@ def _mode_preconditioner(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
     dbar = np.mean(1.0 - 3.0 * u * u, axis=0)
     kbar = float(np.mean(kv))
     base = d2t - epsilon**2 * kbar * (grid.t[:, None] * d1t) + np.diag(dbar)
-    kfreq = 2.0 * np.pi * np.fft.rfftfreq(grid.y_grid.n, d=grid.y_grid.spacing)
+    kfreq = _fourier_multipliers(grid.y_grid)
     return _mode_solver(base, kfreq * kfreq)
 
 

@@ -21,7 +21,6 @@ import math
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -424,14 +423,6 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _map_epsilons(fn: Callable, epsilons: Sequence[float], threads: int) -> list:
-    """Evaluate fn over the sweep, merged back in input order."""
-    if threads > 1 and len(epsilons) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, epsilons))
-    return [fn(e) for e in epsilons]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -482,8 +473,7 @@ def _toda_solution(cfg: RunConfig, K: PeriodicField, eps: float):
 def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter,
                     args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
-    results = _map_epsilons(lambda e: _toda_solution(cfg, K, e),
-                            cfg.epsilons, args.threads)
+    results = [_toda_solution(cfg, K, e) for e in cfg.epsilons]
     entries = []
     for i, (eps, (s, sol)) in enumerate(zip(cfg.epsilons, results)):
         gaps = sol.v.gap_array()
@@ -516,7 +506,7 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
         A = assemble_A(v1, s.sigma, K, mats)
         return s, eigs_L_sigma(A, s.sigma)
 
-    results = _map_epsilons(one, cfg.epsilons, args.threads)
+    results = [one(e) for e in cfg.epsilons]
     entries = []
     rows = []
     for eps, (s, rep) in zip(cfg.epsilons, results):
@@ -610,7 +600,7 @@ def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
         u0 = assemble_u0(f, grid, eps)
         return grid, report, u0
 
-    results = _map_epsilons(one, cfg.epsilons, args.threads)
+    results = [one(e) for e in cfg.epsilons]
     entries = []
     for i, (eps, (grid, rep, u0)) in enumerate(zip(cfg.epsilons, results)):
         entries.append({
@@ -707,8 +697,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the output directory")
     common.add_argument("--strict", action="store_true",
                         help="reject unknown config keys instead of warning")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for epsilon sweeps (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="aclayers",
@@ -746,8 +734,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             text = "{}"
         cfg = parse_config(text, strict=args.strict)
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         if args.epsilon is not None:
             eps = _check_epsilon_value(args.epsilon, "--epsilon")
             cfg = dataclasses.replace(cfg, epsilons=(eps,))

@@ -159,20 +159,34 @@ def _fourier_multipliers(grid: PeriodicGrid) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
 
 
+def _spectral_derivative(values: np.ndarray, grid: PeriodicGrid, order: int,
+                         axis: int = -1) -> np.ndarray:
+    """Spectral periodic d/dy (order 1) or d^2/dy^2 (order 2) of real samples.
+
+    Differentiates every 1-D slice of ``values`` along ``axis`` with one FFT.
+    The odd derivative drops the Nyquist mode (n is even), which it cannot
+    represent; the second derivative is exact on modes below n/2.
+    """
+    k = _fourier_multipliers(grid)
+    if order == 1:
+        mult = 1j * k
+        mult[-1] = 0.0
+    else:
+        mult = -(k * k)
+    shape = [1] * np.ndim(values)
+    shape[axis] = -1
+    spec = np.fft.rfft(values, axis=axis) * mult.reshape(shape)
+    return np.fft.irfft(spec, n=grid.n, axis=axis)
+
+
 def first_derivative(f: PeriodicField) -> PeriodicField:
     """Spectral periodic df/dy; Nyquist mode dropped (odd derivative)."""
-    k = _fourier_multipliers(f.grid)
-    spec = np.fft.rfft(f.values) * (1j * k)
-    if f.grid.n % 2 == 0:
-        spec[-1] = 0.0
-    return PeriodicField(f.grid, np.fft.irfft(spec, n=f.grid.n))
+    return PeriodicField(f.grid, _spectral_derivative(f.values, f.grid, 1))
 
 
 def second_derivative(f: PeriodicField) -> PeriodicField:
     """Spectral periodic d^2f/dy^2; exact on modes below n/2."""
-    k = _fourier_multipliers(f.grid)
-    spec = np.fft.rfft(f.values) * (-(k * k))
-    return PeriodicField(f.grid, np.fft.irfft(spec, n=f.grid.n))
+    return PeriodicField(f.grid, _spectral_derivative(f.values, f.grid, 2))
 
 
 def jacobi_apply(f: PeriodicField, K: PeriodicField) -> PeriodicField:

@@ -70,18 +70,6 @@ def heteroclinic_derivative(t):
     return ((1.0 - th * th) / SQRT2)[()]
 
 
-def tail_defect(t: float) -> float:
-    """|w(t) - 1 + 2 e^{-sqrt(2) t}| for t > 1.
-
-    Bounded by 4 e^{-2 sqrt(2) t}: the profile approaches its tail
-    linearization at twice the decay rate. The bound is resolvable in double
-    precision only while 1 - w(t) is, i.e. for t up to about 12.
-    """
-    if not t > 1.0:
-        raise DomainError(f"tail_defect requires t > 1, got {t}")
-    return float(abs(math.tanh(t / SQRT2) - 1.0 + 2.0 * math.exp(-SQRT2 * t)))
-
-
 def _wp(t: np.ndarray) -> np.ndarray:
     th = np.tanh(t / SQRT2)
     return (1.0 - th * th) / SQRT2

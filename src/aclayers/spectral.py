@@ -30,6 +30,7 @@ from .geometry import (
     ClosedCurve,
     PeriodicField,
     PeriodicGrid,
+    _fourier_multipliers,
     _trig_eval,
     ell0,
     resample_field,
@@ -244,7 +245,7 @@ def liouville_transform(K: PeriodicField, curve: ClosedCurve,
     root_k = np.sqrt(K.values)
     spec = np.fft.rfft(root_k) / grid.n
     mean = spec[0].real
-    kfreq = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
+    kfreq = _fourier_multipliers(grid)
 
     wk = kfreq[1:]
     cc = spec[1:]
@@ -329,16 +330,6 @@ class ResonanceReport:
     def __post_init__(self) -> None:
         if self.admissible != (self.min_margin >= self.c_gap):
             raise DomainError("admissible flag inconsistent with min_margin")
-
-
-def sigma_margin(sigma: float, K: PeriodicField, m: int,
-                 beta: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(min margin, full margin matrix, mu) at a bare coupling sigma."""
-    if not sigma > 0.0:
-        raise DomainError("sigma must be positive")
-    mu = decoupled_couplings(m, beta)
-    margins = _margins(mu, sigma, _sl_eigs_covering(K, float(np.max(mu)) / sigma))
-    return float(np.min(margins)), margins, mu
 
 
 def resonance_margin(epsilon: float, K: PeriodicField, m: int,

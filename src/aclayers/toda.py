@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResonanceError
-from .geometry import PeriodicField, PeriodicGrid, jacobi_is_degenerate, second_derivative, second_derivative_matrix
+from .geometry import (
+    PeriodicField,
+    PeriodicGrid,
+    _spectral_derivative,
+    jacobi_is_degenerate,
+    second_derivative_matrix,
+)
 from .profile import SQRT2
 from .scales import Scales
 
@@ -49,15 +55,20 @@ class GapCoupling:
 Coupling = Scales | GapCoupling
 
 
+def _interaction_matrix(m: int) -> np.ndarray:
+    """The (m-1) tridiagonal (-1, 2, -1) interaction matrix C."""
+    if m < 2:
+        raise DomainError(f"need at least 2 layers, got m={m}")
+    return 2.0 * np.eye(m - 1) - np.eye(m - 1, k=1) - np.eye(m - 1, k=-1)
+
+
 @dataclass(frozen=True)
 class TodaMatrices:
-    """Change-of-variables matrix B and interaction matrix C for m layers."""
+    """Interaction matrix C for m layers and its symmetric square root."""
 
     m: int
-    B: np.ndarray
     C: np.ndarray
     C_sqrt: np.ndarray
-    c_eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
         if self.m < 2:
@@ -68,18 +79,11 @@ class TodaMatrices:
 
 
 def build_matrices(m: int) -> TodaMatrices:
-    """B (difference rows + summing row) and the tridiagonal C with its spectrum."""
-    if m < 2:
-        raise DomainError(f"need at least 2 layers, got m={m}")
-    B = np.zeros((m, m))
-    for i in range(m - 1):
-        B[i, i] = -1.0
-        B[i, i + 1] = 1.0
-    B[m - 1, :] = 1.0
-    C = 2.0 * np.eye(m - 1) - np.eye(m - 1, k=1) - np.eye(m - 1, k=-1)
+    """The tridiagonal C with C^{1/2} from its eigendecomposition."""
+    C = _interaction_matrix(m)
     lam, V = np.linalg.eigh(C)
     C_sqrt = (V * np.sqrt(lam)) @ V.T
-    return TodaMatrices(m=m, B=B, C=C, C_sqrt=C_sqrt, c_eigenvalues=lam)
+    return TodaMatrices(m=m, C=C, C_sqrt=C_sqrt)
 
 
 @dataclass(frozen=True)
@@ -145,18 +149,16 @@ class HStack:
                       h=tuple(PeriodicField(grid, row) for row in heights))
 
 
-def v_from_h(h: HStack) -> LayerStack:
-    """Linear change of variables: gaps and sum from heights (matrix B)."""
-    mats = build_matrices(h.m)
-    vals = mats.B @ h.height_array()
-    return LayerStack.from_arrays(h.grid, vals[:-1], vals[-1])
-
-
 def h_from_v(v: LayerStack) -> HStack:
-    """Inverse change of variables (B^{-1})."""
-    mats = build_matrices(v.m)
+    """Heights from gaps and sum: solve B h = (v_1..v_m).
+
+    B has the difference rows h_{l+1} - h_l = v_l above the summing row
+    h_1 + ... + h_m = v_m.
+    """
+    B = np.eye(v.m, k=1) - np.eye(v.m)
+    B[-1, :] = 1.0
     stacked = np.vstack([v.gap_array(), v.vm.values[None, :]])
-    return HStack.from_array(v.grid, np.linalg.solve(mats.B, stacked))
+    return HStack.from_array(v.grid, np.linalg.solve(B, stacked))
 
 
 def f_from_h(h: HStack, scales: Scales) -> tuple[PeriodicField, ...]:
@@ -201,8 +203,7 @@ def first_order_profile(K: PeriodicField, m: int, beta: float) -> LayerStack:
 def S0_bar(v) -> np.ndarray:
     """Nearest-neighbor tail interaction: -C applied to the exponential vector."""
     gaps = _gaps_of(v)
-    m = gaps.shape[0] + 1
-    C = build_matrices(m).C
+    C = _interaction_matrix(gaps.shape[0] + 1)
     return -(C @ np.exp(-SQRT2 * gaps))
 
 
@@ -214,8 +215,7 @@ def DS0_bar(v) -> np.ndarray:
     at every grid point whenever K > 0.
     """
     gaps = _gaps_of(v)
-    m = gaps.shape[0] + 1
-    C = build_matrices(m).C
+    C = _interaction_matrix(gaps.shape[0] + 1)
     expv = np.exp(-SQRT2 * gaps)  # (m-1, n)
     return SQRT2 * C[None, :, :] * expv.T[:, None, :]
 
@@ -225,7 +225,7 @@ def S_bar(v, sigma: float, K: PeriodicField, beta: float) -> np.ndarray:
     gaps = _gaps_of(v)
     if gaps.shape[1] != K.grid.n:
         raise DomainError("gap fields and curvature live on different grids")
-    d2 = np.stack([second_derivative(PeriodicField(K.grid, row)).values for row in gaps])
+    d2 = _spectral_derivative(gaps, K.grid, 2)
     return sigma * (d2 + K.values[None, :] * gaps) + beta * K.values[None, :] + S0_bar(gaps)
 
 
@@ -255,8 +255,7 @@ def _corrections(K: PeriodicField, sigma: float, beta: float, m: int,
     Kv = K.values
 
     def jac_ky(g: np.ndarray) -> np.ndarray:
-        d2 = np.stack([second_derivative(PeriodicField(K.grid, row)).values for row in g])
-        return sigma * (d2 + Kv[None, :] * g)
+        return sigma * (_spectral_derivative(g, K.grid, 2) + Kv[None, :] * g)
 
     def n_quad(s: np.ndarray) -> np.ndarray:
         # N(s) = S0(v1+s) - S0(v1) - DS0(v1) s, evaluated pointwise
@@ -343,13 +342,9 @@ def _as_gbar(gbar, shape: tuple[int, int]) -> np.ndarray:
     if gbar is None:
         return np.zeros(shape)
     arr = np.asarray(gbar, dtype=float)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    if arr.shape == (shape[0],):
-        return np.repeat(arr[:, None], shape[1], axis=1)
-    if arr.shape == shape:
-        return arr
-    raise DomainError(f"gbar shape {arr.shape} incompatible with {shape}")
+    if arr.shape != shape:
+        raise DomainError(f"gbar shape {arr.shape} incompatible with {shape}")
+    return arr
 
 
 def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
@@ -358,7 +353,8 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
                tolerance: float | None = None) -> TodaSolution:
     """Solve S_bar(v) = gbar (gaps) and sigma (vm'' + K vm) = g_m (sum).
 
-    One damped Newton iteration on F(v) = S_bar(v) - gbar. It starts from the
+    gbar is an (m-1, n) array, or None for zero. One damped Newton
+    iteration on F(v) = S_bar(v) - gbar. It starts from the
     order-k_start profile v^k shifted to the forced leading-order balance
     C e^{-sqrt(2) v} = beta K [1..1] - gbar, which is a zero shift without
     forcing; a forcing with no positive balance is a DomainError. The
@@ -381,7 +377,7 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
 
     # at leading order e^{-sqrt(2) v} = C^{-1}(beta K [1..1] - gbar), against
     # (beta/2) K a for v^1 without forcing; shift v^k by the log of the ratio
-    balance = np.linalg.solve(build_matrices(m).C, beta * K.values[None, :] - target)
+    balance = np.linalg.solve(_interaction_matrix(m), beta * K.values[None, :] - target)
     if not np.all(balance > 0.0):
         raise DomainError("forcing leaves no positive leading-order gap balance")
     unforced = 0.5 * beta * np.outer(interaction_weights(m), K.values)

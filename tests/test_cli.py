@@ -423,18 +423,6 @@ def test_artifacts_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_threaded_sweep_matches_serial(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"epsilon": {"min": 0.06, "max": 0.1, "steps": 3}}))
-    _, out1 = _run(tmp_path / "a", "toda-solve", "--config", str(cfg))
-    code, out2 = _run(tmp_path / "b", "toda-solve", "--config", str(cfg),
-                      "--threads", "3")
-    assert code == 0
-    assert ((out1 / "toda_solve.json").read_bytes()
-            == (out2 / "toda_solve.json").read_bytes())
-
-
 def test_formats_filter_artifacts(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"output": {"formats": ["json"]}}))
@@ -490,8 +478,3 @@ def test_exit_code_mapping(tmp_path, monkeypatch, exc, expected):
     monkeypatch.setitem(cli.COMMANDS, "constants", boom)
     code, _ = _run(tmp_path, "constants")
     assert code == expected
-
-
-def test_threads_must_be_positive(tmp_path):
-    code, _ = _run(tmp_path, "scales", "--threads", "0")
-    assert code == 1

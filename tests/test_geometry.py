@@ -10,6 +10,7 @@ from aclayers.geometry import (
     ClosedCurve,
     PeriodicField,
     PeriodicGrid,
+    _spectral_derivative,
     ell0,
     first_derivative,
     jacobi_apply,
@@ -199,6 +200,18 @@ def test_second_derivative_matrix_matches_transform():
     d2 = second_derivative_matrix(g)
     tol = 1e-14 * np.max(np.abs(d2)) * np.max(np.abs(f.values))
     assert np.max(np.abs(d2 @ f.values - second_derivative(f).values)) <= tol
+
+
+@pytest.mark.parametrize("n, count", [(62, 207), (502, 287), (16, 21)])
+def test_batched_derivative_matches_per_field(n, count):
+    # one FFT along an axis gives each slice's derivative bit for bit
+    g = PeriodicGrid(n=n, length=4.0 * n)
+    vals = np.random.default_rng(n).standard_normal((n, count))
+    for order, one in ((1, first_derivative), (2, second_derivative)):
+        cols = np.column_stack([one(PeriodicField(g, c)).values for c in vals.T])
+        assert np.array_equal(_spectral_derivative(vals, g, order, axis=0), cols)
+        rows = np.stack([one(PeriodicField(g, r)).values for r in vals.T])
+        assert np.array_equal(_spectral_derivative(vals.T, g, order, axis=1), rows)
 
 
 def _d2_by_transforming_identity(grid):

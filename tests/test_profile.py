@@ -20,7 +20,6 @@ from aclayers.profile import (
     ProfileConstants,
     heteroclinic,
     heteroclinic_derivative,
-    tail_defect,
 )
 
 # frozen from a 50-digit evaluation of tanh(1/sqrt(2))
@@ -72,23 +71,22 @@ def test_derivative_matches_finite_difference():
         assert heteroclinic_derivative(t) == pytest.approx(fd, rel=1e-6)
 
 
+def _tail_defect(t):
+    """|w(t) - 1 + 2 e^{-sqrt(2) t}|: the profile against its tail linearization."""
+    return np.abs(heteroclinic(t) - 1.0 + 2.0 * np.exp(-SQRT2 * t))
+
+
 def test_tail_defect_bound():
-    # above t ~ 12 the bound drops under double-precision resolution of 1-w
-    for t in np.linspace(1.01, 12.0, 200):
-        assert tail_defect(float(t)) <= 4.0 * math.exp(-2.0 * SQRT2 * t)
+    # |w - 1 + 2 e^{-sqrt(2) t}| <= 4 e^{-2 sqrt(2) t} for t > 1; above t ~ 12
+    # the bound drops under double-precision resolution of 1-w
+    t = np.linspace(1.01, 12.0, 200)
+    assert np.all(_tail_defect(t) <= 4.0 * np.exp(-2.0 * SQRT2 * t))
 
 
 def test_tail_defect_examples():
-    assert tail_defect(2.0) <= 4.0 * math.exp(-4.0 * SQRT2)
-    assert tail_defect(5.0) <= 4.0 * math.exp(-10.0 * SQRT2)
-    assert tail_defect(1.5) >= 0.0
-
-
-def test_tail_defect_domain():
-    with pytest.raises(DomainError):
-        tail_defect(1.0)
-    with pytest.raises(DomainError):
-        tail_defect(0.5)
+    assert _tail_defect(2.0) <= 4.0 * math.exp(-4.0 * SQRT2)
+    assert _tail_defect(5.0) <= 4.0 * math.exp(-10.0 * SQRT2)
+    assert _tail_defect(1.5) > 0.0
 
 
 def test_equipartition_pointwise():

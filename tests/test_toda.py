@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import aclayers.toda as toda_module
 from aclayers import DomainError, scales_of
 from aclayers.geometry import ClosedCurve, PeriodicField, PeriodicGrid, sample_curvature
 from aclayers.profile import BETA_EXACT, SQRT2
@@ -28,7 +29,6 @@ from aclayers.toda import (
     interaction_weights,
     iterate_corrections,
     solve_toda,
-    v_from_h,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -54,29 +54,28 @@ def test_matrices_m2():
     t = build_matrices(2)
     assert t.C.shape == (1, 1)
     assert t.C[0, 0] == 2.0
-    assert t.c_eigenvalues == pytest.approx([2.0])
-    assert np.allclose(t.B, [[-1.0, 1.0], [1.0, 1.0]])
+    assert t.C_sqrt[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_matrices_m3_eigenvalues():
     t = build_matrices(3)
-    assert t.c_eigenvalues == pytest.approx([1.0, 3.0], rel=1e-12)
+    assert np.linalg.eigvalsh(t.C) == pytest.approx([1.0, 3.0], rel=1e-12)
 
 
 def test_matrices_m4_eigenvalues_against_oracle():
     t = build_matrices(4)
-    oracle = np.linalg.eigvalsh(t.C)
-    assert t.c_eigenvalues == pytest.approx(oracle, rel=1e-12)
     # closed form for the (-1, 2, -1) tridiagonal
     closed = [4.0 * math.sin(k * math.pi / 8.0) ** 2 for k in (1, 2, 3)]
-    assert t.c_eigenvalues == pytest.approx(closed, rel=1e-12)
+    assert np.linalg.eigvalsh(t.C) == pytest.approx(closed, rel=1e-12)
+    assert np.linalg.eigvalsh(t.C_sqrt) ** 2 == pytest.approx(closed, rel=1e-12)
 
 
 def test_matrices_b_structure():
-    t = build_matrices(5)
-    assert np.allclose(t.B[:4] @ np.arange(5.0), np.ones(4))  # difference rows
-    assert np.allclose(t.B[4], np.ones(5))
-    assert abs(np.linalg.det(t.B)) == pytest.approx(5.0, rel=1e-12)
+    # h_from_v inverts B: difference rows h_{l+1} - h_l above the summing row
+    g = circle_grid(32)
+    heights = np.outer(np.arange(5.0), 1.0 + np.cos(g.points()))
+    v = LayerStack.from_arrays(g, np.diff(heights, axis=0), heights.sum(axis=0))
+    assert np.max(np.abs(h_from_v(v).height_array() - heights)) < 1e-14
 
 
 def test_matrices_sqrt():
@@ -90,32 +89,34 @@ def test_matrices_m1_rejected():
         build_matrices(1)
 
 
-# --- changes of variables ---
+# --- changes of variables (gaps v = B h, with v_m the sum of the heights) ---
 
 def test_v_from_h_zero():
     g = circle_grid()
-    h = HStack.from_array(g, np.zeros((3, g.n)))
-    v = v_from_h(h)
-    assert np.max(np.abs(v.gap_array())) == 0.0
-    assert np.max(np.abs(v.vm.values)) == 0.0
+    v = LayerStack.from_arrays(g, np.zeros((2, g.n)), np.zeros(g.n))
+    h = h_from_v(v)
+    assert h.m == 3
+    assert np.max(np.abs(h.height_array())) == 0.0
 
 
 def test_round_trip_random():
+    # heights of any gaps and sum: differences are the gaps, the sum is vm
     g = circle_grid(32)
     rng = np.random.default_rng(20260814)
     for m in (2, 3, 5):
-        h = HStack.from_array(g, rng.standard_normal((m, g.n)))
-        back = h_from_v(v_from_h(h))
-        assert np.max(np.abs(back.height_array() - h.height_array())) < 1e-12
+        gaps, vm = rng.standard_normal((m - 1, g.n)), rng.standard_normal(g.n)
+        h = h_from_v(LayerStack.from_arrays(g, gaps, vm)).height_array()
+        assert np.max(np.abs(np.diff(h, axis=0) - gaps)) < 1e-12
+        assert np.max(np.abs(h.sum(axis=0) - vm)) < 1e-12
 
 
 def test_v_from_h_m2_antisymmetric():
     g = circle_grid(32)
     a = 0.7
-    h = HStack.from_array(g, np.array([[-a] * g.n, [a] * g.n]))
-    v = v_from_h(h)
-    assert v.gap_array()[0] == pytest.approx(np.full(g.n, 2.0 * a))
-    assert v.vm.values == pytest.approx(np.zeros(g.n), abs=1e-15)
+    v = LayerStack.from_arrays(g, np.full((1, g.n), 2.0 * a), np.zeros(g.n))
+    h = h_from_v(v).height_array()
+    assert h[0] == pytest.approx(np.full(g.n, -a))
+    assert h[1] == pytest.approx(np.full(g.n, a))
 
 
 def test_f_from_h_spacing():
@@ -357,11 +358,16 @@ def test_solve_toda_forcing_without_balance_rejected():
         solve_toda(K, s, 2, gbar=2.0 * s.beta * K.values[None, :])
 
 
+def _fourier_K(n, a1, a2, q):
+    """K = 1 + a1 cos y + a2 cos(2y + q) on the 2 pi circle."""
+    curve = ClosedCurve.fourier(TWO_PI, 1.0, cos=[a1, a2 * math.cos(q)],
+                                sin=[0.0, -a2 * math.sin(q)])
+    return sample_curvature(curve, circle_grid(n))
+
+
 def _shape_A(n, turn):
     """Benchmark shape A = 1 + 0.25 cos y + 0.025 cos(2y + 1.25), turned by grid steps."""
-    curve = ClosedCurve.fourier(TWO_PI, 1.0, cos=[0.25, 0.025 * math.cos(1.25)],
-                                sin=[0.0, -0.025 * math.sin(1.25)])
-    K = sample_curvature(curve, circle_grid(n))
+    K = _fourier_K(n, 0.25, 0.025, 1.25)
     return PeriodicField(K.grid, np.roll(K.values, turn))
 
 
@@ -393,3 +399,72 @@ def test_solve_toda_gm_solve():
     from aclayers.geometry import jacobi_apply
     resid = s.sigma * jacobi_apply(sol.v.vm, K).values - g_m.values
     assert np.max(np.abs(resid)) < 1e-9 * np.max(np.abs(g_m.values)) / s.sigma
+
+
+@pytest.mark.parametrize("gbar", [0.0, np.zeros(2)], ids=["scalar", "per-gap"])
+def test_solve_toda_gbar_must_be_full_array(gbar):
+    with pytest.raises(DomainError, match="gbar shape"):
+        solve_toda(unit_K(32), scales_of(0.05), 3, gbar=gbar)
+
+
+def test_gap_operators_never_build_matrix_bundle(monkeypatch):
+    # the C^{1/2} bundle (an eigh and a self-check) serves only assemble_A
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return build_matrices(m)
+
+    monkeypatch.setattr(toda_module, "build_matrices", counting)
+    s = scales_of(0.05)
+    K = wavy_K(32, amp=0.2)
+    v = first_order_profile(K, 3, s.beta)
+    S0_bar(v)
+    DS0_bar(v)
+    S_bar(v, s.sigma, K, s.beta)
+    h_from_v(v)
+    solve_toda(K, s, 3, gbar=equilibrium_gap_forcing(K, 3, s.beta))
+    assert calls == []
+
+
+# the four benchmark curves at both ends of the eps ladder: Newton steps and
+# (min, mean, max) of every gap row, recorded when each S0_bar, DS0_bar and
+# balance solve still built the whole matrix bundle and S_bar differentiated
+# one gap row at a time
+_PINNED_SOLVES = [
+    ((128, 0.0, 0.0, 0.0), 3, 0.00625, 4, [
+        (1.8132249941182321, 1.8132249941182428, 1.813224994118255),
+        (1.813224994118227, 1.8132249941182428, 1.8132249941182552)]),
+    ((128, 0.0, 0.0, 0.0), 3, 0.05, 4, [
+        (1.712109253247839, 1.712109253247857, 1.7121092532478774),
+        (1.7121092532478381, 1.7121092532478566, 1.7121092532478772)]),
+    ((64, 0.2, 0.0, 0.0), 3, 0.00625, 4, [
+        (1.6847789433047209, 1.8211040429724008, 1.9799572066392912),
+        (1.6847789433047147, 1.8211040429724015, 1.9799572066392894)]),
+    ((64, 0.2, 0.0, 0.0), 3, 0.05, 5, [
+        (1.6015208287780358, 1.720347108690566, 1.8663065343488625),
+        (1.601520828778048, 1.7203471086905662, 1.866306534348871)]),
+    ((64, 0.25, 0.025, 1.25), 2, 0.00625, 5, [
+        (2.102964140727488, 2.275888027363196, 2.477837292002744)]),
+    ((64, 0.25, 0.025, 1.25), 2, 0.05, 8, [
+        (1.8819933525462942, 2.161258269416181, 2.4050057196765495)]),
+    ((64, 0.03, 0.01, 4.0), 4, 0.00625, 4, [
+        (1.5351606618943359, 1.5569231901243783, 1.5878095258620477),
+        (1.3349237109907521, 1.3566931871309422, 1.3875959366337989),
+        (1.5351606618943254, 1.5569231901243787, 1.5878095258620302)]),
+    ((64, 0.03, 0.01, 4.0), 4, 0.05, 4, [
+        (1.444003194129887, 1.4698889608039039, 1.5016329481042234),
+        (1.2454495441448303, 1.2713791748976975, 1.3031535391116347),
+        (1.4440031941299, 1.469888960803904, 1.5016329481042257)]),
+]
+
+
+@pytest.mark.parametrize("shape,m,eps,iterations,rows", _PINNED_SOLVES)
+def test_solve_toda_pinned_on_benchmark_curves(shape, m, eps, iterations, rows):
+    K = _fourier_K(*shape)
+    s = scales_of(eps)
+    sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
+    gaps = sol.v.gap_array()
+    got = np.column_stack([gaps.min(axis=1), gaps.mean(axis=1), gaps.max(axis=1)])
+    assert sol.iterations == iterations
+    assert np.max(np.abs(got - np.array(rows))) < 1e-12
