@@ -26,7 +26,6 @@ from .ansatz import (
     StripGrid,
     assemble_u0,
     default_strip_grid,
-    level_sets,
     newton_allen_cahn,
     residual_closed_form,
     residual_report,
@@ -40,7 +39,6 @@ from .profile import (
     BETA_EXACT,
     SQRT2,
     compute_constants,
-    heteroclinic,
     heteroclinic_derivative,
 )
 from .scales import rho_expansion, scales_of, solve_rho

@@ -26,8 +26,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConvergenceError, DomainError, NumericalError, WindowError
 from .geometry import (
@@ -455,6 +453,9 @@ def _mode_solver(base: np.ndarray, k2: np.ndarray):
 
     The stack of shifted copies of `base` keeps its half-bandwidth _BAND: one
     dgbtrf factors it, one dgbtrs on real and imaginary parts applies it."""
+    # scipy.linalg costs about 0.18 s and 27 MB to import; only the strip solves use it
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     n = base.shape[0]
     ab = np.zeros((3 * _BAND + 1, len(k2), n))
     for d in range(-_BAND, _BAND + 1):  # band storage: A[i, i + d] in row 2 _BAND - d
@@ -620,6 +621,8 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     must be as numerous as in the initial state (the layer count is
     conserved or the solve is rejected).
     """
+    import scipy.sparse.linalg
+
     grid = u_init.grid
     if float(np.max(np.abs(u_init.values))) > STATE_BOUND:
         raise DomainError(f"initial state leaves the |u| <= {STATE_BOUND} band")
@@ -657,7 +660,7 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
             break
 
         fused, precondition = _right_preconditioned(u, grid, kv, epsilon)
-        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=fused)
+        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=fused, dtype=float)
         inner: list[float] = []  # one relative residual per inner iteration
         # inexact-Newton floor: near its round-off floor a residual cannot be
         # cut 1e-12 relative, and a step residual far under NEWTON_TOL suffices

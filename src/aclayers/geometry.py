@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 
@@ -210,12 +209,15 @@ def second_derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
     D2 is a symmetric circulant, fixed by its first column: D2 applied to the
     unit impulse, one inverse FFT of the multipliers. Averaging that column
     with its reflection makes col[j] == col[n-j] bit for bit, so D2 == D2.T
-    exactly.
+    exactly. Row i is col read backwards from col[i], wrapping round: one
+    window of the reversed column extended by its own tail.
     """
+    n = grid.n
     k = _fourier_multipliers(grid)
-    col = np.fft.irfft(-(k * k), n=grid.n)
+    col = np.fft.irfft(-(k * k), n=n)
     col = 0.5 * (col + np.roll(col[::-1], 1))
-    return scipy.linalg.circulant(col)
+    extended = np.concatenate((col[::-1], col[:0:-1]))
+    return np.lib.stride_tricks.sliding_window_view(extended, n)[::-1].copy()
 
 
 def resample_field(f: PeriodicField, n: int) -> PeriodicField:

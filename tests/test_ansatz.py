@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from aclayers import ConvergenceError, DomainError, NumericalError, WindowError
+import aclayers.ansatz as ansatz_module
+from aclayers import DomainError, NumericalError, WindowError
 from aclayers.ansatz import (
     NEWTON_TOL,
     StripField,
@@ -697,6 +698,34 @@ def test_newton_preconditioner_is_exact_without_y_variation():
     rep = newton_allen_cahn(u0, K, eps)
     assert len(rep.linear_iterations) == rep.iterations >= 1
     assert max(rep.linear_iterations) <= 2
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.2])
+def test_newton_step_applies_preconditioner_inner_plus_two_times(amp, monkeypatch):
+    # one application per GMRES iteration, one for its true-residual check and
+    # one for the step P^{-1} z: no probe of the operator's dtype on a zero vector
+    applications = 0
+    mode_preconditioner = ansatz_module._mode_preconditioner
+
+    def counted(*args):
+        inverse = mode_preconditioner(*args)
+
+        def apply(rhs):
+            nonlocal applications
+            applications += 1
+            return inverse(rhs)
+
+        return apply
+
+    monkeypatch.setattr(ansatz_module, "_mode_preconditioner", counted)
+    K = circle_K(amp=amp)
+    eps = 0.05
+    s = scales_of(eps)
+    grid = default_strip_grid(K, eps, 2, n_y=16)
+    u0 = assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps)
+    rep = newton_allen_cahn(u0, K, eps)
+    assert rep.iterations >= 1
+    assert applications == sum(rep.linear_iterations) + 2 * rep.iterations
 
 
 # GMRES inner iterations per Newton step: measured 16-21 and 50-58; the

@@ -9,7 +9,7 @@ import pytest
 
 import aclayers.ansatz as ansatz
 import aclayers.cli as cli
-from aclayers.cli import RunConfig, main, parse_config
+from aclayers.cli import main, parse_config
 from aclayers.errors import (
     ConfigError,
     ConvergenceError,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from aclayers import DomainError
 from aclayers.geometry import (
@@ -226,6 +227,7 @@ def test_second_derivative_matrix_is_exact_symmetric_circulant(n):
     g = PeriodicGrid(n=n, length=TWO_PI)
     d2 = second_derivative_matrix(g)
     assert np.array_equal(d2, d2.T)
+    assert np.array_equal(d2, scipy.linalg.circulant(d2[:, 0]))
     for i in range(n):
         assert np.array_equal(d2[i], np.roll(d2[0], i))
     ref = _d2_by_transforming_identity(g)
