@@ -3,14 +3,16 @@
 The strip carries stretched coordinates (y, z): y runs once around the curve
 with period ell/epsilon, z is the stretched signed normal distance. The
 approximation u0 stacks alternating heteroclinics at the layer positions f_j
-produced by the gap system. This module provides the leading strip operator
+produced by the gap system. This module provides the strip residual
 
-    d^2/dz^2 + d^2/dy^2 - eps^2 z K(eps y) d/dz,
+    S(u) = u_zz + u_yy - eps^2 z K(eps y) u_z + u - u^3,
 
-the residual S(u0) = strip_operator(u0) + u0 - u0^3, the pointwise expansion
-of S(u0) near each layer, exponentially weighted strip norms, the projected
-transverse linear problem (inversion modulo the kernel direction w'), and a
-damped-Newton solve of the full strip equation.
+both by finite differences (`residual`, and the Newton solve) and in closed
+form for the heteroclinic stack (`residual_closed_form`), the pointwise
+expansion of S(u0) near each layer (its terms are documented at
+`_expansion`, which `residual_report` measures), exponentially weighted strip
+norms, the projected transverse linear problem (inversion modulo the kernel
+direction w'), and a damped-Newton solve of the full strip equation.
 
 Discretization: 6th-order centered finite differences in t with an
 even-reflection (homogeneous Neumann) closure at t = +-T, spectral
@@ -38,7 +40,7 @@ from .geometry import (
     second_derivative,
 )
 from .profile import SQRT2, heteroclinic, heteroclinic_derivative
-from .scales import Scales, scales_of
+from .scales import scales_of
 from .toda import HStack, f_from_h
 
 # h-norm budget used for window sizing only
@@ -186,26 +188,45 @@ def assemble_u0(f: Sequence[PeriodicField], grid: StripGrid,
     return StripField(grid, vals)
 
 
-def _strip_linear(vals: np.ndarray, kv: np.ndarray, grid: StripGrid,
-                  epsilon: float) -> np.ndarray:
-    """u_zz + u_yy - eps^2 z kv u_z on raw values, kv = K sampled on the strip."""
+def _strip_residual(vals: np.ndarray, kv: np.ndarray, grid: StripGrid,
+                    epsilon: float) -> np.ndarray:
+    """u_zz + u_yy - eps^2 z kv u_z + u - u^3 on raw values, kv = K on the strip."""
     d1t, d2t = _t_matrices(grid.n_t, grid.dt)
     z = grid.t[None, :]
     return (vals @ d2t.T + _spectral_derivative(vals, grid.y_grid, 2, axis=0)
-            - epsilon**2 * z * kv[:, None] * (vals @ d1t.T))
-
-
-def strip_operator(u: StripField, K: PeriodicField, epsilon: float) -> StripField:
-    """Leading Laplacian on the strip: u_zz + u_yy - eps^2 z K(eps y) u_z."""
-    kv = _on_strip(K, u.grid, epsilon)
-    return StripField(u.grid, _strip_linear(u.values, kv, u.grid, epsilon))
+            - epsilon**2 * z * kv[:, None] * (vals @ d1t.T)) + vals - vals * vals * vals
 
 
 def residual(u0: StripField, K: PeriodicField, epsilon: float) -> StripField:
-    """S(u0) = strip_operator(u0) + u0 - u0^3."""
-    v = u0.values
-    vals = strip_operator(u0, K, epsilon).values + v - v * v * v
-    return StripField(u0.grid, vals)
+    """S(u0) = u0_zz + u0_yy - eps^2 z K(eps y) u0_z + u0 - u0^3."""
+    kv = _on_strip(K, u0.grid, epsilon)
+    return StripField(u0.grid, _strip_residual(u0.values, kv, u0.grid, epsilon))
+
+
+def _layer_shares(f: Sequence[PeriodicField], positions: Sequence[np.ndarray],
+                  grid: StripGrid, kv: np.ndarray, epsilon: float):
+    """Each layer's share of the closed-form S(u0), one layer at a time.
+
+    positions holds each f_j sampled on the strip and kv the curvature. For
+    layer j, with t_j = z - f_j(eps y) and w_j = w(t_j), yields
+    (t_j, w_j, w_j', w_j'', share_j) where
+
+        share_j = (-1)^{j-1} [ (1 + eps^2 f_j'^2) w_j'' - eps^2 (f_j'' + z K) w_j' ]
+
+    and w'' = w^3 - w. The shares sum to S(u0) - F(u0).
+    """
+    z = grid.t[None, :]
+    e2 = epsilon * epsilon
+    for j, (fj, pos) in enumerate(zip(f, positions), start=1):
+        fp = _on_strip(first_derivative(fj), grid, epsilon)[:, None]
+        fpp = _on_strip(second_derivative(fj), grid, epsilon)[:, None]
+        tj = z - pos[:, None]
+        w = heteroclinic(tj)
+        wp = heteroclinic_derivative(tj)
+        wpp = w * w * w - w
+        share = (-1.0) ** (j - 1) * ((1.0 + e2 * fp * fp) * wpp
+                                     - e2 * (fpp + z * kv[:, None]) * wp)
+        yield tj, w, wp, wpp, share
 
 
 def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
@@ -215,9 +236,7 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     Every z-derivative of u0 = sum (-1)^{j-1} w(z - f_j(eps y)) is known in
     closed form (w'' = w^3 - w), and the tangential derivatives reduce to
     derivatives of the f_j along the curve, so
-
-        S(u0) = sum_j (-1)^{j-1} [ (1 + eps^2 f_j'^2) (w_j^3 - w_j)
-                 - eps^2 (f_j'' + z K) w_j' ] + F(u0).
+    S(u0) = sum_j share_j + F(u0) with the shares of `_layer_shares`.
 
     Unlike the finite-difference route this carries no wall-closure error,
     which matters under exponential weights: the truncated domain only trims
@@ -226,77 +245,82 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     m = len(f)
     if m < 1:
         raise DomainError("need at least one layer position")
-    z = grid.t[None, :]
     kv = _on_strip(K, grid, epsilon)
-    e2 = epsilon * epsilon
+    positions = [_on_strip(fj, grid, epsilon) for fj in f]
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     out = np.zeros(grid.shape)
-    for j, fj in enumerate(f, start=1):
-        sign = (-1.0) ** (j - 1)
-        fs = _on_strip(fj, grid, epsilon)[:, None]
-        fp = _on_strip(first_derivative(fj), grid, epsilon)[:, None]
-        fpp = _on_strip(second_derivative(fj), grid, epsilon)[:, None]
-        tj = z - fs
-        w = heteroclinic(tj)
-        wp = heteroclinic_derivative(tj)
-        u0 += sign * w
-        out += sign * ((1.0 + e2 * fp * fp) * (w * w * w - w)
-                       - e2 * (fpp + z * kv[:, None]) * wp)
+    layers = _layer_shares(f, positions, grid, kv, epsilon)
+    for j, (_, w, _, _, share) in enumerate(layers, start=1):
+        u0 += (-1.0) ** (j - 1) * w
+        out += share
     out += u0 - u0 * u0 * u0
     return StripField(grid, out)
 
 
-def _expansion_terms(ell: int, h: HStack, K: PeriodicField, epsilon: float,
-                     grid: StripGrid, scales: Scales):
-    """Per-term pointwise expansion of S(u0) near layer ell, plus local t.
+def _expansion(h: HStack, K: PeriodicField, epsilon: float, grid: StripGrid):
+    """S(u0) for the stack built from h, and its expansion near each layer.
 
-    Terms (already carrying the (-1)^{ell-1} orientation):
+    Returns (S(u0), terms, in_window). Each term field is that term of every
+    layer ell on its own part of the disjoint nearest-layer partition of the
+    strip, capped at the window |z - f_ell| <= rho/2 + M, and zero elsewhere;
+    in_window marks the union of those parts. The terms of layer ell carry
+    its orientation (-1)^{ell-1}:
       interaction: 6(1-w^2) eps^2 rho [alpha e^{-sqrt2 t} - gamma e^{+sqrt2 t}]
-                   with alpha/gamma the lower/upper neighbor gap exponentials,
-                   one-sided at ell = 1 and ell = m;
+                   with alpha/gamma the lower/upper neighbor gap exponentials
+                   e^{-sqrt2 (h_{l+1} - h_l)}, one-sided at ell = 1 and ell = m;
       curvature:   -eps^2 (t + fbase_ell) K w';
       jacobi:      -eps^2 (h_ell'' + K h_ell) w';
       gradient_sq: +eps^2 (h_ell')^2 w''.
+    Here t = z - f_ell is the local coordinate and fbase_ell = (ell - (m+1)/2) rho.
     """
     m = h.m
-    if not 1 <= ell <= m:
-        raise DomainError(f"layer index {ell} outside 1..{m}")
-    f = f_from_h(h, scales)
-    f_ell = _on_strip(f[ell - 1], grid, epsilon)
-    t_loc = grid.t[None, :] - f_ell[:, None]
-    w = heteroclinic(t_loc)
-    wp = heteroclinic_derivative(t_loc)
-    wpp = w * w * w - w
-    sign = (-1.0) ** (ell - 1)
+    s = scales_of(epsilon)
+    f = f_from_h(h, s)
+    window = 0.5 * s.rho + M_BUDGET
     e2 = epsilon * epsilon
-
-    pref = 6.0 * (1.0 - w * w) * e2 * scales.rho
-    inter = np.zeros(grid.shape)
-    if ell >= 2:
-        gap = h.h[ell - 1].values - h.h[ell - 2].values
-        alpha = _on_strip(PeriodicField(h.grid, np.exp(-SQRT2 * gap)), grid, epsilon)
-        inter += pref * alpha[:, None] * np.exp(-SQRT2 * t_loc)
-    if ell <= m - 1:
-        gap = h.h[ell].values - h.h[ell - 1].values
-        gamma = _on_strip(PeriodicField(h.grid, np.exp(-SQRT2 * gap)), grid, epsilon)
-        inter -= pref * gamma[:, None] * np.exp(SQRT2 * t_loc)
-
     kv = _on_strip(K, grid, epsilon)
-    h_ell = _on_strip(h.h[ell - 1], grid, epsilon)
-    lap_h = _on_strip(second_derivative(h.h[ell - 1]), grid, epsilon)
-    grad_h = _on_strip(first_derivative(h.h[ell - 1]), grid, epsilon)
-    f_base = (ell - (m + 1) / 2.0) * scales.rho
+    positions = [_on_strip(fj, grid, epsilon) for fj in f]
+    nearest = np.argmin(np.abs(grid.t[None, None, :] - np.stack(positions)[:, :, None]),
+                        axis=0)
+    gap_exp = [_on_strip(PeriodicField(h.grid, np.exp(-SQRT2 * (hi.values - lo.values))),
+                         grid, epsilon)[:, None]
+               for lo, hi in zip(h.h, h.h[1:])]
 
-    curv = -e2 * (t_loc + f_base) * kv[:, None] * wp
-    jac = -e2 * ((lap_h + kv * h_ell)[:, None]) * wp
-    grad_sq = e2 * (grad_h**2)[:, None] * wpp
-    terms = {
-        "interaction": sign * inter,
-        "curvature": sign * curv,
-        "jacobi": sign * jac,
-        "gradient_sq": sign * grad_sq,
-    }
-    return terms, t_loc
+    u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
+    res = np.zeros(grid.shape)
+    in_window = np.zeros(grid.shape, dtype=bool)
+    terms = {name: np.zeros(grid.shape)
+             for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
+    layers = _layer_shares(f, positions, grid, kv, epsilon)
+    for ell, (h_ell, (t_loc, w, wp, wpp, share)) in enumerate(zip(h.h, layers), start=1):
+        sign = (-1.0) ** (ell - 1)
+        u0 += sign * w
+        res += share
+
+        pref = 6.0 * (1.0 - w * w) * e2 * s.rho
+        inter = np.zeros(grid.shape)
+        if ell >= 2:
+            inter += pref * gap_exp[ell - 2] * np.exp(-SQRT2 * t_loc)
+        if ell <= m - 1:
+            inter -= pref * gap_exp[ell - 1] * np.exp(SQRT2 * t_loc)
+        height = _on_strip(h_ell, grid, epsilon)
+        lap_h = _on_strip(second_derivative(h_ell), grid, epsilon)
+        grad_h = _on_strip(first_derivative(h_ell), grid, epsilon)
+        f_base = (ell - (m + 1) / 2.0) * s.rho
+        layer_terms = {
+            "interaction": inter,
+            "curvature": -e2 * (t_loc + f_base) * kv[:, None] * wp,
+            "jacobi": -e2 * ((lap_h + kv * height)[:, None]) * wp,
+            "gradient_sq": e2 * (grad_h**2)[:, None] * wpp,
+        }
+        mask = (np.abs(t_loc) <= window) & (nearest == ell - 1)
+        in_window |= mask
+        for name, term in layer_terms.items():
+            terms[name] += np.where(mask, sign * term, 0.0)
+        # free this layer's terms before the generator samples the next layer
+        del pref, inter, layer_terms, term
+    res += u0 - u0 * u0 * u0
+    return StripField(grid, res), terms, in_window
 
 
 def _ball_offsets(dy: float, dt: float) -> list[tuple[int, int]]:
@@ -378,44 +402,24 @@ class ResidualReport:
                 f"residual norm {self.total:.6g} exceeds its decomposition "
                 f"bound {bound:.6g}")
 
-    def term_sum(self) -> float:
-        return (self.interaction + self.curvature + self.jacobi
-                + self.gradient_sq + self.remainder)
-
 
 def residual_report(h: HStack, K: PeriodicField, epsilon: float,
                     grid: StripGrid, p: float = 4.0,
                     sigma_decay: float = 1.0) -> ResidualReport:
     """Measure S(u0) for the stack built from h, term by term.
 
-    The expansion terms are evaluated on the disjoint partition of the strip
-    by nearest layer, capped at the window |z - f_ell| <= rho/2 + M; the
-    remainder is the actual residual minus the windowed prediction. S(u0)
-    is evaluated via `residual_closed_form`: the finite-difference wall
-    closure would otherwise leak an O(w'(T - max f)/dt^2) artifact into the
-    boundary rows, and the weight e^{sigma |t|} amplifies exactly there.
+    The expansion terms (see `_expansion`) are evaluated on the disjoint
+    partition of the strip by nearest layer, capped at the window
+    |z - f_ell| <= rho/2 + M; the remainder is the actual residual minus the
+    windowed prediction. S(u0) is evaluated in closed form, as in
+    `residual_closed_form`: the finite-difference wall closure would
+    otherwise leak an O(w'(T - max f)/dt^2) artifact into the boundary rows,
+    and the weight e^{sigma |t|} amplifies exactly there.
     """
-    s = scales_of(epsilon)
-    f = f_from_h(h, s)
-    res = residual_closed_form(f, grid, K, epsilon)
-    window = 0.5 * s.rho + M_BUDGET
-
-    f_strip = np.stack([_on_strip(fj, grid, epsilon) for fj in f])
-    dist = np.abs(grid.t[None, None, :] - f_strip[:, :, None])  # (m, n_y, n_t)
-    nearest = np.argmin(dist, axis=0)
-    in_window = np.min(dist, axis=0) <= window
-
-    groups = {name: np.zeros(grid.shape)
-              for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
-    for ell in range(1, h.m + 1):
-        terms, t_loc = _expansion_terms(ell, h, K, epsilon, grid, s)
-        mask = (np.abs(t_loc) <= window) & (nearest == ell - 1)
-        for name in groups:
-            groups[name] += np.where(mask, terms[name], 0.0)
-
-    predicted = sum(groups.values())
+    res, terms, in_window = _expansion(h, K, epsilon, grid)
+    predicted = sum(terms.values())
     norms = {name: weighted_norm(StripField(grid, vals), p, sigma_decay)
-             for name, vals in groups.items()}
+             for name, vals in terms.items()}
     remainder = weighted_norm(
         StripField(grid, np.where(in_window, res.values - predicted, 0.0)),
         p, sigma_decay)
@@ -609,7 +613,7 @@ def _right_preconditioned(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
 
 def newton_allen_cahn(u_init: StripField, K: PeriodicField,
                       epsilon: float) -> NewtonReport:
-    """Damped Newton on strip_operator(u) + u - u^3 = 0 with Neumann walls.
+    """Damped Newton on the strip equation S(u) = 0 with Neumann walls.
 
     Each Newton step solves J d = -R right-preconditioned: GMRES solves
     J P^{-1} z = -R for z, with P the y-averaged transverse operator whose
@@ -634,11 +638,8 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     n_y, n_t = grid.shape
     size = n_y * n_t
 
-    def full_residual(vals: np.ndarray) -> np.ndarray:
-        return _strip_linear(vals, kv, grid, epsilon) + vals - vals * vals * vals
-
     u = u_init.values.copy()
-    res = full_residual(u)
+    res = _strip_residual(u, kv, grid, epsilon)
     res_norms = [float(np.max(np.abs(res)))]
     energies = [strip_energy(StripField(grid, u), epsilon)]
     linear_iterations: list[int] = []
@@ -679,7 +680,7 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
         while True:
             trial = u + damping * direction
             if float(np.max(np.abs(trial))) <= STATE_BOUND:
-                res_trial = full_residual(trial)
+                res_trial = _strip_residual(trial, kv, grid, epsilon)
                 r2_trial = float(np.sum(res_trial * res_trial))
                 if r2_trial <= (1.0 - 0.25 * damping) * r2:
                     u = trial

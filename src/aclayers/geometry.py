@@ -42,8 +42,8 @@ class ClosedCurve:
     """Arclength-parameterized closed curve with positive curvature K(y).
 
     ``curvature`` is a callable y -> K(y) accepting arrays; use the
-    constructors ``constant``, ``fourier``, ``from_samples`` rather than
-    building one directly.
+    constructors ``constant`` and ``fourier`` rather than building one
+    directly.
     """
 
     length: float
@@ -85,15 +85,6 @@ class ClosedCurve:
 
         return ClosedCurve(length, k_of, description="fourier")
 
-    @staticmethod
-    def from_samples(length: float, values: Sequence[float]) -> "ClosedCurve":
-        """Curvature given by uniform periodic samples, interpolated trigonometrically."""
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or len(vals) < 4:
-            raise DomainError("need at least 4 curvature samples")
-        return ClosedCurve(length, lambda y: _trig_eval(vals, length, np.asarray(y)),
-                           description=f"samples n={len(vals)}")
-
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -131,15 +122,6 @@ class PeriodicField:
                 f"field has {vals.shape} values for a grid of {self.grid.n} points")
         if not np.all(np.isfinite(vals)):
             raise DomainError("field values must be finite")
-
-    @staticmethod
-    def from_function(grid: PeriodicGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "PeriodicField":
-        return PeriodicField(grid, np.asarray(fn(grid.points()), dtype=float))
-
-
-def _require_same_grid(a: PeriodicField, b: PeriodicField) -> None:
-    if a.grid != b.grid:
-        raise DomainError("fields live on different grids")
 
 
 def sample_curvature(curve: ClosedCurve, grid: PeriodicGrid) -> PeriodicField:
@@ -186,12 +168,6 @@ def first_derivative(f: PeriodicField) -> PeriodicField:
 def second_derivative(f: PeriodicField) -> PeriodicField:
     """Spectral periodic d^2f/dy^2; exact on modes below n/2."""
     return PeriodicField(f.grid, _spectral_derivative(f.values, f.grid, 2))
-
-
-def jacobi_apply(f: PeriodicField, K: PeriodicField) -> PeriodicField:
-    """Jacobi operator f'' + K f on the curve."""
-    _require_same_grid(f, K)
-    return PeriodicField(f.grid, second_derivative(f).values + K.values * f.values)
 
 
 def ell0(curve: ClosedCurve, grid: PeriodicGrid) -> float:

@@ -105,15 +105,10 @@ def assemble_A(vbar_k, sigma: float, K: PeriodicField,
     return MatrixFieldA(grid=K.grid, m=matrices.m, sigma=sigma, entries=entries)
 
 
-def _l_sigma_matrix(A: MatrixFieldA, sigma: float) -> np.ndarray:
-    """Dense symmetric discretization of -sigma d^2/dy^2 - A(y)."""
-    return _gap_block_matrix(sigma, A.grid, A.entries)
-
-
 def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
-    """Full sorted spectrum of -sigma d^2/dy^2 - A(y); zeros are not negative."""
-    L = _l_sigma_matrix(A, sigma)
-    ev = np.linalg.eigvalsh(L)
+    """Full sorted spectrum of -sigma d^2/dy^2 - A(y), discretized as one dense
+    symmetric matrix; zeros are not negative."""
+    ev = np.linalg.eigvalsh(_gap_block_matrix(sigma, A.grid, A.entries))
     scale = max(float(np.max(np.abs(ev))), 1.0)
     negative = int(np.sum(ev < -_TIE_RTOL * scale))
     return EigenReport(sigma=sigma, eigenvalues=ev, negative_count=negative)

@@ -139,9 +139,6 @@ class HStack:
     def grid(self) -> PeriodicGrid:
         return self.h[0].grid
 
-    def height_array(self) -> np.ndarray:
-        return np.stack([f.values for f in self.h])
-
     @staticmethod
     def from_array(grid: PeriodicGrid, heights: np.ndarray) -> "HStack":
         heights = np.atleast_2d(np.asarray(heights, dtype=float))

@@ -18,11 +18,10 @@ from aclayers.ansatz import (
     NEWTON_TOL,
     StripField,
     StripGrid,
-    _expansion_terms,
+    _expansion,
     _mode_preconditioner,
     _on_strip,
     _right_preconditioned,
-    _strip_linear,
     _t_matrices,
     assemble_u0,
     default_strip_grid,
@@ -33,11 +32,16 @@ from aclayers.ansatz import (
     residual_report,
     solve_projected,
     strip_energy,
-    strip_operator,
     truncation_error,
     weighted_norm,
 )
-from aclayers.geometry import ClosedCurve, PeriodicField, PeriodicGrid, sample_curvature
+from aclayers.geometry import (
+    ClosedCurve,
+    PeriodicField,
+    PeriodicGrid,
+    _spectral_derivative,
+    sample_curvature,
+)
 from aclayers.profile import SQRT2, heteroclinic, heteroclinic_derivative
 from aclayers.scales import scales_of
 from aclayers.toda import HStack, equilibrium_gap_forcing, f_from_h, solve_toda
@@ -163,6 +167,12 @@ def test_narrow_grid_rejected():
 # ---------------------------------------------------------------- operator
 
 
+def strip_operator(u, K, eps):
+    """u_zz + u_yy - eps^2 z K u_z: the strip residual less F(u) = u - u^3."""
+    v = u.values
+    return StripField(u.grid, residual(u, K, eps).values - (v - v * v * v))
+
+
 def test_operator_linearity():
     K = circle_K(amp=0.3)
     grid = StripGrid(PeriodicGrid(16, TWO_PI / 0.05), 10.0, 161)
@@ -261,10 +271,9 @@ def test_expansion_center_layer_balance():
     # middle layer of a symmetric flat triple: both neighbor pulls cancel at 0
     K = circle_K()
     eps = 0.05
-    s = scales_of(eps)
     grid = default_strip_grid(K, eps, 3, n_y=16)
-    terms, t_loc = _expansion_terms(2, flat_layers(K, 3), K, eps, grid, s)
-    pred = np.where(np.abs(t_loc) <= s.rho / 2.0, sum(terms.values()), 0.0)
+    _, terms, _ = _expansion(flat_layers(K, 3), K, eps, grid)
+    pred = sum(terms.values())
     assert np.abs(pred[:, grid.n_t // 2]).max() < 1e-15
 
 
@@ -275,25 +284,13 @@ def test_expansion_tracks_residual():
     h = flat_layers(K, 2)
     f = f_from_h(h, s)
     grid = default_strip_grid(K, eps, 2, n_y=16)
-    res = residual_closed_form(f, grid, K, eps)
-    terms, t_loc = _expansion_terms(2, h, K, eps, grid, s)
-    pred = np.where(np.abs(t_loc) <= s.rho / 2.0, sum(terms.values()), 0.0)
+    res, terms, _ = _expansion(h, K, eps, grid)
+    assert np.array_equal(res.values, residual_closed_form(f, grid, K, eps).values)
+    pred = sum(terms.values())
     mask = np.abs(grid.t - f[1].values[0]) <= s.rho / 2.0
     err = np.abs(res.values[:, mask] - pred[:, mask]).max()
     scale = np.abs(res.values[:, mask]).max()
     assert err < 0.08 * scale
-
-
-def test_expansion_window_validation():
-    K = circle_K()
-    eps = 0.05
-    s = scales_of(eps)
-    grid = default_strip_grid(K, eps, 2, n_y=16)
-    h = flat_layers(K, 2)
-    with pytest.raises(DomainError):
-        _expansion_terms(3, h, K, eps, grid, s)
-    with pytest.raises(DomainError):
-        _expansion_terms(0, h, K, eps, grid, s)
 
 
 # ---------------------------------------------------------------- norms
@@ -583,7 +580,8 @@ def test_residual_report_two_layers():
     assert rep.curvature == pytest.approx(0.89112, rel=1e-3)
     assert rep.jacobi == pytest.approx(0.31076, rel=1e-3)
     assert rep.gradient_sq < 1e-20  # constant K, flat gaps in y
-    assert rep.total <= rep.term_sum() + rep.slack
+    assert rep.total <= (rep.interaction + rep.curvature + rep.jacobi
+                         + rep.gradient_sq + rep.remainder + rep.slack)
     assert rep.remainder < 0.01 * rep.total
 
 
@@ -596,6 +594,69 @@ def test_residual_report_decays():
         reps.append(residual_report(sol.h, K, eps, grid))
     assert reps[1].total < 0.55 * reps[0].total
     assert reps[1].remainder < 0.25 * reps[0].remainder
+
+
+# Every field of the report at K = 1 + 0.2 cos y, 64 samples, default strip:
+# interaction, curvature, jacobi, gradient_sq, remainder, total, slack and
+# sum |S(u0)|. m = 1 carries the height 0.05 sin y, m >= 2 the Toda heights.
+_REPORT_PINS = {
+    (0.05, 1): (0.0, 0.01736983990840305, 3.809851655063326e-05,
+                2.0823186733809385e-05, 8.033113804408086e-16, 0.017435639125561054,
+                0.015929244954160107, 2.4466759406309375),
+    (0.05, 2): (0.11168302316622286, 0.4434432310093326, 0.15228718452771586,
+                0.0024338687452866987, 0.001134765557293303, 0.5406225745577168,
+                0.3973913283235643, 23.273719129380787),
+    (0.05, 3): (1.9758271880265912, 6.27441394756956, 2.216336495888192,
+                0.04569752675874416, 0.04053955853838797, 7.9189707540922445,
+                5.209788348073421, 65.35717745542911),
+    (0.025, 1): (0.0, 0.004331147815179605, 9.487697803003018e-06,
+                 5.183424002538404e-06, 7.737124309802636e-16, 0.004339709365061557,
+                 0.003700585558576274, 1.243561314039356),
+    (0.025, 2): (0.050258997498528586, 0.18562454620658342, 0.05632347699463127,
+                 0.00033519540482889555, 0.00017644861146859787, 0.23210982197705593,
+                 0.14506047712471373, 15.789349934097718),
+    (0.025, 3): (1.392182794282284, 4.265530468108049, 1.4170322486222253,
+                 0.03641233075667974, 0.009749308937330768, 5.288884904238556,
+                 3.0031913002566757, 47.63243755780134),
+}
+
+
+def report_layers(K, m, eps):
+    if m == 1:
+        return HStack.from_array(K.grid, 0.05 * np.sin(K.grid.points())[None, :])
+    return toda_layers(K, m, eps).h
+
+
+@pytest.mark.parametrize("eps, m", list(_REPORT_PINS))
+def test_residual_report_pinned(eps, m):
+    # the m = 1 remainder is round-off (one layer's expansion is exact), so
+    # it gets an absolute floor next to the relative pin
+    K = circle_K(n=64, amp=0.2)
+    rep = residual_report(report_layers(K, m, eps), K, eps, default_strip_grid(K, eps, m))
+    got = (rep.interaction, rep.curvature, rep.jacobi, rep.gradient_sq,
+           rep.remainder, rep.total, rep.slack, float(np.abs(rep.residual.values).sum()))
+    assert got == pytest.approx(_REPORT_PINS[eps, m], rel=1e-12, abs=1e-15)
+    assert (rep.epsilon, rep.p, rep.sigma_decay) == (eps, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_residual_report_samples_each_layer_once(m, monkeypatch):
+    # K once, each f_j once (shared by the closed form and the nearest-layer
+    # partition), f_j', f_j'', h_j, h_j', h_j'' once, each gap exponential once
+    counts = {"_on_strip": 0, "heteroclinic": 0, "heteroclinic_derivative": 0}
+    for name in counts:
+        fn = getattr(ansatz_module, name)
+
+        def counted(*args, name=name, fn=fn):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(ansatz_module, name, counted)
+    K = circle_K(n=64, amp=0.2)
+    eps = 0.05
+    residual_report(report_layers(K, m, eps), K, eps, default_strip_grid(K, eps, m))
+    assert counts["_on_strip"] <= 7 * m
+    assert counts["heteroclinic"] == counts["heteroclinic_derivative"] == m
 
 
 # ---------------------------------------------------------------- newton
@@ -682,7 +743,10 @@ def test_right_preconditioned_operator_is_jacobian_times_inverse():
     fused, precondition = _right_preconditioned(u, grid, kv, eps)
     x = np.random.default_rng(6).standard_normal(grid.shape)
     y = precondition(x.ravel())
-    want = _strip_linear(y, kv, grid, eps) + (1.0 - 3.0 * u * u) * y
+    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
+    lin = (y @ d2t.T + _spectral_derivative(y, grid.y_grid, 2, axis=0)
+           - eps**2 * grid.t[None, :] * kv[:, None] * (y @ d1t.T))
+    want = lin + (1.0 - 3.0 * u * u) * y
     got = fused(x.ravel()).reshape(grid.shape)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -354,16 +354,16 @@ def test_ansatz_residual_artifacts(tmp_path):
 
 def test_ansatz_residual_evaluates_residual_once_per_epsilon(tmp_path,
                                                              monkeypatch):
-    # the CSV writes the field the report decomposed, not a second evaluation
-    closed_form = ansatz.residual_closed_form
+    # the CSV writes the field the report decomposed, not a second evaluation;
+    # every closed-form S(u0) runs through the one generator of layer shares
+    layer_shares = ansatz._layer_shares
     calls = []
 
     def counted(*args):
-        calls.append(args[3])  # epsilon
-        return closed_form(*args)
+        calls.append(args[4])  # epsilon
+        return layer_shares(*args)
 
-    monkeypatch.setattr(ansatz, "residual_closed_form", counted)
-    monkeypatch.setattr(cli, "residual_closed_form", counted, raising=False)
+    monkeypatch.setattr(ansatz, "_layer_shares", counted)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
         {"epsilon": {"min": 0.08, "max": 0.1, "steps": 2}}))

