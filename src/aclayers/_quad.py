@@ -17,6 +17,9 @@ from .errors import IterationError
 
 # Boole weights for one 5-point panel, scaled by panel width h: (2h/45)*(7,32,12,32,7)
 _BOOLE = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 45.0 * 2.0
+_ATOL = 1e-300
+_INITIAL_PANELS = 64
+_MAX_DOUBLINGS = 16
 
 
 def boole_composite(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -33,19 +36,18 @@ def boole_composite(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def boole_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                   rtol: float = 1e-13, atol: float = 1e-300,
-                   initial_panels: int = 64, max_doublings: int = 16) -> float:
+                   rtol: float = 1e-13) -> float:
     """Double the panel count until successive Boole values agree.
 
-    Agreement test: |I_2n - I_n| <= rtol*|I_2n| + atol.
+    Agreement test: |I_2n - I_n| <= rtol*|I_2n| + _ATOL.
     """
-    n = initial_panels
+    n = _INITIAL_PANELS
     prev = boole_composite(f, a, b, n)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n *= 2
         cur = boole_composite(f, a, b, n)
-        if abs(cur - prev) <= rtol * abs(cur) + atol:
+        if abs(cur - prev) <= rtol * abs(cur) + _ATOL:
             return cur
         prev = cur
     raise IterationError(
-        f"quadrature did not converge to rtol={rtol} within {max_doublings} doublings")
+        f"quadrature did not converge to rtol={rtol} within {_MAX_DOUBLINGS} doublings")

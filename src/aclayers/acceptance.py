@@ -32,7 +32,7 @@ from .ansatz import (
     solve_projected,
     weighted_norm,
 )
-from .geometry import ClosedCurve, PeriodicField, PeriodicGrid, sample_curvature
+from .geometry import ClosedCurve, PeriodicField, PeriodicGrid, ell0, sample_curvature
 from .profile import (
     B1_EXACT,
     B2_EXACT,
@@ -45,7 +45,6 @@ from .scales import rho_expansion, scales_of, solve_rho
 from .spectral import (
     admissible_sigma_in,
     assemble_A,
-    liouville_transform,
     monotonicity_check,
     resonance_margin,
     resonant_sigmas,
@@ -200,12 +199,11 @@ def check_string_spectrum() -> CriterionResult:
     err_exact = float(np.max(np.abs(lam - exact)))
 
     K = _circle_K(512, amp=0.3)
-    curve = ClosedCurve.fourier(TWO_PI, 1.0, cos=[0.3])
-    data = liouville_transform(K, curve, n_t=128)
+    ell_0 = ell0(K)
     lam_w = sturm_liouville_eigs(K, 60)
     drift = 0.0
     for j in range(5, 26):
-        target = 4.0 * math.pi**2 * j**2 / data.ell0**2
+        target = 4.0 * math.pi**2 * j**2 / ell_0**2
         pair = lam_w[2 * j - 1: 2 * j + 1]
         drift = max(drift, j**2 * max(abs(pair[0] - target),
                                       abs(pair[1] - target)))
@@ -219,11 +217,10 @@ def check_string_spectrum() -> CriterionResult:
 def check_weyl_law() -> CriterionResult:
     """Counting measure obeys the square-root law on the circle."""
     t0 = time.perf_counter()
-    circle = ClosedCurve.constant(TWO_PI, 1.0)
     target = (TWO_PI / math.pi) * 1.0
     worst = 0.0
     for sigma in (1e-3, 1e-4):
-        n = weyl_count(sigma, 1.0, circle)
+        n = weyl_count(sigma, 1.0, TWO_PI)
         worst = max(worst, abs(n * math.sqrt(sigma) - target) / target)
     runtime = time.perf_counter() - t0
     details = f"worst relative deviation {worst:.4f}"
@@ -254,7 +251,7 @@ def check_resonance_structure() -> CriterionResult:
     """Detected resonances match mu/j^2; every dyadic band has a safe point."""
     t0 = time.perf_counter()
     K = _circle_K(128)
-    vals = resonant_sigmas(K, 2, BETA_EXACT, sigma_min=1e-3, sigma_max=1e-1)
+    vals = resonant_sigmas(K, 2, sigma_min=1e-3, sigma_max=1e-1)
     oracle = np.array(sorted(24.0 / j**2 for j in range(16, 155)))
     oracle = oracle[(oracle >= 1e-3) & (oracle <= 1e-1)]
     match = max(
@@ -269,7 +266,7 @@ def check_resonance_structure() -> CriterionResult:
         hi = min(2.0 ** (-k), 1e-1)
         if hi <= lo:
             break
-        found = admissible_sigma_in(lo, hi, K, 2, c_gap=0.1, beta=BETA_EXACT)
+        found = admissible_sigma_in(lo, hi, K, 2, c_gap=0.1)
         bands_ok = bands_ok and found is not None
         covered += 1
         k += 1

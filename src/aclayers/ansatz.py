@@ -164,6 +164,15 @@ def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
                      t_extent=t_extent, n_t=n_t)
 
 
+def _check_window(grid: StripGrid, m: int, rho: float) -> None:
+    """The strip must reach (m/2 + 1) rho on both sides to hold m layers."""
+    need = (m / 2.0 + 1.0) * rho
+    if grid.t_extent < need * (1.0 - 1e-12):
+        raise WindowError(
+            f"t_extent {grid.t_extent:.4g} below the layer window "
+            f"({m}/2 + 1) rho = {need:.4g}")
+
+
 def assemble_u0(f: Sequence[PeriodicField], grid: StripGrid,
                 epsilon: float) -> StripField:
     """Alternating heteroclinic stack u0 = sum_j (-1)^{j-1} w(z - f_j) + parity.
@@ -174,12 +183,7 @@ def assemble_u0(f: Sequence[PeriodicField], grid: StripGrid,
     m = len(f)
     if m < 1:
         raise DomainError("need at least one layer position")
-    s = scales_of(epsilon)
-    need = (m / 2.0 + 1.0) * s.rho
-    if grid.t_extent < need * (1.0 - 1e-12):
-        raise WindowError(
-            f"t_extent {grid.t_extent:.4g} below the layer window "
-            f"({m}/2 + 1) rho = {need:.4g}")
+    _check_window(grid, m, scales_of(epsilon).rho)
     z = grid.t[None, :]
     vals = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     for j, fj in enumerate(f, start=1):
@@ -258,9 +262,9 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
 
 
 def _expansion(h: HStack, K: PeriodicField, epsilon: float, grid: StripGrid):
-    """S(u0) for the stack built from h, and its expansion near each layer.
+    """u0 and S(u0) for the stack built from h, and the expansion near each layer.
 
-    Returns (S(u0), terms, in_window). Each term field is that term of every
+    Returns (u0, S(u0), terms, in_window). Each term field is that term of every
     layer ell on its own part of the disjoint nearest-layer partition of the
     strip, capped at the window |z - f_ell| <= rho/2 + M, and zero elsewhere;
     in_window marks the union of those parts. The terms of layer ell carry
@@ -275,6 +279,7 @@ def _expansion(h: HStack, K: PeriodicField, epsilon: float, grid: StripGrid):
     """
     m = h.m
     s = scales_of(epsilon)
+    _check_window(grid, m, s.rho)
     f = f_from_h(h, s)
     window = 0.5 * s.rho + M_BUDGET
     e2 = epsilon * epsilon
@@ -320,7 +325,7 @@ def _expansion(h: HStack, K: PeriodicField, epsilon: float, grid: StripGrid):
         # free this layer's terms before the generator samples the next layer
         del pref, inter, layer_terms, term
     res += u0 - u0 * u0 * u0
-    return StripField(grid, res), terms, in_window
+    return StripField(grid, u0), StripField(grid, res), terms, in_window
 
 
 def _ball_offsets(dy: float, dt: float) -> list[tuple[int, int]]:
@@ -378,8 +383,8 @@ class ResidualReport:
     windows, i.e. the expansion error on the region where the expansion
     applies. The triangle inequality gives total <= sum of terms + remainder
     + slack, where slack carries the residual content outside every window
-    (pure far-field tails) plus a roundoff margin. `residual` keeps the
-    S(u0) field that was decomposed.
+    (pure far-field tails) plus a roundoff margin. `u0` keeps the
+    heteroclinic stack and `residual` the S(u0) field that was decomposed.
     """
 
     epsilon: float
@@ -392,6 +397,7 @@ class ResidualReport:
     remainder: float
     total: float
     slack: float
+    u0: StripField = field(repr=False, compare=False)
     residual: StripField = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -416,7 +422,7 @@ def residual_report(h: HStack, K: PeriodicField, epsilon: float,
     otherwise leak an O(w'(T - max f)/dt^2) artifact into the boundary rows,
     and the weight e^{sigma |t|} amplifies exactly there.
     """
-    res, terms, in_window = _expansion(h, K, epsilon, grid)
+    u0, res, terms, in_window = _expansion(h, K, epsilon, grid)
     predicted = sum(terms.values())
     norms = {name: weighted_norm(StripField(grid, vals), p, sigma_decay)
              for name, vals in terms.items()}
@@ -434,7 +440,7 @@ def residual_report(h: HStack, K: PeriodicField, epsilon: float,
                           jacobi=norms["jacobi"],
                           gradient_sq=norms["gradient_sq"],
                           remainder=remainder, total=total, slack=slack,
-                          residual=res)
+                          u0=u0, residual=res)
 
 
 def truncation_error(grid: StripGrid, f: Sequence[PeriodicField]) -> float:

@@ -564,7 +564,6 @@ def _cmd_resonance_scan(cfg: RunConfig, writer: ArtifactWriter,
 def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter,
               args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
-    curve = cfg.curve()
     mats = build_matrices(cfg.m)
     v1 = first_order_profile(K, cfg.m, exact_constants().beta)
     entries = []
@@ -572,12 +571,12 @@ def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter,
         s = scales_of(eps)
         A = assemble_A(v1, s.sigma, K, mats)
         a_plus = A.ellipticity()[1]
-        count = weyl_count(s.sigma, a_plus, curve)
+        count = weyl_count(s.sigma, a_plus, cfg.length)
         entries.append({
             "epsilon": eps, "sigma": s.sigma, "a_plus": a_plus,
             "count": count,
             "count_sqrt_sigma": count * math.sqrt(s.sigma),
-            "prediction": curve.length / math.pi * math.sqrt(a_plus),
+            "prediction": cfg.length / math.pi * math.sqrt(a_plus),
         })
     writer.json("weyl.json", {"m": cfg.m, "entries": entries})
     writer.csv("weyl.csv",
@@ -593,16 +592,13 @@ def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
     K = cfg.curvature_field()
 
     def one(eps: float):
-        s, sol = _toda_solution(cfg, K, eps)
+        _, sol = _toda_solution(cfg, K, eps)
         grid = cfg.strip_grid(K, eps)
-        report = residual_report(sol.h, K, eps, grid)
-        f = f_from_h(sol.h, s)
-        u0 = assemble_u0(f, grid, eps)
-        return grid, report, u0
+        return grid, residual_report(sol.h, K, eps, grid)
 
     results = [one(e) for e in cfg.epsilons]
     entries = []
-    for i, (eps, (grid, rep, u0)) in enumerate(zip(cfg.epsilons, results)):
+    for i, (eps, (grid, rep)) in enumerate(zip(cfg.epsilons, results)):
         entries.append({
             "epsilon": eps, "p": rep.p, "sigma_decay": rep.sigma_decay,
             "interaction": rep.interaction, "curvature": rep.curvature,
@@ -611,7 +607,7 @@ def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
             "slack": rep.slack,
         })
         comment = _strip_comment(grid)
-        writer.matrix(f"u0_{i:02d}.csv", u0.values, comment)
+        writer.matrix(f"u0_{i:02d}.csv", rep.u0.values, comment)
         writer.matrix(f"residual_{i:02d}.csv", rep.residual.values, comment)
     writer.json("ansatz_residual.json", {"m": cfg.m, "entries": entries})
     writer.csv("ansatz_residual.csv",

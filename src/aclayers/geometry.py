@@ -12,7 +12,7 @@ trigonometrically, so derivatives are exact on resolved Fourier modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ class ClosedCurve:
 
     length: float
     curvature: Callable[[np.ndarray], np.ndarray]
-    description: str = field(default="custom", compare=False)
 
     def __post_init__(self) -> None:
         if not self.length > 0.0:
@@ -64,8 +63,7 @@ class ClosedCurve:
 
     @staticmethod
     def constant(length: float, value: float) -> "ClosedCurve":
-        return ClosedCurve(length, lambda y: np.full_like(np.asarray(y, dtype=float), value),
-                           description=f"constant K={value}")
+        return ClosedCurve(length, lambda y: np.full_like(np.asarray(y, dtype=float), value))
 
     @staticmethod
     def fourier(length: float, mean: float,
@@ -83,7 +81,7 @@ class ClosedCurve:
                 out += a * np.sin(2.0 * np.pi * k * y / length)
             return out
 
-        return ClosedCurve(length, k_of, description="fourier")
+        return ClosedCurve(length, k_of)
 
 
 @dataclass(frozen=True)
@@ -170,13 +168,14 @@ def second_derivative(f: PeriodicField) -> PeriodicField:
     return PeriodicField(f.grid, _spectral_derivative(f.values, f.grid, 2))
 
 
-def ell0(curve: ClosedCurve, grid: PeriodicGrid) -> float:
-    """Curvature-weighted length int_0^ell sqrt(K).
+def ell0(K: PeriodicField) -> float:
+    """Curvature-weighted length ell0 = int_0^ell sqrt(K) of the sampled curvature.
 
-    Periodic trapezoid rule, spectrally accurate for smooth K.
+    Periodic trapezoid rule on K's own grid, spectrally accurate for smooth K.
+    The weighted string spectrum -phi'' = lambda K phi has its high modes near
+    4 pi^2 j^2 / ell0^2.
     """
-    k = sample_curvature(curve, grid)
-    return float(grid.spacing * np.sum(np.sqrt(k.values)))
+    return float(K.grid.spacing * np.sum(np.sqrt(K.values)))
 
 
 def second_derivative_matrix(grid: PeriodicGrid) -> np.ndarray:

@@ -70,11 +70,6 @@ def heteroclinic_derivative(t):
     return ((1.0 - th * th) / SQRT2)[()]
 
 
-def _wp(t: np.ndarray) -> np.ndarray:
-    th = np.tanh(t / SQRT2)
-    return (1.0 - th * th) / SQRT2
-
-
 def compute_constants(half_width: float = 40.0, tolerance: float = 1e-10) -> ProfileConstants:
     """Interaction constants by composite quadrature on [-T, T].
 
@@ -98,16 +93,16 @@ def compute_constants(half_width: float = 40.0, tolerance: float = 1e-10) -> Pro
         return 0.5 * wp * wp + 0.25 * (1.0 - th * th) ** 2
 
     def dirichlet(t):
-        wp = _wp(t)
+        wp = heteroclinic_derivative(t)
         return wp * wp
 
     def interaction_plus(t):
         th = np.tanh(t / SQRT2)
-        return 6.0 * (1.0 - th * th) * np.exp(SQRT2 * t) * _wp(t)
+        return 6.0 * (1.0 - th * th) * np.exp(SQRT2 * t) * heteroclinic_derivative(t)
 
     def interaction_minus(t):
         th = np.tanh(t / SQRT2)
-        return 6.0 * (1.0 - th * th) * np.exp(-SQRT2 * t) * _wp(t)
+        return 6.0 * (1.0 - th * th) * np.exp(-SQRT2 * t) * heteroclinic_derivative(t)
 
     c_star = boole_adaptive(energy, -T, T, rtol=rtol)
     b1 = boole_adaptive(dirichlet, -T, T, rtol=rtol)

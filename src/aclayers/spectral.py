@@ -13,8 +13,9 @@ sigma^{-1} mu_i hits an eigenvalue of the curvature-weighted string problem
 -phi'' = lambda K phi. This module assembles A, computes spectra, verifies the
 eigenvalue monotonicity bounds in sigma, counts modes Weyl-style and scans for
 admissible parameters. The string spectrum is the closed form (2 pi j/ell)^2/K
-for constant K, else one standard symmetric eigvalsh (checked against the
-Liouville normal form); a scan reads all its margins from one covering spectrum.
+for constant K, else one standard symmetric eigvalsh (the tests check it
+against the Liouville normal form); a scan reads all its margins from one
+covering spectrum.
 """
 
 from __future__ import annotations
@@ -26,19 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (
-    ClosedCurve,
-    PeriodicField,
-    PeriodicGrid,
-    _fourier_multipliers,
-    _trig_eval,
-    ell0,
-    resample_field,
-    second_derivative,
-    second_derivative_matrix,
-)
-from .profile import SQRT2, ProfileConstants, exact_constants
-from .scales import scales_of
+from .geometry import PeriodicField, PeriodicGrid, ell0, resample_field, second_derivative_matrix
+from .profile import BETA_EXACT, SQRT2
+from .scales import EPS_MAX, scales_of
 from .toda import TodaMatrices, _gap_block_matrix, _gaps_of, build_matrices, interaction_weights
 
 DEFAULT_C_GAP = 0.5
@@ -172,7 +163,7 @@ def monotonicity_check(sigma1: float, sigma2: float,
                               lower_bound=lower, upper_bound=upper, holds=holds)
 
 
-def weyl_count(sigma: float, a_plus: float, curve: ClosedCurve) -> int:
+def weyl_count(sigma: float, a_plus: float, ell: float) -> int:
     """Negative eigenvalues of -d^2/dy^2 - a_plus/sigma on the circle of length ell.
 
     The spectrum is exactly (2 pi j/ell)^2 - a_plus/sigma over integer j; modes
@@ -181,7 +172,6 @@ def weyl_count(sigma: float, a_plus: float, curve: ClosedCurve) -> int:
     """
     if not (sigma > 0.0 and a_plus > 0.0):
         raise DomainError("sigma and a_plus must be positive")
-    ell = curve.length
     shift = a_plus / sigma
     count = 1  # j = 0 always negative
     j = 1
@@ -210,69 +200,6 @@ def sturm_liouville_eigs(K: PeriodicField, count: int) -> np.ndarray:
     return np.linalg.eigvalsh(H)[:count]
 
 
-@dataclass(frozen=True)
-class LiouvilleData:
-    """Normal form of the weighted string problem on (0, pi)."""
-
-    ell0: float
-    t_grid: np.ndarray
-    q: np.ndarray
-
-
-def liouville_transform(K: PeriodicField, curve: ClosedCurve,
-                        n_t: int = 256) -> LiouvilleData:
-    """Normal form -e'' - q(t) e = (ell0^2/pi^2) lambda e, periodic on (0, pi).
-
-    t(y) = (pi/ell0) int_0^y sqrt(K); with Psi = K^{-1/4} the first-derivative
-    term cancels and the potential is q = ell0^2 Psi'' / (pi^2 Psi K).
-    Constant curvature gives q identically zero.
-    """
-    # scipy.optimize costs about 0.2 s and 15 MB to import; only this function uses it
-    from scipy.optimize import brentq
-
-    if np.min(K.values) <= 0.0:
-        raise DomainError("curvature must be positive")
-    grid = K.grid
-    ell = grid.length
-    ell_0 = ell0(curve, grid)
-
-    # spectral antiderivative of sqrt(K): mean part linear, the rest periodic
-    root_k = np.sqrt(K.values)
-    spec = np.fft.rfft(root_k) / grid.n
-    mean = spec[0].real
-    kfreq = _fourier_multipliers(grid)
-
-    wk = kfreq[1:]
-    cc = spec[1:]
-    w_mode = np.full(len(cc), 2.0)
-    if grid.n % 2 == 0 and len(cc) > 0:
-        w_mode[-1] = 1.0  # Nyquist counts once
-    coef = w_mode * cc / (1j * wk)
-
-    def t_of_y(y: float) -> float:
-        # term-by-term antiderivative of the sqrt(K) Fourier series
-        osc = float(np.sum((coef * (np.exp(1j * wk * y) - 1.0)).real))
-        return (math.pi / ell_0) * (mean * y + osc)
-
-    # potential in y-variables, spectrally differentiated
-    psi = PeriodicField(grid, K.values ** -0.25)
-    psi_pp = second_derivative(psi).values
-    q_y = (ell_0**2 / math.pi**2) * psi_pp / (psi.values * K.values)
-
-    # invert the monotone map t(y) on a uniform t-grid
-    t_grid = np.arange(n_t) * (math.pi / n_t)
-    y_at_t = np.empty(n_t)
-    y_at_t[0] = 0.0
-    lo = 0.0
-    for i in range(1, n_t):
-        target = t_grid[i]
-        hi = ell
-        y_at_t[i] = brentq(lambda y: t_of_y(y) - target, lo, hi, xtol=1e-13)
-        lo = y_at_t[i]
-    q_t = _trig_eval(q_y, ell, y_at_t)
-    return LiouvilleData(ell0=ell_0, t_grid=t_grid, q=q_t)
-
-
 def decoupled_couplings(m: int, beta: float) -> np.ndarray:
     """mu_i = (beta/sqrt(2)) Lambda_i, eigenvalues of C^{1/2} diag(a) C^{1/2}."""
     mats = build_matrices(m)
@@ -287,8 +214,7 @@ def _sl_eigs_covering(K: PeriodicField, lam_max: float) -> np.ndarray:
     >= max(mu)/lam_max: (2 pi j/ell)^2/K for constant K, else solved on a finer grid."""
     if np.min(K.values) <= 0.0:
         raise DomainError("weight K must be positive")
-    ell_0 = K.grid.spacing * float(np.sum(np.sqrt(K.values)))
-    j_max = int(math.ceil(ell_0 / (2.0 * math.pi) * math.sqrt(1.3 * lam_max + 10.0))) + 3
+    j_max = int(math.ceil(ell0(K) / (2.0 * math.pi) * math.sqrt(1.3 * lam_max + 10.0))) + 3
     if np.all(K.values == K.values[0]):
         j = np.repeat(np.arange(j_max + 1), 2)[1:]
         return (2.0 * math.pi * j / K.grid.length) ** 2 / K.values[0]
@@ -315,7 +241,6 @@ class ResonanceReport:
     epsilon: float
     sigma: float
     mu: np.ndarray
-    nu: np.ndarray
     margins: np.ndarray  # (m-1, n_lambda): |sigma^-1 mu_i - lambda_j| sqrt(sigma)
     min_margin: float
     c_gap: float
@@ -328,7 +253,6 @@ class ResonanceReport:
 
 
 def resonance_margin(epsilon: float, K: PeriodicField, m: int,
-                     constants: ProfileConstants | None = None,
                      c_gap: float = DEFAULT_C_GAP) -> ResonanceReport:
     """Admissibility of one epsilon: scaled spectral gaps at sigma = sigma_eps.
 
@@ -336,35 +260,27 @@ def resonance_margin(epsilon: float, K: PeriodicField, m: int,
     circle; see `geometry.jacobi_is_degenerate`) obstructs the sum-variable
     equation but not the gap margins themselves.
     """
-    if constants is None:
-        constants = exact_constants()
-    s = scales_of(epsilon, constants)
-    mu = decoupled_couplings(m, constants.beta)
+    s = scales_of(epsilon)
+    mu = decoupled_couplings(m, BETA_EXACT)
     lam = _sl_eigs_covering(K, float(np.max(mu)) / s.sigma)
     margins = _margins(mu, s.sigma, lam)
     min_margin = float(np.min(margins))
-    l0 = K.grid.spacing * float(np.sum(np.sqrt(K.values)))
-    nu = mu * l0**2 / (4.0 * math.pi**2) * (s.sigma * math.log(1.0 / epsilon))
     return ResonanceReport(
-        epsilon=epsilon, sigma=s.sigma, mu=mu, nu=nu, margins=margins,
+        epsilon=epsilon, sigma=s.sigma, mu=mu, margins=margins,
         min_margin=min_margin, c_gap=c_gap, admissible=min_margin >= c_gap,
         lam_covered=float(lam[-1]))
 
 
-def resonant_sigmas(K: PeriodicField, m: int, beta: float | None = None,
-                    sigma_min: float = 1e-4, sigma_max: float = 1.0) -> np.ndarray:
+def resonant_sigmas(K: PeriodicField, m: int, sigma_min: float = 1e-4, sigma_max: float = 1.0) -> np.ndarray:
     """All couplings sigma* = mu_i / lambda_j falling in [sigma_min, sigma_max]."""
     if not 0.0 < sigma_min < sigma_max:
         raise DomainError("need 0 < sigma_min < sigma_max")
-    if beta is None:
-        beta = exact_constants().beta
-    mu = decoupled_couplings(m, beta)
+    mu = decoupled_couplings(m, BETA_EXACT)
     return _resonances(K, mu, sigma_min, sigma_max)[0]
 
 
 def admissible_sigma_in(sigma_lo: float, sigma_hi: float, K: PeriodicField,
-                        m: int, c_gap: float,
-                        beta: float | None = None) -> tuple[float, float] | None:
+                        m: int, c_gap: float) -> tuple[float, float] | None:
     """Best admissible coupling inside [sigma_lo, sigma_hi], or None.
 
     Candidates are the midpoints between consecutive resonant couplings
@@ -373,9 +289,7 @@ def admissible_sigma_in(sigma_lo: float, sigma_hi: float, K: PeriodicField,
     """
     if not 0.0 < sigma_lo < sigma_hi:
         raise DomainError("need 0 < sigma_lo < sigma_hi")
-    if beta is None:
-        beta = exact_constants().beta
-    mu = decoupled_couplings(m, beta)
+    mu = decoupled_couplings(m, BETA_EXACT)
     res, lam = _resonances(K, mu, sigma_lo, sigma_hi)
     knots = np.concatenate([[sigma_lo], res, [sigma_hi]])
     cands = 0.5 * (knots[:-1] + knots[1:])
@@ -399,19 +313,16 @@ class ScanResult:
 
 
 def scan_epsilons(eps_min: float, eps_max: float, steps: int, K: PeriodicField,
-                  m: int, constants: ProfileConstants | None = None,
-                  c_gap: float = DEFAULT_C_GAP) -> ScanResult:
+                  m: int, c_gap: float = DEFAULT_C_GAP) -> ScanResult:
     """Log-spaced admissibility sweep; also the best point per dyadic sigma bin."""
-    if not (0.0 < eps_min < eps_max < 0.2):
-        raise DomainError("epsilon range must sit inside (0, 0.2)")
+    if not (0.0 < eps_min < eps_max < EPS_MAX):
+        raise DomainError(f"epsilon range must sit inside (0, {EPS_MAX})")
     if steps < 1:
         return ScanResult(np.array([]), np.array([]), np.array([]),
                           np.array([], dtype=bool), {}, 0.0)
-    if constants is None:
-        constants = exact_constants()
     eps = np.geomspace(eps_min, eps_max, steps)
-    sigmas = np.array([scales_of(float(e), constants).sigma for e in eps])
-    mu = decoupled_couplings(m, constants.beta)
+    sigmas = np.array([scales_of(float(e)).sigma for e in eps])
+    mu = decoupled_couplings(m, BETA_EXACT)
     lam = _sl_eigs_covering(K, float(np.max(mu) / np.min(sigmas)))
     margins = np.array([float(np.min(_margins(mu, sg, lam))) for sg in sigmas])
     admissible = margins >= c_gap

@@ -160,6 +160,8 @@ def test_narrow_grid_rejected():
     with pytest.raises(WindowError):
         assemble_u0(f_from_h(flat_layers(K, 2), s), grid, eps)
     with pytest.raises(WindowError):
+        residual_report(flat_layers(K, 2), K, eps, grid)
+    with pytest.raises(WindowError):
         truncation_error(StripGrid(PeriodicGrid(16, TWO_PI / eps), 1.0, 21),
                          f_from_h(flat_layers(K, 3), s))
 
@@ -272,7 +274,7 @@ def test_expansion_center_layer_balance():
     K = circle_K()
     eps = 0.05
     grid = default_strip_grid(K, eps, 3, n_y=16)
-    _, terms, _ = _expansion(flat_layers(K, 3), K, eps, grid)
+    _, _, terms, _ = _expansion(flat_layers(K, 3), K, eps, grid)
     pred = sum(terms.values())
     assert np.abs(pred[:, grid.n_t // 2]).max() < 1e-15
 
@@ -284,7 +286,7 @@ def test_expansion_tracks_residual():
     h = flat_layers(K, 2)
     f = f_from_h(h, s)
     grid = default_strip_grid(K, eps, 2, n_y=16)
-    res, terms, _ = _expansion(h, K, eps, grid)
+    _, res, terms, _ = _expansion(h, K, eps, grid)
     assert np.array_equal(res.values, residual_closed_form(f, grid, K, eps).values)
     pred = sum(terms.values())
     mask = np.abs(grid.t - f[1].values[0]) <= s.rho / 2.0
@@ -637,6 +639,17 @@ def test_residual_report_pinned(eps, m):
            rep.remainder, rep.total, rep.slack, float(np.abs(rep.residual.values).sum()))
     assert got == pytest.approx(_REPORT_PINS[eps, m], rel=1e-12, abs=1e-15)
     assert (rep.epsilon, rep.p, rep.sigma_decay) == (eps, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("eps, m", list(_REPORT_PINS))
+def test_residual_report_u0_is_the_assembled_stack(eps, m):
+    # the report's own accumulation of u0 is the field assemble_u0 builds
+    K = circle_K(n=64, amp=0.2)
+    h = report_layers(K, m, eps)
+    grid = default_strip_grid(K, eps, m)
+    rep = residual_report(h, K, eps, grid)
+    u0 = assemble_u0(f_from_h(h, scales_of(eps)), grid, eps)
+    assert np.array_equal(rep.u0.values, u0.values)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -354,23 +354,43 @@ def test_ansatz_residual_artifacts(tmp_path):
 
 def test_ansatz_residual_evaluates_residual_once_per_epsilon(tmp_path,
                                                              monkeypatch):
-    # the CSV writes the field the report decomposed, not a second evaluation;
-    # every closed-form S(u0) runs through the one generator of layer shares
+    # the CSVs write the u0 and S(u0) the report built, not a second evaluation;
+    # every closed-form S(u0) runs through the one generator of layer shares,
+    # which evaluates each layer's heteroclinic once
     layer_shares = ansatz._layer_shares
+    heteroclinic = ansatz.heteroclinic
     calls = []
+    profiles = []
 
     def counted(*args):
         calls.append(args[4])  # epsilon
         return layer_shares(*args)
 
+    def counted_heteroclinic(t):
+        profiles.append(t.shape)
+        return heteroclinic(t)
+
     monkeypatch.setattr(ansatz, "_layer_shares", counted)
+    monkeypatch.setattr(ansatz, "heteroclinic", counted_heteroclinic)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
         {"epsilon": {"min": 0.08, "max": 0.1, "steps": 2}}))
     code, out = _run(tmp_path, "ansatz-residual", "--config", str(cfg))
     assert code == 0
     assert sorted(calls) == pytest.approx([0.08, 0.1])
+    assert len(profiles) == 2 * 2  # m = 2 (the default) per epsilon
+    assert (out / "u0_01.csv").exists()
     assert (out / "residual_01.csv").exists()
+
+
+def test_ansatz_residual_rejects_a_strip_narrower_than_the_layers(tmp_path):
+    # (m/2 + 1) rho at eps 0.05, m 2 is 2 rho = 6.75; the strip holds only 5
+    assert 5.0 < 2.0 * scales_of(0.05).rho
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilon": 0.05, "m": 2, "grid": {"t_extent": 5.0}}))
+    code, out = _run(tmp_path, "ansatz-residual", "--config", str(cfg))
+    assert code == 1
+    assert not (out / "u0_00.csv").exists()
 
 
 def test_newton_solve_artifacts(tmp_path):

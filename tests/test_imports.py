@@ -3,9 +3,10 @@
 Every name a module imports is used in it, and scipy is loaded at module
 level only for the CLI manifest's version string: the reduced pipeline
 (scales, toda, spectral, geometry, profile) runs on numpy alone, and the
-strip solvers import their scipy routines where they call them. Every
-function, class and method the library defines is used by the library or by
-the benchmark; helpers only the tests need live in the tests.
+strip solvers import their scipy routines where they call them; no module
+imports scipy.optimize at all. Every function, class and method the library
+defines is used by the library or by the benchmark; helpers only the tests
+need live in the tests.
 """
 
 import ast
@@ -63,6 +64,23 @@ def test_scipy_is_imported_at_module_level_only_by_the_cli():
             found += [(path.name, name) for name in modules
                       if name == "scipy" or name.startswith("scipy.")]
     assert found == [("cli.py", "scipy")]
+
+
+def test_no_module_imports_scipy_optimize():
+    # at module level or inside a function: root finding is a test-side oracle
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+    assert found == []
 
 
 def _definitions(tree: ast.Module):

@@ -4,13 +4,22 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import aclayers
 from aclayers import DomainError
-from aclayers.geometry import ClosedCurve, PeriodicField, PeriodicGrid, second_derivative_matrix
+from aclayers.geometry import (
+    PeriodicField,
+    PeriodicGrid,
+    _fourier_multipliers,
+    _trig_eval,
+    ell0,
+    second_derivative,
+    second_derivative_matrix,
+)
 from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.spectral import (
     _sl_eigs_covering,
@@ -18,7 +27,6 @@ from aclayers.spectral import (
     assemble_A,
     decoupled_couplings,
     eigs_L_sigma,
-    liouville_transform,
     monotonicity_check,
     resonance_margin,
     resonant_sigmas,
@@ -205,29 +213,25 @@ def test_monotonicity_degenerate_equal_sigmas():
 # --- weyl ---
 
 def test_weyl_explicit_small():
-    circle = ClosedCurve.constant(TWO_PI, 1.0)
-    assert weyl_count(1.0, 1.0, circle) == 1
+    assert weyl_count(1.0, 1.0, TWO_PI) == 1
 
 
 def test_weyl_tie_excluded():
     # sigma = 0.01 puts j = +-10 exactly on the tie: excluded, 19 modes remain
-    circle = ClosedCurve.constant(TWO_PI, 1.0)
-    assert weyl_count(0.01, 1.0, circle) == 19
+    assert weyl_count(0.01, 1.0, TWO_PI) == 19
 
 
 def test_weyl_law_limit():
-    circle = ClosedCurve.constant(TWO_PI, 1.0)
     target = (TWO_PI / math.pi) * 1.0  # (ell/pi) sqrt(a+)
     for sigma in (1e-3, 1e-4):
-        n = weyl_count(sigma, 1.0, circle)
+        n = weyl_count(sigma, 1.0, TWO_PI)
         assert abs(n * math.sqrt(sigma) - target) < 0.05 * target
 
 
 def test_weyl_successive_estimates_close():
-    circle = ClosedCurve.constant(TWO_PI, 1.0)
     for sigma in (4e-3, 1e-3):
-        a = weyl_count(sigma, 1.0, circle) * math.sqrt(sigma)
-        b = weyl_count(sigma / 4.0, 1.0, circle) * math.sqrt(sigma / 4.0)
+        a = weyl_count(sigma, 1.0, TWO_PI) * math.sqrt(sigma)
+        b = weyl_count(sigma / 4.0, 1.0, TWO_PI) * math.sqrt(sigma / 4.0)
         assert abs(a - b) < 0.05 * max(a, b)
 
 
@@ -279,7 +283,51 @@ def test_l_sigma_and_string_matrices_exactly_symmetric(monkeypatch):
     assert np.array_equal(seen[0], seen[0].T)
 
 
-# --- liouville transform ---
+# --- liouville transform: the normal-form oracle for sturm_liouville_eigs ---
+
+@dataclass(frozen=True)
+class LiouvilleData:
+    """Normal form of the weighted string problem on (0, pi)."""
+
+    ell0: float
+    q: np.ndarray  # potential on the uniform grid t_i = i pi / n_t
+
+
+def liouville_transform(K, n_t=256):
+    """Normal form -e'' - q(t) e = (ell0^2/pi^2) lambda e, periodic on (0, pi).
+
+    t(y) = (pi/ell0) int_0^y sqrt(K); with Psi = K^{-1/4} the first-derivative
+    term cancels and the potential is q = ell0^2 Psi'' / (pi^2 Psi K).
+    Constant curvature gives q identically zero.
+    """
+    from scipy.optimize import brentq
+
+    grid = K.grid
+    ell_0 = ell0(K)
+    # spectral antiderivative of sqrt(K): mean part linear, the rest periodic
+    spec = np.fft.rfft(np.sqrt(K.values)) / grid.n
+    mean = spec[0].real
+    wk = _fourier_multipliers(grid)[1:]
+    w_mode = np.full(len(wk), 2.0)
+    w_mode[-1] = 1.0  # Nyquist counts once (n is even)
+    coef = w_mode * spec[1:] / (1j * wk)
+
+    def t_of_y(y):
+        osc = float(np.sum((coef * (np.exp(1j * wk * y) - 1.0)).real))
+        return (math.pi / ell_0) * (mean * y + osc)
+
+    # potential in y-variables, spectrally differentiated
+    psi = PeriodicField(grid, K.values ** -0.25)
+    q_y = (ell_0**2 / math.pi**2) * second_derivative(psi).values / (psi.values * K.values)
+
+    # invert the monotone map t(y) on a uniform t-grid
+    t_grid = np.arange(n_t) * (math.pi / n_t)
+    y_at_t = np.zeros(n_t)
+    for i in range(1, n_t):
+        y_at_t[i] = brentq(lambda y: t_of_y(y) - t_grid[i], y_at_t[i - 1], grid.length,
+                           xtol=1e-13)
+    return LiouvilleData(ell0=ell_0, q=_trig_eval(q_y, grid.length, y_at_t))
+
 
 def liouville_eigs(data, count):
     """Eigenvalues of the weighted string problem via its normal form."""
@@ -292,8 +340,7 @@ def liouville_eigs(data, count):
 def test_liouville_constant_curvature():
     g = PeriodicGrid(n=64, length=1.0)
     K = PeriodicField(g, 4.0 * np.ones(64))
-    curve = ClosedCurve.constant(1.0, 4.0)
-    data = liouville_transform(K, curve, n_t=64)
+    data = liouville_transform(K, n_t=64)
     assert data.ell0 == pytest.approx(2.0, rel=1e-12)
     assert np.max(np.abs(data.q)) < 1e-10
 
@@ -301,8 +348,7 @@ def test_liouville_constant_curvature():
 def test_liouville_eigen_consistency():
     # y-problem and (0, pi) normal form agree on the first modes
     K = wavy_K(128)
-    curve = ClosedCurve.fourier(TWO_PI, 1.0, cos=[0.3])
-    data = liouville_transform(K, curve, n_t=256)
+    data = liouville_transform(K, n_t=256)
     direct = sturm_liouville_eigs(K, 10)
     via = liouville_eigs(data, 10)
     for j in range(10):
@@ -313,8 +359,7 @@ def test_liouville_eigen_consistency():
 def test_liouville_asymptotics():
     # j^2 |lambda_j - 4 pi^2 j^2/ell0^2| stays bounded over j = 5..25
     K = wavy_K(512)
-    curve = ClosedCurve.fourier(TWO_PI, 1.0, cos=[0.3])
-    data = liouville_transform(K, curve, n_t=128)
+    data = liouville_transform(K, n_t=128)
     lam = sturm_liouville_eigs(K, 60)
     vals = []
     for j in range(5, 26):
@@ -334,7 +379,7 @@ def test_decoupled_couplings_m2_m3():
 def test_resonant_sigmas_match_ratios():
     # on the unit circle lambda_j = j^2: resonances exactly at mu_i/j^2
     K = unit_K(128)
-    vals = resonant_sigmas(K, 2, BETA_EXACT, sigma_min=1e-3, sigma_max=1e-1)
+    vals = resonant_sigmas(K, 2, sigma_min=1e-3, sigma_max=1e-1)
     oracle = np.array(sorted(24.0 / j**2 for j in range(16, 155)))
     oracle = oracle[(oracle >= 1e-3) & (oracle <= 1e-1)]
     for o in oracle:
@@ -366,7 +411,6 @@ def test_resonance_margin_report():
     assert rep.sigma == pytest.approx(1.0 / (BETA_EXACT * 3.3762268364408143), rel=1e-12)
     assert rep.admissible == (rep.min_margin >= 0.1)
     assert len(rep.mu) == 1
-    assert len(rep.nu) == 1
 
 
 # min_margin of 1 + 0.2 cos y (64 samples, m 3) on the 8-point ladder, recorded
@@ -399,8 +443,8 @@ def test_resonance_margin_monotone_in_cgap():
 
 
 @pytest.mark.parametrize("call", [
-    lambda K: resonant_sigmas(K, 2, BETA_EXACT, sigma_min=0.0),
-    lambda K: resonant_sigmas(K, 2, BETA_EXACT, sigma_min=0.5, sigma_max=0.1),
+    lambda K: resonant_sigmas(K, 2, sigma_min=0.0),
+    lambda K: resonant_sigmas(K, 2, sigma_min=0.5, sigma_max=0.1),
 ], ids=["sigma-min-zero", "sigma-range-reversed"])
 def test_sigma_entry_points_reject_bad_couplings(call):
     with pytest.raises(DomainError):
@@ -420,11 +464,11 @@ def test_admissible_sigma_in_matches_per_candidate_margins():
     # one shared spectrum gives what a fresh sigma_margin per candidate gives
     K = wavy_K(64, amp=0.2)
     for lo, hi, m in ((0.025, 0.05, 2), (0.01, 0.02, 3)):
-        knots = np.concatenate([[lo], resonant_sigmas(K, m, BETA_EXACT, lo, hi), [hi]])
+        knots = np.concatenate([[lo], resonant_sigmas(K, m, lo, hi), [hi]])
         cands = 0.5 * (knots[:-1] + knots[1:])
         margins = [sigma_margin(float(sg), K, m, BETA_EXACT)[0] for sg in cands]
         best = int(np.argmax(margins))
-        got = admissible_sigma_in(lo, hi, K, m, c_gap=0.0, beta=BETA_EXACT)
+        got = admissible_sigma_in(lo, hi, K, m, c_gap=0.0)
         assert got == pytest.approx((cands[best], margins[best]), rel=1e-10)
 
 
@@ -462,11 +506,12 @@ def test_scan_epsilons_empty():
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # the reduced pipeline is numpy alone: brentq (liouville_transform) and the
-    # banded LU and GMRES of the strip solves are the only scipy users
+    # the reduced pipeline is numpy alone: the banded LU and GMRES of the strip
+    # solves are the only scipy users, so no README scipy-free command loads them
     code = "\n".join([
         "import sys, aclayers, aclayers.cli",
-        "for command in ('toda-solve', 'spectrum', 'resonance-scan'):",
+        "for command in ('constants', 'scales', 'toda-solve', 'spectrum',",
+        "                'resonance-scan', 'weyl', 'ansatz-residual'):",
         f"    assert aclayers.cli.main([command, '--out', {str(tmp_path)!r}]) == 0",
         "print(sorted(name for name in ('scipy.linalg', 'scipy.sparse', 'scipy.optimize')",
         "             if name in sys.modules))",
