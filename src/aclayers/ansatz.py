@@ -12,7 +12,8 @@ form for the heteroclinic stack (`residual_closed_form`), the pointwise
 expansion of S(u0) near each layer (its terms are documented at
 `_expansion`, which `residual_report` measures), exponentially weighted strip
 norms, the projected transverse linear problem (inversion modulo the kernel
-direction w'), and a damped-Newton solve of the full strip equation.
+direction w'), and a damped-Newton solve of the full strip equation that
+steps on the y-bandwidth of its initial state.
 
 Discretization: 6th-order centered finite differences in t with an
 even-reflection (homogeneous Neumann) closure at t = +-T, spectral
@@ -23,7 +24,7 @@ truncation is controlled; `truncation_error` reports the standard bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .geometry import (
     PeriodicField,
     PeriodicGrid,
     _fourier_multipliers,
+    _resample_rows,
     _spectral_derivative,
     _trig_eval,
     first_derivative,
@@ -147,7 +149,9 @@ def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
     `n_y`, `t_extent` and `n_t` override the automatic size; an `n_t` left
     automatic follows `t_extent`. The default y-resolution keeps the spacing
     near 2 in stretched units so that norm comparisons across epsilon sweeps
-    use a fixed cell size.
+    use a fixed cell size. n_y sets only the resolution of the output fields
+    and of the norms: `newton_allen_cahn` runs its steps on the y-bandwidth
+    of its initial state and interpolates back to this grid.
     """
     if m < 1:
         raise DomainError("need at least one layer")
@@ -565,14 +569,24 @@ def level_sets(u: StripField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonReport:
-    """Converged strip solve with its iteration history."""
+    """Converged strip solve with its iteration history.
+
+    When the Newton steps ran on a band grid of `band_n_y` rows (see
+    `newton_allen_cahn`), the entries of `residual_norms` and `energies` up
+    to the band pass's last iterate are measured on that grid: the sup over
+    its rows, and the energy with its y-spacing. The band pass's converged
+    iterate, interpolated, and every later one are measured on the caller's
+    grid, so the last entries always belong to `solution`.
+    """
 
     solution: StripField
-    iterations: int
+    iterations: int  # Newton steps over both grids
     residual_norms: tuple[float, ...]  # sup norms, one per iterate incl. final
     energies: tuple[float, ...]  # discrete energy at each accepted iterate
     level_curves: np.ndarray  # (n_y, m) zero-crossing positions
     linear_iterations: tuple[int, ...]  # GMRES inner iterations per Newton step
+    band_n_y: int  # y-size of the grid the steps ran on (n_y when it holds the band)
+    caller_grid_steps: int  # steps taken on the caller's grid
 
 
 def _mode_preconditioner(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
@@ -617,34 +631,27 @@ def _right_preconditioned(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
     return fused, precondition
 
 
-def newton_allen_cahn(u_init: StripField, K: PeriodicField,
-                      epsilon: float) -> NewtonReport:
-    """Damped Newton on the strip equation S(u) = 0 with Neumann walls.
+def _band_rows(values: np.ndarray) -> int:
+    """Rows that carry the y-bandwidth of a strip state, at least 16.
 
-    Each Newton step solves J d = -R right-preconditioned: GMRES solves
-    J P^{-1} z = -R for z, with P the y-averaged transverse operator whose
-    y-modes share one banded LU (`_mode_solver`), and the step is
-    d = P^{-1} z. GMRES therefore minimizes and stops on the true linear
-    residual |R + J d|, at 1e-12 relative or 1e-3 NEWTON_TOL absolute; an
-    Armijo line search on the squared residual damps the step. Converges
-    when the sup-norm residual falls under 1e-9; the returned level curves
-    must be as numerous as in the initial state (the layer count is
-    conserved or the solve is rejected).
+    2 (k_last + 1), with k_last the last rfft mode along y whose largest
+    amplitude over t exceeds the GMRES floor 1e-3 NEWTON_TOL."""
+    amplitude = np.max(np.abs(np.fft.rfft(values, axis=0)), axis=1) / values.shape[0]
+    k_last = int(np.flatnonzero(amplitude > 1e-3 * NEWTON_TOL)[-1])
+    return max(16, 2 * (k_last + 1))
+
+
+def _newton_steps(u: np.ndarray, grid: StripGrid, K: PeriodicField, epsilon: float):
+    """Damped Newton from u on one grid until the sup residual is below NEWTON_TOL.
+
+    Returns (u, residual_norms, energies, linear_iterations) with one norm and
+    one energy per iterate, start and end included, and one GMRES count per
+    step.
     """
     import scipy.sparse.linalg
 
-    grid = u_init.grid
-    if float(np.max(np.abs(u_init.values))) > STATE_BOUND:
-        raise DomainError(f"initial state leaves the |u| <= {STATE_BOUND} band")
-    m_expected = level_sets(u_init).shape[1]
-    if m_expected == 0:
-        raise DomainError("initial state has no transition layers")
-
     kv = _on_strip(K, grid, epsilon)
-    n_y, n_t = grid.shape
-    size = n_y * n_t
-
-    u = u_init.values.copy()
+    size = grid.y_grid.n * grid.n_t
     res = _strip_residual(u, kv, grid, epsilon)
     res_norms = [float(np.max(np.abs(res)))]
     energies = [strip_energy(StripField(grid, u), epsilon)]
@@ -652,17 +659,7 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
 
     for iteration in range(NEWTON_MAX_ITER + 1):
         if res_norms[-1] < NEWTON_TOL:
-            levels = level_sets(StripField(grid, u))
-            if levels.shape[1] != m_expected:
-                raise ConvergenceError(
-                    f"solve ended with {levels.shape[1]} level curves, "
-                    f"expected {m_expected}")
-            return NewtonReport(solution=StripField(grid, u),
-                                iterations=iteration,
-                                residual_norms=tuple(res_norms),
-                                energies=tuple(energies),
-                                level_curves=levels,
-                                linear_iterations=tuple(linear_iterations))
+            return u, res_norms, energies, linear_iterations
         if iteration == NEWTON_MAX_ITER:
             break
 
@@ -703,3 +700,64 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     raise ConvergenceError(
         f"no convergence after {NEWTON_MAX_ITER} iterations "
         f"(|R|_inf = {res_norms[-1]:.3e})")
+
+
+def newton_allen_cahn(u_init: StripField, K: PeriodicField,
+                      epsilon: float) -> NewtonReport:
+    """Damped Newton on the strip equation S(u) = 0 with Neumann walls.
+
+    Each Newton step solves J d = -R right-preconditioned: GMRES solves
+    J P^{-1} z = -R for z, with P the y-averaged transverse operator whose
+    y-modes share one banded LU (`_mode_solver`), and the step is
+    d = P^{-1} z. GMRES therefore minimizes and stops on the true linear
+    residual |R + J d|, at 1e-12 relative or 1e-3 NEWTON_TOL absolute; an
+    Armijo line search on the squared residual damps the step. Converges
+    when the sup-norm residual falls under 1e-9; the returned level curves
+    must be as numerous as in the initial state (the layer count is
+    conserved or the solve is rejected).
+
+    The steps run on the y-bandwidth of u_init, which K and the layer gaps
+    fix, not epsilon: when the `_band_rows` that carry it are fewer than the
+    caller's n_y, Newton first converges on a band grid of that many rows
+    and the same t-grid, the result is trig-interpolated to the caller's
+    grid, and the same iteration finishes there, normally with no step
+    because the interpolant's residual is already below NEWTON_TOL. The
+    solution, its residual and its level curves are on the caller's grid.
+    """
+    grid = u_init.grid
+    if float(np.max(np.abs(u_init.values))) > STATE_BOUND:
+        raise DomainError(f"initial state leaves the |u| <= {STATE_BOUND} band")
+    m_expected = level_sets(u_init).shape[1]
+    if m_expected == 0:
+        raise DomainError("initial state has no transition layers")
+
+    n_y = grid.y_grid.n
+    band_n_y = min(_band_rows(u_init.values), n_y)
+    u = u_init.values.copy()
+    res_norms: list[float] = []
+    energies: list[float] = []
+    linear_iterations: list[int] = []
+    if band_n_y < n_y:
+        band = replace(grid, y_grid=PeriodicGrid(band_n_y, grid.y_grid.length))
+        u, res_norms, energies, linear_iterations = _newton_steps(
+            _resample_rows(u, band_n_y), band, K, epsilon)
+        # the finish measures the band pass's last iterate again on the caller's grid
+        del res_norms[-1], energies[-1]
+        u = _resample_rows(u, n_y)
+    u, finish_norms, finish_energies, finish_inner = _newton_steps(u, grid, K, epsilon)
+
+    solution = StripField(grid, u)
+    levels = level_sets(solution)
+    if levels.shape[1] != m_expected:
+        raise ConvergenceError(
+            f"solve ended with {levels.shape[1]} level curves, "
+            f"expected {m_expected}")
+    linear_iterations += finish_inner
+    return NewtonReport(solution=solution,
+                        iterations=len(linear_iterations),
+                        residual_norms=tuple(res_norms + finish_norms),
+                        energies=tuple(energies + finish_energies),
+                        level_curves=levels,
+                        linear_iterations=tuple(linear_iterations),
+                        band_n_y=band_n_y,
+                        caller_grid_steps=len(finish_inner))

@@ -635,6 +635,8 @@ def _cmd_newton_solve(cfg: RunConfig, writer: ArtifactWriter,
         "epsilon": eps, "m": cfg.m,
         "iterations": report.iterations,
         "linear_iterations": report.linear_iterations,
+        "band_n_y": report.band_n_y,
+        "caller_grid_steps": report.caller_grid_steps,
         "residual_norms": report.residual_norms,
         "energies": report.energies,
         "level_curve_means": [float(np.mean(report.level_curves[:, j]))

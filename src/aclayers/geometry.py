@@ -158,6 +158,24 @@ def _spectral_derivative(values: np.ndarray, grid: PeriodicGrid, order: int,
     return np.fft.irfft(spec, n=grid.n, axis=axis)
 
 
+def _resample_rows(values: np.ndarray, n: int) -> np.ndarray:
+    """Trigonometric resampling of periodic samples along axis 0 onto n rows.
+
+    Truncates or zero-pads the rfft of every column. The Nyquist mode of the
+    smaller (even) size is the cosine that `_trig_eval` puts there: its
+    coefficient doubles on the way down and halves on the way up, so
+    resampling up agrees with `resample_field` and resampling down samples
+    the interpolant's modes below n/2 and the cosine of mode n/2.
+    """
+    old = values.shape[0]
+    if n == old:
+        return values
+    keep = min(n, old) // 2 + 1
+    spec = np.fft.rfft(values, axis=0)[:keep] * (n / old)
+    spec[-1] *= 2.0 if n < old else 0.5
+    return np.fft.irfft(spec, n=n, axis=0)
+
+
 def first_derivative(f: PeriodicField) -> PeriodicField:
     """Spectral periodic df/dy; Nyquist mode dropped (odd derivative)."""
     return PeriodicField(f.grid, _spectral_derivative(f.values, f.grid, 1))

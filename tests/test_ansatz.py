@@ -3,7 +3,8 @@
 Oracle strategy: the single heteroclinic is an exact solution of the
 transverse ODE, so its strip residual has the closed form -eps^2 z K w';
 kernel forcings invert to (0, -1) exactly; the two-layer Newton solve is
-checked against the Toda-predicted spacing rho + v.
+checked against the Toda-predicted spacing rho + v, and its level curves
+converge to the Toda positions f_j as eps falls.
 """
 
 import math
@@ -824,6 +825,88 @@ def test_newton_converges_on_varying_curvature(eps, m):
     assert max(rep.linear_iterations) <= _MAX_INNER[eps, m]
     assert rep.residual_norms[-1] < NEWTON_TOL
     assert rep.level_curves.shape == (grid.y_grid.n, m)
+
+
+# curvatures on 64 samples of the 2 pi circle; "A" is the benchmark's shape A
+_SHAPES = {
+    "cos": lambda y: 1.0 + 0.2 * np.cos(y),
+    "A": lambda y: 1.0 + 0.25 * np.cos(y) + 0.025 * np.cos(2.0 * y + 1.25),
+    "harmonic7": lambda y: (1.0 + 0.1 * np.cos(y) + 0.02 * np.cos(7.0 * y)
+                            + 0.01 * np.sin(11.0 * y)),
+}
+
+
+def shape_K(name):
+    grid = PeriodicGrid(n=64, length=TWO_PI)
+    return PeriodicField(grid, _SHAPES[name](grid.points()))
+
+
+def toda_start(K, m, eps):
+    """Default strip grid, the Toda layer positions f and the stack u0 on them."""
+    grid = default_strip_grid(K, eps, m)
+    f = f_from_h(toda_layers(K, m, eps).h, scales_of(eps))
+    return grid, f, assemble_u0(f, grid, eps)
+
+
+# the band pass against the same iteration run on the caller's grid from the
+# same start: measured level curves within 3e-11, Newton counts equal
+@pytest.mark.parametrize("shape, eps, m",
+                         [("cos", 0.025, 3), ("A", 0.05, 2), ("harmonic7", 0.05, 2)])
+def test_newton_band_pass_matches_a_solve_on_the_callers_grid(shape, eps, m):
+    K = shape_K(shape)
+    grid, _, u0 = toda_start(K, m, eps)
+    rep = newton_allen_cahn(u0, K, eps)
+    direct, _, _, inner = ansatz_module._newton_steps(u0.values, grid, K, eps)
+    assert rep.band_n_y < grid.y_grid.n
+    assert rep.iterations == len(inner)
+    assert rep.level_curves.shape == (grid.y_grid.n, m)
+    gap = np.abs(rep.level_curves - level_sets(StripField(grid, direct))).max()
+    assert gap <= 1e-9, f"level curves differ by {gap:.3e}"
+    assert rep.solution.grid == grid
+    assert np.abs(residual(rep.solution, K, eps).values).max() < NEWTON_TOL
+
+
+def test_newton_steps_run_on_the_band_rows(monkeypatch):
+    # the y-band of u0 at (0.025, 3) on 1 + 0.2 cos y needs 38 rows; the
+    # default grid has 126, which only the finish on the caller's grid sees
+    rows = []
+    right_preconditioned = ansatz_module._right_preconditioned
+
+    def recorded(u, grid, kv, epsilon):
+        rows.append(grid.y_grid.n)
+        return right_preconditioned(u, grid, kv, epsilon)
+
+    monkeypatch.setattr(ansatz_module, "_right_preconditioned", recorded)
+    K = shape_K("cos")
+    grid, _, u0 = toda_start(K, 3, 0.025)
+    rep = newton_allen_cahn(u0, K, 0.025)
+    assert grid.y_grid.n == 126
+    assert rep.iterations == 8
+    assert rows == [38] * 8
+    assert (rep.band_n_y, rep.caller_grid_steps) == (38, 0)
+
+
+# layer positions against the reduction on 1 + 0.2 cos y. Measured: slopes
+# 1.531 (m = 2) and 1.522 (m = 3); error over f_j's variation along y at eps
+# 0.0125: 0.73% (m = 2) and 1.79% (m = 3). Bounds fixed before the test ran.
+@pytest.mark.parametrize("m, ladder, max_fraction", [
+    (2, (0.05, 0.025, 0.0125, 0.00625), 0.010),
+    (3, (0.05, 0.025, 0.0125), 0.025)], ids=["m2", "m3"])
+def test_newton_level_curves_converge_to_the_toda_positions(m, ladder, max_fraction):
+    K = shape_K("cos")
+    errors, fractions = [], []
+    for eps in ladder:
+        grid, f, u0 = toda_start(K, m, eps)
+        positions = np.stack([_on_strip(fj, grid, eps) for fj in f], axis=1)
+        error = float(np.abs(newton_allen_cahn(u0, K, eps).level_curves - positions).max())
+        errors.append(error)
+        fractions.append(error / float(np.ptp(positions, axis=0).max()))
+    slope = float(np.polyfit(np.log(ladder), np.log(errors), 1)[0])
+    fraction = fractions[ladder.index(0.0125)]
+    message = (f"m={m} eps={ladder} sup errors={[f'{e:.3e}' for e in errors]} "
+               f"fractions={[f'{q:.4f}' for q in fractions]} slope={slope:.3f}")
+    assert slope >= 1.4, message
+    assert fraction <= max_fraction, message
 
 
 def test_newton_rejects_bad_initial_state():

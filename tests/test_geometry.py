@@ -11,6 +11,7 @@ from aclayers.geometry import (
     ClosedCurve,
     PeriodicField,
     PeriodicGrid,
+    _resample_rows,
     _spectral_derivative,
     _trig_eval,
     ell0,
@@ -221,6 +222,30 @@ def test_batched_derivative_matches_per_field(n, count):
         assert np.array_equal(_spectral_derivative(vals, g, order, axis=0), cols)
         rows = np.stack([one(PeriodicField(g, r)).values for r in vals.T])
         assert np.array_equal(_spectral_derivative(vals.T, g, order, axis=1), rows)
+
+
+def test_resample_rows_is_trig_interpolation():
+    # up: every column of random samples, Nyquist mode included, lands on the
+    # interpolant that _trig_eval evaluates; down: a column whose modes stop
+    # at n/2 is sampled exactly, since sin(n y/2) vanishes on the n nodes
+    length = 40.0
+    small, large = PeriodicGrid(n=38, length=length), PeriodicGrid(n=126, length=length)
+    rng = np.random.default_rng(12)
+    coarse = rng.standard_normal((small.n, 5))
+    up = _resample_rows(coarse, large.n)
+    ref = np.column_stack([_trig_eval(c, length, large.points()) for c in coarse.T])
+    assert np.max(np.abs(up - ref)) <= 1e-13
+    assert np.max(np.abs(_resample_rows(up, small.n) - coarse)) <= 1e-13
+
+    k = np.arange(small.n // 2 + 1)
+    a, b = rng.standard_normal((2, len(k), 5))
+
+    def band(y):
+        phase = 2.0 * np.pi * k[None, :, None] * y[:, None, None] / length
+        return np.sum(a * np.cos(phase) + b * np.sin(phase), axis=1)
+
+    down = _resample_rows(band(large.points()), small.n)
+    assert np.max(np.abs(down - band(small.points()))) <= 1e-12
 
 
 def _d2_by_transforming_identity(grid):
