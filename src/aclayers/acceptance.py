@@ -237,8 +237,7 @@ def check_monotonicity() -> CriterionResult:
         mats = build_matrices(2)
         v1 = first_order_profile(K, 2, BETA_EXACT)
         rep = monotonicity_check(0.04, 0.05,
-                                 lambda sg: assemble_A(v1, sg, K, mats),
-                                 count=20)
+                                 lambda sg: assemble_A(v1, sg, K, mats))
         ok = ok and rep.holds
         slacks.append(rep.worst_slack)
     runtime = time.perf_counter() - t0

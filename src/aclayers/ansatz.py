@@ -589,36 +589,31 @@ class NewtonReport:
     caller_grid_steps: int  # steps taken on the caller's grid
 
 
-def _mode_preconditioner(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
-                         epsilon: float):
-    """Inverse of the y-averaged linearization base - k^2 I on every y-mode k,
-    base = d_tt - eps^2 mean(K) t d_t + mean(F'(u)), from one banded LU."""
-    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
-    dbar = np.mean(1.0 - 3.0 * u * u, axis=0)
-    kbar = float(np.mean(kv))
-    base = d2t - epsilon**2 * kbar * (grid.t[:, None] * d1t) + np.diag(dbar)
-    kfreq = _fourier_multipliers(grid.y_grid)
-    return _mode_solver(base, kfreq * kfreq)
-
-
 def _right_preconditioned(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
                           epsilon: float):
     """The Newton Jacobian J at u, right-preconditioned by the y-averaged P.
 
     Returns (fused, precondition). fused maps a flat strip vector x to
     J P^{-1} x = x + (J - P) P^{-1} x; precondition maps it to P^{-1} x as
-    an (n_y, n_t) array (`_mode_preconditioner`). P carries J's d_tt, d_yy
-    and mean terms exactly, so only the y-varying parts are left in
+    an (n_y, n_t) array. On the y-mode k, P is base - k^2 I with
+    base = d_tt - eps^2 mean(K) t d_t + mean_y F'(u), and one banded LU
+    inverts every mode (`_mode_solver`). P carries J's d_tt, d_yy and mean
+    terms exactly, so only the y-varying parts are left in
     (J - P) y = dF' y - eps^2 t (K - mean K) y_t, with
     dF' = F'(u) - mean_y F'(u). One application of fused costs one rfft,
     one banded solve, one irfft and one d_t product.
     """
     n_y, n_t = grid.shape
-    d1t_T = _t_matrices(n_t, grid.dt)[0].T
+    d1t, d2t = _t_matrices(n_t, grid.dt)
+    d1t_T = d1t.T
     coeff = 1.0 - 3.0 * u * u
-    dcoeff = coeff - np.mean(coeff, axis=0)
-    dtransport = epsilon**2 * grid.t[None, :] * (kv - np.mean(kv))[:, None]
-    mode_inverse = _mode_preconditioner(u, grid, kv, epsilon)
+    dbar = np.mean(coeff, axis=0)
+    kbar = float(np.mean(kv))
+    dcoeff = coeff - dbar
+    dtransport = epsilon**2 * grid.t[None, :] * (kv - kbar)[:, None]
+    base = d2t - epsilon**2 * kbar * (grid.t[:, None] * d1t) + np.diag(dbar)
+    kfreq = _fourier_multipliers(grid.y_grid)
+    mode_inverse = _mode_solver(base, kfreq * kfreq)
 
     def precondition(x: np.ndarray) -> np.ndarray:
         vhat = np.fft.rfft(x.reshape(n_y, n_t), axis=0)
@@ -635,10 +630,14 @@ def _band_rows(values: np.ndarray) -> int:
     """Rows that carry the y-bandwidth of a strip state, at least 16.
 
     2 (k_last + 1), with k_last the last rfft mode along y whose largest
-    amplitude over t exceeds the GMRES floor 1e-3 NEWTON_TOL."""
+    amplitude over t exceeds the GMRES floor 1e-3 NEWTON_TOL. A state with
+    no such mode is zero to that floor and carries no layers: DomainError."""
     amplitude = np.max(np.abs(np.fft.rfft(values, axis=0)), axis=1) / values.shape[0]
-    k_last = int(np.flatnonzero(amplitude > 1e-3 * NEWTON_TOL)[-1])
-    return max(16, 2 * (k_last + 1))
+    modes = np.flatnonzero(amplitude > 1e-3 * NEWTON_TOL)
+    if modes.size == 0:
+        raise DomainError(
+            "initial state vanishes below the GMRES floor: no layers to solve for")
+    return max(16, 2 * (int(modes[-1]) + 1))
 
 
 def _newton_steps(u: np.ndarray, grid: StripGrid, K: PeriodicField, epsilon: float):

@@ -473,9 +473,9 @@ def _toda_solution(cfg: RunConfig, K: PeriodicField, eps: float):
 def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter,
                     args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
-    results = [_toda_solution(cfg, K, e) for e in cfg.epsilons]
     entries = []
-    for i, (eps, (s, sol)) in enumerate(zip(cfg.epsilons, results)):
+    for i, eps in enumerate(cfg.epsilons):
+        s, sol = _toda_solution(cfg, K, eps)
         gaps = sol.v.gap_array()
         entries.append({
             "epsilon": eps, "sigma": s.sigma, "m": cfg.m,
@@ -500,16 +500,11 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
     K = cfg.curvature_field()
     mats = build_matrices(cfg.m)
     v1 = first_order_profile(K, cfg.m, exact_constants().beta)
-
-    def one(eps: float):
-        s = scales_of(eps)
-        A = assemble_A(v1, s.sigma, K, mats)
-        return s, eigs_L_sigma(A, s.sigma)
-
-    results = [one(e) for e in cfg.epsilons]
     entries = []
     rows = []
-    for eps, (s, rep) in zip(cfg.epsilons, results):
+    for eps in cfg.epsilons:
+        s = scales_of(eps)
+        rep = eigs_L_sigma(assemble_A(v1, s.sigma, K, mats), s.sigma)
         ev = rep.eigenvalues[:cfg.eigen_count]
         entries.append({
             "epsilon": eps, "sigma": s.sigma,
@@ -590,15 +585,11 @@ def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter,
 def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
                          args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
-
-    def one(eps: float):
+    entries = []
+    for i, eps in enumerate(cfg.epsilons):
         _, sol = _toda_solution(cfg, K, eps)
         grid = cfg.strip_grid(K, eps)
-        return grid, residual_report(sol.h, K, eps, grid)
-
-    results = [one(e) for e in cfg.epsilons]
-    entries = []
-    for i, (eps, (grid, rep)) in enumerate(zip(cfg.epsilons, results)):
+        rep = residual_report(sol.h, K, eps, grid)
         entries.append({
             "epsilon": eps, "p": rep.p, "sigma_decay": rep.sigma_decay,
             "interaction": rep.interaction, "curvature": rep.curvature,

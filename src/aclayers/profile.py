@@ -27,6 +27,11 @@ B1_EXACT = 2.0 * SQRT2 / 3.0
 B2_EXACT = 16.0
 BETA_EXACT = B2_EXACT / B1_EXACT  # = 12*sqrt(2)
 
+# quadrature window [-T, T] (tails e^{-sqrt(2) T} far below the tolerance)
+# and the agreement asked of the two b2 routes
+_HALF_WIDTH = 40.0
+_TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class ProfileConstants:
@@ -70,22 +75,15 @@ def heteroclinic_derivative(t):
     return ((1.0 - th * th) / SQRT2)[()]
 
 
-def compute_constants(half_width: float = 40.0, tolerance: float = 1e-10) -> ProfileConstants:
-    """Interaction constants by composite quadrature on [-T, T].
+def compute_constants() -> ProfileConstants:
+    """Interaction constants by composite quadrature on [-_HALF_WIDTH, _HALF_WIDTH].
 
     Evaluates b2 through both of its equivalent one-sided-weight forms
     (weights e^{+sqrt(2) t} and e^{-sqrt(2) t}) and fails if they disagree
-    beyond ``tolerance``; the two agree exactly because the integrand pair
+    beyond ``_TOLERANCE``; the two agree exactly because the integrand pair
     is related by t -> -t.
     """
-    if not tolerance > 0.0:
-        raise DomainError("tolerance must be positive")
-    if not math.exp(-SQRT2 * half_width) < tolerance:
-        raise DomainError(
-            f"half_width {half_width} too small for tolerance {tolerance}")
-
-    T = float(half_width)
-    rtol = min(1e-13, tolerance)
+    T = _HALF_WIDTH
 
     def energy(t):
         th = np.tanh(t / SQRT2)
@@ -104,11 +102,11 @@ def compute_constants(half_width: float = 40.0, tolerance: float = 1e-10) -> Pro
         th = np.tanh(t / SQRT2)
         return 6.0 * (1.0 - th * th) * np.exp(-SQRT2 * t) * heteroclinic_derivative(t)
 
-    c_star = boole_adaptive(energy, -T, T, rtol=rtol)
-    b1 = boole_adaptive(dirichlet, -T, T, rtol=rtol)
-    b2_plus = boole_adaptive(interaction_plus, -T, T, rtol=rtol)
-    b2_minus = boole_adaptive(interaction_minus, -T, T, rtol=rtol)
-    if abs(b2_plus - b2_minus) > tolerance * max(abs(b2_plus), 1.0):
+    c_star = boole_adaptive(energy, -T, T)
+    b1 = boole_adaptive(dirichlet, -T, T)
+    b2_plus = boole_adaptive(interaction_plus, -T, T)
+    b2_minus = boole_adaptive(interaction_minus, -T, T)
+    if abs(b2_plus - b2_minus) > _TOLERANCE * max(abs(b2_plus), 1.0):
         raise NumericalError(
             f"the two interaction quadratures disagree: {b2_plus} vs {b2_minus}")
     b2 = 0.5 * (b2_plus + b2_minus)

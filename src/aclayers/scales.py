@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, IterationError
-from .profile import SQRT2, ProfileConstants, exact_constants
+from .profile import SQRT2, exact_constants
 
 EPS_MAX = 0.2  # above this, rho < 1 and the spacing asymptotics are meaningless
 _MAX_NEWTON = 100
@@ -89,10 +89,9 @@ def rho_expansion(epsilon: float) -> float:
     return SQRT2 * big_l - math.log(SQRT2 * big_l) / SQRT2
 
 
-def scales_of(epsilon: float, constants: ProfileConstants | None = None) -> Scales:
-    """Assemble the scale bundle for one epsilon."""
-    if constants is None:
-        constants = exact_constants()
+def scales_of(epsilon: float) -> Scales:
+    """Assemble the scale bundle for one epsilon from the exact profile constants."""
+    constants = exact_constants()
     rho = solve_rho(epsilon)
     sigma = constants.b1 / (constants.b2 * rho)
     return Scales(epsilon=epsilon, rho=rho, sigma=sigma, beta=constants.beta)

@@ -34,6 +34,7 @@ from .toda import TodaMatrices, _gap_block_matrix, _gaps_of, build_matrices, int
 
 DEFAULT_C_GAP = 0.5
 _TIE_RTOL = 1e-12
+_MONOTONICITY_COUNT = 20  # lowest eigenvalues the monotonicity check compares
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,11 @@ class MonotonicityReport:
 
 
 def monotonicity_check(sigma1: float, sigma2: float,
-                       family: Callable[[float], MatrixFieldA],
-                       count: int = 20) -> MonotonicityReport:
+                       family: Callable[[float], MatrixFieldA]) -> MonotonicityReport:
     """Verify the scaled-eigenvalue increment bounds between sigma1 and sigma2.
 
-    For the j-th eigenvalue (ascending) of L_sigma the increment of
-    sigma^{-1} lambda_j must lie in
+    For each of the _MONOTONICITY_COUNT lowest eigenvalues lambda_j
+    (ascending) of L_sigma the increment of sigma^{-1} lambda_j must lie in
 
         [(sigma2-sigma1) gamma_-/(2 sigma2^2), 2 (sigma2-sigma1) gamma_+/sigma1^2]
 
@@ -149,8 +149,8 @@ def monotonicity_check(sigma1: float, sigma2: float,
     gamma_plus = max(g1[1], g2[1])
     if gamma_minus <= 0.0:
         raise DomainError("A family is not uniformly elliptic on this range")
-    ev1 = eigs_L_sigma(A1, sigma1).eigenvalues[:count]
-    ev2 = eigs_L_sigma(A2, sigma2).eigenvalues[:count]
+    ev1 = eigs_L_sigma(A1, sigma1).eigenvalues[:_MONOTONICITY_COUNT]
+    ev2 = eigs_L_sigma(A2, sigma2).eigenvalues[:_MONOTONICITY_COUNT]
     n_eff = min(len(ev1), len(ev2))
     diffs = ev2[:n_eff] / sigma2 - ev1[:n_eff] / sigma1
     d_sigma = sigma2 - sigma1
@@ -257,8 +257,9 @@ def resonance_margin(epsilon: float, K: PeriodicField, m: int,
     """Admissibility of one epsilon: scaled spectral gaps at sigma = sigma_eps.
 
     A degenerate Jacobi operator (periodic Jacobi fields, e.g. the round unit
-    circle; see `geometry.jacobi_is_degenerate`) obstructs the sum-variable
-    equation but not the gap margins themselves.
+    circle; see `geometry.jacobi_is_degenerate`) gives the summed height
+    equation nonzero solutions, so the stack's centring is no longer forced,
+    but it leaves the gap margins themselves unchanged.
     """
     s = scales_of(epsilon)
     mu = decoupled_couplings(m, BETA_EXACT)
@@ -271,7 +272,7 @@ def resonance_margin(epsilon: float, K: PeriodicField, m: int,
         lam_covered=float(lam[-1]))
 
 
-def resonant_sigmas(K: PeriodicField, m: int, sigma_min: float = 1e-4, sigma_max: float = 1.0) -> np.ndarray:
+def resonant_sigmas(K: PeriodicField, m: int, sigma_min: float, sigma_max: float) -> np.ndarray:
     """All couplings sigma* = mu_i / lambda_j falling in [sigma_min, sigma_max]."""
     if not 0.0 < sigma_min < sigma_max:
         raise DomainError("need 0 < sigma_min < sigma_max")
@@ -309,7 +310,7 @@ class ScanResult:
     min_margins: np.ndarray
     admissible: np.ndarray  # boolean mask
     dyadic_best: dict  # dyadic sigma-interval exponent -> (epsilon, margin)
-    lam_covered: float  # largest string eigenvalue the margins used; 0 if empty
+    lam_covered: float  # largest string eigenvalue the margins used
 
 
 def scan_epsilons(eps_min: float, eps_max: float, steps: int, K: PeriodicField,
@@ -318,8 +319,7 @@ def scan_epsilons(eps_min: float, eps_max: float, steps: int, K: PeriodicField,
     if not (0.0 < eps_min < eps_max < EPS_MAX):
         raise DomainError(f"epsilon range must sit inside (0, {EPS_MAX})")
     if steps < 1:
-        return ScanResult(np.array([]), np.array([]), np.array([]),
-                          np.array([], dtype=bool), {}, 0.0)
+        raise DomainError(f"a scan needs at least 1 step, got {steps}")
     eps = np.geomspace(eps_min, eps_max, steps)
     sigmas = np.array([scales_of(float(e)).sigma for e in eps])
     mu = decoupled_couplings(m, BETA_EXACT)

@@ -2,16 +2,19 @@
 
 Layer heights h_1 < ... < h_m around a closed curve interact through nearest
 neighbor exponential tails and a curvature confinement. In gap variables
-v_l = h_{l+1} - h_l (plus the sum variable v_m) the system decouples into
+v_l = h_{l+1} - h_l the system reads
 
     S_bar(v) = sigma [v'' + K v] + beta K [1 ... 1] + S0_bar(v),
     S0_bar(v) = -C [e^{-sqrt(2) v_1} ... e^{-sqrt(2) v_{m-1}}]^T,
 
-with C the (m-1) tridiagonal (-1, 2, -1) matrix, and a scalar equation
-sigma (v_m'' + K v_m) = g_m for the sum. The explicit profile v^1 kills the
-O(1) part exactly; sigma^k corrections refine it, and one damped Newton
-iteration, started from that profile shifted to the forced leading-order
-balance, finishes the solve.
+with C the (m-1) tridiagonal (-1, 2, -1) matrix. The stack is centred: the
+heights sum to zero. Summing the height equations leaves the Jacobi equation
+sigma (s'' + K s) = 0 for s = h_1 + ... + h_m, whose only solution is zero on a
+curve without Jacobi fields (a non-degenerate curve, see
+`geometry.jacobi_is_degenerate`).
+The explicit profile v^1 kills the O(1) part exactly; sigma^k corrections
+refine it, and one damped Newton iteration, started from that profile shifted
+to the forced leading-order balance, finishes the solve.
 
 All gap operators take the coupling sigma as a plain number so formal sigma
 sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
@@ -28,7 +31,6 @@ from .geometry import (
     PeriodicField,
     PeriodicGrid,
     _spectral_derivative,
-    jacobi_is_degenerate,
     second_derivative_matrix,
 )
 from .profile import SQRT2
@@ -88,37 +90,33 @@ def build_matrices(m: int) -> TodaMatrices:
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Gap variables v_1..v_{m-1} plus the sum variable v_m, one grid."""
+    """Gap variables v_1..v_{m-1} of a centred stack, one grid."""
 
     m: int
     vbar: tuple[PeriodicField, ...]
-    vm: PeriodicField
 
     def __post_init__(self) -> None:
+        if self.m < 2:
+            raise DomainError("need at least 2 layers")
         if len(self.vbar) != self.m - 1:
             raise DomainError(f"expected {self.m - 1} gap fields, got {len(self.vbar)}")
-        for f in self.vbar:
-            if f.grid != self.vm.grid:
+        for f in self.vbar[1:]:
+            if f.grid != self.vbar[0].grid:
                 raise DomainError("all stack fields must share one grid")
 
     @property
     def grid(self) -> PeriodicGrid:
-        return self.vm.grid
+        return self.vbar[0].grid
 
     def gap_array(self) -> np.ndarray:
         """Gaps as an (m-1, n) array."""
         return np.stack([f.values for f in self.vbar])
 
     @staticmethod
-    def from_arrays(grid: PeriodicGrid, gaps: np.ndarray, vm: np.ndarray | None = None) -> "LayerStack":
+    def from_arrays(grid: PeriodicGrid, gaps: np.ndarray) -> "LayerStack":
         gaps = np.atleast_2d(np.asarray(gaps, dtype=float))
-        if vm is None:
-            vm = np.zeros(grid.n)
-        return LayerStack(
-            m=gaps.shape[0] + 1,
-            vbar=tuple(PeriodicField(grid, row) for row in gaps),
-            vm=PeriodicField(grid, np.asarray(vm, dtype=float)),
-        )
+        return LayerStack(m=gaps.shape[0] + 1,
+                          vbar=tuple(PeriodicField(grid, row) for row in gaps))
 
 
 @dataclass(frozen=True)
@@ -147,14 +145,14 @@ class HStack:
 
 
 def h_from_v(v: LayerStack) -> HStack:
-    """Heights from gaps and sum: solve B h = (v_1..v_m).
+    """Centred heights from gaps: solve B h = (v_1..v_{m-1}, 0).
 
     B has the difference rows h_{l+1} - h_l = v_l above the summing row
-    h_1 + ... + h_m = v_m.
+    h_1 + ... + h_m = 0.
     """
     B = np.eye(v.m, k=1) - np.eye(v.m)
     B[-1, :] = 1.0
-    stacked = np.vstack([v.gap_array(), v.vm.values[None, :]])
+    stacked = np.vstack([v.gap_array(), np.zeros((1, v.grid.n))])
     return HStack.from_array(v.grid, np.linalg.solve(B, stacked))
 
 
@@ -184,7 +182,7 @@ def first_order_profile(K: PeriodicField, m: int, beta: float) -> LayerStack:
 
     v^1_l = -(1/sqrt(2)) log[(beta/2) K(y) a_l], a_l = (m-l) l, so that
     e^{-sqrt(2) v^1_l} = (beta/2) K a_l and C a = 2 [1..1] turns the
-    exponential sum into exactly beta K per row. The sum variable is zero.
+    exponential sum into exactly beta K per row.
     """
     if m < 2:
         raise DomainError("need at least 2 layers")
@@ -345,10 +343,9 @@ def _as_gbar(gbar, shape: tuple[int, int]) -> np.ndarray:
 
 
 def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
-               gbar=None, g_m: PeriodicField | None = None,
-               max_iterations: int | None = None,
+               gbar=None, max_iterations: int | None = None,
                tolerance: float | None = None) -> TodaSolution:
-    """Solve S_bar(v) = gbar (gaps) and sigma (vm'' + K vm) = g_m (sum).
+    """Solve S_bar(v) = gbar for the gaps of a centred stack.
 
     gbar is an (m-1, n) array, or None for zero. One damped Newton
     iteration on F(v) = S_bar(v) - gbar. It starts from the
@@ -358,8 +355,7 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
     resonance check runs on the first Jacobian; each step refreshes the
     Jacobian and halves its length until the sup-norm residual drops
     (Armijo), and a step that cannot be made to drop is a ConvergenceError.
-    The sum variable is forced to zero for a zero right-hand side; otherwise
-    its equation requires a nondegenerate Jacobi operator. max_iterations
+    The heights are the centred ones (`h_from_v`). max_iterations
     (Newton steps) and tolerance default to the module budget (50, 1e-10).
     """
     iter_cap = _MAX_ITERATIONS if max_iterations is None else int(max_iterations)
@@ -417,17 +413,7 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
         gaps, r_now = gaps + t * step, r_trial
         iterations += 1
 
-    # sum variable: forced zero for homogeneous data, else a direct solve
-    if g_m is None or not np.any(g_m.values):
-        vm = np.zeros(K.grid.n)
-    else:
-        if jacobi_is_degenerate(K):
-            raise ResonanceError(
-                "Jacobi operator is degenerate; the sum-variable equation is not solvable")
-        A = sigma * (second_derivative_matrix(K.grid) + np.diag(K.values))
-        vm = np.linalg.solve(A, g_m.values)
-
-    v = LayerStack.from_arrays(K.grid, gaps, vm)
+    v = LayerStack.from_arrays(K.grid, gaps)
     h = h_from_v(v)
     return TodaSolution(v=v, h=h, iterations=iterations, residual=r_now,
                         method="newton", sigma=sigma, conditioning=s_min / s_med)

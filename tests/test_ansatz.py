@@ -20,7 +20,6 @@ from aclayers.ansatz import (
     StripField,
     StripGrid,
     _expansion,
-    _mode_preconditioner,
     _on_strip,
     _right_preconditioned,
     _t_matrices,
@@ -706,6 +705,8 @@ def test_newton_two_layers_matches_toda_spacing():
 
 
 def test_mode_preconditioner_matches_dense_modes():
+    # precondition = P^{-1}: on each y-mode k a dense solve of base - k^2 I,
+    # base = d_tt - eps^2 mean(K) t d_t + mean_y F'(u)
     K = circle_K(amp=0.2)
     eps = 0.05
     s = scales_of(eps)
@@ -713,17 +714,17 @@ def test_mode_preconditioner_matches_dense_modes():
     u = assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps).values
     kv = _on_strip(K, grid, eps)
     kfreq = 2.0 * np.pi * np.fft.rfftfreq(16, d=grid.y_grid.spacing)
-    inverse = _mode_preconditioner(u, grid, kv, eps)
+    _, precondition = _right_preconditioned(u, grid, kv, eps)
     d1t, d2t = _t_matrices(grid.n_t, grid.dt)
     base = (d2t - eps**2 * kv.mean() * (grid.t[:, None] * d1t)
             + np.diag(np.mean(1.0 - 3.0 * u * u, axis=0)))
-    rng = np.random.default_rng(4)
-    rhs = (rng.standard_normal((len(kfreq), grid.n_t))
-           + 1j * rng.standard_normal((len(kfreq), grid.n_t)))
-    got = inverse(rhs)
-    for idx, k in enumerate(kfreq):
-        ref = np.linalg.solve(base - k * k * np.eye(grid.n_t), rhs[idx])
-        assert np.abs(got[idx] - ref).max() <= 1e-12 * np.abs(ref).max()
+    x = np.random.default_rng(4).standard_normal(grid.shape)
+    got = precondition(x.ravel())
+    xhat = np.fft.rfft(x, axis=0)
+    refhat = np.array([np.linalg.solve(base - k * k * np.eye(grid.n_t), xhat[idx])
+                       for idx, k in enumerate(kfreq)])
+    ref = np.fft.irfft(refhat, n=16, axis=0)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("amp", [1e-9, 2e-9])
@@ -783,10 +784,10 @@ def test_newton_step_applies_preconditioner_inner_plus_two_times(amp, monkeypatc
     # one application per GMRES iteration, one for its true-residual check and
     # one for the step P^{-1} z: no probe of the operator's dtype on a zero vector
     applications = 0
-    mode_preconditioner = ansatz_module._mode_preconditioner
+    mode_solver = ansatz_module._mode_solver
 
     def counted(*args):
-        inverse = mode_preconditioner(*args)
+        inverse = mode_solver(*args)
 
         def apply(rhs):
             nonlocal applications
@@ -795,7 +796,7 @@ def test_newton_step_applies_preconditioner_inner_plus_two_times(amp, monkeypatc
 
         return apply
 
-    monkeypatch.setattr(ansatz_module, "_mode_preconditioner", counted)
+    monkeypatch.setattr(ansatz_module, "_mode_solver", counted)
     K = circle_K(amp=amp)
     eps = 0.05
     s = scales_of(eps)
@@ -919,3 +920,13 @@ def test_newton_rejects_bad_initial_state():
         newton_allen_cahn(StripField(grid, 2.0 * u0.values), K, eps)
     with pytest.raises(DomainError):
         newton_allen_cahn(StripField(grid, np.full(grid.shape, 0.9)), K, eps)
+
+
+def test_newton_rejects_all_zero_initial_state():
+    # level_sets counts every exact zero as a crossing, so the layer count
+    # check passes; the band sizing then finds no y-mode and must say so typed
+    K = circle_K()
+    eps = 0.05
+    grid = default_strip_grid(K, eps, 1)
+    with pytest.raises(DomainError, match="no layers"):
+        newton_allen_cahn(StripField(grid, np.zeros(grid.shape)), K, eps)

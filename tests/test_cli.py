@@ -393,6 +393,33 @@ def test_ansatz_residual_rejects_a_strip_narrower_than_the_layers(tmp_path):
     assert not (out / "u0_00.csv").exists()
 
 
+@pytest.mark.parametrize("command,first_files", [
+    ("toda-solve", ["toda_gaps_00.csv"]),
+    ("ansatz-residual", ["u0_00.csv", "residual_00.csv"]),
+])
+def test_sweep_failing_partway_writes_no_manifest(tmp_path, monkeypatch,
+                                                  command, first_files):
+    # each epsilon writes its files as it goes: a solve failing at the second
+    # epsilon leaves the first one's files, but no summary and no manifest
+    solve_toda = cli.solve_toda
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ConvergenceError("stalled")
+        return solve_toda(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_toda", second_fails)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"epsilon": {"min": 0.08, "max": 0.1, "steps": 2}}))
+    code, out = _run(tmp_path, command, "--config", str(cfg))
+    assert code == 3
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.iterdir()) == sorted(first_files)
+
+
 def test_newton_solve_artifacts(tmp_path):
     code, out = _run(tmp_path, "newton-solve", "--epsilon", "0.05",
                      "--emit-levelsets")

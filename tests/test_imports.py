@@ -5,8 +5,8 @@ level only for the CLI manifest's version string: the reduced pipeline
 (scales, toda, spectral, geometry, profile) runs on numpy alone, and the
 strip solvers import their scipy routines where they call them; no module
 imports scipy.optimize at all. Every function, class and method the library
-defines is used by the library or by the benchmark; helpers only the tests
-need live in the tests.
+defines is used by the library or by the benchmark, and so is every default
+of its parameters: helpers and settings only the tests need live in the tests.
 """
 
 import ast
@@ -19,6 +19,11 @@ import aclayers
 
 PACKAGE = Path(aclayers.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the code that uses the library: __init__.py only re-exports, and perfbench
+# drives the library as a client
+READERS = ([p for p in MODULES if p.name != "__init__.py"]
+           + [p for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+              if not p.name.startswith("test_")])
 
 
 def _tree(path: Path) -> ast.Module:
@@ -103,16 +108,105 @@ _UNREFERENCED_ALLOWED = {"truncation_error"}
 
 
 def test_every_definition_is_referenced_outside_the_tests():
-    # __init__.py only re-exports; perfbench drives the library as a client
-    readers = [p for p in MODULES if p.name != "__init__.py"]
-    readers += [p for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
-                if not p.name.startswith("test_")]
-    refs = sum((_references(_tree(p)) for p in readers), Counter())
+    refs = sum((_references(_tree(p)) for p in READERS), Counter())
     unreferenced = [
         f"{path.name}:{node.name}"
-        for path in readers if path.parent == PACKAGE
+        for path in READERS if path.parent == PACKAGE
         for node in _definitions(_tree(path))
         if not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in _UNREFERENCED_ALLOWED
         and refs[node.name] <= _references(node)[node.name]]
     assert unreferenced == []
+
+
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _dict_literals(tree: ast.Module) -> dict[str, set[str]]:
+    """String keys of each module-level dict literal, by the name it is bound to."""
+    found = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and all(isinstance(k, ast.Constant) and isinstance(k.value, str)
+                        for k in node.value.keys)):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    found[target.id] = {k.value for k in node.value.keys}
+    return found
+
+
+def _calls(tree: ast.Module):
+    """(callee name, positional count, keyword names) of every call, None for all.
+
+    The benchmark's `call(name, fn, *args, **kw)` counts as a call of fn. A
+    `**NAME` splat of a module-level dict literal passes that dict's keys;
+    any other splat, `*` or `**`, passes every parameter.
+    """
+    dicts = _dict_literals(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "call" and len(args) >= 2 and _callee(args[1]) is not None:
+            name, args = _callee(args[1]), args[2:]
+        keywords: set[str] | None = set()
+        for kw in node.keywords:
+            if kw.arg is not None:
+                keywords.add(kw.arg)
+            elif isinstance(kw.value, ast.Name) and kw.value.id in dicts:
+                keywords |= dicts[kw.value.id]
+            else:
+                keywords = None
+                break
+        if any(isinstance(arg, ast.Starred) for arg in args):
+            keywords = None
+        yield name, len(args), keywords
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(callee name, parameter, positional index or None) of every default.
+
+    Methods are called without their first parameter, and __init__ under its
+    class name; keyword-only parameters have no positional index.
+    """
+    owner = {id(item): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for item in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        params = node.args.posonlyargs + node.args.args
+        cls = owner.get(id(node))
+        static = any(_callee(d) == "staticmethod" for d in node.decorator_list)
+        if cls is not None and not static:
+            params = params[1:]
+        name = cls.name if node.name == "__init__" and cls is not None else node.name
+        first = len(params) - len(node.args.defaults)
+        for index in range(first, len(params)):
+            yield name, params[index].arg, index
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+# the command line is parsed from sys.argv when main is run as a program
+_DEFAULT_NOT_PASSED_ALLOWED = {"main.argv"}
+
+
+def test_every_default_is_passed_outside_the_tests():
+    # a default no caller overrides is a constant wearing a parameter's name
+    calls = [call for p in READERS for call in _calls(_tree(p))]
+    unpassed = [
+        f"{name}.{param}"
+        for path in MODULES
+        for name, param, index in _defaulted_parameters(_tree(path))
+        if f"{name}.{param}" not in _DEFAULT_NOT_PASSED_ALLOWED
+        and not any(callee == name and (
+            keywords is None or param in keywords
+            or (index is not None and positional > index))
+            for callee, positional, keywords in calls)]
+    assert unpassed == []

@@ -188,22 +188,23 @@ def test_monotonicity_constant_closed_form():
     def fam(sigma):
         return assemble_A(gaps, 0.0, K, mats)  # no sigma K I part
 
-    rep = monotonicity_check(0.04, 0.05, fam, count=15)
+    rep = monotonicity_check(0.04, 0.05, fam)
     assert rep.holds
     expected = a0 * (0.05 - 0.04) / (0.05 * 0.04)
-    assert rep.differences == pytest.approx(np.full(15, expected), rel=1e-9)
+    assert rep.count == 20
+    assert rep.differences == pytest.approx(np.full(20, expected), rel=1e-9)
     assert rep.gamma_minus == pytest.approx(a0, rel=1e-12)
 
 
 def test_monotonicity_holds_on_curves():
     for K in (unit_K(48), wavy_K(48)):
-        rep = monotonicity_check(0.04, 0.05, _family(K, 2), count=20)
+        rep = monotonicity_check(0.04, 0.05, _family(K, 2))
         assert rep.holds
         assert rep.worst_slack >= 0.0
 
 
 def test_monotonicity_degenerate_equal_sigmas():
-    rep = monotonicity_check(0.05, 0.05, _family(unit_K(32), 2), count=10)
+    rep = monotonicity_check(0.05, 0.05, _family(unit_K(32), 2))
     assert rep.holds
     assert rep.lower_bound == 0.0
     assert rep.upper_bound == 0.0
@@ -443,7 +444,7 @@ def test_resonance_margin_monotone_in_cgap():
 
 
 @pytest.mark.parametrize("call", [
-    lambda K: resonant_sigmas(K, 2, sigma_min=0.0),
+    lambda K: resonant_sigmas(K, 2, sigma_min=0.0, sigma_max=1.0),
     lambda K: resonant_sigmas(K, 2, sigma_min=0.5, sigma_max=0.1),
 ], ids=["sigma-min-zero", "sigma-range-reversed"])
 def test_sigma_entry_points_reject_bad_couplings(call):
@@ -499,10 +500,9 @@ def test_scan_epsilons_basic():
         assert math.floor(-math.log2(sg)) == expo
 
 
-def test_scan_epsilons_empty():
-    K = unit_K(64)
-    res = scan_epsilons(0.02, 0.15, 0, K, 2)
-    assert len(res.epsilons) == 0
+def test_scan_epsilons_without_steps_rejected():
+    with pytest.raises(DomainError, match="at least 1 step"):
+        scan_epsilons(0.02, 0.15, 0, unit_K(64), 2)
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):

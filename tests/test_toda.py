@@ -17,7 +17,6 @@ from aclayers.geometry import (
     PeriodicField,
     PeriodicGrid,
     sample_curvature,
-    second_derivative,
 )
 from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.toda import (
@@ -82,10 +81,10 @@ def test_matrices_m4_eigenvalues_against_oracle():
 
 
 def test_matrices_b_structure():
-    # h_from_v inverts B: difference rows h_{l+1} - h_l above the summing row
+    # h_from_v inverts B: difference rows h_{l+1} - h_l above the zero summing row
     g = circle_grid(32)
-    heights = np.outer(np.arange(5.0), 1.0 + np.cos(g.points()))
-    v = LayerStack.from_arrays(g, np.diff(heights, axis=0), heights.sum(axis=0))
+    heights = np.outer(np.arange(5.0) - 2.0, 1.0 + np.cos(g.points()))
+    v = LayerStack.from_arrays(g, np.diff(heights, axis=0))
     assert np.max(np.abs(heights_of(h_from_v(v)) - heights)) < 1e-14
 
 
@@ -100,31 +99,31 @@ def test_matrices_m1_rejected():
         build_matrices(1)
 
 
-# --- changes of variables (gaps v = B h, with v_m the sum of the heights) ---
+# --- changes of variables (gaps v = B h of a centred stack) ---
 
 def test_v_from_h_zero():
     g = circle_grid()
-    v = LayerStack.from_arrays(g, np.zeros((2, g.n)), np.zeros(g.n))
+    v = LayerStack.from_arrays(g, np.zeros((2, g.n)))
     h = h_from_v(v)
     assert h.m == 3
     assert np.max(np.abs(heights_of(h))) == 0.0
 
 
 def test_round_trip_random():
-    # heights of any gaps and sum: differences are the gaps, the sum is vm
+    # heights of any gaps: differences are the gaps, and the stack is centred
     g = circle_grid(32)
     rng = np.random.default_rng(20260814)
     for m in (2, 3, 5):
-        gaps, vm = rng.standard_normal((m - 1, g.n)), rng.standard_normal(g.n)
-        h = heights_of(h_from_v(LayerStack.from_arrays(g, gaps, vm)))
+        gaps = rng.standard_normal((m - 1, g.n))
+        h = heights_of(h_from_v(LayerStack.from_arrays(g, gaps)))
         assert np.max(np.abs(np.diff(h, axis=0) - gaps)) < 1e-12
-        assert np.max(np.abs(h.sum(axis=0) - vm)) < 1e-12
+        assert np.max(np.abs(h.sum(axis=0))) < 1e-12
 
 
 def test_v_from_h_m2_antisymmetric():
     g = circle_grid(32)
     a = 0.7
-    v = LayerStack.from_arrays(g, np.full((1, g.n), 2.0 * a), np.zeros(g.n))
+    v = LayerStack.from_arrays(g, np.full((1, g.n), 2.0 * a))
     h = heights_of(h_from_v(v))
     assert h[0] == pytest.approx(np.full(g.n, -a))
     assert h[1] == pytest.approx(np.full(g.n, a))
@@ -319,7 +318,7 @@ def test_solve_toda_matches_algebraic_oracle():
         got = sol.v.gap_array()
         assert np.max(np.abs(got - oracle[:, None])) < 1e-9
         assert sol.residual < 1e-10
-        assert np.max(np.abs(sol.v.vm.values)) == 0.0
+        assert np.max(np.abs(heights_of(sol.h).sum(axis=0))) < 1e-12
 
 
 def test_solve_toda_reflection_symmetry():
@@ -399,17 +398,6 @@ def test_solve_toda_forced_converges_fast(K, m, eps):
         sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
     assert sol.residual < 1e-10
     assert sol.iterations <= 10
-
-
-def test_solve_toda_gm_solve():
-    s = scales_of(0.05)
-    K = wavy_K(64)  # nondegenerate Jacobi
-    g = K.grid
-    g_m = PeriodicField(g, 0.01 * np.sin(2.0 * g.points()))
-    sol = solve_toda(K, s, 2, k_start=3, g_m=g_m)
-    vm = sol.v.vm
-    resid = s.sigma * (second_derivative(vm).values + K.values * vm.values) - g_m.values
-    assert np.max(np.abs(resid)) < 1e-9 * np.max(np.abs(g_m.values)) / s.sigma
 
 
 @pytest.mark.parametrize("gbar", [0.0, np.zeros(2)], ids=["scalar", "per-gap"])
