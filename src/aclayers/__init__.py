@@ -26,8 +26,6 @@ from .geometry import (
     sample_curvature,
 )
 from .toda import (
-    HStack,
-    LayerStack,
     TodaSolution,
     equilibrium_gap_forcing,
     f_from_h,

@@ -132,7 +132,7 @@ def check_first_order_balance() -> CriterionResult:
         for m in (2, 3):
             v1 = first_order_profile(K, m, BETA_EXACT)
             gap = np.max(np.abs(BETA_EXACT * K.values[None, :]
-                                + S0_bar(v1.gap_array())))
+                                + S0_bar(v1)))
             worst = max(worst, float(gap))
     runtime = time.perf_counter() - t0
     details = f"max ||beta K + S0(v1)|| = {worst:.2e}"
@@ -183,8 +183,7 @@ def check_gap_solver_oracle() -> CriterionResult:
     for m in (2, 3, 4):
         sol = solve_toda(K, s, m, k_start=3)
         oracle = _gap_oracle(m, s.sigma, s.beta)
-        worst = max(worst, float(np.max(np.abs(sol.v.gap_array()
-                                               - oracle[:, None]))))
+        worst = max(worst, float(np.max(np.abs(sol.v - oracle[:, None]))))
     runtime = time.perf_counter() - t0
     details = f"max |solve - oracle| = {worst:.2e} over m in (2, 3, 4)"
     return CriterionResult(5, "gap solver vs algebraic oracle",
@@ -360,7 +359,7 @@ def check_two_layer_existence() -> CriterionResult:
     rep = newton_allen_cahn(u0, K, eps)
     curves = rep.level_curves
     spacing = float((curves[:, 1] - curves[:, 0]).mean())
-    predicted = s.rho + float(sol.v.gap_array()[0].mean())
+    predicted = s.rho + float(sol.v[0].mean())
     rel = abs(spacing - predicted) / predicted
     runtime = time.perf_counter() - t0
     ok = (rep.residual_norms[-1] < 1e-9 and curves.shape[1] == 2

@@ -43,7 +43,7 @@ from .geometry import (
 )
 from .profile import SQRT2, heteroclinic, heteroclinic_derivative
 from .scales import scales_of
-from .toda import HStack, f_from_h
+from .toda import f_from_h
 
 # h-norm budget used for window sizing only
 M_BUDGET = 2.0
@@ -265,8 +265,9 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     return StripField(grid, out)
 
 
-def _expansion(h: HStack, K: PeriodicField, epsilon: float, grid: StripGrid):
-    """u0 and S(u0) for the stack built from h, and the expansion near each layer.
+def _expansion(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
+               grid: StripGrid):
+    """u0 and S(u0) of the stack on the heights h, and the expansion near each layer.
 
     Returns (u0, S(u0), terms, in_window). Each term field is that term of every
     layer ell on its own part of the disjoint nearest-layer partition of the
@@ -281,7 +282,7 @@ def _expansion(h: HStack, K: PeriodicField, epsilon: float, grid: StripGrid):
       gradient_sq: +eps^2 (h_ell')^2 w''.
     Here t = z - f_ell is the local coordinate and fbase_ell = (ell - (m+1)/2) rho.
     """
-    m = h.m
+    m = len(h)
     s = scales_of(epsilon)
     _check_window(grid, m, s.rho)
     f = f_from_h(h, s)
@@ -291,9 +292,9 @@ def _expansion(h: HStack, K: PeriodicField, epsilon: float, grid: StripGrid):
     positions = [_on_strip(fj, grid, epsilon) for fj in f]
     nearest = np.argmin(np.abs(grid.t[None, None, :] - np.stack(positions)[:, :, None]),
                         axis=0)
-    gap_exp = [_on_strip(PeriodicField(h.grid, np.exp(-SQRT2 * (hi.values - lo.values))),
+    gap_exp = [_on_strip(PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values))),
                          grid, epsilon)[:, None]
-               for lo, hi in zip(h.h, h.h[1:])]
+               for lo, hi in zip(h, h[1:])]
 
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     res = np.zeros(grid.shape)
@@ -301,7 +302,7 @@ def _expansion(h: HStack, K: PeriodicField, epsilon: float, grid: StripGrid):
     terms = {name: np.zeros(grid.shape)
              for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
     layers = _layer_shares(f, positions, grid, kv, epsilon)
-    for ell, (h_ell, (t_loc, w, wp, wpp, share)) in enumerate(zip(h.h, layers), start=1):
+    for ell, (h_ell, (t_loc, w, wp, wpp, share)) in enumerate(zip(h, layers), start=1):
         sign = (-1.0) ** (ell - 1)
         u0 += sign * w
         res += share
@@ -413,10 +414,10 @@ class ResidualReport:
                 f"bound {bound:.6g}")
 
 
-def residual_report(h: HStack, K: PeriodicField, epsilon: float,
+def residual_report(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
                     grid: StripGrid, p: float = 4.0,
                     sigma_decay: float = 1.0) -> ResidualReport:
-    """Measure S(u0) for the stack built from h, term by term.
+    """Measure S(u0) for the stack on the heights h (one field per layer), term by term.
 
     The expansion terms (see `_expansion`) are evaluated on the disjoint
     partition of the strip by nearest layer, capped at the window
@@ -544,27 +545,37 @@ def strip_energy(u: StripField, epsilon: float) -> float:
 
 
 def level_sets(u: StripField) -> np.ndarray:
-    """Zero crossings of u in t per y-row, located by linear interpolation.
+    """Zero crossings of u in t per y-row.
 
-    A crossing is a node where u is exactly zero, or a sign change between
-    neighbouring nodes, placed at t_j - u_j (t_{j+1} - t_j)/(u_{j+1} - u_j).
-    Returns an (n_y, count) array of crossing t-values; the count must be
-    the same on every row.
+    A crossing is a sign change between consecutive nonzero nodes of a row;
+    nodes equal to +-0.0 are skipped. Between neighbouring nodes j, j+1 it
+    is placed by linear interpolation at t_j - u_j (t_{j+1} - t_j)/(u_{j+1} - u_j),
+    across zero nodes at the first of them. A plateau or touch with one sign
+    on both sides, and zeros at the row ends, are no crossing. Returns an
+    (n_y, count) array of crossing t-values; the count must be the same on
+    every row.
     """
     t = u.grid.t
     v = u.values
-    change = v[:, :-1] * v[:, 1:] < 0.0
-    hit = np.append(change | (v[:, :-1] == 0.0), v[:, -1:] == 0.0, axis=1)
-    counts = hit.sum(axis=1)
+    sign = np.sign(v)
+    # events: nodes k whose sign (-1, 0 or 1) differs from that of node k-1
+    rows, k = np.nonzero(sign[:, 1:] != sign[:, :-1])
+    k += 1
+    # a node after zeros pairs with the node j before the zero run, whose start
+    # is the event just before it in its row; with no such event zeros lead the row
+    after_zeros = sign[rows, k - 1] == 0.0
+    j = np.where(after_zeros, np.append(0, k[:-1]) - 1, k - 1)
+    leading = after_zeros & (np.append(-1, rows[:-1]) != rows)
+    cross = (sign[rows, k] != 0.0) & ~leading & (sign[rows, j] != sign[rows, k])
+    rows, j, k = rows[cross], j[cross], k[cross]
+    counts = np.bincount(rows, minlength=v.shape[0])
     bad = np.flatnonzero(counts != counts[0])
     if bad.size:
         raise NumericalError(
             f"level-set count varies along the curve: {counts[bad[0]]} vs {counts[0]}")
-    where = np.tile(t, (v.shape[0], 1))
-    rows, cols = np.nonzero(change)
-    a, b = v[rows, cols], v[rows, cols + 1]
-    where[rows, cols] = t[cols] - a * (t[cols + 1] - t[cols]) / (b - a)
-    return where[hit].reshape(v.shape[0], counts[0])
+    a, b = v[rows, j], v[rows, k]
+    where = np.where(k == j + 1, t[j] - a * (t[j + 1] - t[j]) / (b - a), t[j + 1])
+    return where.reshape(v.shape[0], counts[0])
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,8 @@ from .spectral import (
     weyl_count,
 )
 from .toda import (
+    MAX_ITERATIONS,
+    RESIDUAL_TOL,
     build_matrices,
     equilibrium_gap_forcing,
     f_from_h,
@@ -278,9 +280,9 @@ _FIELDS = (
            lambda v: v >= 15 and v % 2 == 1, "must be odd and at least 15"),
     _Field("grid.t_extent", "t_extent", "auto", _parse_t_extent),
     _Field("toda.k", "toda_k", 3, int, lambda v: 1 <= v <= 6, "must lie in 1..6"),
-    _Field("toda.max_iterations", "toda_max_iterations", 50, int,
+    _Field("toda.max_iterations", "toda_max_iterations", MAX_ITERATIONS, int,
            lambda v: v >= 1, "must be at least 1"),
-    _Field("toda.tolerance", "toda_tolerance", 1e-10, float,
+    _Field("toda.tolerance", "toda_tolerance", RESIDUAL_TOL, float,
            lambda v: v > 0.0, "must be positive"),
     _Field("spectral.c_gap", "c_gap", DEFAULT_C_GAP, float,
            lambda v: v > 0.0, "must be positive"),
@@ -476,7 +478,7 @@ def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter,
     entries = []
     for i, eps in enumerate(cfg.epsilons):
         s, sol = _toda_solution(cfg, K, eps)
-        gaps = sol.v.gap_array()
+        gaps = sol.v
         entries.append({
             "epsilon": eps, "sigma": s.sigma, "m": cfg.m,
             "iterations": sol.iterations, "conditioning": sol.conditioning,

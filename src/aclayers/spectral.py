@@ -30,7 +30,7 @@ from .errors import DomainError
 from .geometry import PeriodicField, PeriodicGrid, ell0, resample_field, second_derivative_matrix
 from .profile import BETA_EXACT, SQRT2
 from .scales import EPS_MAX, scales_of
-from .toda import TodaMatrices, _gap_block_matrix, _gaps_of, build_matrices, interaction_weights
+from .toda import TodaMatrices, _gap_block_matrix, build_matrices, interaction_weights
 
 DEFAULT_C_GAP = 0.5
 _TIE_RTOL = 1e-12
@@ -42,15 +42,13 @@ class MatrixFieldA:
     """Pointwise symmetric coefficient matrix A(y, sigma) on a periodic grid."""
 
     grid: PeriodicGrid
-    m: int
-    sigma: float
     entries: np.ndarray  # (n, m-1, m-1)
 
     def __post_init__(self) -> None:
         e = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", e)
-        if e.shape != (self.grid.n, self.m - 1, self.m - 1):
-            raise DomainError(f"entries shape {e.shape} inconsistent with grid/m")
+        if e.ndim != 3 or e.shape[0] != self.grid.n or e.shape[1] != e.shape[2]:
+            raise DomainError(f"entries shape {e.shape} is not (n, m-1, m-1) on the grid")
         skew = np.max(np.abs(e - np.swapaxes(e, 1, 2)))
         if skew > 1e-12 * max(np.max(np.abs(e)), 1.0):
             raise DomainError("A must be symmetric at every grid point")
@@ -65,7 +63,6 @@ class MatrixFieldA:
 class EigenReport:
     """Sorted spectrum of one L_sigma discretization."""
 
-    sigma: float
     eigenvalues: np.ndarray
     negative_count: int
 
@@ -76,12 +73,11 @@ class EigenReport:
             raise DomainError("eigenvalues must be sorted ascending")
 
 
-def assemble_A(vbar_k, sigma: float, K: PeriodicField,
+def assemble_A(gaps: np.ndarray, sigma: float, K: PeriodicField,
                matrices: TodaMatrices) -> MatrixFieldA:
     """A(y, sigma) = sigma K I + sqrt(2) C^{1/2} diag(e^{-sqrt(2) v}) C^{1/2}."""
     if sigma < 0.0:
         raise DomainError("sigma must be nonnegative")
-    gaps = _gaps_of(vbar_k)
     mm, n = gaps.shape
     if mm != matrices.m - 1:
         raise DomainError("gap count does not match the matrix bundle")
@@ -94,7 +90,7 @@ def assemble_A(vbar_k, sigma: float, K: PeriodicField,
     entries = sigma * K.values[:, None, None] * eye[None, :, :] + core
     # symmetrize away einsum roundoff so the invariant is exact
     entries = 0.5 * (entries + np.swapaxes(entries, 1, 2))
-    return MatrixFieldA(grid=K.grid, m=matrices.m, sigma=sigma, entries=entries)
+    return MatrixFieldA(grid=K.grid, entries=entries)
 
 
 def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
@@ -103,15 +99,13 @@ def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
     ev = np.linalg.eigvalsh(_gap_block_matrix(sigma, A.grid, A.entries))
     scale = max(float(np.max(np.abs(ev))), 1.0)
     negative = int(np.sum(ev < -_TIE_RTOL * scale))
-    return EigenReport(sigma=sigma, eigenvalues=ev, negative_count=negative)
+    return EigenReport(eigenvalues=ev, negative_count=negative)
 
 
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Two-sided check of the sigma-scaled eigenvalue increments."""
 
-    sigma1: float
-    sigma2: float
     gamma_minus: float
     gamma_plus: float
     count: int
@@ -157,8 +151,7 @@ def monotonicity_check(sigma1: float, sigma2: float,
     lower = d_sigma * gamma_minus / (2.0 * sigma2**2)
     upper = 2.0 * d_sigma * gamma_plus / sigma1**2
     holds = bool(np.all(diffs >= lower) and np.all(diffs <= upper))
-    return MonotonicityReport(sigma1=sigma1, sigma2=sigma2,
-                              gamma_minus=gamma_minus, gamma_plus=gamma_plus,
+    return MonotonicityReport(gamma_minus=gamma_minus, gamma_plus=gamma_plus,
                               count=n_eff, differences=diffs,
                               lower_bound=lower, upper_bound=upper, holds=holds)
 

@@ -7,11 +7,12 @@ v_l = h_{l+1} - h_l the system reads
     S_bar(v) = sigma [v'' + K v] + beta K [1 ... 1] + S0_bar(v),
     S0_bar(v) = -C [e^{-sqrt(2) v_1} ... e^{-sqrt(2) v_{m-1}}]^T,
 
-with C the (m-1) tridiagonal (-1, 2, -1) matrix. The stack is centred: the
-heights sum to zero. Summing the height equations leaves the Jacobi equation
-sigma (s'' + K s) = 0 for s = h_1 + ... + h_m, whose only solution is zero on a
-curve without Jacobi fields (a non-degenerate curve, see
-`geometry.jacobi_is_degenerate`).
+with C the (m-1) tridiagonal (-1, 2, -1) matrix. Gaps are (m-1, n) arrays on
+the grid of K; heights h and positions f are tuples of PeriodicFields, one per
+layer. The stack is centred: the heights sum to zero. Summing the height
+equations leaves the Jacobi equation sigma (s'' + K s) = 0 for
+s = h_1 + ... + h_m, whose only solution is zero on a curve without Jacobi
+fields (a non-degenerate curve, see `geometry.jacobi_is_degenerate`).
 The explicit profile v^1 kills the O(1) part exactly; sigma^k corrections
 refine it, and one damped Newton iteration, started from that profile shifted
 to the forced leading-order balance, finishes the solve.
@@ -38,8 +39,8 @@ from .scales import Scales
 
 MAX_CORRECTION_ORDER = 6
 _RESONANCE_RATIO = 1e-6  # s_min below this multiple of the median singular value
-_MAX_ITERATIONS = 50
-_RESIDUAL_TOL = 1e-10
+MAX_ITERATIONS = 50  # Newton steps of the gap solve
+RESIDUAL_TOL = 1e-10  # sup-norm residual the gap solve must reach
 
 
 @dataclass(frozen=True)
@@ -88,87 +89,24 @@ def build_matrices(m: int) -> TodaMatrices:
     return TodaMatrices(m=m, C=C, C_sqrt=C_sqrt)
 
 
-@dataclass(frozen=True)
-class LayerStack:
-    """Gap variables v_1..v_{m-1} of a centred stack, one grid."""
-
-    m: int
-    vbar: tuple[PeriodicField, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise DomainError("need at least 2 layers")
-        if len(self.vbar) != self.m - 1:
-            raise DomainError(f"expected {self.m - 1} gap fields, got {len(self.vbar)}")
-        for f in self.vbar[1:]:
-            if f.grid != self.vbar[0].grid:
-                raise DomainError("all stack fields must share one grid")
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.vbar[0].grid
-
-    def gap_array(self) -> np.ndarray:
-        """Gaps as an (m-1, n) array."""
-        return np.stack([f.values for f in self.vbar])
-
-    @staticmethod
-    def from_arrays(grid: PeriodicGrid, gaps: np.ndarray) -> "LayerStack":
-        gaps = np.atleast_2d(np.asarray(gaps, dtype=float))
-        return LayerStack(m=gaps.shape[0] + 1,
-                          vbar=tuple(PeriodicField(grid, row) for row in gaps))
-
-
-@dataclass(frozen=True)
-class HStack:
-    """Layer heights h_1..h_m on one grid."""
-
-    m: int
-    h: tuple[PeriodicField, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.h) != self.m:
-            raise DomainError(f"expected {self.m} height fields, got {len(self.h)}")
-        for f in self.h[1:]:
-            if f.grid != self.h[0].grid:
-                raise DomainError("all stack fields must share one grid")
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.h[0].grid
-
-    @staticmethod
-    def from_array(grid: PeriodicGrid, heights: np.ndarray) -> "HStack":
-        heights = np.atleast_2d(np.asarray(heights, dtype=float))
-        return HStack(m=heights.shape[0],
-                      h=tuple(PeriodicField(grid, row) for row in heights))
-
-
-def h_from_v(v: LayerStack) -> HStack:
-    """Centred heights from gaps: solve B h = (v_1..v_{m-1}, 0).
+def h_from_v(grid: PeriodicGrid, gaps: np.ndarray) -> tuple[PeriodicField, ...]:
+    """Centred heights from (m-1, n) gaps: solve B h = (v_1..v_{m-1}, 0).
 
     B has the difference rows h_{l+1} - h_l = v_l above the summing row
     h_1 + ... + h_m = 0.
     """
-    B = np.eye(v.m, k=1) - np.eye(v.m)
+    m = gaps.shape[0] + 1
+    B = np.eye(m, k=1) - np.eye(m)
     B[-1, :] = 1.0
-    stacked = np.vstack([v.gap_array(), np.zeros((1, v.grid.n))])
-    return HStack.from_array(v.grid, np.linalg.solve(B, stacked))
+    stacked = np.vstack([gaps, np.zeros((1, grid.n))])
+    return tuple(PeriodicField(grid, row) for row in np.linalg.solve(B, stacked))
 
 
-def f_from_h(h: HStack, scales: Scales) -> tuple[PeriodicField, ...]:
+def f_from_h(h: tuple[PeriodicField, ...], scales: Scales) -> tuple[PeriodicField, ...]:
     """Layer positions f_k = (k - (m+1)/2) rho + h_k in stretched units."""
-    rho = scales.rho
-    return tuple(
-        PeriodicField(h.grid, (k - (h.m + 1) / 2.0) * rho + h.h[k - 1].values)
-        for k in range(1, h.m + 1))
-
-
-def _gaps_of(v) -> np.ndarray:
-    """Accept a LayerStack or a raw (m-1, n) array of gap values."""
-    if isinstance(v, LayerStack):
-        return v.gap_array()
-    return np.atleast_2d(np.asarray(v, dtype=float))
+    m = len(h)
+    return tuple(PeriodicField(hk.grid, (k - (m + 1) / 2.0) * scales.rho + hk.values)
+                 for k, hk in enumerate(h, start=1))
 
 
 def interaction_weights(m: int) -> np.ndarray:
@@ -177,8 +115,8 @@ def interaction_weights(m: int) -> np.ndarray:
     return (m - ell) * ell
 
 
-def first_order_profile(K: PeriodicField, m: int, beta: float) -> LayerStack:
-    """The explicit profile with S0_bar(v^1) = -beta K [1..1] pointwise.
+def first_order_profile(K: PeriodicField, m: int, beta: float) -> np.ndarray:
+    """The explicit (m-1, n) gap profile with S0_bar(v^1) = -beta K [1..1] pointwise.
 
     v^1_l = -(1/sqrt(2)) log[(beta/2) K(y) a_l], a_l = (m-l) l, so that
     e^{-sqrt(2) v^1_l} = (beta/2) K a_l and C a = 2 [1..1] turns the
@@ -191,33 +129,29 @@ def first_order_profile(K: PeriodicField, m: int, beta: float) -> LayerStack:
     if np.min(K.values) <= 0.0:
         raise DomainError("curvature field must be positive")
     a = interaction_weights(m)
-    gaps = -np.log(0.5 * beta * np.outer(a, K.values)) / SQRT2
-    return LayerStack.from_arrays(K.grid, gaps)
+    return -np.log(0.5 * beta * np.outer(a, K.values)) / SQRT2
 
 
-def S0_bar(v) -> np.ndarray:
+def S0_bar(gaps: np.ndarray) -> np.ndarray:
     """Nearest-neighbor tail interaction: -C applied to the exponential vector."""
-    gaps = _gaps_of(v)
     C = _interaction_matrix(gaps.shape[0] + 1)
     return -(C @ np.exp(-SQRT2 * gaps))
 
 
-def DS0_bar(v) -> np.ndarray:
+def DS0_bar(gaps: np.ndarray) -> np.ndarray:
     """Pointwise Jacobian of S0_bar: sqrt(2) C diag(e^{-sqrt(2) v_l}).
 
     Returns an (n, m-1, m-1) array. At the first-order profile this equals
     (beta/sqrt(2)) K(y) times the a_l-weighted tridiagonal, and is invertible
     at every grid point whenever K > 0.
     """
-    gaps = _gaps_of(v)
     C = _interaction_matrix(gaps.shape[0] + 1)
     expv = np.exp(-SQRT2 * gaps)  # (m-1, n)
     return SQRT2 * C[None, :, :] * expv.T[:, None, :]
 
 
-def S_bar(v, sigma: float, K: PeriodicField, beta: float) -> np.ndarray:
+def S_bar(gaps: np.ndarray, sigma: float, K: PeriodicField, beta: float) -> np.ndarray:
     """Full gap operator: sigma [v'' + K v] + beta K [1..1] + S0_bar(v)."""
-    gaps = _gaps_of(v)
     if gaps.shape[1] != K.grid.n:
         raise DomainError("gap fields and curvature live on different grids")
     d2 = _spectral_derivative(gaps, K.grid, 2)
@@ -239,10 +173,19 @@ def equilibrium_gap_forcing(K: PeriodicField, m: int, beta: float) -> np.ndarray
     return (beta - 1.0 / beta) * np.tile(K.values, (m - 1, 1))
 
 
-def _corrections(K: PeriodicField, sigma: float, beta: float, m: int,
-                 k: int) -> np.ndarray:
-    """Gap array of v^k = v^1 + sum of the first k-1 algebraic corrections."""
-    v1 = first_order_profile(K, m, beta).gap_array()
+def iterate_corrections(K: PeriodicField, scales: Coupling, m: int, k: int) -> np.ndarray:
+    """Gaps v^k = v^1 + the first k-1 corrections, ||S_bar(v^k)||_inf = O(sigma^k).
+
+    k = 1 returns the first-order profile itself; each further order solves
+    one pointwise linear system against the fixed Jacobian at v^1. Orders
+    above 6 are rejected: the correction terms fall below conditioning noise.
+    """
+    if k < 1:
+        raise DomainError("correction order must be at least 1")
+    if k > MAX_CORRECTION_ORDER:
+        raise DomainError(f"correction order capped at {MAX_CORRECTION_ORDER}")
+    sigma = scales.sigma
+    v1 = first_order_profile(K, m, scales.beta)
     if k == 1:
         return v1
     # fixed pointwise Jacobian at v^1, reused for every correction order
@@ -279,21 +222,6 @@ def _corrections(K: PeriodicField, sigma: float, beta: float, m: int,
     return v1 + partial
 
 
-def iterate_corrections(K: PeriodicField, scales: Coupling, m: int, k: int) -> LayerStack:
-    """Profile v^k with residual ||S_bar(v^k)||_inf = O(sigma^k).
-
-    k = 1 returns the first-order profile itself; each further order solves
-    one pointwise linear system against the fixed Jacobian at v^1. Orders
-    above 6 are rejected: the correction terms fall below conditioning noise.
-    """
-    if k < 1:
-        raise DomainError("correction order must be at least 1")
-    if k > MAX_CORRECTION_ORDER:
-        raise DomainError(f"correction order capped at {MAX_CORRECTION_ORDER}")
-    gaps = _corrections(K, scales.sigma, scales.beta, m, k)
-    return LayerStack.from_arrays(K.grid, gaps)
-
-
 def _gap_block_matrix(sigma: float, grid: PeriodicGrid, field: np.ndarray) -> np.ndarray:
     """Dense matrix of omega -> -sigma omega'' - F(y) omega on (m-1) stacked fields.
 
@@ -308,9 +236,9 @@ def _gap_block_matrix(sigma: float, grid: PeriodicGrid, field: np.ndarray) -> np
     return L
 
 
-def _linearized_matrix(vbar_base, sigma: float, K: PeriodicField) -> np.ndarray:
-    """Dense matrix of L(omega) = -sigma [omega'' + K omega] - DS0_bar(base) omega."""
-    J = DS0_bar(_gaps_of(vbar_base))  # (n, m-1, m-1)
+def _linearized_matrix(gaps: np.ndarray, sigma: float, K: PeriodicField) -> np.ndarray:
+    """Dense matrix of L(omega) = -sigma [omega'' + K omega] - DS0_bar(gaps) omega."""
+    J = DS0_bar(gaps)  # (n, m-1, m-1)
     mm = J.shape[1]
     field = J + sigma * K.values[:, None, None] * np.eye(mm)[None, :, :]
     return _gap_block_matrix(sigma, K.grid, field)
@@ -318,18 +246,18 @@ def _linearized_matrix(vbar_base, sigma: float, K: PeriodicField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TodaSolution:
-    """Converged gap solve: stacks, Newton steps, residual, method, conditioning.
+    """Converged gap solve: gaps, heights, Newton steps, residual, method, conditioning.
 
+    v is the (m-1, n) gap array and h the m centred heights (`h_from_v`).
     conditioning is s_min/s_median of the linearized gap operator at the
     starting profile, the margin the resonance check tests.
     """
 
-    v: LayerStack
-    h: HStack
+    v: np.ndarray
+    h: tuple[PeriodicField, ...]
     iterations: int
     residual: float
     method: str
-    sigma: float
     conditioning: float
 
 
@@ -343,8 +271,8 @@ def _as_gbar(gbar, shape: tuple[int, int]) -> np.ndarray:
 
 
 def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
-               gbar=None, max_iterations: int | None = None,
-               tolerance: float | None = None) -> TodaSolution:
+               gbar=None, max_iterations: int = MAX_ITERATIONS,
+               tolerance: float = RESIDUAL_TOL) -> TodaSolution:
     """Solve S_bar(v) = gbar for the gaps of a centred stack.
 
     gbar is an (m-1, n) array, or None for zero. One damped Newton
@@ -355,17 +283,15 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
     resonance check runs on the first Jacobian; each step refreshes the
     Jacobian and halves its length until the sup-norm residual drops
     (Armijo), and a step that cannot be made to drop is a ConvergenceError.
-    The heights are the centred ones (`h_from_v`). max_iterations
-    (Newton steps) and tolerance default to the module budget (50, 1e-10).
+    The heights are the centred ones (`h_from_v`). max_iterations caps the
+    Newton steps, and tolerance is the sup-norm residual they must reach.
     """
-    iter_cap = _MAX_ITERATIONS if max_iterations is None else int(max_iterations)
-    resid_tol = _RESIDUAL_TOL if tolerance is None else float(tolerance)
-    if iter_cap < 1:
+    if max_iterations < 1:
         raise DomainError("max_iterations must be at least 1")
-    if not resid_tol > 0.0:
+    if not tolerance > 0.0:
         raise DomainError("tolerance must be positive")
     sigma, beta = scales.sigma, scales.beta
-    vk = iterate_corrections(K, scales, m, k_start).gap_array()
+    vk = iterate_corrections(K, scales, m, k_start)
     target = _as_gbar(gbar, vk.shape)
 
     # at leading order e^{-sqrt(2) v} = C^{-1}(beta K [1..1] - gbar), against
@@ -393,10 +319,10 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
 
     r_now = residual_of(gaps)
     iterations = 0
-    while r_now >= resid_tol:
-        if iterations == iter_cap:
+    while r_now >= tolerance:
+        if iterations == max_iterations:
             raise ConvergenceError(
-                f"gap solve did not converge in {iter_cap} Newton steps: "
+                f"gap solve did not converge in {max_iterations} Newton steps: "
                 f"residual {r_now:.3e}")
         if iterations > 0:
             L = _linearized_matrix(gaps, sigma, K)
@@ -413,7 +339,5 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
         gaps, r_now = gaps + t * step, r_trial
         iterations += 1
 
-    v = LayerStack.from_arrays(K.grid, gaps)
-    h = h_from_v(v)
-    return TodaSolution(v=v, h=h, iterations=iterations, residual=r_now,
-                        method="newton", sigma=sigma, conditioning=s_min / s_med)
+    return TodaSolution(v=gaps, h=h_from_v(K.grid, gaps), iterations=iterations,
+                        residual=r_now, method="newton", conditioning=s_min / s_med)

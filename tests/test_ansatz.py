@@ -44,7 +44,7 @@ from aclayers.geometry import (
 )
 from aclayers.profile import SQRT2, heteroclinic, heteroclinic_derivative
 from aclayers.scales import scales_of
-from aclayers.toda import HStack, equilibrium_gap_forcing, f_from_h, solve_toda
+from aclayers.toda import equilibrium_gap_forcing, f_from_h, solve_toda
 
 TWO_PI = 2.0 * math.pi
 B1 = 2.0 * math.sqrt(2.0) / 3.0
@@ -60,7 +60,7 @@ def circle_K(n=16, amp=0.0):
 
 
 def flat_layers(K, m):
-    return HStack.from_array(K.grid, np.zeros((m, K.grid.n)))
+    return tuple(PeriodicField(K.grid, np.zeros(K.grid.n)) for _ in range(m))
 
 
 def toda_layers(K, m, epsilon):
@@ -256,7 +256,7 @@ def test_closed_form_variable_curvature():
     eps = 0.05
     s = scales_of(eps)
     heights = 0.05 * np.sin(circle_K().grid.points())
-    h = HStack.from_array(K.grid, np.stack([heights, -heights]))
+    h = (PeriodicField(K.grid, heights), PeriodicField(K.grid, -heights))
     f = f_from_h(h, s)
     grid = default_strip_grid(K, eps, 2, n_y=16)
     r_fd = residual(assemble_u0(f, grid, eps), K, eps)
@@ -529,20 +529,22 @@ def test_level_sets_inconsistent_count():
 
 
 def level_sets_loop(u):
-    """Row-by-row reference for `level_sets`."""
+    """Row-by-row reference for `level_sets`: sign changes between nonzero nodes."""
     t = u.grid.t
     rows = []
     for row in u.values:
         crossings = []
-        for j in range(len(row) - 1):
-            a, b = row[j], row[j + 1]
-            if a == 0.0:
-                if not crossings or crossings[-1] != t[j]:
-                    crossings.append(float(t[j]))
-            elif a * b < 0.0:
-                crossings.append(float(t[j] - a * (t[j + 1] - t[j]) / (b - a)))
-        if row[-1] == 0.0:
-            crossings.append(float(t[-1]))
+        last = None  # the previous nonzero node
+        for j, value in enumerate(row):
+            if value == 0.0:
+                continue
+            if last is not None and (row[last] < 0.0) != (value < 0.0):
+                if j == last + 1:
+                    a, b = row[last], value
+                    crossings.append(float(t[last] - a * (t[j] - t[last]) / (b - a)))
+                else:  # across zero nodes: at the first of them
+                    crossings.append(float(t[last + 1]))
+            last = j
         rows.append(crossings)
     return np.array(rows)
 
@@ -557,14 +559,28 @@ def test_level_sets_match_loop_with_exact_zeros():
     edge = int(np.flatnonzero(sign[1:] != sign[:-1])[0])
     zeros = vals.copy()
     zeros[:, edge] = 0.0  # zero node just before a sign change
-    zeros[:, 20:22] = 0.0  # two zero nodes in a row
+    zeros[:, 20:22] = 0.0  # two zero nodes in a row, one sign on both sides
     zeros[:, 30] = -0.0
     zeros[:, -1] = 0.0  # zero at the last node
     for field in (vals, zeros):
         u = StripField(grid, field)
         curves = level_sets(u)
-        assert curves.shape[1] >= 3
+        assert curves.shape[1] == 3  # the three sign changes of the pattern
         np.testing.assert_array_equal(curves, level_sets_loop(u))
+    assert level_sets(StripField(grid, zeros))[0, 0] == grid.t[edge]
+
+
+def test_level_sets_zero_runs():
+    # a plateau between opposite signs is one crossing at its first zero; a
+    # touch and zeros at the row ends are none; an all-zero field has none
+    grid = StripGrid(PeriodicGrid(16, TWO_PI), 6.0, 49)
+    row = np.where(grid.t < 0.0, -1.0, 1.0)
+    row[20:29] = 0.0  # plateau from -1 to +1
+    row[[10, 40]] = 0.0  # touches: -1 and +1 on both sides
+    row[[0, -1]] = 0.0
+    curves = level_sets(StripField(grid, np.tile(row, (16, 1))))
+    np.testing.assert_array_equal(curves, np.full((16, 1), grid.t[20]))
+    assert level_sets(StripField(grid, np.zeros(grid.shape))).shape == (16, 0)
 
 
 # ---------------------------------------------------------------- report
@@ -625,7 +641,7 @@ _REPORT_PINS = {
 
 def report_layers(K, m, eps):
     if m == 1:
-        return HStack.from_array(K.grid, 0.05 * np.sin(K.grid.points())[None, :])
+        return (PeriodicField(K.grid, 0.05 * np.sin(K.grid.points())),)
     return toda_layers(K, m, eps).h
 
 
@@ -700,7 +716,7 @@ def test_newton_two_layers_matches_toda_spacing():
     assert rep.residual_norms[-1] < 1e-9
     assert rep.level_curves.shape == (16, 2)
     spacing = float((rep.level_curves[:, 1] - rep.level_curves[:, 0]).mean())
-    predicted = s.rho + float(sol.v.gap_array()[0].mean())
+    predicted = s.rho + float(sol.v[0].mean())
     assert abs(spacing - predicted) < 0.01 * predicted
 
 
@@ -923,10 +939,22 @@ def test_newton_rejects_bad_initial_state():
 
 
 def test_newton_rejects_all_zero_initial_state():
-    # level_sets counts every exact zero as a crossing, so the layer count
-    # check passes; the band sizing then finds no y-mode and must say so typed
+    # an all-zero field has no sign change, so no level curve to conserve
     K = circle_K()
     eps = 0.05
     grid = default_strip_grid(K, eps, 1)
-    with pytest.raises(DomainError, match="no layers"):
+    with pytest.raises(DomainError, match="no transition layers"):
         newton_allen_cahn(StripField(grid, np.zeros(grid.shape)), K, eps)
+
+
+def test_newton_rejects_layers_below_the_gmres_floor():
+    # one layer, but every y-mode sits below 1e-3 NEWTON_TOL: the band sizing
+    # finds nothing to solve for and must say so typed
+    K = circle_K()
+    eps = 0.05
+    grid = default_strip_grid(K, eps, 1)
+    u0 = assemble_u0([PeriodicField(K.grid, np.zeros(16))], grid, eps)
+    tiny = StripField(grid, 1e-15 * u0.values)
+    assert level_sets(tiny).shape == (grid.y_grid.n, 1)
+    with pytest.raises(DomainError, match="GMRES floor"):
+        newton_allen_cahn(tiny, K, eps)

@@ -1,5 +1,6 @@
 """CLI tests: config parsing, artifacts, determinism, exit codes."""
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,7 @@ from aclayers.errors import (
 from aclayers.profile import BETA_EXACT
 from aclayers.scales import scales_of
 from aclayers.spectral import decoupled_couplings
+from aclayers.toda import solve_toda
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,6 +213,15 @@ def test_runconfig_strip_grid_overrides():
 def test_config_hash_is_stable(doc, digest):
     # the manifests of earlier runs carry these hashes
     assert parse_config(json.dumps(doc)).sha256() == digest
+
+
+def test_toda_budget_defaults_are_solve_todas():
+    # the gap-solve budget has one owner: the config reads solve_toda's
+    # defaults (test_config_hash_is_stable pins the {} hash they enter)
+    params = inspect.signature(solve_toda).parameters
+    cfg = parse_config("{}")
+    assert cfg.toda_max_iterations == params["max_iterations"].default == 50
+    assert cfg.toda_tolerance == params["tolerance"].default == 1e-10
 
 
 def test_config_hash_tracks_content():

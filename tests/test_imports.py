@@ -103,7 +103,7 @@ def _references(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-# truncation_error moves into the solve reports (ROADMAP item 4)
+# truncation_error moves into the solve reports (ROADMAP item 7)
 _UNREFERENCED_ALLOWED = {"truncation_error"}
 
 

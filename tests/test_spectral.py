@@ -142,7 +142,7 @@ def test_identity_shift_moves_spectrum_down():
     shifted = assemble_A(v1, 0.05, K, mats)
     entries = shifted.entries + shift * np.eye(2)[None, :, :]
     from aclayers.spectral import MatrixFieldA
-    A2 = MatrixFieldA(grid=A.grid, m=A.m, sigma=A.sigma, entries=entries)
+    A2 = MatrixFieldA(grid=A.grid, entries=entries)
     e1 = eigs_L_sigma(A, 0.05).eigenvalues
     e2 = eigs_L_sigma(A2, 0.05).eigenvalues
     assert e2 == pytest.approx(e1 - shift, rel=1e-10, abs=1e-10)

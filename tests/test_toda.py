@@ -22,8 +22,6 @@ from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.toda import (
     DS0_bar,
     GapCoupling,
-    HStack,
-    LayerStack,
     S0_bar,
     S_bar,
     build_matrices,
@@ -54,8 +52,8 @@ def wavy_K(n=64, amp=0.3):
 
 
 def heights_of(h):
-    """The heights of an HStack as an (m, n) array."""
-    return np.stack([f.values for f in h.h])
+    """Height fields as an (m, n) array."""
+    return np.stack([f.values for f in h])
 
 
 # --- matrices ---
@@ -84,8 +82,8 @@ def test_matrices_b_structure():
     # h_from_v inverts B: difference rows h_{l+1} - h_l above the zero summing row
     g = circle_grid(32)
     heights = np.outer(np.arange(5.0) - 2.0, 1.0 + np.cos(g.points()))
-    v = LayerStack.from_arrays(g, np.diff(heights, axis=0))
-    assert np.max(np.abs(heights_of(h_from_v(v)) - heights)) < 1e-14
+    h = h_from_v(g, np.diff(heights, axis=0))
+    assert np.max(np.abs(heights_of(h) - heights)) < 1e-14
 
 
 def test_matrices_sqrt():
@@ -103,9 +101,9 @@ def test_matrices_m1_rejected():
 
 def test_v_from_h_zero():
     g = circle_grid()
-    v = LayerStack.from_arrays(g, np.zeros((2, g.n)))
-    h = h_from_v(v)
-    assert h.m == 3
+    h = h_from_v(g, np.zeros((2, g.n)))
+    assert len(h) == 3
+    assert all(f.grid == g for f in h)
     assert np.max(np.abs(heights_of(h))) == 0.0
 
 
@@ -115,7 +113,7 @@ def test_round_trip_random():
     rng = np.random.default_rng(20260814)
     for m in (2, 3, 5):
         gaps = rng.standard_normal((m - 1, g.n))
-        h = heights_of(h_from_v(LayerStack.from_arrays(g, gaps)))
+        h = heights_of(h_from_v(g, gaps))
         assert np.max(np.abs(np.diff(h, axis=0) - gaps)) < 1e-12
         assert np.max(np.abs(h.sum(axis=0))) < 1e-12
 
@@ -123,8 +121,7 @@ def test_round_trip_random():
 def test_v_from_h_m2_antisymmetric():
     g = circle_grid(32)
     a = 0.7
-    v = LayerStack.from_arrays(g, np.full((1, g.n), 2.0 * a))
-    h = heights_of(h_from_v(v))
+    h = heights_of(h_from_v(g, np.full((1, g.n), 2.0 * a)))
     assert h[0] == pytest.approx(np.full(g.n, -a))
     assert h[1] == pytest.approx(np.full(g.n, a))
 
@@ -133,7 +130,7 @@ def test_f_from_h_spacing():
     g = circle_grid(32)
     s = scales_of(0.05)
     for m in (2, 3):
-        h = HStack.from_array(g, np.zeros((m, g.n)))
+        h = tuple(PeriodicField(g, np.zeros(g.n)) for _ in range(m))
         f = f_from_h(h, s)
         centers = [fld.values[0] for fld in f]
         if m == 2:
@@ -141,11 +138,11 @@ def test_f_from_h_spacing():
         else:
             assert centers == pytest.approx([-s.rho, 0.0, s.rho])
     rng = np.random.default_rng(5)
-    h = HStack.from_array(g, rng.standard_normal((3, g.n)))
+    h = tuple(PeriodicField(g, row) for row in rng.standard_normal((3, g.n)))
     f = f_from_h(h, s)
     for k in range(2):
         gap = f[k + 1].values - f[k].values
-        expected = s.rho + h.h[k + 1].values - h.h[k].values
+        expected = s.rho + h[k + 1].values - h[k].values
         assert gap == pytest.approx(expected, rel=1e-13)
 
 
@@ -155,13 +152,13 @@ def test_first_order_profile_m2_value():
     v = first_order_profile(unit_K(), 2, BETA_EXACT)
     # root of e^{-sqrt(2) v} = (beta/2) K: v = -(1/sqrt(2)) log(6 sqrt(2))
     expected = -math.log(6.0 * SQRT2) / SQRT2
-    assert v.gap_array()[0] == pytest.approx(np.full(64, expected), rel=1e-13)
+    assert v[0] == pytest.approx(np.full(64, expected), rel=1e-13)
     assert expected == pytest.approx(-1.512029806813504, rel=1e-12)
 
 
 def test_first_order_profile_symmetry_m3():
-    v = first_order_profile(unit_K(), 3, BETA_EXACT)
-    g = v.gap_array()
+    g = first_order_profile(unit_K(), 3, BETA_EXACT)
+    assert g.shape == (2, 64)
     assert g[0] == pytest.approx(g[1], rel=1e-14)
 
 
@@ -227,7 +224,7 @@ def test_s_bar_at_profile_constant_K():
     sigma = 0.05
     v = first_order_profile(K, 3, BETA_EXACT)
     s = S_bar(v, sigma, K, BETA_EXACT)
-    expected = sigma * K.values[None, :] * v.gap_array()
+    expected = sigma * K.values[None, :] * v
     assert np.max(np.abs(s - expected)) < 1e-12
 
 
@@ -240,7 +237,7 @@ def test_s_bar_sigma_zero_at_profile():
 def test_s_bar_rotation_equivariant():
     K = wavy_K(64)
     v = first_order_profile(K, 3, BETA_EXACT)
-    gaps = v.gap_array() + 0.1 * np.sin(K.grid.points())[None, :]
+    gaps = v + 0.1 * np.sin(K.grid.points())[None, :]
     s = S_bar(gaps, 0.07, K, BETA_EXACT)
     shift = 5
     K_rot = PeriodicField(K.grid, np.roll(K.values, shift))
@@ -255,7 +252,7 @@ def test_corrections_k1_is_profile():
     c = GapCoupling(sigma=0.1, beta=BETA_EXACT)
     v1 = iterate_corrections(K, c, 3, 1)
     ref = first_order_profile(K, 3, BETA_EXACT)
-    assert np.max(np.abs(v1.gap_array() - ref.gap_array())) == 0.0
+    assert np.max(np.abs(v1 - ref)) == 0.0
 
 
 def test_corrections_order_slopes():
@@ -277,10 +274,10 @@ def test_corrections_constant_K_order2_form():
     K = unit_K(32)
     sigma = 0.08
     c = GapCoupling(sigma=sigma, beta=BETA_EXACT)
-    v1 = first_order_profile(K, 3, BETA_EXACT).gap_array()
+    v1 = first_order_profile(K, 3, BETA_EXACT)
     J = DS0_bar(v1)[0]
     omega = np.linalg.solve(J, -sigma * 1.0 * v1[:, 0])
-    v2 = iterate_corrections(K, c, 3, 2).gap_array()
+    v2 = iterate_corrections(K, c, 3, 2)
     assert v2[:, 0] == pytest.approx(v1[:, 0] + omega, rel=1e-12)
 
 
@@ -315,7 +312,7 @@ def test_solve_toda_matches_algebraic_oracle():
     for m in (2, 3, 4):
         sol = solve_toda(K, s, m, k_start=3)
         oracle = _algebraic_oracle(m, s.sigma, s.beta)
-        got = sol.v.gap_array()
+        got = sol.v
         assert np.max(np.abs(got - oracle[:, None])) < 1e-9
         assert sol.residual < 1e-10
         assert np.max(np.abs(heights_of(sol.h).sum(axis=0))) < 1e-12
@@ -324,20 +321,20 @@ def test_solve_toda_matches_algebraic_oracle():
 def test_solve_toda_reflection_symmetry():
     s = scales_of(0.05)
     sol = solve_toda(unit_K(32), s, 5, k_start=3)
-    g = sol.v.gap_array()
+    g = sol.v
     assert np.max(np.abs(g[0] - g[3])) < 1e-9
     assert np.max(np.abs(g[1] - g[2])) < 1e-9
 
 
 def test_solve_toda_continuity_in_K():
     s = scales_of(0.05)
-    base = solve_toda(unit_K(64), s, 2, k_start=3).v.gap_array()
+    base = solve_toda(unit_K(64), s, 2, k_start=3).v
     deltas = (1e-2, 1e-3)
     drifts = []
     for d in deltas:
         g = circle_grid(64)
         K = PeriodicField(g, 1.0 + d * np.cos(g.points()))
-        pert = solve_toda(K, s, 2, k_start=3).v.gap_array()
+        pert = solve_toda(K, s, 2, k_start=3).v
         drifts.append(np.max(np.abs(pert - base)))
     assert drifts[0] < 10.0 * deltas[0]
     assert drifts[1] < drifts[0] / 5.0  # O(delta)
@@ -351,11 +348,11 @@ def test_solve_toda_equilibrium_forcing(m):
     gbar = equilibrium_gap_forcing(K, m, s.beta)
     sol = solve_toda(K, s, m, k_start=3, gbar=gbar)
     oracle = _algebraic_oracle(m, s.sigma, s.beta, gbar=s.beta - 1.0 / s.beta)
-    assert np.max(np.abs(sol.v.gap_array() - oracle[:, None])) < 1e-9
+    assert np.max(np.abs(sol.v - oracle[:, None])) < 1e-9
     assert sol.method == "newton"
     assert 0.0 < sol.conditioning <= 1.0
     if m == 2:
-        v = sol.v.gap_array()[0, 0]
+        v = sol.v[0, 0]
         bal = s.sigma * v + 1.0 / s.beta - 2.0 * math.exp(-SQRT2 * v)
         assert abs(bal) < 1e-10
         assert v > 0.0  # spacing widens: positions sit beyond rho
@@ -421,7 +418,7 @@ def test_gap_operators_never_build_matrix_bundle(monkeypatch):
     S0_bar(v)
     DS0_bar(v)
     S_bar(v, s.sigma, K, s.beta)
-    h_from_v(v)
+    h_from_v(K.grid, v)
     solve_toda(K, s, 3, gbar=equilibrium_gap_forcing(K, 3, s.beta))
     assert calls == []
 
@@ -463,7 +460,7 @@ def test_solve_toda_pinned_on_benchmark_curves(shape, m, eps, iterations, rows):
     K = _fourier_K(*shape)
     s = scales_of(eps)
     sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
-    gaps = sol.v.gap_array()
+    gaps = sol.v
     got = np.column_stack([gaps.min(axis=1), gaps.mean(axis=1), gaps.max(axis=1)])
     assert sol.iterations == iterations
     assert np.max(np.abs(got - np.array(rows))) < 1e-12
