@@ -52,7 +52,6 @@ from .spectral import (
     weyl_count,
 )
 from .toda import (
-    GapCoupling,
     S0_bar,
     S_bar,
     build_matrices,
@@ -86,7 +85,7 @@ class CriterionResult:
 def _circle_K(n: int, amp: float = 0.0) -> PeriodicField:
     grid = PeriodicGrid(n=n, length=TWO_PI)
     if amp == 0.0:
-        return sample_curvature(ClosedCurve.constant(TWO_PI, 1.0), grid)
+        return sample_curvature(ClosedCurve.fourier(TWO_PI, 1.0), grid)
     return PeriodicField(grid, 1.0 + amp * np.cos(grid.points()))
 
 
@@ -149,8 +148,7 @@ def check_correction_order() -> CriterionResult:
     for k in (1, 2, 3):
         norms = []
         for sg in sigmas:
-            c = GapCoupling(sigma=float(sg), beta=BETA_EXACT)
-            vk = iterate_corrections(K, c, 3, k)
+            vk = iterate_corrections(K, float(sg), BETA_EXACT, 3, k)
             norms.append(np.max(np.abs(S_bar(vk, float(sg), K, BETA_EXACT))))
         slopes.append(float(np.polyfit(np.log(sigmas), np.log(norms), 1)[0]))
     runtime = time.perf_counter() - t0
@@ -233,10 +231,10 @@ def check_monotonicity() -> CriterionResult:
     ok = True
     slacks = []
     for K in (_circle_K(48), _circle_K(48, amp=0.3)):
-        mats = build_matrices(2)
+        C_sqrt = build_matrices(2)
         v1 = first_order_profile(K, 2, BETA_EXACT)
-        rep = monotonicity_check(0.04, 0.05,
-                                 lambda sg: assemble_A(v1, sg, K, mats))
+        rep = monotonicity_check(0.04, 0.05, assemble_A(v1, 0.04, K, C_sqrt),
+                                 assemble_A(v1, 0.05, K, C_sqrt))
         ok = ok and rep.holds
         slacks.append(rep.worst_slack)
     runtime = time.perf_counter() - t0

@@ -103,11 +103,11 @@ class RunConfig:
     formats: tuple[str, ...]
 
     def curve(self) -> ClosedCurve:
-        if "constant" in self.curvature:
-            return ClosedCurve.constant(self.length, self.curvature["constant"])
+        # a constant curvature is the Fourier profile of that mean alone
+        mean = self.curvature.get("constant", self.curvature.get("mean", 1.0))
         return ClosedCurve.fourier(
             self.length,
-            self.curvature.get("mean", 1.0),
+            mean,
             cos=self.curvature.get("cos", ()),
             sin=self.curvature.get("sin", ()),
         )
@@ -272,7 +272,7 @@ _FIELDS = (
            _parse_curvature),
     _Field("geometry.samples", "samples", 64, int,
            lambda v: v >= 16 and v % 2 == 0, "must be even and at least 16"),
-    _Field("m", "m", 2, int, lambda v: v >= 1, "must be at least 1"),
+    _Field("m", "m", 2, int, lambda v: v >= 2, "must be at least 2"),
     _Field("epsilon", "epsilons", 0.05, _parse_epsilon),
     _Field("grid.n_y", "n_y", None, int,
            lambda v: v >= 16 and v % 2 == 0, "must be even and at least 16"),
@@ -500,13 +500,13 @@ def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter,
 def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
                   args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
-    mats = build_matrices(cfg.m)
+    C_sqrt = build_matrices(cfg.m)
     v1 = first_order_profile(K, cfg.m, exact_constants().beta)
     entries = []
     rows = []
     for eps in cfg.epsilons:
         s = scales_of(eps)
-        rep = eigs_L_sigma(assemble_A(v1, s.sigma, K, mats), s.sigma)
+        rep = eigs_L_sigma(assemble_A(v1, s.sigma, K, C_sqrt), s.sigma)
         ev = rep.eigenvalues[:cfg.eigen_count]
         entries.append({
             "epsilon": eps, "sigma": s.sigma,
@@ -561,12 +561,12 @@ def _cmd_resonance_scan(cfg: RunConfig, writer: ArtifactWriter,
 def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter,
               args: argparse.Namespace) -> list[str]:
     K = cfg.curvature_field()
-    mats = build_matrices(cfg.m)
+    C_sqrt = build_matrices(cfg.m)
     v1 = first_order_profile(K, cfg.m, exact_constants().beta)
     entries = []
     for eps in cfg.epsilons:
         s = scales_of(eps)
-        A = assemble_A(v1, s.sigma, K, mats)
+        A = assemble_A(v1, s.sigma, K, C_sqrt)
         a_plus = A.ellipticity()[1]
         count = weyl_count(s.sigma, a_plus, cfg.length)
         entries.append({

@@ -42,8 +42,8 @@ class ClosedCurve:
     """Arclength-parameterized closed curve with positive curvature K(y).
 
     ``curvature`` is a callable y -> K(y) accepting arrays; use the
-    constructors ``constant`` and ``fourier`` rather than building one
-    directly.
+    constructor ``fourier`` (a constant K is its mean alone) rather than
+    building one directly.
     """
 
     length: float
@@ -60,10 +60,6 @@ class ClosedCurve:
             bad = y[int(np.argmin(k))]
             raise DomainError(
                 f"curvature must be positive; K({bad:.6g}) = {np.min(k):.6g}")
-
-    @staticmethod
-    def constant(length: float, value: float) -> "ClosedCurve":
-        return ClosedCurve(length, lambda y: np.full_like(np.asarray(y, dtype=float), value))
 
     @staticmethod
     def fourier(length: float, mean: float,
@@ -164,7 +160,7 @@ def _resample_rows(values: np.ndarray, n: int) -> np.ndarray:
     Truncates or zero-pads the rfft of every column. The Nyquist mode of the
     smaller (even) size is the cosine that `_trig_eval` puts there: its
     coefficient doubles on the way down and halves on the way up, so
-    resampling up agrees with `resample_field` and resampling down samples
+    resampling up samples that interpolant and resampling down samples
     the interpolant's modes below n/2 and the cosine of mode n/2.
     """
     old = values.shape[0]
@@ -211,14 +207,6 @@ def second_derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
     col = 0.5 * (col + np.roll(col[::-1], 1))
     extended = np.concatenate((col[::-1], col[:0:-1]))
     return np.lib.stride_tricks.sliding_window_view(extended, n)[::-1].copy()
-
-
-def resample_field(f: PeriodicField, n: int) -> PeriodicField:
-    """Trigonometric resampling onto an n-point grid of the same length."""
-    if n == f.grid.n:
-        return f
-    g = PeriodicGrid(n, f.grid.length)
-    return PeriodicField(g, _trig_eval(f.values, f.grid.length, g.points()))
 
 
 def jacobi_singular_values(K: PeriodicField) -> tuple[float, float]:

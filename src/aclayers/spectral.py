@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import PeriodicField, PeriodicGrid, ell0, resample_field, second_derivative_matrix
+from .geometry import PeriodicField, PeriodicGrid, _trig_eval, ell0, second_derivative_matrix
 from .profile import BETA_EXACT, SQRT2
 from .scales import EPS_MAX, scales_of
-from .toda import TodaMatrices, _gap_block_matrix, build_matrices, interaction_weights
+from .toda import _gap_block_matrix, build_matrices, interaction_weights
 
 DEFAULT_C_GAP = 0.5
 _TIE_RTOL = 1e-12
@@ -74,18 +73,17 @@ class EigenReport:
 
 
 def assemble_A(gaps: np.ndarray, sigma: float, K: PeriodicField,
-               matrices: TodaMatrices) -> MatrixFieldA:
+               C_sqrt: np.ndarray) -> MatrixFieldA:
     """A(y, sigma) = sigma K I + sqrt(2) C^{1/2} diag(e^{-sqrt(2) v}) C^{1/2}."""
     if sigma < 0.0:
         raise DomainError("sigma must be nonnegative")
     mm, n = gaps.shape
-    if mm != matrices.m - 1:
-        raise DomainError("gap count does not match the matrix bundle")
+    if C_sqrt.shape != (mm, mm):
+        raise DomainError(f"C^(1/2) of shape {C_sqrt.shape} does not fit {mm} gaps")
     if n != K.grid.n:
         raise DomainError("gaps and curvature live on different grids")
-    Cs = matrices.C_sqrt
     expv = np.exp(-SQRT2 * gaps)  # (m-1, n)
-    core = SQRT2 * np.einsum("ij,nj,jk->nik", Cs, expv.T, Cs)
+    core = SQRT2 * np.einsum("ij,nj,jk->nik", C_sqrt, expv.T, C_sqrt)
     eye = np.eye(mm)
     entries = sigma * K.values[:, None, None] * eye[None, :, :] + core
     # symmetrize away einsum roundoff so the invariant is exact
@@ -106,9 +104,6 @@ def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
 class MonotonicityReport:
     """Two-sided check of the sigma-scaled eigenvalue increments."""
 
-    gamma_minus: float
-    gamma_plus: float
-    count: int
     differences: np.ndarray  # sigma2^-1 lambda_j(sigma2) - sigma1^-1 lambda_j(sigma1)
     lower_bound: float
     upper_bound: float
@@ -121,12 +116,13 @@ class MonotonicityReport:
         return min(lo, hi)
 
 
-def monotonicity_check(sigma1: float, sigma2: float,
-                       family: Callable[[float], MatrixFieldA]) -> MonotonicityReport:
+def monotonicity_check(sigma1: float, sigma2: float, A1: MatrixFieldA,
+                       A2: MatrixFieldA) -> MonotonicityReport:
     """Verify the scaled-eigenvalue increment bounds between sigma1 and sigma2.
 
-    For each of the _MONOTONICITY_COUNT lowest eigenvalues lambda_j
-    (ascending) of L_sigma the increment of sigma^{-1} lambda_j must lie in
+    A1 and A2 are the matrix fields A(y, sigma1) and A(y, sigma2). For each of
+    the _MONOTONICITY_COUNT lowest eigenvalues lambda_j (ascending) of L_sigma
+    the increment of sigma^{-1} lambda_j must lie in
 
         [(sigma2-sigma1) gamma_-/(2 sigma2^2), 2 (sigma2-sigma1) gamma_+/sigma1^2]
 
@@ -135,8 +131,6 @@ def monotonicity_check(sigma1: float, sigma2: float,
     """
     if not 0.0 < sigma1 <= sigma2:
         raise DomainError("need 0 < sigma1 <= sigma2")
-    A1 = family(sigma1)
-    A2 = family(sigma2)
     g1 = A1.ellipticity()
     g2 = A2.ellipticity()
     gamma_minus = min(g1[0], g2[0])
@@ -151,9 +145,8 @@ def monotonicity_check(sigma1: float, sigma2: float,
     lower = d_sigma * gamma_minus / (2.0 * sigma2**2)
     upper = 2.0 * d_sigma * gamma_plus / sigma1**2
     holds = bool(np.all(diffs >= lower) and np.all(diffs <= upper))
-    return MonotonicityReport(gamma_minus=gamma_minus, gamma_plus=gamma_plus,
-                              count=n_eff, differences=diffs,
-                              lower_bound=lower, upper_bound=upper, holds=holds)
+    return MonotonicityReport(differences=diffs, lower_bound=lower, upper_bound=upper,
+                              holds=holds)
 
 
 def weyl_count(sigma: float, a_plus: float, ell: float) -> int:
@@ -195,9 +188,9 @@ def sturm_liouville_eigs(K: PeriodicField, count: int) -> np.ndarray:
 
 def decoupled_couplings(m: int, beta: float) -> np.ndarray:
     """mu_i = (beta/sqrt(2)) Lambda_i, eigenvalues of C^{1/2} diag(a) C^{1/2}."""
-    mats = build_matrices(m)
+    C_sqrt = build_matrices(m)
     a = interaction_weights(m)
-    Q = mats.C_sqrt @ np.diag(a.astype(float)) @ mats.C_sqrt
+    Q = C_sqrt @ np.diag(a.astype(float)) @ C_sqrt
     lam = np.linalg.eigvalsh(0.5 * (Q + Q.T))
     return (beta / SQRT2) * lam
 
@@ -211,8 +204,11 @@ def _sl_eigs_covering(K: PeriodicField, lam_max: float) -> np.ndarray:
     if np.all(K.values == K.values[0]):
         j = np.repeat(np.arange(j_max + 1), 2)[1:]
         return (2.0 * math.pi * j / K.grid.length) ** 2 / K.values[0]
-    K_fine = resample_field(K, max(K.grid.n, 4 * j_max, 64))
-    return sturm_liouville_eigs(K_fine, 2 * j_max + 1)
+    n = max(K.grid.n, 4 * j_max, 64)
+    if n > K.grid.n:  # trigonometric resampling onto the finer grid
+        fine = PeriodicGrid(n, K.grid.length)
+        K = PeriodicField(fine, _trig_eval(K.values, K.grid.length, fine.points()))
+    return sturm_liouville_eigs(K, 2 * j_max + 1)
 
 
 def _margins(mu: np.ndarray, sigma: float, lam: np.ndarray) -> np.ndarray:
@@ -233,8 +229,6 @@ class ResonanceReport:
 
     epsilon: float
     sigma: float
-    mu: np.ndarray
-    margins: np.ndarray  # (m-1, n_lambda): |sigma^-1 mu_i - lambda_j| sqrt(sigma)
     min_margin: float
     c_gap: float
     admissible: bool
@@ -257,12 +251,10 @@ def resonance_margin(epsilon: float, K: PeriodicField, m: int,
     s = scales_of(epsilon)
     mu = decoupled_couplings(m, BETA_EXACT)
     lam = _sl_eigs_covering(K, float(np.max(mu)) / s.sigma)
-    margins = _margins(mu, s.sigma, lam)
-    min_margin = float(np.min(margins))
+    min_margin = float(np.min(_margins(mu, s.sigma, lam)))
     return ResonanceReport(
-        epsilon=epsilon, sigma=s.sigma, mu=mu, margins=margins,
-        min_margin=min_margin, c_gap=c_gap, admissible=min_margin >= c_gap,
-        lam_covered=float(lam[-1]))
+        epsilon=epsilon, sigma=s.sigma, min_margin=min_margin, c_gap=c_gap,
+        admissible=min_margin >= c_gap, lam_covered=float(lam[-1]))
 
 
 def resonant_sigmas(K: PeriodicField, m: int, sigma_min: float, sigma_max: float) -> np.ndarray:

@@ -43,21 +43,6 @@ MAX_ITERATIONS = 50  # Newton steps of the gap solve
 RESIDUAL_TOL = 1e-10  # sup-norm residual the gap solve must reach
 
 
-@dataclass(frozen=True)
-class GapCoupling:
-    """Bare (sigma, beta) pair for formal sweeps outside the physical range."""
-
-    sigma: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.sigma > 0.0 and self.beta > 0.0):
-            raise DomainError("sigma and beta must be positive")
-
-
-Coupling = Scales | GapCoupling
-
-
 def _interaction_matrix(m: int) -> np.ndarray:
     """The (m-1) tridiagonal (-1, 2, -1) interaction matrix C."""
     if m < 2:
@@ -65,28 +50,10 @@ def _interaction_matrix(m: int) -> np.ndarray:
     return 2.0 * np.eye(m - 1) - np.eye(m - 1, k=1) - np.eye(m - 1, k=-1)
 
 
-@dataclass(frozen=True)
-class TodaMatrices:
-    """Interaction matrix C for m layers and its symmetric square root."""
-
-    m: int
-    C: np.ndarray
-    C_sqrt: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise DomainError("need at least 2 layers")
-        frob = np.linalg.norm(self.C_sqrt @ self.C_sqrt - self.C)
-        if frob > 1e-12 * max(np.linalg.norm(self.C), 1.0):
-            raise DomainError("C_sqrt is not a square root of C")
-
-
-def build_matrices(m: int) -> TodaMatrices:
-    """The tridiagonal C with C^{1/2} from its eigendecomposition."""
-    C = _interaction_matrix(m)
-    lam, V = np.linalg.eigh(C)
-    C_sqrt = (V * np.sqrt(lam)) @ V.T
-    return TodaMatrices(m=m, C=C, C_sqrt=C_sqrt)
+def build_matrices(m: int) -> np.ndarray:
+    """C^{1/2}, the symmetric square root of the tridiagonal C, from its eigendecomposition."""
+    lam, V = np.linalg.eigh(_interaction_matrix(m))
+    return (V * np.sqrt(lam)) @ V.T
 
 
 def h_from_v(grid: PeriodicGrid, gaps: np.ndarray) -> tuple[PeriodicField, ...]:
@@ -173,19 +140,21 @@ def equilibrium_gap_forcing(K: PeriodicField, m: int, beta: float) -> np.ndarray
     return (beta - 1.0 / beta) * np.tile(K.values, (m - 1, 1))
 
 
-def iterate_corrections(K: PeriodicField, scales: Coupling, m: int, k: int) -> np.ndarray:
+def iterate_corrections(K: PeriodicField, sigma: float, beta: float, m: int,
+                        k: int) -> np.ndarray:
     """Gaps v^k = v^1 + the first k-1 corrections, ||S_bar(v^k)||_inf = O(sigma^k).
 
     k = 1 returns the first-order profile itself; each further order solves
     one pointwise linear system against the fixed Jacobian at v^1. Orders
     above 6 are rejected: the correction terms fall below conditioning noise.
     """
+    if not sigma > 0.0:
+        raise DomainError("sigma must be positive")
     if k < 1:
         raise DomainError("correction order must be at least 1")
     if k > MAX_CORRECTION_ORDER:
         raise DomainError(f"correction order capped at {MAX_CORRECTION_ORDER}")
-    sigma = scales.sigma
-    v1 = first_order_profile(K, m, scales.beta)
+    v1 = first_order_profile(K, m, beta)
     if k == 1:
         return v1
     # fixed pointwise Jacobian at v^1, reused for every correction order
@@ -270,7 +239,7 @@ def _as_gbar(gbar, shape: tuple[int, int]) -> np.ndarray:
     return arr
 
 
-def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
+def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
                gbar=None, max_iterations: int = MAX_ITERATIONS,
                tolerance: float = RESIDUAL_TOL) -> TodaSolution:
     """Solve S_bar(v) = gbar for the gaps of a centred stack.
@@ -291,7 +260,7 @@ def solve_toda(K: PeriodicField, scales: Coupling, m: int, k_start: int = 3,
     if not tolerance > 0.0:
         raise DomainError("tolerance must be positive")
     sigma, beta = scales.sigma, scales.beta
-    vk = iterate_corrections(K, scales, m, k_start)
+    vk = iterate_corrections(K, sigma, beta, m, k_start)
     target = _as_gbar(gbar, vk.shape)
 
     # at leading order e^{-sqrt(2) v} = C^{-1}(beta K [1..1] - gbar), against

@@ -53,7 +53,7 @@ B1 = 2.0 * math.sqrt(2.0) / 3.0
 def circle_K(n=16, amp=0.0):
     grid = PeriodicGrid(n=n, length=TWO_PI)
     if amp == 0.0:
-        curve = ClosedCurve.constant(TWO_PI, 1.0)
+        curve = ClosedCurve.fourier(TWO_PI, 1.0)
         return sample_curvature(curve, grid)
     pts = grid.points()
     return PeriodicField(grid, 1.0 + amp * np.cos(pts))

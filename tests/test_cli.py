@@ -150,6 +150,14 @@ def test_samples_must_be_even():
         parse_config(json.dumps({"geometry": {"samples": 15}}))
 
 
+def test_m_must_be_at_least_two():
+    # every data command needs a gap, so a single layer is a config error on m
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({"m": 1}))
+    assert str(info.value).startswith("m:")
+    assert "must be at least 2" in str(info.value)
+
+
 _OUT_OF_RANGE = {
     "geometry.length": 0.0, "geometry.samples": 15, "m": 0, "grid.n_y": 17,
     "grid.n_t": 20, "toda.k": 7, "toda.max_iterations": 0,

@@ -38,7 +38,7 @@ def jacobi_apply(f, K):
 
 
 def test_constant_curve_samples():
-    curve = ClosedCurve.constant(TWO_PI, 1.0)
+    curve = ClosedCurve.fourier(TWO_PI, 1.0)
     f = sample_curvature(curve, unit_circle_grid())
     assert np.all(f.values == 1.0)
 
@@ -52,7 +52,7 @@ def test_fourier_curve_min_value():
 
 def test_negative_curvature_rejected():
     with pytest.raises(DomainError):
-        ClosedCurve.constant(TWO_PI, -1.0)
+        ClosedCurve.fourier(TWO_PI, -1.0)
     with pytest.raises(DomainError):
         ClosedCurve.fourier(TWO_PI, 1.0, cos=[1.5])
 
@@ -77,7 +77,7 @@ def test_field_validation():
 
 
 def test_grid_length_mismatch():
-    curve = ClosedCurve.constant(TWO_PI, 1.0)
+    curve = ClosedCurve.fourier(TWO_PI, 1.0)
     with pytest.raises(DomainError):
         sample_curvature(curve, PeriodicGrid(n=64, length=1.0))
 
@@ -169,10 +169,10 @@ def test_jacobi_self_adjoint():
 
 
 def test_ell0_constant_curvature():
-    curve = ClosedCurve.constant(1.0, 4.0)
+    curve = ClosedCurve.fourier(1.0, 4.0)
     K = sample_curvature(curve, PeriodicGrid(n=64, length=1.0))
     assert ell0(K) == pytest.approx(2.0, rel=1e-14)
-    circle = ClosedCurve.constant(TWO_PI, 1.0)
+    circle = ClosedCurve.fourier(TWO_PI, 1.0)
     assert ell0(sample_curvature(circle, unit_circle_grid())) == pytest.approx(TWO_PI, rel=1e-14)
 
 

@@ -6,7 +6,9 @@ level only for the CLI manifest's version string: the reduced pipeline
 strip solvers import their scipy routines where they call them; no module
 imports scipy.optimize at all. Every function, class and method the library
 defines is used by the library or by the benchmark, and so is every default
-of its parameters: helpers and settings only the tests need live in the tests.
+of its parameters and every field its classes declare (read outside the
+class's own __post_init__): helpers, settings and outputs only the tests need
+live in the tests.
 """
 
 import ast
@@ -117,6 +119,28 @@ def test_every_definition_is_referenced_outside_the_tests():
         and node.name not in _UNREFERENCED_ALLOWED
         and refs[node.name] <= _references(node)[node.name]]
     assert unreferenced == []
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """Names a subtree reads as `.name`."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_field_is_read_outside_the_tests():
+    # a field that only its own class's validation reads is output no caller wants
+    reads = sum((_attribute_reads(_tree(p)) for p in READERS), Counter())
+    unread = []
+    for path in MODULES:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            own = sum((_attribute_reads(item) for item in cls.body
+                       if isinstance(item, ast.FunctionDef)
+                       and item.name == "__post_init__"), Counter())
+            unread += [f"{path.name}:{cls.name}.{item.target.id}" for item in cls.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                       and reads[item.target.id] <= own[item.target.id]]
+    assert unread == []
 
 
 def _callee(node: ast.expr) -> str | None:

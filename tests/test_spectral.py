@@ -56,9 +56,9 @@ def wavy_K(n=64, amp=0.3):
 
 def test_assemble_A_m2_sigma0_value():
     K = unit_K(32)
-    mats = build_matrices(2)
+    C_sqrt = build_matrices(2)
     v1 = first_order_profile(K, 2, BETA_EXACT)
-    A = assemble_A(v1, 0.0, K, mats)
+    A = assemble_A(v1, 0.0, K, C_sqrt)
     expected = (BETA_EXACT / SQRT2) * 2.0  # (beta/sqrt2) a_1 (C^{1/2})^2
     assert A.entries[:, 0, 0] == pytest.approx(np.full(32, expected), rel=1e-12)
 
@@ -67,31 +67,39 @@ def test_assemble_A_matches_a0_formula():
     # at sigma=0 and v=v^1: A = (beta/sqrt2) K C^{1/2} diag(a) C^{1/2}
     K = wavy_K(48)
     for m in (2, 3, 5):
-        mats = build_matrices(m)
+        C_sqrt = build_matrices(m)
         v1 = first_order_profile(K, m, BETA_EXACT)
-        A = assemble_A(v1, 0.0, K, mats)
+        A = assemble_A(v1, 0.0, K, C_sqrt)
         a = np.arange(1, m) * np.arange(m - 1, 0, -1)
-        Q = mats.C_sqrt @ np.diag(a.astype(float)) @ mats.C_sqrt
+        Q = C_sqrt @ np.diag(a.astype(float)) @ C_sqrt
         ref = (BETA_EXACT / SQRT2) * K.values[:, None, None] * Q[None, :, :]
         assert np.max(np.abs(A.entries - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_assemble_A_positive_eigenvalues():
     for K in (unit_K(), wavy_K()):
-        mats = build_matrices(3)
+        C_sqrt = build_matrices(3)
         v1 = first_order_profile(K, 3, BETA_EXACT)
         for sigma in (0.0, 0.05, 0.1):
-            A = assemble_A(v1, sigma, K, mats)
+            A = assemble_A(v1, sigma, K, C_sqrt)
             gmin, gmax = A.ellipticity()
             assert gmin > 0.0
             assert gmax >= gmin
 
 
+@pytest.mark.parametrize("m_sqrt", [2, 4], ids=["too-small", "too-large"])
+def test_assemble_A_rejects_wrong_size_C_sqrt(m_sqrt):
+    K = wavy_K(32)
+    v1 = first_order_profile(K, 3, BETA_EXACT)
+    with pytest.raises(DomainError, match="does not fit 2 gaps"):
+        assemble_A(v1, 0.05, K, build_matrices(m_sqrt))
+
+
 def test_assemble_A_symmetric():
     K = wavy_K(32)
-    mats = build_matrices(4)
+    C_sqrt = build_matrices(4)
     v1 = first_order_profile(K, 4, BETA_EXACT)
-    A = assemble_A(v1, 0.02, K, mats)
+    A = assemble_A(v1, 0.02, K, C_sqrt)
     assert np.max(np.abs(A.entries - np.swapaxes(A.entries, 1, 2))) == 0.0
 
 
@@ -100,10 +108,10 @@ def test_assemble_A_symmetric():
 def test_eigs_constant_A_circle_spectrum():
     # m=2, constant a: eigenvalues sigma j^2 - a, each nonzero j doubled
     K = unit_K(32)
-    mats = build_matrices(2)
+    C_sqrt = build_matrices(2)
     a0 = 5.0
     gaps = np.full((1, 32), -math.log(a0 / (SQRT2 * 2.0)) / SQRT2)  # sqrt2*2*e^{-s2 v}=a0
-    A = assemble_A(gaps, 0.0, K, mats)
+    A = assemble_A(gaps, 0.0, K, C_sqrt)
     assert A.entries[:, 0, 0] == pytest.approx(np.full(32, a0), rel=1e-12)
     sigma = 0.3
     rep = eigs_L_sigma(A, sigma)
@@ -114,9 +122,9 @@ def test_eigs_constant_A_circle_spectrum():
 
 def test_eigs_negative_count_consistency():
     K = wavy_K(32)
-    mats = build_matrices(3)
+    C_sqrt = build_matrices(3)
     v1 = first_order_profile(K, 3, BETA_EXACT)
-    A = assemble_A(v1, 0.05, K, mats)
+    A = assemble_A(v1, 0.05, K, C_sqrt)
     rep = eigs_L_sigma(A, 0.05)
     manual = int(np.sum(rep.eigenvalues < -1e-12 * np.max(np.abs(rep.eigenvalues))))
     assert rep.negative_count == manual
@@ -125,9 +133,9 @@ def test_eigs_negative_count_consistency():
 
 def test_eigs_negative_count_decreasing_in_sigma():
     K = unit_K(48)
-    mats = build_matrices(2)
+    C_sqrt = build_matrices(2)
     v1 = first_order_profile(K, 2, BETA_EXACT)
-    A0 = assemble_A(v1, 0.0, K, mats)  # fixed zero-coupling matrix
+    A0 = assemble_A(v1, 0.0, K, C_sqrt)  # fixed zero-coupling matrix
     counts = [eigs_L_sigma(A0, s).negative_count for s in (0.02, 0.05, 0.1, 0.3)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert counts[0] > counts[-1]
@@ -135,11 +143,11 @@ def test_eigs_negative_count_decreasing_in_sigma():
 
 def test_identity_shift_moves_spectrum_down():
     K = wavy_K(32)
-    mats = build_matrices(3)
+    C_sqrt = build_matrices(3)
     v1 = first_order_profile(K, 3, BETA_EXACT)
-    A = assemble_A(v1, 0.05, K, mats)
+    A = assemble_A(v1, 0.05, K, C_sqrt)
     shift = 0.7
-    shifted = assemble_A(v1, 0.05, K, mats)
+    shifted = assemble_A(v1, 0.05, K, C_sqrt)
     entries = shifted.entries + shift * np.eye(2)[None, :, :]
     from aclayers.spectral import MatrixFieldA
     A2 = MatrixFieldA(grid=A.grid, entries=entries)
@@ -152,59 +160,52 @@ def test_conjugated_operator_matches_linearized_solve():
     # C^{1/2}-conjugation of the gap linearization equals -L_sigma assembly
     K = wavy_K(24)
     m = 3
-    mats = build_matrices(m)
+    C_sqrt = build_matrices(m)
     v1 = first_order_profile(K, m, BETA_EXACT)
     sigma = 0.06
     from aclayers.toda import _linearized_matrix
     Lt = _linearized_matrix(v1, sigma, K)  # acts on stacked omega
-    A = assemble_A(v1, sigma, K, mats)
+    A = assemble_A(v1, sigma, K, C_sqrt)
     Ls = _gap_block_matrix(sigma, A.grid, A.entries)
     n = K.grid.n
-    S = np.kron(mats.C_sqrt, np.eye(n))
-    Sinv = np.kron(np.linalg.inv(mats.C_sqrt), np.eye(n))
+    S = np.kron(C_sqrt, np.eye(n))
+    Sinv = np.kron(np.linalg.inv(C_sqrt), np.eye(n))
     conj = Sinv @ Lt @ S
     assert np.max(np.abs(conj - Ls)) < 1e-10 * np.max(np.abs(Ls))
 
 
 # --- monotonicity ---
 
-def _family(K, m):
-    mats = build_matrices(m)
+def _fields(K, m, sigma1, sigma2):
+    """A(y, sigma1) and A(y, sigma2) at the first-order profile."""
+    C_sqrt = build_matrices(m)
     v1 = first_order_profile(K, m, BETA_EXACT)
-
-    def fam(sigma):
-        return assemble_A(v1, sigma, K, mats)
-
-    return fam
+    return assemble_A(v1, sigma1, K, C_sqrt), assemble_A(v1, sigma2, K, C_sqrt)
 
 
 def test_monotonicity_constant_closed_form():
     # sigma-independent constant A: difference a (s2-s1)/(s1 s2) within bounds
     K = unit_K(32)
-    mats = build_matrices(2)
     a0 = 4.0
     gaps = np.full((1, 32), -math.log(a0 / (2.0 * SQRT2)) / SQRT2)
-
-    def fam(sigma):
-        return assemble_A(gaps, 0.0, K, mats)  # no sigma K I part
-
-    rep = monotonicity_check(0.04, 0.05, fam)
+    A = assemble_A(gaps, 0.0, K, build_matrices(2))  # no sigma K I part
+    rep = monotonicity_check(0.04, 0.05, A, A)
     assert rep.holds
     expected = a0 * (0.05 - 0.04) / (0.05 * 0.04)
-    assert rep.count == 20
+    assert len(rep.differences) == 20
     assert rep.differences == pytest.approx(np.full(20, expected), rel=1e-9)
-    assert rep.gamma_minus == pytest.approx(a0, rel=1e-12)
+    assert A.ellipticity()[0] == pytest.approx(a0, rel=1e-12)
 
 
 def test_monotonicity_holds_on_curves():
     for K in (unit_K(48), wavy_K(48)):
-        rep = monotonicity_check(0.04, 0.05, _family(K, 2))
+        rep = monotonicity_check(0.04, 0.05, *_fields(K, 2, 0.04, 0.05))
         assert rep.holds
         assert rep.worst_slack >= 0.0
 
 
 def test_monotonicity_degenerate_equal_sigmas():
-    rep = monotonicity_check(0.05, 0.05, _family(unit_K(32), 2))
+    rep = monotonicity_check(0.05, 0.05, *_fields(unit_K(32), 2, 0.05, 0.05))
     assert rep.holds
     assert rep.lower_bound == 0.0
     assert rep.upper_bound == 0.0
@@ -271,8 +272,8 @@ def test_sturm_liouville_nonnegative_zero_ground():
 def test_l_sigma_and_string_matrices_exactly_symmetric(monkeypatch):
     # D2 is an exact symmetric circulant, so no symmetrizing pass is needed
     K = wavy_K(64, amp=0.2)
-    mats = build_matrices(3)
-    A = assemble_A(first_order_profile(K, 3, BETA_EXACT), 0.06, K, mats)
+    C_sqrt = build_matrices(3)
+    A = assemble_A(first_order_profile(K, 3, BETA_EXACT), 0.06, K, C_sqrt)
     L = _gap_block_matrix(0.06, A.grid, A.entries)
     assert np.array_equal(L, L.T)
 
@@ -411,7 +412,9 @@ def test_resonance_margin_report():
     rep = resonance_margin(0.05, K, 2, c_gap=0.1)
     assert rep.sigma == pytest.approx(1.0 / (BETA_EXACT * 3.3762268364408143), rel=1e-12)
     assert rep.admissible == (rep.min_margin >= 0.1)
-    assert len(rep.mu) == 1
+    mu = decoupled_couplings(2, BETA_EXACT)
+    assert len(mu) == 1
+    assert rep.lam_covered >= mu[0] / rep.sigma
 
 
 # min_margin of 1 + 0.2 cos y (64 samples, m 3) on the 8-point ladder, recorded
@@ -482,11 +485,12 @@ def test_scan_epsilons_matches_resonance_margin(values, m):
     grid = circle_grid(64)
     K = PeriodicField(grid, values(grid.points()))
     res = scan_epsilons(0.00625, 0.05, 16, K, m)
+    mu_max = np.max(decoupled_couplings(m, BETA_EXACT))
     for e, sg, got in zip(res.epsilons, res.sigmas, res.min_margins):
         rep = resonance_margin(float(e), K, m)
         assert got == pytest.approx(rep.min_margin, rel=1e-10)
-        assert res.lam_covered >= np.max(rep.mu) / sg
-        assert rep.lam_covered >= np.max(rep.mu) / sg
+        assert res.lam_covered >= mu_max / sg
+        assert rep.lam_covered >= mu_max / sg
 
 
 def test_scan_epsilons_basic():

@@ -21,7 +21,6 @@ from aclayers.geometry import (
 from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.toda import (
     DS0_bar,
-    GapCoupling,
     S0_bar,
     S_bar,
     build_matrices,
@@ -58,24 +57,27 @@ def heights_of(h):
 
 # --- matrices ---
 
+def tridiagonal(m):
+    """The (m-1) tridiagonal (-1, 2, -1) interaction matrix C."""
+    return 2.0 * np.eye(m - 1) - np.eye(m - 1, k=1) - np.eye(m - 1, k=-1)
+
+
 def test_matrices_m2():
-    t = build_matrices(2)
-    assert t.C.shape == (1, 1)
-    assert t.C[0, 0] == 2.0
-    assert t.C_sqrt[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    C_sqrt = build_matrices(2)
+    assert C_sqrt.shape == (1, 1)
+    assert C_sqrt[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_matrices_m3_eigenvalues():
-    t = build_matrices(3)
-    assert np.linalg.eigvalsh(t.C) == pytest.approx([1.0, 3.0], rel=1e-12)
+    C_sqrt = build_matrices(3)
+    assert np.linalg.eigvalsh(C_sqrt) ** 2 == pytest.approx([1.0, 3.0], rel=1e-12)
 
 
 def test_matrices_m4_eigenvalues_against_oracle():
-    t = build_matrices(4)
     # closed form for the (-1, 2, -1) tridiagonal
     closed = [4.0 * math.sin(k * math.pi / 8.0) ** 2 for k in (1, 2, 3)]
-    assert np.linalg.eigvalsh(t.C) == pytest.approx(closed, rel=1e-12)
-    assert np.linalg.eigvalsh(t.C_sqrt) ** 2 == pytest.approx(closed, rel=1e-12)
+    assert np.linalg.eigvalsh(tridiagonal(4)) == pytest.approx(closed, rel=1e-12)
+    assert np.linalg.eigvalsh(build_matrices(4)) ** 2 == pytest.approx(closed, rel=1e-12)
 
 
 def test_matrices_b_structure():
@@ -87,9 +89,10 @@ def test_matrices_b_structure():
 
 
 def test_matrices_sqrt():
-    t = build_matrices(6)
-    assert np.linalg.norm(t.C_sqrt @ t.C_sqrt - t.C) < 1e-12 * np.linalg.norm(t.C)
-    assert np.all(np.linalg.eigvalsh(t.C_sqrt) > 0.0)
+    for m in (2, 3, 4, 6):
+        C, C_sqrt = tridiagonal(m), build_matrices(m)
+        assert np.linalg.norm(C_sqrt @ C_sqrt - C) < 1e-12 * np.linalg.norm(C)
+        assert np.all(np.linalg.eigvalsh(C_sqrt) > 0.0)
 
 
 def test_matrices_m1_rejected():
@@ -249,8 +252,7 @@ def test_s_bar_rotation_equivariant():
 
 def test_corrections_k1_is_profile():
     K = wavy_K()
-    c = GapCoupling(sigma=0.1, beta=BETA_EXACT)
-    v1 = iterate_corrections(K, c, 3, 1)
+    v1 = iterate_corrections(K, 0.1, BETA_EXACT, 3, 1)
     ref = first_order_profile(K, 3, BETA_EXACT)
     assert np.max(np.abs(v1 - ref)) == 0.0
 
@@ -262,8 +264,7 @@ def test_corrections_order_slopes():
     for k in (1, 2, 3):
         norms = []
         for sg in sigmas:
-            c = GapCoupling(sigma=float(sg), beta=BETA_EXACT)
-            vk = iterate_corrections(K, c, 3, k)
+            vk = iterate_corrections(K, float(sg), BETA_EXACT, 3, k)
             norms.append(np.max(np.abs(S_bar(vk, float(sg), K, BETA_EXACT))))
         slope = np.polyfit(np.log(sigmas), np.log(norms), 1)[0]
         assert abs(slope - k) < 0.25
@@ -273,21 +274,25 @@ def test_corrections_constant_K_order2_form():
     # v^2 = v^1 - sigma K (DS0)^{-1} v^1 for constant K
     K = unit_K(32)
     sigma = 0.08
-    c = GapCoupling(sigma=sigma, beta=BETA_EXACT)
     v1 = first_order_profile(K, 3, BETA_EXACT)
     J = DS0_bar(v1)[0]
     omega = np.linalg.solve(J, -sigma * 1.0 * v1[:, 0])
-    v2 = iterate_corrections(K, c, 3, 2)
+    v2 = iterate_corrections(K, sigma, BETA_EXACT, 3, 2)
     assert v2[:, 0] == pytest.approx(v1[:, 0] + omega, rel=1e-12)
 
 
 def test_corrections_order_bounds():
     K = unit_K(16)
-    c = GapCoupling(sigma=0.05, beta=BETA_EXACT)
     with pytest.raises(DomainError):
-        iterate_corrections(K, c, 2, 0)
+        iterate_corrections(K, 0.05, BETA_EXACT, 2, 0)
     with pytest.raises(DomainError):
-        iterate_corrections(K, c, 2, 7)
+        iterate_corrections(K, 0.05, BETA_EXACT, 2, 7)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.1])
+def test_corrections_reject_nonpositive_sigma(sigma):
+    with pytest.raises(DomainError, match="sigma must be positive"):
+        iterate_corrections(unit_K(16), sigma, BETA_EXACT, 2, 2)
 
 
 # --- full solve ---
@@ -404,7 +409,7 @@ def test_solve_toda_gbar_must_be_full_array(gbar):
 
 
 def test_gap_operators_never_build_matrix_bundle(monkeypatch):
-    # the C^{1/2} bundle (an eigh and a self-check) serves only assemble_A
+    # C^{1/2} (an eigh) serves only assemble_A
     calls = []
 
     def counting(m):
