@@ -333,6 +333,11 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
 # ---------------------------------------------------------------------------
 # artifact writers
 
+# Values per `ArtifactWriter.matrix` block, cut at row boundaries: small
+# enough that the block's repr table adds little memory, large enough that
+# repeats across rows (far fields, `y`-independent rows) share one repr.
+_MATRIX_BLOCK = 4096
+
 
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -389,13 +394,26 @@ class ArtifactWriter:
         self._record(name).write_text("\n".join(lines) + "\n")
 
     def matrix(self, name: str, values: np.ndarray, comment: str) -> None:
-        """CSV matrix (one row per line) with grid metadata in comments."""
+        """CSV matrix (one row per line) with grid metadata in comments.
+
+        Each entry is `repr(float(v))`, the shortest string that reads back
+        to the same float. `repr` runs once per distinct bit pattern in a
+        block of about `_MATRIX_BLOCK` values; bits, not float equality,
+        keep `-0.0` apart from `0.0`. Each block is written as it is
+        formatted, so the file's text is never held whole.
+        """
         if "csv" not in self.formats:
             return
-        lines = [f"# schema: {SCHEMA}", f"# {comment}"]
-        for row in np.atleast_2d(np.asarray(values, dtype=float)):
-            lines.append(",".join(map(repr, row.tolist())))
-        self._record(name).write_text("\n".join(lines) + "\n")
+        a = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)))
+        rows = max(1, _MATRIX_BLOCK // max(1, a.shape[1]))
+        with self._record(name).open("w") as out:
+            out.write(f"# schema: {SCHEMA}\n# {comment}\n")
+            for start in range(0, len(a), rows):
+                block = a[start:start + rows]
+                bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+                text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+                lines = map(",".join, text[inverse.reshape(block.shape)].tolist())
+                out.write("\n".join(lines) + "\n")
 
 
 def _strip_comment(grid: StripGrid) -> str:

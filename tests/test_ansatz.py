@@ -906,6 +906,10 @@ def test_newton_steps_run_on_the_band_rows(monkeypatch):
 # layer positions against the reduction on 1 + 0.2 cos y. Measured: slopes
 # 1.531 (m = 2) and 1.522 (m = 3); error over f_j's variation along y at eps
 # 0.0125: 0.73% (m = 2) and 1.79% (m = 3). Bounds fixed before the test ran.
+# The error is a uniform widening of every gap (the stack's centre agrees to
+# 1e-11), about 0.5 eps^2 rho^2 (m = 2) and 1.1 eps^2 rho^2 (m = 3) over eps
+# 0.05 -> 0.00625. With rho ~ log(1/eps), the fitted slope of about 1.5 is
+# this eps^2 rho^2, not a fractional power of eps.
 @pytest.mark.parametrize("m, ladder, max_fraction", [
     (2, (0.05, 0.025, 0.0125, 0.00625), 0.010),
     (3, (0.05, 0.025, 0.0125), 0.025)], ids=["m2", "m3"])

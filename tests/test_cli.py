@@ -358,6 +358,77 @@ def test_matrix_writes_shortest_round_trip_reprs(tmp_path):
     assert (tmp_path / "v.csv").read_text().endswith("\n1.0,2.0\n")
 
 
+def _per_cell_matrix(values, comment: str) -> bytes:
+    """Reference: `ArtifactWriter.matrix` with one `repr` per cell."""
+    lines = [f"# schema: {cli.SCHEMA}", f"# {comment}"]
+    for row in np.atleast_2d(np.asarray(values, dtype=float)):
+        lines.append(",".join(map(repr, row.tolist())))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _matrix_cases():
+    rng = np.random.default_rng(17)
+    block = cli._MATRIX_BLOCK
+    width = block // 3 + 1  # two rows per block, so blocks cut between rows
+    repeated = np.tile(np.linspace(-1.0, 1.0, width), (7, 1))
+    repeated[3, ::5] = -0.0
+    repeated[4, 1::7] = 0.0
+    return {
+        "signed-zeros": [[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 0.0]],
+        "nan-payloads-and-inf": np.concatenate([
+            np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                      0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+                     dtype=np.uint64).view(np.float64),
+            [np.inf, -np.inf, np.inf, 1.0, np.nan]]).reshape(2, 5),
+        "subnormal-extremes": [[5e-324, -5e-324, 5e-324], [0.0, -5e-324, -0.0]],
+        "random-bit-patterns": rng.integers(
+            0, 2**64, size=100, dtype=np.uint64).view(np.float64).reshape(10, 10),
+        "rows-wider-than-a-block": np.tile([0.1, -0.0, 0.1, 2.5e-8], (3, block // 2 + 1)),
+        "block-cut-between-repeated-rows": repeated,
+        "0-d": np.float64(-0.0),
+        "1-d": [1.0, -0.0, 1.0, 1e300],
+        "int": np.arange(-6, 6).reshape(3, 4),
+        "no-rows": np.empty((0, 4)),
+        "no-columns": np.empty((3, 0)),
+        "transposed": np.round(rng.standard_normal((9, 5)), 1).T,
+    }
+
+
+@pytest.mark.parametrize("case", list(_matrix_cases()))
+def test_matrix_matches_the_per_cell_repr_reference(tmp_path, case):
+    values = _matrix_cases()[case]
+    writer = cli.ArtifactWriter(tmp_path, ("csv",))
+    writer.matrix("m.csv", values, case)
+    assert (tmp_path / "m.csv").read_bytes() == _per_cell_matrix(values, case)
+
+
+def test_strip_matrices_round_trip_through_shortest_reprs(tmp_path, monkeypatch):
+    # every token is the shortest repr of its float, and each file loads
+    # back bit for bit to the array the command wrote
+    written = {}
+    matrix = cli.ArtifactWriter.matrix
+
+    def recorded(self, name, values, comment):
+        written[self.out_dir / name] = np.array(values, dtype=float)
+        matrix(self, name, values, comment)
+
+    monkeypatch.setattr(cli.ArtifactWriter, "matrix", recorded)
+    for command in ("ansatz-residual", "newton-solve"):
+        code, _ = _run(tmp_path / command, command, "--epsilon", "0.1")
+        assert code == 0
+    assert sorted(p.name for p in written) == [
+        "residual_00.csv", "solution.csv", "u0_00.csv"]
+    for path, values in written.items():
+        rows = [line for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == values.shape[0]
+        for row in rows:
+            assert all(tok == repr(float(tok)) for tok in row.split(","))
+        back = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        assert back.shape == values.shape
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
 def test_ansatz_residual_artifacts(tmp_path):
     code, out = _run(tmp_path, "ansatz-residual", "--epsilon", "0.1")
     assert code == 0
@@ -489,6 +560,11 @@ def test_artifacts_are_deterministic(tmp_path):
     code2, out2 = _run(tmp_path / "b", "scales", "--epsilon", "0.07")
     assert code1 == code2 == 0
     for name in ("scales.json", "scales.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    code1, out1 = _run(tmp_path / "c", "ansatz-residual", "--epsilon", "0.1")
+    code2, out2 = _run(tmp_path / "d", "ansatz-residual", "--epsilon", "0.1")
+    assert code1 == code2 == 0
+    for name in ("u0_00.csv", "residual_00.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
