@@ -30,6 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._floatfmt import WIDTH, reprs
 from .acceptance import format_lines, run_all
 from .ansatz import (
     StripGrid,
@@ -334,8 +335,10 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
 # artifact writers
 
 # Values per `ArtifactWriter.matrix` block, cut at row boundaries: small
-# enough that the block's repr table adds little memory, large enough that
-# repeats across rows (far fields, `y`-independent rows) share one repr.
+# enough that the block's text and gather index (24 intp per distinct
+# value) stay under a megabyte, large enough that repeats across rows (far
+# fields, `y`-independent rows) are formatted once and numpy's per-call cost
+# spreads over many values.
 _MATRIX_BLOCK = 4096
 
 
@@ -397,23 +400,35 @@ class ArtifactWriter:
         """CSV matrix (one row per line) with grid metadata in comments.
 
         Each entry is `repr(float(v))`, the shortest string that reads back
-        to the same float. `repr` runs once per distinct bit pattern in a
-        block of about `_MATRIX_BLOCK` values; bits, not float equality,
-        keep `-0.0` apart from `0.0`. Each block is written as it is
-        formatted, so the file's text is never held whole.
+        to the same float, byte for byte. `_floatfmt.reprs` makes the text
+        of each distinct bit pattern in a block of about `_MATRIX_BLOCK`
+        values, with numpy integer arithmetic for normal values and `repr`
+        itself only for zeros, subnormals, infinities and NaNs; bits, not
+        float equality, keep `-0.0` apart from `0.0`. The cells are
+        gathered from those rows into NUL-padded fields, and each block is
+        written, NULs dropped, as it is formatted, so the file's text is
+        never held whole.
         """
         if "csv" not in self.formats:
             return
         a = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)))
-        rows = max(1, _MATRIX_BLOCK // max(1, a.shape[1]))
-        with self._record(name).open("w") as out:
-            out.write(f"# schema: {SCHEMA}\n# {comment}\n")
-            for start in range(0, len(a), rows):
+        n_rows, n_cols = a.shape
+        rows = max(1, _MATRIX_BLOCK // max(1, n_cols))
+        # a comma after each cell but the last; a last field holds the newline
+        sep = np.full((n_cols, 1), ord(","), dtype=np.uint8)
+        sep[-1:] = 0
+        eol = np.zeros(WIDTH + 1, dtype=np.uint8)
+        eol[0] = ord("\n")
+        with self._record(name).open("wb") as out:
+            out.write(f"# schema: {SCHEMA}\n# {comment}\n".encode())
+            for start in range(0, n_rows, rows):
                 block = a[start:start + rows]
                 bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-                text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-                lines = map(",".join, text[inverse.reshape(block.shape)].tolist())
-                out.write("\n".join(lines) + "\n")
+                lines = np.empty((len(block), n_cols + 1, WIDTH + 1), dtype=np.uint8)
+                lines[:, :-1, :WIDTH] = reprs(bits)[inverse.reshape(block.shape)]
+                lines[:, :-1, WIDTH:] = sep
+                lines[:, -1] = eol
+                out.write(lines[lines != 0].tobytes())
 
 
 def _strip_comment(grid: StripGrid) -> str:

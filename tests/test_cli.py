@@ -402,6 +402,41 @@ def test_matrix_matches_the_per_cell_repr_reference(tmp_path, case):
     assert (tmp_path / "m.csv").read_bytes() == _per_cell_matrix(values, case)
 
 
+def _with_neighbours(values) -> np.ndarray:
+    """Bit patterns of `values`, one ulp either side, and the negatives of all."""
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+    bits = np.concatenate([bits, bits + np.uint64(1), bits - np.uint64(1)])
+    return np.concatenate([bits, bits | np.uint64(1 << 63)])
+
+
+def test_matrix_matches_the_per_cell_repr_reference_on_hard_values(tmp_path):
+    rng = np.random.default_rng(18)
+    cols = 64
+    block = cli._MATRIX_BLOCK
+    assert block % cols == 0  # so each filler below is a block of its own
+    hard = np.concatenate([
+        rng.integers(0, 2**64, size=200_000, dtype=np.uint64),
+        _with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+        _with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+        # both sides of the layout switches at 1e-4 and 1e16, 3-digit exponents
+        _with_neighbours(np.concatenate([
+            np.geomspace(1e-5, 1e-3, 1000), np.geomspace(1e15, 1e17, 1000),
+            np.geomspace(1e-300, 1e-100, 1000), np.geomspace(1e100, 1e300, 1000)])),
+        np.arange(2**53 - 2000, 2**53 + 2000).astype(np.float64).view(np.uint64),
+    ])
+    hard = np.concatenate([hard, np.zeros(-len(hard) % block, dtype=np.uint64)])
+    values = np.concatenate([
+        hard.view(np.float64).reshape(-1, cols),
+        np.zeros((block // cols, cols)),
+        np.full((block // cols, cols), np.nan),
+        np.full((block // cols, cols), -2.5e-7),
+    ])
+    writer = cli.ArtifactWriter(tmp_path, ("csv",))
+    writer.matrix("m.csv", values, "hard values")
+    got = (tmp_path / "m.csv").read_bytes().split(b"\n")
+    assert got == _per_cell_matrix(values, "hard values").split(b"\n")
+
+
 def test_strip_matrices_round_trip_through_shortest_reprs(tmp_path, monkeypatch):
     # every token is the shortest repr of its float, and each file loads
     # back bit for bit to the array the command wrote

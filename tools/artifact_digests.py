@@ -1,0 +1,69 @@
+"""Print a sha256 of every data artifact the eight data commands write.
+
+    python3 tools/artifact_digests.py [CHECKOUT] > digests.txt
+
+Runs `constants`, `scales`, `toda-solve`, `spectrum`, `resonance-scan`,
+`weyl`, `ansatz-residual` and `newton-solve` (at `--epsilon 0.05`) of the
+`aclayers` package in CHECKOUT's `src/` (default: this script's checkout) on
+two configs: the defaults (`{}`) and a 3-point m = 3 sweep on a curvature
+with one cosine harmonic. Prints one `exit <code>  <config>/<command>` line
+per run and one `<sha256>  <config>/<command>/<file>` line per artifact;
+`manifest.json` is left out, as it holds the wall time. Two checkouts write
+byte-identical data artifacts when their outputs are equal:
+
+    diff <(python3 tools/artifact_digests.py OTHER) <(python3 tools/artifact_digests.py)
+
+The BLAS and OpenMP pools are pinned to one thread, as in perfbench.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = {
+    "default": {},
+    "m3-sweep": {"m": 3,
+                 "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}},
+                 "epsilon": {"min": 0.02, "max": 0.05, "steps": 3}},
+}
+COMMANDS = ("constants", "scales", "toda-solve", "spectrum", "resonance-scan",
+            "weyl", "ansatz-residual", "newton-solve")
+
+
+def main() -> None:
+    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "src"))
+    from aclayers.cli import main as run
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, config in CONFIGS.items():
+            path = Path(tmp) / f"{label}.json"
+            path.write_text(json.dumps(config))
+            for command in COMMANDS:
+                out = Path(tmp) / label / command
+                argv = [command, "--config", str(path), "--out", str(out)]
+                if command == "newton-solve":
+                    argv += ["--epsilon", "0.05"]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = run(argv)
+                print(f"exit {code}  {label}/{command}")
+                for artifact in sorted(out.glob("*")):
+                    if artifact.name != "manifest.json":
+                        digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+                        print(f"{digest}  {label}/{command}/{artifact.name}")
+
+
+if __name__ == "__main__":
+    main()
