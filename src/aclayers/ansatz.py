@@ -13,7 +13,9 @@ expansion of S(u0) near each layer (its terms are documented at
 `_expansion`, which `residual_report` measures), exponentially weighted strip
 norms, the projected transverse linear problem (inversion modulo the kernel
 direction w'), and a damped-Newton solve of the full strip equation that
-steps on the y-bandwidth of its initial state.
+steps on the y-bandwidth of its initial state, on the gap solve's driver
+`toda._damped_newton` (merit ||R||^2, infinite outside |u| <= STATE_BOUND
+without evaluating R; damping floor 2^-16).
 
 Discretization: 6th-order centered finite differences in t with an
 even-reflection (homogeneous Neumann) closure at t = +-T, spectral
@@ -43,7 +45,7 @@ from .geometry import (
 )
 from .profile import SQRT2, heteroclinic, heteroclinic_derivative
 from .scales import scales_of
-from .toda import f_from_h
+from .toda import _damped_newton, f_from_h
 
 # h-norm budget used for window sizing only
 M_BUDGET = 2.0
@@ -661,20 +663,17 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, K: PeriodicField, epsilon: flo
     import scipy.sparse.linalg
 
     kv = _on_strip(K, grid, epsilon)
-    size = grid.y_grid.n * grid.n_t
-    res = _strip_residual(u, kv, grid, epsilon)
-    res_norms = [float(np.max(np.abs(res)))]
-    energies = [strip_energy(StripField(grid, u), epsilon)]
     linear_iterations: list[int] = []
 
-    for iteration in range(NEWTON_MAX_ITER + 1):
-        if res_norms[-1] < NEWTON_TOL:
-            return u, res_norms, energies, linear_iterations
-        if iteration == NEWTON_MAX_ITER:
-            break
+    def merit(trial: np.ndarray) -> tuple[float, np.ndarray | None]:
+        if float(np.max(np.abs(trial))) > STATE_BOUND:
+            return math.inf, None
+        res = _strip_residual(trial, kv, grid, epsilon)
+        return float(np.sum(res * res)), res
 
+    def solve(u: np.ndarray, res: np.ndarray) -> np.ndarray:
         fused, precondition = _right_preconditioned(u, grid, kv, epsilon)
-        op = scipy.sparse.linalg.LinearOperator((size, size), matvec=fused, dtype=float)
+        op = scipy.sparse.linalg.LinearOperator((u.size, u.size), matvec=fused, dtype=float)
         inner: list[float] = []  # one relative residual per inner iteration
         # inexact-Newton floor: near its round-off floor a residual cannot be
         # cut 1e-12 relative, and a step residual far under NEWTON_TOL suffices
@@ -684,32 +683,16 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, K: PeriodicField, epsilon: flo
         if info != 0:
             raise ConvergenceError(
                 f"Newton step solve did not converge (GMRES info {info}) "
-                f"at iteration {iteration}")
+                f"at iteration {len(linear_iterations)}")
         linear_iterations.append(len(inner))
-        direction = precondition(z)
+        return precondition(z)
 
-        r2 = float(np.sum(res * res))
-        damping = 1.0
-        while True:
-            trial = u + damping * direction
-            if float(np.max(np.abs(trial))) <= STATE_BOUND:
-                res_trial = _strip_residual(trial, kv, grid, epsilon)
-                r2_trial = float(np.sum(res_trial * res_trial))
-                if r2_trial <= (1.0 - 0.25 * damping) * r2:
-                    u = trial
-                    res = res_trial
-                    break
-            damping *= 0.5
-            if damping < 2.0**-16:
-                raise ConvergenceError(
-                    f"line search stalled at iteration {iteration} "
-                    f"(|R|_inf = {res_norms[-1]:.3e})")
-        res_norms.append(float(np.max(np.abs(res))))
+    res_norms, energies = [], []
+    for u, r_inf in _damped_newton(u, merit, solve, 2.0**-16, NEWTON_MAX_ITER,
+                                   NEWTON_TOL, "strip solve"):
+        res_norms.append(r_inf)
         energies.append(strip_energy(StripField(grid, u), epsilon))
-
-    raise ConvergenceError(
-        f"no convergence after {NEWTON_MAX_ITER} iterations "
-        f"(|R|_inf = {res_norms[-1]:.3e})")
+    return u, res_norms, energies, linear_iterations
 
 
 def newton_allen_cahn(u_init: StripField, K: PeriodicField,
@@ -720,11 +703,10 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     J P^{-1} z = -R for z, with P the y-averaged transverse operator whose
     y-modes share one banded LU (`_mode_solver`), and the step is
     d = P^{-1} z. GMRES therefore minimizes and stops on the true linear
-    residual |R + J d|, at 1e-12 relative or 1e-3 NEWTON_TOL absolute; an
-    Armijo line search on the squared residual damps the step. Converges
-    when the sup-norm residual falls under 1e-9; the returned level curves
-    must be as numerous as in the initial state (the layer count is
-    conserved or the solve is rejected).
+    residual |R + J d|, at 1e-12 relative or 1e-3 NEWTON_TOL absolute.
+    Converges when the sup-norm residual falls under NEWTON_TOL; the returned
+    level curves must be as numerous as in the initial state (the layer count
+    is conserved or the solve is rejected).
 
     The steps run on the y-bandwidth of u_init, which K and the layer gaps
     fix, not epsilon: when the `_band_rows` that carry it are fewer than the

@@ -65,6 +65,7 @@ from .spectral import (
     weyl_count,
 )
 from .toda import (
+    MAX_CORRECTION_ORDER,
     MAX_ITERATIONS,
     RESIDUAL_TOL,
     build_matrices,
@@ -280,7 +281,8 @@ _FIELDS = (
     _Field("grid.n_t", "n_t", None, int,
            lambda v: v >= 15 and v % 2 == 1, "must be odd and at least 15"),
     _Field("grid.t_extent", "t_extent", "auto", _parse_t_extent),
-    _Field("toda.k", "toda_k", 3, int, lambda v: 1 <= v <= 6, "must lie in 1..6"),
+    _Field("toda.k", "toda_k", 3, int, lambda v: 1 <= v <= MAX_CORRECTION_ORDER,
+           f"must lie in 1..{MAX_CORRECTION_ORDER}"),
     _Field("toda.max_iterations", "toda_max_iterations", MAX_ITERATIONS, int,
            lambda v: v >= 1, "must be at least 1"),
     _Field("toda.tolerance", "toda_tolerance", RESIDUAL_TOL, float,

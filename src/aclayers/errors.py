@@ -20,11 +20,11 @@ class WindowError(DomainError):
 
 
 class IterationError(AclayersError, RuntimeError):
-    """A root finder or Newton iteration exhausted its iteration budget."""
+    """A scalar iteration ran out of budget: `scales.solve_rho` or `_quad.boole_adaptive`."""
 
 
 class ConvergenceError(AclayersError, RuntimeError):
-    """A nonlinear solve finished without meeting its tolerance contract."""
+    """A Newton solve hit its cap or stalled, a step solve failed, or the layer count changed."""
 
 
 class ResonanceError(AclayersError):

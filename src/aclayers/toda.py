@@ -14,8 +14,9 @@ equations leaves the Jacobi equation sigma (s'' + K s) = 0 for
 s = h_1 + ... + h_m, whose only solution is zero on a curve without Jacobi
 fields (a non-degenerate curve, see `geometry.jacobi_is_degenerate`).
 The explicit profile v^1 kills the O(1) part exactly; sigma^k corrections
-refine it, and one damped Newton iteration, started from that profile shifted
-to the forced leading-order balance, finishes the solve.
+refine it, and damped Newton from that profile, shifted to the forced
+leading-order balance, finishes the solve on `_damped_newton`, the driver the
+strip solve shares (here with the merit sup |F| and the damping floor 1e-6).
 
 All gap operators take the coupling sigma as a plain number so formal sigma
 sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
@@ -239,19 +240,46 @@ def _as_gbar(gbar, shape: tuple[int, int]) -> np.ndarray:
     return arr
 
 
+def _damped_newton(x, merit, solve, floor: float, max_steps: int,
+                   tolerance: float, solver: str):
+    """Damped Newton from x: yield (x, |R|_inf) at x and at each accepted iterate.
+
+    merit(x) returns the line-search merit and the residual R at x, and
+    solve(x, R) the direction d. A step accepts the first of x + t d for
+    t = 1, 1/2, ... whose merit is below (1 - t/4) times the current one
+    (Armijo, which no NaN or inf merit passes; Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004). Stops once |R|_inf < tolerance; raises
+    ConvergenceError after max_steps steps (the cap) or at t < floor (a stall).
+    """
+    (value, R), steps = merit(x), 0
+    while True:
+        r_inf = float(np.max(np.abs(R)))
+        yield x, r_inf
+        if r_inf < tolerance:
+            return
+        if steps == max_steps:
+            raise ConvergenceError(f"{solver} did not converge in {max_steps} "
+                                   f"Newton steps (|R|_inf = {r_inf:.3e})")
+        d = solve(x, R)
+        t = 1.0
+        while not (trial := merit(x_t := x + t * d))[0] < (1.0 - 0.25 * t) * value:
+            t *= 0.5
+            if t < floor:
+                raise ConvergenceError(f"{solver} stalled in the line search after "
+                                       f"{steps} Newton steps (|R|_inf = {r_inf:.3e})")
+        x, (value, R), steps = x_t, trial, steps + 1
+
+
 def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
                gbar=None, max_iterations: int = MAX_ITERATIONS,
                tolerance: float = RESIDUAL_TOL) -> TodaSolution:
     """Solve S_bar(v) = gbar for the gaps of a centred stack.
 
-    gbar is an (m-1, n) array, or None for zero. One damped Newton
-    iteration on F(v) = S_bar(v) - gbar. It starts from the
-    order-k_start profile v^k shifted to the forced leading-order balance
-    C e^{-sqrt(2) v} = beta K [1..1] - gbar, which is a zero shift without
-    forcing; a forcing with no positive balance is a DomainError. The
-    resonance check runs on the first Jacobian; each step refreshes the
-    Jacobian and halves its length until the sup-norm residual drops
-    (Armijo), and a step that cannot be made to drop is a ConvergenceError.
+    gbar is an (m-1, n) array, or None for zero. Newton on
+    F(v) = S_bar(v) - gbar starts from the order-k_start profile v^k shifted
+    to the forced leading-order balance C e^{-sqrt(2) v} = beta K [1..1] - gbar,
+    which is a zero shift without forcing; a forcing with no positive balance
+    is a DomainError. The resonance check runs on the first step's Jacobian.
     The heights are the centred ones (`h_from_v`). max_iterations caps the
     Newton steps, and tolerance is the sup-norm residual they must reach.
     """
@@ -272,11 +300,11 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     gaps = vk - np.log(balance / unforced) / SQRT2
 
     # trial steps can swing to large negative gaps: an exp overflow (and the
-    # inf - inf it feeds) marks a rejected trial, so keep those inside errstate
-    def residual_of(trial: np.ndarray) -> float:
+    # inf - inf it feeds) gives a non-finite merit, which rejects the trial
+    def merit(trial: np.ndarray) -> tuple[float, np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore"):
-            r = float(np.max(np.abs(S_bar(trial, sigma, K, beta) - target)))
-        return r if np.isfinite(r) else np.inf
+            F = S_bar(trial, sigma, K, beta) - target
+        return float(np.max(np.abs(F))), F
 
     L = _linearized_matrix(gaps, sigma, K)
     s = np.linalg.svd(L, compute_uv=False)
@@ -285,28 +313,15 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
         raise ResonanceError(
             f"gap system resonant at sigma={sigma:.6g}: smallest singular value "
             f"{s_min:.3e} vs median {s_med:.3e}")
+    first = [L]  # the resonance check's Jacobian serves the first step
 
-    r_now = residual_of(gaps)
-    iterations = 0
-    while r_now >= tolerance:
-        if iterations == max_iterations:
-            raise ConvergenceError(
-                f"gap solve did not converge in {max_iterations} Newton steps: "
-                f"residual {r_now:.3e}")
-        if iterations > 0:
-            L = _linearized_matrix(gaps, sigma, K)
+    def solve(v: np.ndarray, F: np.ndarray) -> np.ndarray:
         # L = -(dS_bar/dv), so the Newton step solves L d = +F
-        F = S_bar(gaps, sigma, K, beta) - target
-        step = np.linalg.solve(L, F.reshape(-1)).reshape(gaps.shape)
-        t = 1.0
-        while (r_trial := residual_of(gaps + t * step)) >= (1.0 - 0.25 * t) * r_now:
-            t *= 0.5
-            if t <= 1e-6:
-                raise ConvergenceError(
-                    f"gap solve did not converge: line search stalled at "
-                    f"residual {r_now:.3e} after {iterations} Newton steps")
-        gaps, r_now = gaps + t * step, r_trial
-        iterations += 1
+        J = first.pop() if first else _linearized_matrix(v, sigma, K)
+        return np.linalg.solve(J, F.reshape(-1)).reshape(v.shape)
 
+    for iterations, (gaps, r_now) in enumerate(_damped_newton(
+            gaps, merit, solve, 1e-6, max_iterations, tolerance, "gap solve")):
+        pass
     return TodaSolution(v=gaps, h=h_from_v(K.grid, gaps), iterations=iterations,
                         residual=r_now, method="newton", conditioning=s_min / s_med)

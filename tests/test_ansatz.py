@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import aclayers.ansatz as ansatz_module
-from aclayers import DomainError, NumericalError, WindowError
+from aclayers import ConvergenceError, DomainError, NumericalError, WindowError
 from aclayers.ansatz import (
     NEWTON_TOL,
     StripField,
@@ -901,6 +901,17 @@ def test_newton_steps_run_on_the_band_rows(monkeypatch):
     assert rep.iterations == 8
     assert rows == [38] * 8
     assert (rep.band_n_y, rep.caller_grid_steps) == (38, 0)
+
+
+def test_newton_raises_at_its_step_cap(monkeypatch):
+    # the band pass at (0.025, 3) on 1 + 0.2 cos y takes 8 steps, so a cap of
+    # 2 must end it typed, naming the solver, the cap and the residual
+    monkeypatch.setattr(ansatz_module, "NEWTON_MAX_ITER", 2)
+    K = shape_K("cos")
+    _, _, u0 = toda_start(K, 3, 0.025)
+    with pytest.raises(ConvergenceError,
+                       match=r"strip solve did not converge in 2 Newton steps \(\|R\|_inf = "):
+        newton_allen_cahn(u0, K, 0.025)
 
 
 # layer positions against the reduction on 1 + 0.2 cos y. Measured: slopes

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import aclayers.toda as toda_module
-from aclayers import DomainError, scales_of
+from aclayers import ConvergenceError, DomainError, scales_of
 from aclayers.geometry import (
     ClosedCurve,
     PeriodicField,
@@ -400,6 +400,34 @@ def test_solve_toda_forced_converges_fast(K, m, eps):
         sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
     assert sol.residual < 1e-10
     assert sol.iterations <= 10
+
+
+def test_solve_toda_raises_at_its_step_cap():
+    # the forced solve on 1 + 0.2 cos y takes more than one step at (0.05, 3)
+    s = scales_of(0.05)
+    K = wavy_K(64, amp=0.2)
+    gbar = equilibrium_gap_forcing(K, 3, s.beta)
+    assert solve_toda(K, s, 3, gbar=gbar).iterations > 1
+    with pytest.raises(ConvergenceError,
+                       match=r"^gap solve did not converge in 1 Newton steps \(\|R\|_inf = "):
+        solve_toda(K, s, 3, gbar=gbar, max_iterations=1)
+
+
+def test_solve_toda_builds_one_jacobian_per_step(monkeypatch):
+    # the resonance check's Jacobian serves the first step
+    calls = []
+    linearized = toda_module._linearized_matrix
+
+    def counting(gaps, sigma, K):
+        calls.append(1)
+        return linearized(gaps, sigma, K)
+
+    monkeypatch.setattr(toda_module, "_linearized_matrix", counting)
+    s = scales_of(0.05)
+    K = wavy_K(64, amp=0.2)
+    sol = solve_toda(K, s, 3, gbar=equilibrium_gap_forcing(K, 3, s.beta))
+    assert sol.iterations > 1
+    assert len(calls) == sol.iterations
 
 
 @pytest.mark.parametrize("gbar", [0.0, np.zeros(2)], ids=["scalar", "per-gap"])

@@ -6,8 +6,11 @@ Runs `constants`, `scales`, `toda-solve`, `spectrum`, `resonance-scan`,
 `weyl`, `ansatz-residual` and `newton-solve` (at `--epsilon 0.05`) of the
 `aclayers` package in CHECKOUT's `src/` (default: this script's checkout) on
 two configs: the defaults (`{}`) and a 3-point m = 3 sweep on a curvature
-with one cosine harmonic. Prints one `exit <code>  <config>/<command>` line
-per run and one `<sha256>  <config>/<command>/<file>` line per artifact;
+with one cosine harmonic. On the sweep, `newton-solve` also runs at
+`--epsilon 0.025` (as `newton-solve-0.025`), whose 8 Newton steps on the
+band grid take 4 line-search halvings; at 0.05 no step is damped. Prints one
+`exit <code>  <config>/<run>` line per run and one
+`<sha256>  <config>/<run>/<file>` line per artifact;
 `manifest.json` is left out, as it holds the wall time. Two checkouts write
 byte-identical data artifacts when their outputs are equal:
 
@@ -39,6 +42,11 @@ CONFIGS = {
 }
 COMMANDS = ("constants", "scales", "toda-solve", "spectrum", "resonance-scan",
             "weyl", "ansatz-residual", "newton-solve")
+# (config, run name, command, extra arguments), in the order they run
+RUNS = [(label, command, command,
+         ["--epsilon", "0.05"] if command == "newton-solve" else [])
+        for label in CONFIGS for command in COMMANDS]
+RUNS.append(("m3-sweep", "newton-solve-0.025", "newton-solve", ["--epsilon", "0.025"]))
 
 
 def main() -> None:
@@ -48,21 +56,19 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         for label, config in CONFIGS.items():
-            path = Path(tmp) / f"{label}.json"
-            path.write_text(json.dumps(config))
-            for command in COMMANDS:
-                out = Path(tmp) / label / command
-                argv = [command, "--config", str(path), "--out", str(out)]
-                if command == "newton-solve":
-                    argv += ["--epsilon", "0.05"]
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = run(argv)
-                print(f"exit {code}  {label}/{command}")
-                for artifact in sorted(out.glob("*")):
-                    if artifact.name != "manifest.json":
-                        digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
-                        print(f"{digest}  {label}/{command}/{artifact.name}")
+            (Path(tmp) / f"{label}.json").write_text(json.dumps(config))
+        for label, name, command, extra in RUNS:
+            out = Path(tmp) / label / name
+            argv = [command, "--config", str(Path(tmp) / f"{label}.json"),
+                    "--out", str(out), *extra]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+            print(f"exit {code}  {label}/{name}")
+            for artifact in sorted(out.glob("*")):
+                if artifact.name != "manifest.json":
+                    digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+                    print(f"{digest}  {label}/{name}/{artifact.name}")
 
 
 if __name__ == "__main__":
