@@ -37,9 +37,10 @@ from .geometry import (
     PeriodicField,
     PeriodicGrid,
     _fourier_multipliers,
+    _phase_table,
     _resample_rows,
     _spectral_derivative,
-    _trig_eval,
+    _trig_apply,
     first_derivative,
     second_derivative,
 )
@@ -131,16 +132,28 @@ def _t_matrices(n_t: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return d1 / dt, d2 / (dt * dt)
 
 
-def _on_strip(f: PeriodicField, grid: StripGrid, epsilon: float) -> np.ndarray:
-    """Sample a curve field at the stretched nodes, arclength s = eps*y."""
+def _on_strip(fields: Sequence[PeriodicField], grid: StripGrid,
+              epsilon: float) -> list[np.ndarray]:
+    """Sample curve fields at the stretched nodes, arclength s = eps*y.
+
+    Fields on one curve grid share one `_phase_table` of the strip rows,
+    applied to one field at a time.
+    """
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
-    stretched = f.grid.length / epsilon
-    if abs(grid.y_grid.length - stretched) > 1e-8 * stretched:
-        raise DomainError(
-            f"strip y-period {grid.y_grid.length:.6g} is not the curve length "
-            f"{f.grid.length:.6g} over epsilon {epsilon:.6g}")
-    return _trig_eval(f.values, f.grid.length, epsilon * grid.y_grid.points())
+    s = epsilon * grid.y_grid.points()
+    tables: dict[PeriodicGrid, np.ndarray] = {}
+    sampled = []
+    for f in fields:
+        stretched = f.grid.length / epsilon
+        if abs(grid.y_grid.length - stretched) > 1e-8 * stretched:
+            raise DomainError(
+                f"strip y-period {grid.y_grid.length:.6g} is not the curve length "
+                f"{f.grid.length:.6g} over epsilon {epsilon:.6g}")
+        if f.grid not in tables:
+            tables[f.grid] = _phase_table(f.grid.n, f.grid.length, s)
+        sampled.append(_trig_apply(tables[f.grid], f.values))
+    return sampled
 
 
 def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
@@ -192,8 +205,7 @@ def assemble_u0(f: Sequence[PeriodicField], grid: StripGrid,
     _check_window(grid, m, scales_of(epsilon).rho)
     z = grid.t[None, :]
     vals = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
-    for j, fj in enumerate(f, start=1):
-        pos = _on_strip(fj, grid, epsilon)
+    for j, pos in enumerate(_on_strip(f, grid, epsilon), start=1):
         vals += (-1.0) ** (j - 1) * heteroclinic(z - pos[:, None])
     return StripField(grid, vals)
 
@@ -209,34 +221,51 @@ def _strip_residual(vals: np.ndarray, kv: np.ndarray, grid: StripGrid,
 
 def residual(u0: StripField, K: PeriodicField, epsilon: float) -> StripField:
     """S(u0) = u0_zz + u0_yy - eps^2 z K(eps y) u0_z + u0 - u0^3."""
-    kv = _on_strip(K, u0.grid, epsilon)
+    [kv] = _on_strip([K], u0.grid, epsilon)
     return StripField(u0.grid, _strip_residual(u0.values, kv, u0.grid, epsilon))
 
 
-def _layer_shares(f: Sequence[PeriodicField], positions: Sequence[np.ndarray],
+def _layer_shares(positions: Sequence[np.ndarray],
+                  slopes: Sequence[tuple[np.ndarray, np.ndarray]],
                   grid: StripGrid, kv: np.ndarray, epsilon: float):
     """Each layer's share of the closed-form S(u0), one layer at a time.
 
-    positions holds each f_j sampled on the strip and kv the curvature. For
-    layer j, with t_j = z - f_j(eps y) and w_j = w(t_j), yields
-    (t_j, w_j, w_j', w_j'', share_j) where
+    positions holds each f_j sampled on the strip, slopes the pairs
+    (f_j', f_j'') sampled there and kv the curvature. For layer j, with
+    t_j = z - f_j(eps y) and w_j = w(t_j), yields (t_j, w_j, w_j', w_j'', share_j)
+    where
 
         share_j = (-1)^{j-1} [ (1 + eps^2 f_j'^2) w_j'' - eps^2 (f_j'' + z K) w_j' ]
 
-    and w'' = w^3 - w. The shares sum to S(u0) - F(u0).
+    and w'' = w^3 - w. The shares sum to S(u0) - F(u0). One tanh per layer
+    gives w and w' = (1 - w^2)/sqrt(2), the bits `heteroclinic_derivative` gives.
     """
     z = grid.t[None, :]
     e2 = epsilon * epsilon
-    for j, (fj, pos) in enumerate(zip(f, positions), start=1):
-        fp = _on_strip(first_derivative(fj), grid, epsilon)[:, None]
-        fpp = _on_strip(second_derivative(fj), grid, epsilon)[:, None]
+    for j, (pos, (fp, fpp)) in enumerate(zip(positions, slopes), start=1):
+        fp, fpp = fp[:, None], fpp[:, None]
         tj = z - pos[:, None]
         w = heteroclinic(tj)
-        wp = heteroclinic_derivative(tj)
+        wp = (1.0 - w * w) / SQRT2
         wpp = w * w * w - w
         share = (-1.0) ** (j - 1) * ((1.0 + e2 * fp * fp) * wpp
                                      - e2 * (fpp + z * kv[:, None]) * wp)
         yield tj, w, wp, wpp, share
+
+
+def _sample_layers(f: Sequence[PeriodicField], K: PeriodicField, grid: StripGrid,
+                   epsilon: float, *extra: PeriodicField):
+    """K, each f_j, the pairs (f_j', f_j'') and the extra fields, all on the strip.
+
+    One `_on_strip` call, so every field on K's curve grid shares one table.
+    """
+    m = len(f)
+    kv, *sampled = _on_strip(
+        [K, *f, *map(first_derivative, f), *map(second_derivative, f), *extra],
+        grid, epsilon)
+    positions = sampled[:m]
+    slopes = list(zip(sampled[m:2 * m], sampled[2 * m:3 * m]))
+    return kv, positions, slopes, sampled[3 * m:]
 
 
 def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
@@ -255,11 +284,10 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     m = len(f)
     if m < 1:
         raise DomainError("need at least one layer position")
-    kv = _on_strip(K, grid, epsilon)
-    positions = [_on_strip(fj, grid, epsilon) for fj in f]
+    kv, positions, slopes, _ = _sample_layers(f, K, grid, epsilon)
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     out = np.zeros(grid.shape)
-    layers = _layer_shares(f, positions, grid, kv, epsilon)
+    layers = _layer_shares(positions, slopes, grid, kv, epsilon)
     for j, (_, w, _, _, share) in enumerate(layers, start=1):
         u0 += (-1.0) ** (j - 1) * w
         out += share
@@ -283,6 +311,12 @@ def _expansion(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
       jacobi:      -eps^2 (h_ell'' + K h_ell) w';
       gradient_sq: +eps^2 (h_ell')^2 w''.
     Here t = z - f_ell is the local coordinate and fbase_ell = (ell - (m+1)/2) rho.
+
+    u0 and S(u0) cover the strip. The terms, the nearest layer and the window
+    of layer ell are evaluated only on its column slab: the t-columns within
+    rho/2 + M of f_ell on some row (found from the least and greatest f_ell,
+    one spare column each side), outside which its window is empty. Every
+    curve field is sampled by one `_on_strip` call.
     """
     m = len(h)
     s = scales_of(epsilon)
@@ -290,45 +324,50 @@ def _expansion(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
     f = f_from_h(h, s)
     window = 0.5 * s.rho + M_BUDGET
     e2 = epsilon * epsilon
-    kv = _on_strip(K, grid, epsilon)
-    positions = [_on_strip(fj, grid, epsilon) for fj in f]
-    nearest = np.argmin(np.abs(grid.t[None, None, :] - np.stack(positions)[:, :, None]),
-                        axis=0)
-    gap_exp = [_on_strip(PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values))),
-                         grid, epsilon)[:, None]
-               for lo, hi in zip(h, h[1:])]
+    gaps = [PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values)))
+            for lo, hi in zip(h, h[1:])]
+    kv, positions, slopes, sampled = _sample_layers(
+        f, K, grid, epsilon, *h, *map(first_derivative, h), *map(second_derivative, h),
+        *gaps)
+    height, grad_h, lap_h = sampled[:m], sampled[m:2 * m], sampled[2 * m:3 * m]
+    gap_exp = [g[:, None] for g in sampled[3 * m:]]
+    stacked = np.stack(positions)
+    t = grid.t
 
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     res = np.zeros(grid.shape)
     in_window = np.zeros(grid.shape, dtype=bool)
     terms = {name: np.zeros(grid.shape)
              for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
-    layers = _layer_shares(f, positions, grid, kv, epsilon)
-    for ell, (h_ell, (t_loc, w, wp, wpp, share)) in enumerate(zip(h, layers), start=1):
+    layers = _layer_shares(positions, slopes, grid, kv, epsilon)
+    for ell, (t_loc, w, wp, wpp, share) in enumerate(layers, start=1):
         sign = (-1.0) ** (ell - 1)
         u0 += sign * w
         res += share
 
+        # the slab: columns within the window of some row's f_ell, one spare each side
+        pos = positions[ell - 1]
+        lo, hi = np.searchsorted(t, (pos.min() - window, pos.max() + window))
+        cols = slice(max(lo - 1, 0), hi + 1)
+        t_loc, w, wp, wpp = t_loc[:, cols], w[:, cols], wp[:, cols], wpp[:, cols]
         pref = 6.0 * (1.0 - w * w) * e2 * s.rho
-        inter = np.zeros(grid.shape)
+        inter = np.zeros(t_loc.shape)
         if ell >= 2:
             inter += pref * gap_exp[ell - 2] * np.exp(-SQRT2 * t_loc)
         if ell <= m - 1:
             inter -= pref * gap_exp[ell - 1] * np.exp(SQRT2 * t_loc)
-        height = _on_strip(h_ell, grid, epsilon)
-        lap_h = _on_strip(second_derivative(h_ell), grid, epsilon)
-        grad_h = _on_strip(first_derivative(h_ell), grid, epsilon)
         f_base = (ell - (m + 1) / 2.0) * s.rho
         layer_terms = {
             "interaction": inter,
             "curvature": -e2 * (t_loc + f_base) * kv[:, None] * wp,
-            "jacobi": -e2 * ((lap_h + kv * height)[:, None]) * wp,
-            "gradient_sq": e2 * (grad_h**2)[:, None] * wpp,
+            "jacobi": -e2 * ((lap_h[ell - 1] + kv * height[ell - 1])[:, None]) * wp,
+            "gradient_sq": e2 * (grad_h[ell - 1]**2)[:, None] * wpp,
         }
+        nearest = np.argmin(np.abs(t[None, None, cols] - stacked[:, :, None]), axis=0)
         mask = (np.abs(t_loc) <= window) & (nearest == ell - 1)
-        in_window |= mask
+        in_window[:, cols] |= mask
         for name, term in layer_terms.items():
-            terms[name] += np.where(mask, sign * term, 0.0)
+            terms[name][:, cols] += np.where(mask, sign * term, 0.0)
         # free this layer's terms before the generator samples the next layer
         del pref, inter, layer_terms, term
     res += u0 - u0 * u0 * u0
@@ -349,6 +388,13 @@ def _ball_offsets(dy: float, dt: float) -> list[tuple[int, int]]:
     return offsets
 
 
+def _check_norm_parameters(p: float, sigma_decay: float) -> None:
+    if not p >= 1.0:
+        raise DomainError("p must be at least 1 (or infinity)")
+    if not 0.0 < sigma_decay < SQRT2:
+        raise DomainError("sigma_decay must lie in (0, sqrt(2))")
+
+
 def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     """sup over grid points of e^{sigma|t|} times the local L^p ball norm.
 
@@ -357,21 +403,28 @@ def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     cell-measure weighted; on grids with y-spacing above 1 it degenerates to
     a single t-column. The weight uses the strip transverse coordinate t
     (distance from the curve), not the distance to the nearest layer.
+
+    Only the t-columns from the first to the last that hold a nonzero value,
+    widened by the ball's t-radius and clipped to the strip, are visited:
+    every other ball holds zeros alone. An all-zero field has norm 0.
     """
-    if not p >= 1.0:
-        raise DomainError("p must be at least 1 (or infinity)")
-    if not 0.0 < sigma_decay < SQRT2:
-        raise DomainError("sigma_decay must lie in (0, sqrt(2))")
+    _check_norm_parameters(p, sigma_decay)
     grid = field.grid
-    weight = np.exp(sigma_decay * np.abs(grid.t))[None, :]
-    inf = math.isinf(p)
-    vals = np.abs(field.values) if inf else np.abs(field.values) ** p
-    combine = np.maximum if inf else np.add
+    held = np.flatnonzero(np.any(field.values != 0.0, axis=0))
+    if held.size == 0:
+        return 0.0
     offsets = _ball_offsets(grid.y_grid.spacing, grid.dt)
-    n_y, n_t = vals.shape
     ry = max(abs(jy) for jy, _ in offsets)
     rt = max(abs(it) for _, it in offsets)
-    # periodic in y, zero past the t-edges: adding 0.0 leaves acc as it is
+    cols = slice(max(held[0] - rt, 0), held[-1] + rt + 1)
+    weight = np.exp(sigma_decay * np.abs(grid.t))[None, cols]
+    inf = math.isinf(p)
+    vals = np.abs(field.values[:, cols])
+    if not inf:
+        vals = vals ** p
+    combine = np.maximum if inf else np.add
+    n_y, n_t = vals.shape
+    # periodic in y, zero past the crop: adding 0.0 leaves acc as it is
     padded = np.pad(vals[np.arange(-ry, n_y + ry) % n_y], ((0, 0), (rt, rt)))
     acc = np.zeros_like(vals)
     for jy, it in offsets:
@@ -427,8 +480,10 @@ def residual_report(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: flo
     windowed prediction. S(u0) is evaluated in closed form, as in
     `residual_closed_form`: the finite-difference wall closure would
     otherwise leak an O(w'(T - max f)/dt^2) artifact into the boundary rows,
-    and the weight e^{sigma |t|} amplifies exactly there.
+    and the weight e^{sigma |t|} amplifies exactly there. Bad p or sigma_decay
+    raise DomainError before the expansion is built.
     """
+    _check_norm_parameters(p, sigma_decay)
     u0, res, terms, in_window = _expansion(h, K, epsilon, grid)
     predicted = sum(terms.values())
     norms = {name: weighted_norm(StripField(grid, vals), p, sigma_decay)
@@ -662,7 +717,7 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, K: PeriodicField, epsilon: flo
     """
     import scipy.sparse.linalg
 
-    kv = _on_strip(K, grid, epsilon)
+    [kv] = _on_strip([K], grid, epsilon)
     linear_iterations: list[int] = []
 
     def merit(trial: np.ndarray) -> tuple[float, np.ndarray | None]:

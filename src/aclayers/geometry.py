@@ -25,10 +25,21 @@ DEGENERACY_RATIO = 1e-8  # s_min < ratio * s_max flags a degenerate Jacobi opera
 
 def _trig_eval(samples: np.ndarray, length: float, y: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of uniform periodic samples at y."""
+    return _trig_apply(_phase_table(len(samples), length, y), samples)
+
+
+def _phase_table(m: int, length: float, y: np.ndarray) -> np.ndarray:
+    """e^{2 pi i k y/length} for the rfft modes k of m samples, one row per point y.
+
+    Every field sampled on the same m-point grid at the same points shares it."""
+    k = np.arange(m // 2 + 1)
+    return np.exp(2j * np.pi * np.outer(np.asarray(y, dtype=float) / length, k))
+
+
+def _trig_apply(phase: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of samples at the points of a `_phase_table`."""
     m = len(samples)
     c = np.fft.rfft(samples) / m
-    k = np.arange(len(c))
-    phase = np.exp(2j * np.pi * np.outer(np.asarray(y, dtype=float) / length, k))
     # interior modes count twice (conjugate pairs); mean once; Nyquist (m even) once
     w = np.full(len(c), 2.0)
     w[0] = 1.0

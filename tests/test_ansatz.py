@@ -16,6 +16,7 @@ import scipy.linalg
 import aclayers.ansatz as ansatz_module
 from aclayers import ConvergenceError, DomainError, NumericalError, WindowError
 from aclayers.ansatz import (
+    M_BUDGET,
     NEWTON_TOL,
     StripField,
     StripGrid,
@@ -40,7 +41,10 @@ from aclayers.geometry import (
     PeriodicField,
     PeriodicGrid,
     _spectral_derivative,
+    _trig_eval,
+    first_derivative,
     sample_curvature,
+    second_derivative,
 )
 from aclayers.profile import SQRT2, heteroclinic, heteroclinic_derivative
 from aclayers.scales import scales_of
@@ -670,9 +674,10 @@ def test_residual_report_u0_is_the_assembled_stack(eps, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_residual_report_samples_each_layer_once(m, monkeypatch):
-    # K once, each f_j once (shared by the closed form and the nearest-layer
-    # partition), f_j', f_j'', h_j, h_j', h_j'' once, each gap exponential once
-    counts = {"_on_strip": 0, "heteroclinic": 0, "heteroclinic_derivative": 0}
+    # one strip call samples K, each f_j, f_j', f_j'', h_j, h_j', h_j'' and each
+    # gap exponential against one phase table; one tanh per layer gives w and w'
+    counts = {"_on_strip": 0, "_phase_table": 0, "heteroclinic": 0,
+              "heteroclinic_derivative": 0}
     for name in counts:
         fn = getattr(ansatz_module, name)
 
@@ -684,8 +689,168 @@ def test_residual_report_samples_each_layer_once(m, monkeypatch):
     K = circle_K(n=64, amp=0.2)
     eps = 0.05
     residual_report(report_layers(K, m, eps), K, eps, default_strip_grid(K, eps, m))
-    assert counts["_on_strip"] <= 7 * m
-    assert counts["heteroclinic"] == counts["heteroclinic_derivative"] == m
+    assert counts["_on_strip"] == counts["_phase_table"] == 1
+    assert counts["heteroclinic"] == m
+    assert counts["heteroclinic_derivative"] == 0
+
+
+def test_residual_report_checks_p_and_sigma_before_the_expansion(monkeypatch):
+    def not_called(*args):
+        raise AssertionError("_expansion ran before the parameter check")
+
+    monkeypatch.setattr(ansatz_module, "_expansion", not_called)
+    K = circle_K(n=64, amp=0.2)
+    eps = 0.05
+    h = report_layers(K, 2, eps)
+    grid = default_strip_grid(K, eps, 2)
+    with pytest.raises(DomainError, match=r"^p must be at least 1 \(or infinity\)$"):
+        residual_report(h, K, eps, grid, p=0.5)
+    for sigma_decay in (0.0, SQRT2):
+        with pytest.raises(DomainError, match=r"^sigma_decay must lie in \(0, sqrt\(2\)\)$"):
+            residual_report(h, K, eps, grid, sigma_decay=sigma_decay)
+
+
+def _full_strip_expansion(h, K, eps, grid):
+    """Reference: `_expansion` on the whole strip, one `_trig_eval` per curve
+    field, `heteroclinic_derivative` for w' and the (m, n_y, n_t) argmin."""
+    m = len(h)
+    s = scales_of(eps)
+    f = f_from_h(h, s)
+    window = 0.5 * s.rho + M_BUDGET
+    e2 = eps * eps
+    z = grid.t[None, :]
+
+    def on_strip(field):
+        return _trig_eval(field.values, field.grid.length, eps * grid.y_grid.points())
+
+    kv = on_strip(K)
+    positions = [on_strip(fj) for fj in f]
+    nearest = np.argmin(np.abs(grid.t[None, None, :] - np.stack(positions)[:, :, None]),
+                        axis=0)
+    gap_exp = [on_strip(PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values))))[:, None]
+               for lo, hi in zip(h, h[1:])]
+    u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
+    res = np.zeros(grid.shape)
+    in_window = np.zeros(grid.shape, dtype=bool)
+    terms = {name: np.zeros(grid.shape)
+             for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
+    for ell, (h_ell, f_ell, pos) in enumerate(zip(h, f, positions), start=1):
+        sign = (-1.0) ** (ell - 1)
+        fp = on_strip(first_derivative(f_ell))[:, None]
+        fpp = on_strip(second_derivative(f_ell))[:, None]
+        t_loc = z - pos[:, None]
+        w = heteroclinic(t_loc)
+        wp = heteroclinic_derivative(t_loc)
+        wpp = w * w * w - w
+        u0 += sign * w
+        res += sign * ((1.0 + e2 * fp * fp) * wpp - e2 * (fpp + z * kv[:, None]) * wp)
+        pref = 6.0 * (1.0 - w * w) * e2 * s.rho
+        inter = np.zeros(grid.shape)
+        if ell >= 2:
+            inter += pref * gap_exp[ell - 2] * np.exp(-SQRT2 * t_loc)
+        if ell <= m - 1:
+            inter -= pref * gap_exp[ell - 1] * np.exp(SQRT2 * t_loc)
+        height = on_strip(h_ell)
+        lap_h = on_strip(second_derivative(h_ell))
+        grad_h = on_strip(first_derivative(h_ell))
+        f_base = (ell - (m + 1) / 2.0) * s.rho
+        layer_terms = {
+            "interaction": inter,
+            "curvature": -e2 * (t_loc + f_base) * kv[:, None] * wp,
+            "jacobi": -e2 * ((lap_h + kv * height)[:, None]) * wp,
+            "gradient_sq": e2 * (grad_h**2)[:, None] * wpp,
+        }
+        mask = (np.abs(t_loc) <= window) & (nearest == ell - 1)
+        in_window |= mask
+        for name, term in layer_terms.items():
+            terms[name] += np.where(mask, sign * term, 0.0)
+    res += u0 - u0 * u0 * u0
+    return u0, res, terms, in_window
+
+
+def _full_strip_norm(values, grid, p, sigma_decay):
+    """Reference: `weighted_norm` visiting every point of the strip."""
+    weight = np.exp(sigma_decay * np.abs(grid.t))[None, :]
+    inf = math.isinf(p)
+    vals = np.abs(values) if inf else np.abs(values) ** p
+    combine = np.maximum if inf else np.add
+    offsets = ansatz_module._ball_offsets(grid.y_grid.spacing, grid.dt)
+    n_y, n_t = vals.shape
+    ry = max(abs(jy) for jy, _ in offsets)
+    rt = max(abs(it) for _, it in offsets)
+    padded = np.pad(vals[np.arange(-ry, n_y + ry) % n_y], ((0, 0), (rt, rt)))
+    acc = np.zeros_like(vals)
+    for jy, it in offsets:
+        combine(acc, padded[ry + jy:ry + jy + n_y, rt + it:rt + it + n_t], out=acc)
+    local = acc if inf else (grid.y_grid.spacing * grid.dt * acc) ** (1.0 / p)
+    return float(np.max(weight * local))
+
+
+_REFERENCE_K = {
+    "flat": lambda y: np.ones_like(y),
+    "cos": lambda y: 1.0 + 0.2 * np.cos(y),
+    "two-harmonics": lambda y: 1.0 + 0.1 * np.cos(y) + 0.03 * np.cos(2.0 * y),
+}
+# (eps, n_y): the default grids, and 160 rows of spacing 0.79 whose balls span rows
+_STRIPS = [(0.05, None), (0.0125, None), (0.05, 160)]
+_NORMS = [(p, sigma_decay) for p in (1.0, 4.0, math.inf) for sigma_decay in (0.3, 1.0)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", list(_REFERENCE_K))
+@pytest.mark.parametrize("eps, n_y", _STRIPS, ids=["0.05", "0.0125", "0.05-ny160"])
+def test_residual_report_matches_the_full_strip_reference(m, shape, eps, n_y):
+    # the slabs, the cropped norms and the shared phase table keep every bit
+    grid_k = PeriodicGrid(64, TWO_PI)
+    y = grid_k.points()
+    K = PeriodicField(grid_k, _REFERENCE_K[shape](y))
+    # heights that vary along the curve, so each layer's slab is wider than its window
+    h = tuple(PeriodicField(grid_k, 0.4 * (j - (m + 1) / 2.0) + 0.3 * np.sin(y + j)
+                            + 0.1 * np.cos(2.0 * y))
+              for j in range(1, m + 1))
+    grid = default_strip_grid(K, eps, m, n_y=n_y)
+    u0, res, terms, in_window = _full_strip_expansion(h, K, eps, grid)
+    got = _expansion(h, K, eps, grid)
+    assert got[0].values.tobytes() == u0.tobytes()
+    assert got[1].values.tobytes() == res.tobytes()
+    assert all(np.array_equal(got[2][name], terms[name]) for name in terms)
+    assert np.array_equal(got[3], in_window)
+
+    predicted = sum(terms.values())
+    fields = {**terms, "remainder": np.where(in_window, res - predicted, 0.0),
+              "exterior": np.where(in_window, 0.0, res), "total": res}
+    # one (p, sigma) per case: the m and the shapes of each strip meet all six
+    p, sigma_decay = _NORMS[(m + list(_REFERENCE_K).index(shape)) % len(_NORMS)]
+    want = {name: _full_strip_norm(vals, grid, p, sigma_decay) for name, vals in fields.items()}
+    slack = want.pop("exterior") + 1e-9 * sum(want.values())
+    rep = residual_report(h, K, eps, grid, p, sigma_decay)
+    assert (rep.interaction, rep.curvature, rep.jacobi, rep.gradient_sq,
+            rep.remainder, rep.total, rep.slack) == (
+        want["interaction"], want["curvature"], want["jacobi"],
+        want["gradient_sq"], want["remainder"], want["total"], slack)
+    assert (rep.epsilon, rep.p, rep.sigma_decay) == (eps, p, sigma_decay)
+    assert rep.u0.values.tobytes() == u0.tobytes()
+    assert rep.residual.values.tobytes() == res.tobytes()
+
+
+@pytest.mark.parametrize("n_y", [16, 96], ids=["dy-above-1", "dy-below-1"])
+def test_weighted_norm_crop_matches_the_full_strip_reference(n_y):
+    grid = StripGrid(PeriodicGrid(n_y, 60.0), 6.0, 49)
+    rng = np.random.default_rng(23)
+    cases = {"all-zero": np.zeros(grid.shape)}
+    # a column held next to t = 0 gives its norm at the far edge of its
+    # ball, t-radius 1 away, where the crop ends
+    for name, cols in (("first-column", [0]), ("last-column", [-1]),
+                       ("both-edges", [0, -1]), ("left-of-centre", [22]),
+                       ("right-of-centre", [26]), ("two-columns", [20, 27])):
+        g = np.zeros(grid.shape)
+        g[:, cols] = rng.standard_normal((n_y, len(cols)))
+        g[::3, cols[0]] = 0.0
+        cases[name] = g
+    for name, g in cases.items():
+        for p, sigma_decay in _NORMS:
+            got = weighted_norm(StripField(grid, g), p, sigma_decay)
+            assert got == _full_strip_norm(g, grid, p, sigma_decay), (name, p, sigma_decay)
 
 
 # ---------------------------------------------------------------- newton
@@ -728,7 +893,7 @@ def test_mode_preconditioner_matches_dense_modes():
     s = scales_of(eps)
     grid = default_strip_grid(K, eps, 2, n_y=16)
     u = assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps).values
-    kv = _on_strip(K, grid, eps)
+    [kv] = _on_strip([K], grid, eps)
     kfreq = 2.0 * np.pi * np.fft.rfftfreq(16, d=grid.y_grid.spacing)
     _, precondition = _right_preconditioned(u, grid, kv, eps)
     d1t, d2t = _t_matrices(grid.n_t, grid.dt)
@@ -770,7 +935,7 @@ def test_right_preconditioned_operator_is_jacobian_times_inverse():
     s = scales_of(eps)
     grid = default_strip_grid(K, eps, 2, n_y=16)
     u = assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps).values
-    kv = _on_strip(K, grid, eps)
+    [kv] = _on_strip([K], grid, eps)
     fused, precondition = _right_preconditioned(u, grid, kv, eps)
     x = np.random.default_rng(6).standard_normal(grid.shape)
     y = precondition(x.ravel())
@@ -929,7 +1094,7 @@ def test_newton_level_curves_converge_to_the_toda_positions(m, ladder, max_fract
     errors, fractions = [], []
     for eps in ladder:
         grid, f, u0 = toda_start(K, m, eps)
-        positions = np.stack([_on_strip(fj, grid, eps) for fj in f], axis=1)
+        positions = np.stack(_on_strip(f, grid, eps), axis=1)
         error = float(np.abs(newton_allen_cahn(u0, K, eps).level_curves - positions).max())
         errors.append(error)
         fractions.append(error / float(np.ptp(positions, axis=0).max()))

@@ -8,7 +8,10 @@ Runs `constants`, `scales`, `toda-solve`, `spectrum`, `resonance-scan`,
 two configs: the defaults (`{}`) and a 3-point m = 3 sweep on a curvature
 with one cosine harmonic. On the sweep, `newton-solve` also runs at
 `--epsilon 0.025` (as `newton-solve-0.025`), whose 8 Newton steps on the
-band grid take 4 line-search halvings; at 0.05 no step is damped. Prints one
+band grid take 4 line-search halvings; at 0.05 no step is damped. A third
+config, `m4-fine`, runs `ansatz-residual` alone: m = 4 on a curvature with
+two cosine harmonics, eps 0.04 and 0.06, on 160 rows, whose y-spacing
+below 1 makes the norm balls span rows. Prints one
 `exit <code>  <config>/<run>` line per run and one
 `<sha256>  <config>/<run>/<file>` line per artifact;
 `manifest.json` is left out, as it holds the wall time. Two checkouts write
@@ -39,14 +42,19 @@ CONFIGS = {
     "m3-sweep": {"m": 3,
                  "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}},
                  "epsilon": {"min": 0.02, "max": 0.05, "steps": 3}},
+    "m4-fine": {"m": 4,
+                "geometry": {"curvature": {"mean": 1.0, "cos": [0.1, 0.03]}},
+                "grid": {"n_y": 160},
+                "epsilon": {"min": 0.04, "max": 0.06, "steps": 2}},
 }
 COMMANDS = ("constants", "scales", "toda-solve", "spectrum", "resonance-scan",
             "weyl", "ansatz-residual", "newton-solve")
 # (config, run name, command, extra arguments), in the order they run
 RUNS = [(label, command, command,
          ["--epsilon", "0.05"] if command == "newton-solve" else [])
-        for label in CONFIGS for command in COMMANDS]
+        for label in ("default", "m3-sweep") for command in COMMANDS]
 RUNS.append(("m3-sweep", "newton-solve-0.025", "newton-solve", ["--epsilon", "0.025"]))
+RUNS.append(("m4-fine", "ansatz-residual", "ansatz-residual", []))
 
 
 def main() -> None:
