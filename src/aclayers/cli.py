@@ -516,7 +516,7 @@ def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter,
         gaps = sol.v
         entries.append({
             "epsilon": eps, "sigma": s.sigma, "m": cfg.m,
-            "iterations": sol.iterations, "conditioning": sol.conditioning,
+            "iterations": sol.iterations, "margin": sol.margin,
             "residual": sol.residual, "method": sol.method,
             "mean_gap": float(np.mean(gaps)),
             "mean_spacing": s.rho + float(np.mean(gaps)),

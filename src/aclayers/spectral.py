@@ -16,6 +16,15 @@ admissible parameters. The string spectrum is the closed form (2 pi j/ell)^2/K
 for constant K, else one standard symmetric eigvalsh (the tests check it
 against the Liouville normal form); a scan reads all its margins from one
 covering spectrum.
+
+Two operators carry the name L_sigma. `resonance_margin`, the scans and the
+CLI's `spectrum` measure the normalized one, A at the first-order profile
+v^1. `toda.TodaSolution.margin` measures the equilibrium-forced one, A at the
+solved gaps, through the same builders (`toda._symmetric_field`, which
+`assemble_A` calls, and `toda._gap_blocks`). They can disagree: on K = 1,
+m = 2, eps 0.0471 the forced margin min |eig|/sigma is 0.086 while
+`min_margin` is 4.53. Which one the paper's gap condition refers to is open;
+PAPER.md holds only the abstract.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .errors import DomainError
 from .geometry import PeriodicField, PeriodicGrid, _trig_eval, ell0, second_derivative_matrix
 from .profile import BETA_EXACT, SQRT2
 from .scales import EPS_MAX, scales_of
-from .toda import _gap_block_matrix, build_matrices, interaction_weights
+from .toda import _gap_blocks, _symmetric_field, build_matrices, interaction_weights
 
 DEFAULT_C_GAP = 0.5
 _TIE_RTOL = 1e-12
@@ -82,19 +91,13 @@ def assemble_A(gaps: np.ndarray, sigma: float, K: PeriodicField,
         raise DomainError(f"C^(1/2) of shape {C_sqrt.shape} does not fit {mm} gaps")
     if n != K.grid.n:
         raise DomainError("gaps and curvature live on different grids")
-    expv = np.exp(-SQRT2 * gaps)  # (m-1, n)
-    core = SQRT2 * np.einsum("ij,nj,jk->nik", C_sqrt, expv.T, C_sqrt)
-    eye = np.eye(mm)
-    entries = sigma * K.values[:, None, None] * eye[None, :, :] + core
-    # symmetrize away einsum roundoff so the invariant is exact
-    entries = 0.5 * (entries + np.swapaxes(entries, 1, 2))
-    return MatrixFieldA(grid=K.grid, entries=entries)
+    return MatrixFieldA(grid=K.grid, entries=_symmetric_field(gaps, sigma, K.values, C_sqrt))
 
 
 def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
     """Full sorted spectrum of -sigma d^2/dy^2 - A(y), discretized as one dense
     symmetric matrix; zeros are not negative."""
-    ev = np.linalg.eigvalsh(_gap_block_matrix(sigma, A.grid, A.entries))
+    ev = np.linalg.eigvalsh(_gap_blocks(sigma, A.grid, A.entries.shape[1])(A.entries))
     scale = max(float(np.max(np.abs(ev))), 1.0)
     negative = int(np.sum(ev < -_TIE_RTOL * scale))
     return EigenReport(eigenvalues=ev, negative_count=negative)

@@ -17,6 +17,7 @@ The explicit profile v^1 kills the O(1) part exactly; sigma^k corrections
 refine it, and damped Newton from that profile, shifted to the forced
 leading-order balance, finishes the solve on `_damped_newton`, the driver the
 strip solve shares (here with the merit sup |F| and the damping floor 1e-6).
+At the root one symmetric eigensolve gives the forced resonance margin.
 
 All gap operators take the coupling sigma as a plain number so formal sigma
 sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
@@ -39,7 +40,7 @@ from .profile import SQRT2
 from .scales import Scales
 
 MAX_CORRECTION_ORDER = 6
-_RESONANCE_RATIO = 1e-6  # s_min below this multiple of the median singular value
+_RESONANCE_RATIO = 1e-6  # min |eig| at the root below this multiple of the median
 MAX_ITERATIONS = 50  # Newton steps of the gap solve
 RESIDUAL_TOL = 1e-10  # sup-norm residual the gap solve must reach
 
@@ -192,35 +193,50 @@ def iterate_corrections(K: PeriodicField, sigma: float, beta: float, m: int,
     return v1 + partial
 
 
-def _gap_block_matrix(sigma: float, grid: PeriodicGrid, field: np.ndarray) -> np.ndarray:
-    """Dense matrix of omega -> -sigma omega'' - F(y) omega on (m-1) stacked fields.
+def _symmetric_field(gaps: np.ndarray, sigma: float, Kv: np.ndarray,
+                     C_sqrt: np.ndarray) -> np.ndarray:
+    """The (n, m-1, m-1) field sigma K I + sqrt(2) C^{1/2} diag(e^{-sqrt(2) v}) C^{1/2}.
 
-    F is a pointwise (n, m-1, m-1) field; the unknown omega is flattened as
-    (m-1, n) row-major, so each diagonal n x n block carries -sigma D2 and the
-    block (i, j) carries -F[:, i, j] on its diagonal.
+    This is the C^{1/2}-conjugate of DS0_bar(gaps) + sigma K I, the field of
+    the gap linearization; the result is symmetrized so that symmetry is exact.
     """
-    n, mm, _ = field.shape
-    L = np.kron(np.eye(mm), -sigma * second_derivative_matrix(grid))
+    expv = np.exp(-SQRT2 * gaps)  # (m-1, n)
+    core = SQRT2 * np.einsum("ij,nj,jk->nik", C_sqrt, expv.T, C_sqrt)
+    eye = np.eye(gaps.shape[0])
+    entries = sigma * Kv[:, None, None] * eye[None, :, :] + core
+    # symmetrize away einsum roundoff so the invariant is exact
+    return 0.5 * (entries + np.swapaxes(entries, 1, 2))
+
+
+def _gap_blocks(sigma: float, grid: PeriodicGrid, mm: int):
+    """Builder of dense matrices omega -> -sigma omega'' - F(y) omega on mm stacked fields.
+
+    kron(I, -sigma D2) is made once; each call F -> matrix copies it and
+    subtracts the pointwise (n, mm, mm) field F. The unknown omega is
+    flattened as (mm, n) row-major, so each diagonal n x n block carries
+    -sigma D2 and the block (i, j) carries -F[:, i, j] on its diagonal.
+    """
+    n = grid.n
+    base = np.kron(np.eye(mm), -sigma * second_derivative_matrix(grid))
     idx = np.arange(n)
-    L.reshape(mm, n, mm, n)[:, idx, :, idx] -= field
-    return L
 
+    def blocks(field: np.ndarray) -> np.ndarray:
+        L = base.copy()
+        L.reshape(mm, n, mm, n)[:, idx, :, idx] -= field
+        return L
 
-def _linearized_matrix(gaps: np.ndarray, sigma: float, K: PeriodicField) -> np.ndarray:
-    """Dense matrix of L(omega) = -sigma [omega'' + K omega] - DS0_bar(gaps) omega."""
-    J = DS0_bar(gaps)  # (n, m-1, m-1)
-    mm = J.shape[1]
-    field = J + sigma * K.values[:, None, None] * np.eye(mm)[None, :, :]
-    return _gap_block_matrix(sigma, K.grid, field)
+    return blocks
 
 
 @dataclass(frozen=True)
 class TodaSolution:
-    """Converged gap solve: gaps, heights, Newton steps, residual, method, conditioning.
+    """Converged gap solve: gaps, heights, Newton steps, residual, method, margin.
 
     v is the (m-1, n) gap array and h the m centred heights (`h_from_v`).
-    conditioning is s_min/s_median of the linearized gap operator at the
-    starting profile, the margin the resonance check tests.
+    method is always "newton". margin is min |eig| / sigma of the linearized
+    gap operator at the root v, through its C^{1/2}-conjugate: the symmetric
+    L_sigma of `spectral.eigs_L_sigma` with the field A(y) at v. A margin near
+    zero marks a forced resonance.
     """
 
     v: np.ndarray
@@ -228,7 +244,7 @@ class TodaSolution:
     iterations: int
     residual: float
     method: str
-    conditioning: float
+    margin: float
 
 
 def _as_gbar(gbar, shape: tuple[int, int]) -> np.ndarray:
@@ -249,7 +265,8 @@ def _damped_newton(x, merit, solve, floor: float, max_steps: int,
     t = 1, 1/2, ... whose merit is below (1 - t/4) times the current one
     (Armijo, which no NaN or inf merit passes; Deuflhard, Newton Methods for
     Nonlinear Problems, 2004). Stops once |R|_inf < tolerance; raises
-    ConvergenceError after max_steps steps (the cap) or at t < floor (a stall).
+    ConvergenceError after max_steps steps (the cap), at t < floor (a stall),
+    or when solve raises LinAlgError (a singular step).
     """
     (value, R), steps = merit(x), 0
     while True:
@@ -260,7 +277,11 @@ def _damped_newton(x, merit, solve, floor: float, max_steps: int,
         if steps == max_steps:
             raise ConvergenceError(f"{solver} did not converge in {max_steps} "
                                    f"Newton steps (|R|_inf = {r_inf:.3e})")
-        d = solve(x, R)
+        try:
+            d = solve(x, R)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"{solver} step {steps + 1} has a singular Jacobian "
+                                   f"({exc}; |R|_inf = {r_inf:.3e})") from exc
         t = 1.0
         while not (trial := merit(x_t := x + t * d))[0] < (1.0 - 0.25 * t) * value:
             t *= 0.5
@@ -279,9 +300,14 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     F(v) = S_bar(v) - gbar starts from the order-k_start profile v^k shifted
     to the forced leading-order balance C e^{-sqrt(2) v} = beta K [1..1] - gbar,
     which is a zero shift without forcing; a forcing with no positive balance
-    is a DomainError. The resonance check runs on the first step's Jacobian.
-    The heights are the centred ones (`h_from_v`). max_iterations caps the
-    Newton steps, and tolerance is the sup-norm residual they must reach.
+    is a DomainError. Each Newton step solves one dense system, all built
+    from one kron(I, -sigma D2) base (`_gap_blocks`). The heights are the
+    centred ones (`h_from_v`). max_iterations caps the Newton steps, and
+    tolerance is the sup-norm residual they must reach.
+
+    At the root one eigvalsh of the C^{1/2}-conjugated operator
+    -(sigma D2 + A(v)) gives margin = min |eig| / sigma; a ResonanceError is
+    raised when min |eig| < _RESONANCE_RATIO * median |eig|.
     """
     if max_iterations < 1:
         raise DomainError("max_iterations must be at least 1")
@@ -306,22 +332,23 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
             F = S_bar(trial, sigma, K, beta) - target
         return float(np.max(np.abs(F))), F
 
-    L = _linearized_matrix(gaps, sigma, K)
-    s = np.linalg.svd(L, compute_uv=False)
-    s_min, s_med = float(s[-1]), float(np.median(s))
-    if s_min < _RESONANCE_RATIO * s_med:
-        raise ResonanceError(
-            f"gap system resonant at sigma={sigma:.6g}: smallest singular value "
-            f"{s_min:.3e} vs median {s_med:.3e}")
-    first = [L]  # the resonance check's Jacobian serves the first step
+    blocks = _gap_blocks(sigma, K.grid, m - 1)
+    shift = sigma * K.values[:, None, None] * np.eye(m - 1)[None, :, :]
 
     def solve(v: np.ndarray, F: np.ndarray) -> np.ndarray:
-        # L = -(dS_bar/dv), so the Newton step solves L d = +F
-        J = first.pop() if first else _linearized_matrix(v, sigma, K)
-        return np.linalg.solve(J, F.reshape(-1)).reshape(v.shape)
+        # L = -(dS_bar/dv) = -sigma [D2 + K] - DS0_bar(v), so the step solves L d = +F
+        L = blocks(DS0_bar(v) + shift)
+        return np.linalg.solve(L, F.reshape(-1)).reshape(v.shape)
 
     for iterations, (gaps, r_now) in enumerate(_damped_newton(
             gaps, merit, solve, 1e-6, max_iterations, tolerance, "gap solve")):
         pass
+    ev = np.abs(np.linalg.eigvalsh(blocks(_symmetric_field(gaps, sigma, K.values,
+                                                           build_matrices(m)))))
+    ev_min, ev_med = float(np.min(ev)), float(np.median(ev))
+    if ev_min < _RESONANCE_RATIO * ev_med:
+        raise ResonanceError(
+            f"gap system resonant at sigma={sigma:.6g}: smallest |eigenvalue| "
+            f"{ev_min:.3e} at the root vs median {ev_med:.3e}")
     return TodaSolution(v=gaps, h=h_from_v(K.grid, gaps), iterations=iterations,
-                        residual=r_now, method="newton", conditioning=s_min / s_med)
+                        residual=r_now, method="newton", margin=ev_min / sigma)

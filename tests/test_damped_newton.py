@@ -118,3 +118,15 @@ def test_line_search_halves_down_to_the_floor():
                                                r"0 Newton steps \(\|R\|_inf = 1\.000e\+00\)$"):
         run(1.0, merit, lambda x, F: np.ones(1), floor=2.0 ** -4)
     assert tried == [0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
+
+
+def test_singular_step_is_a_convergence_error():
+    # a LinAlgError from the step solve becomes the typed error, naming the step
+    def solve(x, F):
+        if x[0] != 1.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return -0.5 * F
+
+    with pytest.raises(ConvergenceError, match=r"^toy solve step 2 has a singular Jacobian "
+                                               r"\(Singular matrix; \|R\|_inf = 5\.000e-01\)$"):
+        run(1.0, sup_merit(lambda x: x), solve)

@@ -34,7 +34,7 @@ from aclayers.spectral import (
     sturm_liouville_eigs,
     weyl_count,
 )
-from aclayers.toda import _gap_block_matrix, build_matrices, first_order_profile
+from aclayers.toda import DS0_bar, _gap_blocks, build_matrices, first_order_profile
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,10 +163,11 @@ def test_conjugated_operator_matches_linearized_solve():
     C_sqrt = build_matrices(m)
     v1 = first_order_profile(K, m, BETA_EXACT)
     sigma = 0.06
-    from aclayers.toda import _linearized_matrix
-    Lt = _linearized_matrix(v1, sigma, K)  # acts on stacked omega
+    blocks = _gap_blocks(sigma, K.grid, m - 1)
+    # the gap solve's Newton matrix, acting on stacked omega
+    Lt = blocks(DS0_bar(v1) + sigma * K.values[:, None, None] * np.eye(m - 1)[None, :, :])
     A = assemble_A(v1, sigma, K, C_sqrt)
-    Ls = _gap_block_matrix(sigma, A.grid, A.entries)
+    Ls = blocks(A.entries)
     n = K.grid.n
     S = np.kron(C_sqrt, np.eye(n))
     Sinv = np.kron(np.linalg.inv(C_sqrt), np.eye(n))
@@ -274,7 +275,7 @@ def test_l_sigma_and_string_matrices_exactly_symmetric(monkeypatch):
     K = wavy_K(64, amp=0.2)
     C_sqrt = build_matrices(3)
     A = assemble_A(first_order_profile(K, 3, BETA_EXACT), 0.06, K, C_sqrt)
-    L = _gap_block_matrix(0.06, A.grid, A.entries)
+    L = _gap_blocks(0.06, A.grid, 2)(A.entries)
     assert np.array_equal(L, L.T)
 
     seen = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import aclayers.toda as toda_module
-from aclayers import ConvergenceError, DomainError, scales_of
+from aclayers import ConvergenceError, DomainError, ResonanceError, scales_of
 from aclayers.geometry import (
     ClosedCurve,
     PeriodicField,
@@ -19,6 +19,7 @@ from aclayers.geometry import (
     sample_curvature,
 )
 from aclayers.profile import BETA_EXACT, SQRT2
+from aclayers.spectral import assemble_A, eigs_L_sigma, resonance_margin
 from aclayers.toda import (
     DS0_bar,
     S0_bar,
@@ -355,7 +356,8 @@ def test_solve_toda_equilibrium_forcing(m):
     oracle = _algebraic_oracle(m, s.sigma, s.beta, gbar=s.beta - 1.0 / s.beta)
     assert np.max(np.abs(sol.v - oracle[:, None])) < 1e-9
     assert sol.method == "newton"
-    assert 0.0 < sol.conditioning <= 1.0
+    measured = {2: 0.1924284192285576, 3: 0.804006092005497, 4: 1.2592870594772616}
+    assert sol.margin == pytest.approx(measured[m], rel=1e-9)
     if m == 2:
         v = sol.v[0, 0]
         bal = s.sigma * v + 1.0 / s.beta - 2.0 * math.exp(-SQRT2 * v)
@@ -414,20 +416,44 @@ def test_solve_toda_raises_at_its_step_cap():
 
 
 def test_solve_toda_builds_one_jacobian_per_step(monkeypatch):
-    # the resonance check's Jacobian serves the first step
-    calls = []
-    linearized = toda_module._linearized_matrix
+    # one kron(I, -sigma D2) base per solve; from it one matrix per Newton
+    # step and one symmetric operator for the margin at the root
+    factories, matrices = [], []
+    gap_blocks = toda_module._gap_blocks
 
-    def counting(gaps, sigma, K):
-        calls.append(1)
-        return linearized(gaps, sigma, K)
+    def counting(sigma, grid, mm):
+        factories.append(mm)
+        blocks = gap_blocks(sigma, grid, mm)
+        return lambda field: matrices.append(1) or blocks(field)
 
-    monkeypatch.setattr(toda_module, "_linearized_matrix", counting)
+    monkeypatch.setattr(toda_module, "_gap_blocks", counting)
     s = scales_of(0.05)
     K = wavy_K(64, amp=0.2)
     sol = solve_toda(K, s, 3, gbar=equilibrium_gap_forcing(K, 3, s.beta))
     assert sol.iterations > 1
-    assert len(calls) == sol.iterations
+    assert factories == [2]
+    assert len(matrices) == sol.iterations + 1
+
+
+def test_solve_toda_singular_step_is_a_convergence_error(monkeypatch):
+    # a singular dense step solve is typed, naming the solve and the step
+    s = scales_of(0.05)
+    K = wavy_K(64, amp=0.2)
+    gbar = equilibrium_gap_forcing(K, 3, s.beta)
+    assert solve_toda(K, s, 3, gbar=gbar).iterations > 1
+    solve, steps = np.linalg.solve, []
+
+    def singular_second_step(a, b):
+        if np.ndim(a) == 2 and np.shape(a)[0] == 2 * K.grid.n:  # a Newton step
+            steps.append(1)
+            if len(steps) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(toda_module.np.linalg, "solve", singular_second_step)
+    with pytest.raises(ConvergenceError,
+                       match=r"^gap solve step 2 has a singular Jacobian \(Singular matrix; "):
+        solve_toda(K, s, 3, gbar=gbar)
 
 
 @pytest.mark.parametrize("gbar", [0.0, np.zeros(2)], ids=["scalar", "per-gap"])
@@ -437,7 +463,8 @@ def test_solve_toda_gbar_must_be_full_array(gbar):
 
 
 def test_gap_operators_never_build_matrix_bundle(monkeypatch):
-    # C^{1/2} (an eigh) serves only assemble_A
+    # C^{1/2} (an eigh) serves the symmetric field only: once per solve, for
+    # the margin at the root, and never in the gap operators
     calls = []
 
     def counting(m):
@@ -452,8 +479,9 @@ def test_gap_operators_never_build_matrix_bundle(monkeypatch):
     DS0_bar(v)
     S_bar(v, s.sigma, K, s.beta)
     h_from_v(K.grid, v)
-    solve_toda(K, s, 3, gbar=equilibrium_gap_forcing(K, 3, s.beta))
     assert calls == []
+    solve_toda(K, s, 3, gbar=equilibrium_gap_forcing(K, 3, s.beta))
+    assert calls == [3]
 
 
 # the four benchmark curves at both ends of the eps ladder: Newton steps and
@@ -497,3 +525,55 @@ def test_solve_toda_pinned_on_benchmark_curves(shape, m, eps, iterations, rows):
     got = np.column_stack([gaps.min(axis=1), gaps.mean(axis=1), gaps.max(axis=1)])
     assert sol.iterations == iterations
     assert np.max(np.abs(got - np.array(rows))) < 1e-12
+
+
+# --- the margin at the root ---
+
+def test_forced_margin_sees_the_resonance_the_normalized_margin_misses():
+    # K = 1, m = 2, eps 0.0471: the forced operator at the root is nearly
+    # singular (measured 0.0864) while the normalized one at v^1 is far from
+    # resonance (measured min_margin 4.53)
+    K = unit_K(64)
+    s = scales_of(0.0471)
+    sol = solve_toda(K, s, 2, gbar=equilibrium_gap_forcing(K, 2, s.beta))
+    assert sol.margin < 0.1
+    assert resonance_margin(0.0471, K, 2).min_margin > 2.0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("eps", [0.05, 0.025, 0.0125])
+def test_margin_constant_curvature_closed_form(m, eps):
+    # constant K: the operator is diagonal in Fourier modes, so the margin is
+    # min_{i,j} |(2 pi j/ell)^2 - lambda_i(A)/sigma| at the constant gaps, with
+    # lambda_i(A) = sigma K + the eigenvalues of sqrt(2) C diag(e^{-sqrt(2) v})
+    K = unit_K(64)
+    s = scales_of(eps)
+    sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
+    v = sol.v.mean(axis=1)
+    assert np.max(np.abs(sol.v - v[:, None])) < 1e-12
+    core = np.linalg.eigvals(SQRT2 * tridiagonal(m) * np.exp(-SQRT2 * v)[None, :])
+    lam = s.sigma * K.values[0] + np.sort(core.real)
+    modes = (2.0 * math.pi * np.arange(K.grid.n // 2) / K.grid.length) ** 2
+    closed = float(np.min(np.abs(modes[None, :] - lam[:, None] / s.sigma)))
+    assert sol.margin == pytest.approx(closed, rel=1e-10)
+
+
+@pytest.mark.parametrize("K,m,eps", [(unit_K(64), 2, 0.0471), (wavy_K(64, amp=0.2), 3, 0.025)])
+def test_margin_is_spectrals_operator_at_the_root(K, m, eps):
+    # one builder: the margin is eigs_L_sigma's spectrum of assemble_A at sol.v
+    s = scales_of(eps)
+    sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
+    ev = eigs_L_sigma(assemble_A(sol.v, s.sigma, K, build_matrices(m)), s.sigma).eigenvalues
+    assert sol.margin == float(np.min(np.abs(ev))) / s.sigma
+
+
+def test_resonance_gate_reads_the_root_spectrum(monkeypatch):
+    # K = 1, m = 2: min |eig| / median |eig| at the root is 3.5e-4 at eps
+    # 0.0471 and 7.8e-4 at 0.05 (measured); a gate between them splits them
+    monkeypatch.setattr(toda_module, "_RESONANCE_RATIO", 5e-4)
+    K = unit_K(64)
+    s = scales_of(0.05)
+    solve_toda(K, s, 2, gbar=equilibrium_gap_forcing(K, 2, s.beta))
+    s = scales_of(0.0471)
+    with pytest.raises(ResonanceError, match=r"smallest \|eigenvalue\| .* at the root"):
+        solve_toda(K, s, 2, gbar=equilibrium_gap_forcing(K, 2, s.beta))

@@ -8,10 +8,12 @@ Runs `constants`, `scales`, `toda-solve`, `spectrum`, `resonance-scan`,
 two configs: the defaults (`{}`) and a 3-point m = 3 sweep on a curvature
 with one cosine harmonic. On the sweep, `newton-solve` also runs at
 `--epsilon 0.025` (as `newton-solve-0.025`), whose 8 Newton steps on the
-band grid take 4 line-search halvings; at 0.05 no step is damped. A third
-config, `m4-fine`, runs `ansatz-residual` alone: m = 4 on a curvature with
-two cosine harmonics, eps 0.04 and 0.06, on 160 rows, whose y-spacing
-below 1 makes the norm balls span rows. Prints one
+band grid take 4 line-search halvings; at 0.05 no step is damped. On the
+defaults, `toda-solve` also runs at `--epsilon 0.0471` (as `near-resonance`),
+where the forced gap operator at the root is close to singular (margin
+0.086). A third config, `m4-fine`, runs `ansatz-residual` alone: m = 4
+on a curvature with two cosine harmonics, eps 0.04 and 0.06, on 160 rows,
+whose y-spacing below 1 makes the norm balls span rows. Prints one
 `exit <code>  <config>/<run>` line per run and one
 `<sha256>  <config>/<run>/<file>` line per artifact;
 `manifest.json` is left out, as it holds the wall time. Two checkouts write
@@ -54,6 +56,7 @@ RUNS = [(label, command, command,
          ["--epsilon", "0.05"] if command == "newton-solve" else [])
         for label in ("default", "m3-sweep") for command in COMMANDS]
 RUNS.append(("m3-sweep", "newton-solve-0.025", "newton-solve", ["--epsilon", "0.025"]))
+RUNS.append(("default", "near-resonance", "toda-solve", ["--epsilon", "0.0471"]))
 RUNS.append(("m4-fine", "ansatz-residual", "ansatz-residual", []))
 
 
