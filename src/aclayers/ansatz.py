@@ -1,14 +1,20 @@
 """Multi-layer approximations on the stretched strip and their residuals.
 
-The strip carries stretched coordinates (y, z): y runs once around the curve
-with period ell/epsilon, z is the stretched signed normal distance. The
-approximation u0 stacks alternating heteroclinics at the layer positions f_j
-produced by the gap system. This module provides the strip residual
+The curve is a closed geodesic of a surface, and K = |A|^2 + Ric(nu, nu) is
+the Gauss curvature along it (A = 0 for a geodesic, N = 2). The strip
+carries its Fermi coordinates stretched by epsilon (y, z): y runs once
+around the curve with period ell/epsilon, z is the stretched signed normal
+distance, and the metric is dz^2 + G^2 dy^2 with G = 1 - eps^2 K z^2/2 to
+first order. The strip equation is the first-order truncation of
+eps^2 Delta_g u + u - u^3 in those coordinates,
 
     S(u) = u_zz + u_yy - eps^2 z K(eps y) u_z + u - u^3,
 
-both by finite differences (`residual`, and the Newton solve) and in closed
-form for the heteroclinic stack (`residual_closed_form`), the pointwise
+which keeps the drift G_z/G = -eps^2 K z and drops the O(eps^2 z^2) part
+of the factor G^-2 on u_yy. The approximation u0 stacks alternating heteroclinics at the layer
+positions f_j produced by the gap system. This module provides S both by
+finite differences (`residual`, and the Newton solve) and in closed form
+for the heteroclinic stack (`residual_closed_form`), the pointwise
 expansion of S(u0) near each layer (its terms are documented at
 `_expansion`, which `residual_report` measures), exponentially weighted strip
 norms, the projected transverse linear problem (inversion modulo the kernel
@@ -19,8 +25,8 @@ without evaluating R; damping floor 2^-16).
 
 Discretization: 6th-order centered finite differences in t with an
 even-reflection (homogeneous Neumann) closure at t = +-T, spectral
-differentiation in y. Fields decay like e^{-sqrt(2)|z - f|}, so domain
-truncation is controlled; `truncation_error` reports the standard bound.
+differentiation in y. Fields decay like e^{-sqrt(2)|z - f|}, so cutting the
+strip at T leaves an error near 3 e^{-sqrt(2) (T - max|f|)}.
 """
 
 from __future__ import annotations
@@ -157,12 +163,10 @@ def _on_strip(fields: Sequence[PeriodicField], grid: StripGrid,
 
 
 def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
-                       n_y: int | None = None, t_extent: float | None = None,
-                       n_t: int | None = None) -> StripGrid:
+                       n_y: int | None = None) -> StripGrid:
     """Auto-sized strip: T = (m/2 + 1) rho + 6, t-spacing near 1/8.
 
-    `n_y`, `t_extent` and `n_t` override the automatic size; an `n_t` left
-    automatic follows `t_extent`. The default y-resolution keeps the spacing
+    `n_y` overrides the automatic y-resolution, which keeps the spacing
     near 2 in stretched units so that norm comparisons across epsilon sweeps
     use a fixed cell size. n_y sets only the resolution of the output fields
     and of the norms: `newton_allen_cahn` runs its steps on the y-bandwidth
@@ -170,15 +174,13 @@ def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
     """
     if m < 1:
         raise DomainError("need at least one layer")
-    if t_extent is None:
-        t_extent = (m / 2.0 + 1.0) * scales_of(epsilon).rho + _T_MARGIN
+    t_extent = (m / 2.0 + 1.0) * scales_of(epsilon).rho + _T_MARGIN
     stretched = K.grid.length / epsilon
     if n_y is None:
         n_y = max(16, 2 * int(round(stretched / 4.0)))
-    if n_t is None:
-        n_t = int(math.ceil(2.0 * t_extent / _DT_TARGET)) + 1
-        if n_t % 2 == 0:
-            n_t += 1
+    n_t = int(math.ceil(2.0 * t_extent / _DT_TARGET)) + 1
+    if n_t % 2 == 0:
+        n_t += 1
     return StripGrid(y_grid=PeriodicGrid(n=n_y, length=stretched),
                      t_extent=t_extent, n_t=n_t)
 
@@ -503,14 +505,6 @@ def residual_report(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: flo
                           gradient_sq=norms["gradient_sq"],
                           remainder=remainder, total=total, slack=slack,
                           u0=u0, residual=res)
-
-
-def truncation_error(grid: StripGrid, f: Sequence[PeriodicField]) -> float:
-    """Far-field truncation bound 3 e^{-sqrt2 (T - max|f|)} for the Neumann cut."""
-    fmax = max(float(np.max(np.abs(fj.values))) for fj in f)
-    if fmax >= grid.t_extent:
-        raise WindowError("layer positions reach the transverse boundary")
-    return 3.0 * math.exp(-SQRT2 * (grid.t_extent - fmax))
 
 
 def _trapezoid_weights(grid: StripGrid) -> np.ndarray:

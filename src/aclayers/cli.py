@@ -65,9 +65,6 @@ from .spectral import (
     weyl_count,
 )
 from .toda import (
-    MAX_CORRECTION_ORDER,
-    MAX_ITERATIONS,
-    RESIDUAL_TOL,
     build_matrices,
     equilibrium_gap_forcing,
     f_from_h,
@@ -76,6 +73,8 @@ from .toda import (
 )
 
 SCHEMA = "aclayers/1"
+# eigenvalues `spectrum` writes per epsilon, the lowest first
+_SPECTRUM_EIGENVALUES = 40
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,7 @@ class RunConfig:
 
     `parse_config` builds it; the defaults live in `_FIELDS`. `epsilons` is
     the resolved sweep (a single value unless the config gave an epsilon
-    range); `t_extent` of None means size the strip automatically from the
-    layer spacing.
+    range); `n_y` of None means size the strip's y-grid automatically.
     """
 
     length: float
@@ -94,13 +92,7 @@ class RunConfig:
     m: int
     epsilons: tuple[float, ...]
     n_y: int | None
-    n_t: int | None
-    t_extent: float | None
-    toda_k: int
-    toda_max_iterations: int
-    toda_tolerance: float
     c_gap: float
-    eigen_count: int
     out_dir: str
     formats: tuple[str, ...]
 
@@ -119,22 +111,15 @@ class RunConfig:
         return sample_curvature(self.curve(), grid)
 
     def strip_grid(self, K: PeriodicField, epsilon: float) -> StripGrid:
-        return default_strip_grid(K, epsilon, self.m, n_y=self.n_y,
-                                  t_extent=self.t_extent, n_t=self.n_t)
+        return default_strip_grid(K, epsilon, self.m, n_y=self.n_y)
 
     def resolved(self) -> dict:
-        """Canonical config document with defaults filled (hash input).
-
-        An unset field (None) reads as its document default, so an automatic
-        `t_extent` appears as "auto".
-        """
+        """Canonical config document with defaults filled (hash input)."""
         doc: dict = {}
         for f in _FIELDS:
             section, _, key = f.path.rpartition(".")
             value = getattr(self, f.attr)
-            if value is None:
-                value = f.default
-            elif isinstance(value, tuple):
+            if isinstance(value, tuple):
                 value = list(value)
             elif isinstance(value, dict):
                 value = dict(value)
@@ -170,7 +155,14 @@ def _section(doc: dict, name: str) -> dict:
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: must be a number, got {value!r}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an integer literal past the float range
+        real = math.inf
+    # json reads Infinity and NaN, which no field admits
+    if not math.isfinite(real):
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    return real
 
 
 def _integer(value, path: str) -> int:
@@ -223,16 +215,6 @@ def _parse_epsilon(spec, parsed: dict, strict: bool) -> tuple[float, ...]:
     return (_check_epsilon_value(value, "epsilon"),)
 
 
-def _parse_t_extent(value, parsed: dict, strict: bool) -> float | None:
-    if value == "auto":
-        return None
-    t_extent = _real(value, "grid.t_extent")
-    if not t_extent > 0.0:
-        raise ConfigError(
-            f"grid.t_extent: must be positive or \"auto\", got {t_extent}")
-    return t_extent
-
-
 def _parse_directory(value, parsed: dict, strict: bool) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError("output.directory: must be a nonempty string")
@@ -278,19 +260,8 @@ _FIELDS = (
     _Field("epsilon", "epsilons", 0.05, _parse_epsilon),
     _Field("grid.n_y", "n_y", None, int,
            lambda v: v >= 16 and v % 2 == 0, "must be even and at least 16"),
-    _Field("grid.n_t", "n_t", None, int,
-           lambda v: v >= 15 and v % 2 == 1, "must be odd and at least 15"),
-    _Field("grid.t_extent", "t_extent", "auto", _parse_t_extent),
-    _Field("toda.k", "toda_k", 3, int, lambda v: 1 <= v <= MAX_CORRECTION_ORDER,
-           f"must lie in 1..{MAX_CORRECTION_ORDER}"),
-    _Field("toda.max_iterations", "toda_max_iterations", MAX_ITERATIONS, int,
-           lambda v: v >= 1, "must be at least 1"),
-    _Field("toda.tolerance", "toda_tolerance", RESIDUAL_TOL, float,
-           lambda v: v > 0.0, "must be positive"),
     _Field("spectral.c_gap", "c_gap", DEFAULT_C_GAP, float,
            lambda v: v > 0.0, "must be positive"),
-    _Field("spectral.eigen_count", "eigen_count", 40, int,
-           lambda v: v >= 1, "must be at least 1"),
     _Field("output.directory", "out_dir", "out", _parse_directory),
     _Field("output.formats", "formats", ["json", "csv"], _parse_formats),
 )
@@ -501,9 +472,7 @@ def _cmd_scales(cfg: RunConfig, writer: ArtifactWriter,
 def _toda_solution(cfg: RunConfig, K: PeriodicField, eps: float):
     s = scales_of(eps)
     gbar = equilibrium_gap_forcing(K, cfg.m, s.beta)
-    sol = solve_toda(K, s, cfg.m, k_start=cfg.toda_k, gbar=gbar,
-                     max_iterations=cfg.toda_max_iterations,
-                     tolerance=cfg.toda_tolerance)
+    sol = solve_toda(K, s, cfg.m, gbar=gbar)
     return s, sol
 
 
@@ -542,7 +511,7 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
     for eps in cfg.epsilons:
         s = scales_of(eps)
         rep = eigs_L_sigma(assemble_A(v1, s.sigma, K, C_sqrt), s.sigma)
-        ev = rep.eigenvalues[:cfg.eigen_count]
+        ev = rep.eigenvalues[:_SPECTRUM_EIGENVALUES]
         entries.append({
             "epsilon": eps, "sigma": s.sigma,
             "negative_count": rep.negative_count,

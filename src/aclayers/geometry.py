@@ -1,10 +1,16 @@
 """Closed-curve geometry: curvature data, periodic grids, spectral operators.
 
-The curve is arclength parameterized, so its Laplace-Beltrami operator is the
-plain second derivative on a periodic interval of length ell. Curvature K(y)
-must stay positive; the Jacobi operator d^2/dy^2 + K decides whether the
-curve is nondegenerate (no periodic Jacobi fields), which every solvability
-statement downstream relies on.
+The curve is a closed geodesic of a surface (N = 2), and K(y) is
+|A|^2 + Ric(nu, nu) along it: a geodesic has A = 0, so K is the Gauss
+curvature of the surface on the curve. Near the curve the metric in Fermi
+coordinates (y, z) is dz^2 + G^2 dy^2 with G = 1 - K z^2/2 to first order,
+and the strip equation (`ansatz`) keeps exactly that order of
+eps^2 Delta_g u + u - u^3. The curve is arclength parameterized, so its
+Laplace-Beltrami operator is the plain second derivative on a periodic
+interval of length ell. Curvature K(y) must stay positive; the Jacobi
+operator d^2/dy^2 + K decides whether the curve is nondegenerate (no
+periodic Jacobi fields), which every solvability statement downstream
+relies on.
 
 All fields live on uniform periodic grids and are differentiated
 trigonometrically, so derivatives are exact on resolved Fourier modes.

@@ -33,7 +33,6 @@ from aclayers.ansatz import (
     residual_report,
     solve_projected,
     strip_energy,
-    truncation_error,
     weighted_norm,
 )
 from aclayers.geometry import (
@@ -153,7 +152,6 @@ def test_far_field_limits(m):
     top = (-1.0) ** (m - 1)
     assert np.abs(u0.values[:, -1] - top).max() < bound
     assert np.abs(u0.values[:, 0] + 1.0).max() < bound
-    assert truncation_error(grid, f) == pytest.approx(bound)
 
 
 def test_narrow_grid_rejected():
@@ -165,9 +163,6 @@ def test_narrow_grid_rejected():
         assemble_u0(f_from_h(flat_layers(K, 2), s), grid, eps)
     with pytest.raises(WindowError):
         residual_report(flat_layers(K, 2), K, eps, grid)
-    with pytest.raises(WindowError):
-        truncation_error(StripGrid(PeriodicGrid(16, TWO_PI / eps), 1.0, 21),
-                         f_from_h(flat_layers(K, 3), s))
 
 
 # ---------------------------------------------------------------- operator

@@ -1,6 +1,5 @@
 """CLI tests: config parsing, artifacts, determinism, exit codes."""
 
-import inspect
 import json
 import math
 from pathlib import Path
@@ -19,8 +18,7 @@ from aclayers.errors import (
 )
 from aclayers.profile import BETA_EXACT
 from aclayers.scales import scales_of
-from aclayers.spectral import decoupled_couplings
-from aclayers.toda import solve_toda
+from aclayers.spectral import DEFAULT_C_GAP, decoupled_couplings
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,7 +33,7 @@ def test_empty_config_fills_defaults():
     assert cfg.curvature == {"constant": 1.0}
     assert cfg.m == 2
     assert cfg.epsilons == (0.05,)
-    assert cfg.t_extent is None
+    assert cfg.n_y is None
     assert cfg.formats == ("json", "csv")
 
 
@@ -48,7 +46,7 @@ def test_minimal_document_parses():
     cfg = parse_config(text)
     assert cfg.length == 6.283
     assert cfg.samples == 64
-    assert cfg.toda_k == 3
+    assert cfg.c_gap == DEFAULT_C_GAP
     assert cfg.out_dir == "out"
 
 
@@ -108,25 +106,20 @@ def test_invalid_json_reports_position():
 def test_grid_validation():
     with pytest.raises(ConfigError, match="grid.n_y"):
         parse_config(json.dumps({"grid": {"n_y": 17}}))
-    with pytest.raises(ConfigError, match="grid.n_t"):
-        parse_config(json.dumps({"grid": {"n_t": 20}}))
-    with pytest.raises(ConfigError, match="grid.t_extent"):
-        parse_config(json.dumps({"grid": {"t_extent": -3.0}}))
-    cfg = parse_config(json.dumps({"grid": {"t_extent": "auto"}}))
-    assert cfg.t_extent is None
+    assert parse_config(json.dumps({"grid": {"n_y": None}})).n_y is None
+    # the strip's t-window follows eps and m alone
+    with pytest.raises(ConfigError, match="'grid.t_extent'"):
+        parse_config(json.dumps({"grid": {"t_extent": "auto"}}), strict=True)
 
 
 def test_toda_and_spectral_validation():
-    with pytest.raises(ConfigError, match="toda.k"):
-        parse_config(json.dumps({"toda": {"k": 0}}))
-    with pytest.raises(ConfigError, match="toda.tolerance"):
-        parse_config(json.dumps({"toda": {"tolerance": 0}}))
-    with pytest.raises(ConfigError, match="toda.max_iterations"):
-        parse_config(json.dumps({"toda": {"max_iterations": 0}}))
+    # the gap solve takes no settings from the config
+    with pytest.raises(ConfigError, match="unknown config key 'toda'"):
+        parse_config(json.dumps({"toda": {"k": 3}}), strict=True)
     with pytest.raises(ConfigError, match="spectral.c_gap"):
         parse_config(json.dumps({"spectral": {"c_gap": -0.1}}))
-    with pytest.raises(ConfigError, match="spectral.eigen_count"):
-        parse_config(json.dumps({"spectral": {"eigen_count": 0}}))
+    with pytest.raises(ConfigError, match="'spectral.eigen_count'"):
+        parse_config(json.dumps({"spectral": {"eigen_count": 40}}), strict=True)
 
 
 def test_output_validation():
@@ -160,8 +153,7 @@ def test_m_must_be_at_least_two():
 
 _OUT_OF_RANGE = {
     "geometry.length": 0.0, "geometry.samples": 15, "m": 0, "grid.n_y": 17,
-    "grid.n_t": 20, "toda.k": 7, "toda.max_iterations": 0,
-    "toda.tolerance": 0.0, "spectral.c_gap": -0.1, "spectral.eigen_count": 0,
+    "spectral.c_gap": -0.1,
 }
 _SCALAR_FIELDS = [f for f in cli._FIELDS if f.kind in (int, float)]
 
@@ -175,6 +167,36 @@ def test_scalar_field_rejects_bool_and_out_of_range(field):
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(doc))
         assert str(info.value).startswith(f"{field.path}:")
+
+
+# every path a float is read from, as the document that sets it there
+_REAL_PATHS = {
+    "geometry.length": lambda v: {"geometry": {"length": v}},
+    "spectral.c_gap": lambda v: {"spectral": {"c_gap": v}},
+    "geometry.curvature.constant": lambda v: {"geometry": {"curvature": {"constant": v}}},
+    "geometry.curvature.mean": lambda v: {"geometry": {"curvature": {"mean": v}}},
+    "geometry.curvature.cos": lambda v: {"geometry": {"curvature": {"cos": [0.1, v]}}},
+    "geometry.curvature.sin": lambda v: {"geometry": {"curvature": {"sin": [v]}}},
+    "epsilon": lambda v: {"epsilon": v},
+    "epsilon.min": lambda v: {"epsilon": {"min": v, "max": 0.1}},
+    "epsilon.max": lambda v: {"epsilon": {"min": 0.01, "max": v}},
+}
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("path", list(_REAL_PATHS))
+def test_real_fields_reject_non_finite_numbers(path, text):
+    # json reads these literals as floats; no field admits one
+    assert {f.path for f in cli._FIELDS if f.kind is float} <= set(_REAL_PATHS)
+    doc = json.dumps(_REAL_PATHS[path](math.nan)).replace("NaN", text)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == f"{path}: must be a finite number, got {float(text)!r}"
+
+
+def test_real_fields_reject_integers_past_the_float_range():
+    with pytest.raises(ConfigError, match="geometry.length: must be a finite number"):
+        parse_config('{"geometry": {"length": 1%s}}' % ("0" * 400))
 
 
 def test_readme_config_example_parses_strictly():
@@ -198,38 +220,28 @@ def test_runconfig_curve_and_field():
 
 
 def test_runconfig_strip_grid_overrides():
-    cfg = parse_config(json.dumps(
-        {"epsilon": 0.1, "grid": {"n_t": 201, "t_extent": 12.0}}))
+    # n_y is the one override; the t-window is sized from the layer spacing
+    cfg = parse_config(json.dumps({"epsilon": 0.1, "grid": {"n_y": 48}}))
     K = cfg.curvature_field()
     grid = cfg.strip_grid(K, 0.1)
-    assert grid.n_t == 201
-    assert grid.t_extent == 12.0
     auto = parse_config(json.dumps({"epsilon": 0.1})).strip_grid(K, 0.1)
+    assert (grid.y_grid.n, auto.y_grid.n) == (48, 32)
     rho = scales_of(0.1).rho
-    assert auto.t_extent == pytest.approx(2.0 * rho + 6.0)
+    assert grid.t_extent == auto.t_extent == pytest.approx(2.0 * rho + 6.0)
+    assert grid.n_t == auto.n_t
 
 
 @pytest.mark.parametrize("doc,digest", [
-    ({}, "b5778ba29d16c5f961626d2065dbc4abeb7b321f8e1662f61f18e603f5266a15"),
+    ({}, "f72295ce88a4e9ae6ffb1ee08ffb633952cb3b74af620b13656e6f51ba85792a"),
     ({"m": 3, "epsilon": {"min": 0.02, "max": 0.08, "steps": 5},
-      "grid": {"n_t": 201, "t_extent": 12.0},
       "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}, "samples": 128},
-      "toda": {"k": 2}, "spectral": {"c_gap": 0.1},
+      "spectral": {"c_gap": 0.1},
       "output": {"formats": ["json"]}},
-     "44a8b6c2a5ae22ba32c79a0a1e8defff47c085b24260dfbf79831bf60267e119"),
+     "67d9508029ac0a706158c027477a59994568ed8927a3de0799f3285610a58bea"),
 ], ids=["defaults", "sweep"])
 def test_config_hash_is_stable(doc, digest):
-    # the manifests of earlier runs carry these hashes
+    # manifests carry these hashes: only a change of the config schema moves them
     assert parse_config(json.dumps(doc)).sha256() == digest
-
-
-def test_toda_budget_defaults_are_solve_todas():
-    # the gap-solve budget has one owner: the config reads solve_toda's
-    # defaults (test_config_hash_is_stable pins the {} hash they enter)
-    params = inspect.signature(solve_toda).parameters
-    cfg = parse_config("{}")
-    assert cfg.toda_max_iterations == params["max_iterations"].default == 50
-    assert cfg.toda_tolerance == params["tolerance"].default == 1e-10
 
 
 def test_config_hash_tracks_content():
@@ -324,18 +336,15 @@ def test_resonance_scan_sweep(tmp_path):
 
 
 def test_spectrum_artifacts(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"spectral": {"eigen_count": 10}}))
-    code, out = _run(tmp_path, "spectrum", "--config", str(cfg),
-                     "--epsilon", "0.05")
+    code, out = _run(tmp_path, "spectrum", "--epsilon", "0.05")
     assert code == 0
     doc = json.loads((out / "spectrum.json").read_text())
     ev = doc["entries"][0]["eigenvalues"]
-    assert len(ev) == 10
+    assert len(ev) == cli._SPECTRUM_EIGENVALUES == 40
     assert ev == sorted(ev)
     rows = (out / "spectrum.csv").read_text().splitlines()
     assert rows[1] == "epsilon,sigma,index,eigenvalue"
-    assert len(rows) == 2 + 10
+    assert len(rows) == 2 + 40
 
 
 def test_weyl_artifacts(tmp_path):
@@ -508,14 +517,27 @@ def test_ansatz_residual_evaluates_residual_once_per_epsilon(tmp_path,
     assert (out / "residual_01.csv").exists()
 
 
-def test_ansatz_residual_rejects_a_strip_narrower_than_the_layers(tmp_path):
-    # (m/2 + 1) rho at eps 0.05, m 2 is 2 rho = 6.75; the strip holds only 5
-    assert 5.0 < 2.0 * scales_of(0.05).rho
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epsilon": 0.05, "m": 2, "grid": {"t_extent": 5.0}}))
-    code, out = _run(tmp_path, "ansatz-residual", "--config", str(cfg))
+@pytest.mark.parametrize("command,doc,key", [
+    ("toda-solve", {"toda": {"k": 1, "max_iterations": 5}}, "toda"),
+    ("ansatz-residual", {"grid": {"n_t": 201, "t_extent": 12.0}}, "grid.n_t"),
+    ("spectrum", {"spectral": {"eigen_count": 10}}, "spectral.eigen_count"),
+], ids=["toda", "grid", "spectral"])
+def test_old_config_keys_are_ignored(tmp_path, capsys, command, doc, key):
+    # a config written for the settings since removed runs on the defaults
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps(doc))
+    code, out = _run(tmp_path / "old", command, "--config", str(cfg))
+    assert code == 0
+    assert f"warning: ignoring unknown config key {key!r}" in capsys.readouterr().err
+    code, ref = _run(tmp_path / "ref", command)
+    assert code == 0
+    names = sorted(p.name for p in ref.iterdir() if p.name != "manifest.json")
+    assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == names
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    code, _ = _run(tmp_path / "strict", command, "--config", str(cfg), "--strict")
     assert code == 1
-    assert not (out / "u0_00.csv").exists()
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,first_files", [
@@ -638,13 +660,27 @@ def test_exit_code_on_bad_epsilon_override(tmp_path):
     assert code == 1
 
 
-def test_exit_code_on_starved_solver(tmp_path, capsys):
+def test_exit_code_on_stalled_gap_solve(tmp_path, capsys):
+    # m = 2 next to a forced resonance: the gap solve stalls in its line search
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"toda": {"max_iterations": 1, "tolerance": 1e-14}}))
-    code, _ = _run(tmp_path, "toda-solve", "--config", str(cfg))
+        {"geometry": {"curvature": {"mean": 1.0, "cos": [0.0, 0.0, 0.02]}}}))
+    code, out = _run(tmp_path, "toda-solve", "--config", str(cfg),
+                     "--epsilon", "0.047")
     assert code == 3
-    assert "converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("solver did not converge: gap solve stalled in the line search")
+    assert not (out / "manifest.json").exists()
+
+
+def test_exit_code_on_weyl_at_infinite_length(tmp_path, capsys):
+    # an infinite length would have weyl_count count modes that never grow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"geometry": {"length": Infinity}}')
+    code, out = _run(tmp_path, "weyl", "--config", str(cfg))
+    assert code == 1
+    assert "geometry.length: must be a finite number, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_on_singular_gap_step(tmp_path, monkeypatch, capsys):

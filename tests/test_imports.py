@@ -105,10 +105,6 @@ def _references(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-# truncation_error moves into the solve reports (ROADMAP item 7)
-_UNREFERENCED_ALLOWED = {"truncation_error"}
-
-
 def test_every_definition_is_referenced_outside_the_tests():
     refs = sum((_references(_tree(p)) for p in READERS), Counter())
     unreferenced = [
@@ -116,7 +112,6 @@ def test_every_definition_is_referenced_outside_the_tests():
         for path in READERS if path.parent == PACKAGE
         for node in _definitions(_tree(path))
         if not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in _UNREFERENCED_ALLOWED
         and refs[node.name] <= _references(node)[node.name]]
     assert unreferenced == []
 

@@ -14,10 +14,13 @@ where the forced gap operator at the root is close to singular (margin
 0.086). A third config, `m4-fine`, runs `ansatz-residual` alone: m = 4
 on a curvature with two cosine harmonics, eps 0.04 and 0.06, on 160 rows,
 whose y-spacing below 1 makes the norm balls span rows. Prints one
-`exit <code>  <config>/<run>` line per run and one
-`<sha256>  <config>/<run>/<file>` line per artifact;
-`manifest.json` is left out, as it holds the wall time. Two checkouts write
-byte-identical data artifacts when their outputs are equal:
+`exit <code>  <config>/<run>` line per run, one
+`config <sha256>  <config>/<run>` line with the `config_sha256` of each
+run that wrote a manifest, so a change of the config schema shows too, and
+one `<sha256>  <config>/<run>/<file>` line per artifact; `manifest.json`
+itself is left out, as it holds the wall time. Two checkouts write
+byte-identical data artifacts under the same config hashes when their
+outputs are equal:
 
     diff <(python3 tools/artifact_digests.py OTHER) <(python3 tools/artifact_digests.py)
 
@@ -61,26 +64,34 @@ RUNS.append(("m4-fine", "ansatz-residual", "ansatz-residual", []))
 
 
 def main() -> None:
-    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
+    root = (Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parents[1]).resolve()
     sys.path.insert(0, str(root / "src"))
     from aclayers.cli import main as run
 
+    cwd = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for label, config in CONFIGS.items():
-            (Path(tmp) / f"{label}.json").write_text(json.dumps(config))
-        for label, name, command, extra in RUNS:
-            out = Path(tmp) / label / name
-            argv = [command, "--config", str(Path(tmp) / f"{label}.json"),
-                    "--out", str(out), *extra]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = run(argv)
-            print(f"exit {code}  {label}/{name}")
-            for artifact in sorted(out.glob("*")):
-                if artifact.name != "manifest.json":
-                    digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
-                    print(f"{digest}  {label}/{name}/{artifact.name}")
-
+        # relative paths: the output directory enters the config hash
+        os.chdir(tmp)
+        try:
+            for label, config in CONFIGS.items():
+                Path(f"{label}.json").write_text(json.dumps(config))
+            for label, name, command, extra in RUNS:
+                out = Path(label, name)
+                argv = [command, "--config", f"{label}.json", "--out", str(out), *extra]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = run(argv)
+                print(f"exit {code}  {label}/{name}")
+                manifest = out / "manifest.json"
+                if manifest.exists():
+                    config_sha256 = json.loads(manifest.read_text())["config_sha256"]
+                    print(f"config {config_sha256}  {label}/{name}")
+                for artifact in sorted(out.glob("*")):
+                    if artifact.name != "manifest.json":
+                        digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+                        print(f"{digest}  {label}/{name}/{artifact.name}")
+        finally:
+            os.chdir(cwd)
 
 if __name__ == "__main__":
     main()
