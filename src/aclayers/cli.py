@@ -114,7 +114,7 @@ class RunConfig:
         return default_strip_grid(K, epsilon, self.m, n_y=self.n_y)
 
     def resolved(self) -> dict:
-        """Canonical config document with defaults filled (hash input)."""
+        """Canonical config document with defaults filled (the manifest's `config`)."""
         doc: dict = {}
         for f in _FIELDS:
             section, _, key = f.path.rpartition(".")
@@ -127,8 +127,11 @@ class RunConfig:
         return doc
 
     def sha256(self) -> str:
-        canonical = json.dumps(self.resolved(), sort_keys=True,
-                               separators=(",", ":"))
+        """Hash of `resolved()` without `output.directory`: where a run writes
+        its artifacts does not change them."""
+        doc = self.resolved()
+        del doc["output"]["directory"]
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -13,9 +13,10 @@ sigma^{-1} mu_i hits an eigenvalue of the curvature-weighted string problem
 -phi'' = lambda K phi. This module assembles A, computes spectra, verifies the
 eigenvalue monotonicity bounds in sigma, counts modes Weyl-style and scans for
 admissible parameters. The string spectrum is the closed form (2 pi j/ell)^2/K
-for constant K, else one standard symmetric eigvalsh (the tests check it
-against the Liouville normal form); a scan reads all its margins from one
-covering spectrum.
+for constant K, else one standard symmetric eigvalsh on a grid sized by the
+WKB wavenumber of its highest covered mode (the tests check it against the
+Liouville normal form and a finer grid); a scan reads all its margins
+from one covering spectrum.
 
 Two operators carry the name L_sigma. `resonance_margin`, the scans and the
 CLI's `spectrum` measure the normalized one, A at the first-order profile
@@ -158,19 +159,23 @@ def weyl_count(sigma: float, a_plus: float, ell: float) -> int:
     The spectrum is exactly (2 pi j/ell)^2 - a_plus/sigma over integer j; modes
     are counted on a strict inequality, with relative ties (1e-12) excluded,
     so N(sigma) sqrt(sigma) -> (ell/pi) sqrt(a_plus) from below as sigma -> 0.
+    The count is 1 + 2 #{j >= 1 : (2 pi j/ell)^2 < a_plus/sigma (1 - 1e-12)}:
+    the square root gives the last such j up to rounding, and the float
+    comparison itself settles the boundary.
     """
-    if not (sigma > 0.0 and a_plus > 0.0):
-        raise DomainError("sigma and a_plus must be positive")
-    shift = a_plus / sigma
-    count = 1  # j = 0 always negative
-    j = 1
-    while True:
-        mode = (2.0 * math.pi * j / ell) ** 2
-        if mode >= shift * (1.0 - _TIE_RTOL):
-            break
-        count += 2
+    if not (sigma > 0.0 and a_plus > 0.0 and 0.0 < ell < math.inf):
+        raise DomainError("sigma, a_plus and a finite ell must be positive")
+    bound = a_plus / sigma * (1.0 - _TIE_RTOL)
+
+    def negative(j: int) -> bool:
+        return (2.0 * math.pi * j / ell) ** 2 < bound
+
+    j = math.floor(ell / (2.0 * math.pi) * math.sqrt(bound))
+    while j > 0 and not negative(j):
+        j -= 1
+    while negative(j + 1):
         j += 1
-    return count
+    return 1 + 2 * j
 
 
 def sturm_liouville_eigs(K: PeriodicField, count: int) -> np.ndarray:
@@ -198,16 +203,36 @@ def decoupled_couplings(m: int, beta: float) -> np.ndarray:
     return (beta / SQRT2) * lam
 
 
+def _squared_band(K: PeriodicField) -> int:
+    """Highest Fourier mode of K^2 above 1e-13 of its mean, K^2 taken on twice
+    K's grid so that no mode folds back."""
+    doubled = np.fft.irfft(np.fft.rfft(K.values), n=2 * K.grid.n)
+    c = np.abs(np.fft.rfft(doubled * doubled))
+    return int(np.nonzero(c > 1e-13 * c[0])[0][-1])
+
+
 def _sl_eigs_covering(K: PeriodicField, lam_max: float) -> np.ndarray:
-    """String eigenvalues past 1.3 lam_max + 10, which settle every margin at couplings
-    >= max(mu)/lam_max: (2 pi j/ell)^2/K for constant K, else solved on a finer grid."""
+    """String eigenvalues past lam_c = 1.3 lam_max + 10, which settle every margin
+    at couplings >= max(mu)/lam_max: (2 pi j/ell)^2/K for constant K, else one
+    eigvalsh on a grid sized by the modes the covered eigenfunctions hold.
+
+    An eigenfunction of eigenvalue lam oscillates with the WKB wavenumber
+    sqrt(lam K(y)), so below lam_c its Fourier modes reach kappa =
+    ell/(2 pi) sqrt(lam_c max K). Past kappa the equation couples mode p to
+    p - k through K's harmonic k, and the eigenvalues are second order in the
+    eigenfunction's cut tail: two such steps, the band of K^2, bring it to
+    the size of K's harmonics squared. Eight modes more cover the tail past
+    the turning point.
+    """
     if np.min(K.values) <= 0.0:
         raise DomainError("weight K must be positive")
-    j_max = int(math.ceil(ell0(K) / (2.0 * math.pi) * math.sqrt(1.3 * lam_max + 10.0))) + 3
+    lam_c = 1.3 * lam_max + 10.0
+    j_max = int(math.ceil(ell0(K) / (2.0 * math.pi) * math.sqrt(lam_c))) + 3
     if np.all(K.values == K.values[0]):
         j = np.repeat(np.arange(j_max + 1), 2)[1:]
         return (2.0 * math.pi * j / K.grid.length) ** 2 / K.values[0]
-    n = max(K.grid.n, 4 * j_max, 64)
+    kappa = math.ceil(K.grid.length / (2.0 * math.pi) * math.sqrt(lam_c * np.max(K.values)))
+    n = max(64, K.grid.n, 2 * (kappa + _squared_band(K) + 8))
     if n > K.grid.n:  # trigonometric resampling onto the finer grid
         fine = PeriodicGrid(n, K.grid.length)
         K = PeriodicField(fine, _trig_eval(K.values, K.grid.length, fine.points()))

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -232,12 +235,12 @@ def test_runconfig_strip_grid_overrides():
 
 
 @pytest.mark.parametrize("doc,digest", [
-    ({}, "f72295ce88a4e9ae6ffb1ee08ffb633952cb3b74af620b13656e6f51ba85792a"),
+    ({}, "3117cc34ad4ab3a68540e0f02fbefa9f1553b78050f1dec366fd83aae805044e"),
     ({"m": 3, "epsilon": {"min": 0.02, "max": 0.08, "steps": 5},
       "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}, "samples": 128},
       "spectral": {"c_gap": 0.1},
       "output": {"formats": ["json"]}},
-     "67d9508029ac0a706158c027477a59994568ed8927a3de0799f3285610a58bea"),
+     "7a3785908313c3719eb0f88b6bd3a8052118659c5726fc89cdb639ce5953cfc0"),
 ], ids=["defaults", "sweep"])
 def test_config_hash_is_stable(doc, digest):
     # manifests carry these hashes: only a change of the config schema moves them
@@ -251,6 +254,18 @@ def test_config_hash_tracks_content():
     assert a.sha256() == b.sha256()
     assert a.sha256() != c.sha256()
     assert len(a.sha256()) == 64
+
+
+def test_config_hash_leaves_out_the_output_directory(tmp_path):
+    # one config written to two places: one hash, each manifest naming its directory
+    manifests = []
+    for name in ("first", "second"):
+        code = main(["scales", "--out", str(tmp_path / name)])
+        assert code == 0
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
+    assert [m["config"]["output"]["directory"] for m in manifests] == [
+        str(tmp_path / "first"), str(tmp_path / "second")]
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +696,22 @@ def test_exit_code_on_weyl_at_infinite_length(tmp_path, capsys):
     assert code == 1
     assert "geometry.length: must be a finite number, got inf" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_weyl_at_length_1e9_exits_within_bound(tmp_path):
+    # weyl_count's closed form: one by one, the 1.2e10 modes would take hours
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": {"length": 1e9}}))
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run(
+        [sys.executable, "-m", "aclayers.cli", "weyl", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, env=env, timeout=10.0)
+    assert run.returncode == 0
+    entry = json.loads((out / "weyl.json").read_text())["entries"][0]
+    assert entry["count_sqrt_sigma"] == pytest.approx(entry["prediction"], rel=1e-9)
 
 
 def test_exit_code_on_singular_gap_step(tmp_path, monkeypatch, capsys):

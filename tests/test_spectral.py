@@ -1,5 +1,6 @@
 """Spectra, monotonicity bounds, Weyl counts, string problem, resonance scans."""
 
+import json
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ from aclayers.geometry import (
     second_derivative_matrix,
 )
 from aclayers.profile import BETA_EXACT, SQRT2
+from aclayers.scales import scales_of
 from aclayers.spectral import (
     _sl_eigs_covering,
     admissible_sigma_in,
@@ -215,6 +217,35 @@ def test_monotonicity_degenerate_equal_sigmas():
 
 # --- weyl ---
 
+def weyl_loop(sigma, a_plus, ell):
+    """Negative modes counted one j at a time: the oracle for weyl_count's
+    closed form."""
+    shift = a_plus / sigma
+    count, j = 1, 1
+    while (2.0 * math.pi * j / ell) ** 2 < shift * (1.0 - 1e-12):
+        count += 2
+        j += 1
+    return count
+
+
+@pytest.mark.parametrize("sigma, a_plus, ell", [
+    (1.0, 1.0, TWO_PI), (0.01, 1.0, TWO_PI), (0.25, 1.0, TWO_PI),  # ties at j = 1, 10, 2
+    (1.0 / 49.0, 1.0, TWO_PI), (0.01, 4.0, 2.0 * TWO_PI),  # ties at j = 7, 40
+    (1.0, 4.0 * math.pi**2 * 9.0, 1.0),  # tie at j = 3 on a unit length
+    (0.0123, 1.7, TWO_PI), (1e-4, 3.3, 5.0), (0.3, 0.01, 0.1), (2e-6, 41.0, 17.0),
+])
+def test_weyl_count_matches_mode_loop(sigma, a_plus, ell):
+    assert weyl_count(sigma, a_plus, ell) == weyl_loop(sigma, a_plus, ell)
+
+
+@pytest.mark.parametrize("sigma, a_plus, ell", [
+    (0.0, 1.0, TWO_PI), (0.1, -1.0, TWO_PI), (0.1, 1.0, 0.0), (0.1, 1.0, math.inf),
+], ids=["sigma-zero", "a-plus-negative", "ell-zero", "ell-infinite"])
+def test_weyl_count_rejects_bad_arguments(sigma, a_plus, ell):
+    with pytest.raises(DomainError):
+        weyl_count(sigma, a_plus, ell)
+
+
 def test_weyl_explicit_small():
     assert weyl_count(1.0, 1.0, TWO_PI) == 1
 
@@ -284,6 +315,68 @@ def test_l_sigma_and_string_matrices_exactly_symmetric(monkeypatch):
     sturm_liouville_eigs(wavy_K(184, amp=0.2), 5)
     assert len(seen) == 1 and seen[0].shape == (184, 184)
     assert np.array_equal(seen[0], seen[0].T)
+
+
+# --- the covering grid: sized by the modes the margins read ---
+
+def field_on_circle(n, values):
+    grid = circle_grid(n)
+    return PeriodicField(grid, values(grid.points()))
+
+
+# curvatures the covering spectrum must resolve: the perfbench shapes A and B,
+# a 30-harmonic 1/k^2 curvature and an analytic one sampled on 512 points
+COVERING_SHAPES = {
+    "wavy-0.2": lambda: wavy_K(64, amp=0.2),
+    "wavy-0.3": lambda: wavy_K(64),
+    "A": lambda: field_on_circle(
+        64, lambda y: 1.0 + 0.25 * np.cos(y) + 0.025 * np.cos(2.0 * y + 1.25)),
+    "B": lambda: field_on_circle(
+        64, lambda y: 1.0 + 0.03 * np.cos(y) + 0.01 * np.cos(2.0 * y + 4.0)),
+    "harmonics-30": lambda: field_on_circle(
+        64, lambda y: 1.0 + 0.3 * sum(np.cos(k * y) / k**2 for k in range(1, 31))),
+    "exp-cos-512": lambda: field_on_circle(512, lambda y: np.exp(0.3 * np.cos(y))),
+}
+
+
+def covering_reference(K, lam_max):
+    """The covering spectrum solved on max(n, 8 j_max) points, at least twice
+    the modes any covered eigenfunction holds: the oracle for its grid."""
+    j_max = int(math.ceil(ell0(K) / TWO_PI * math.sqrt(1.3 * lam_max + 10.0))) + 3
+    n = max(K.grid.n, 8 * j_max)
+    fine = PeriodicGrid(n, K.grid.length)
+    K_fine = PeriodicField(fine, _trig_eval(K.values, K.grid.length, fine.points()))
+    return sturm_liouville_eigs(K_fine, 2 * j_max + 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("shape", sorted(COVERING_SHAPES))
+def test_covering_spectrum_matches_fine_reference(shape, m):
+    K = COVERING_SHAPES[shape]()
+    mu = decoupled_couplings(m, BETA_EXACT)
+    for eps in (0.00625, 0.0152, 0.05):
+        sigma = scales_of(eps).sigma
+        lam_max = float(np.max(mu)) / sigma
+        ref = covering_reference(K, lam_max)
+        lam = _sl_eigs_covering(K, lam_max)
+        assert len(lam) == len(ref)
+        low = ref <= lam_max
+        assert lam[low] == pytest.approx(ref[low], rel=1e-9, abs=1e-9)
+        ref_margin = float(np.min(np.abs(mu[:, None] / sigma - ref[None, :]))) * math.sqrt(sigma)
+        assert resonance_margin(eps, K, m).min_margin == pytest.approx(ref_margin, rel=1e-10)
+
+
+def test_covering_grid_size_is_pinned(monkeypatch):
+    # B at eps 0.00625, m 4: lam_c = 1.3 lam_max + 10 and max K give the WKB mode
+    # kappa = 140, K^2 has band 4, and 8 modes of tail: n = 2 (140 + 4 + 8) = 304,
+    # where 4 j_max would be 564 (j_max = 141)
+    K = COVERING_SHAPES["B"]()
+    lam_max = float(np.max(decoupled_couplings(4, BETA_EXACT))) / scales_of(0.00625).sigma
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: seen.append(H.shape) or eigvalsh(H))
+    _sl_eigs_covering(K, lam_max)
+    assert seen == [(304, 304)]
 
 
 # --- liouville transform: the normal-form oracle for sturm_liouville_eigs ---
@@ -513,11 +606,19 @@ def test_scan_epsilons_without_steps_rejected():
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     # the reduced pipeline is numpy alone: the banded LU and GMRES of the strip
     # solves are the only scipy users, so no README scipy-free command loads them
+    config = tmp_path / "wavy.json"
+    config.write_text(json.dumps({
+        "m": 3, "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}},
+        "epsilon": {"min": 0.00625, "max": 0.05, "steps": 4}}))
     code = "\n".join([
         "import sys, aclayers, aclayers.cli",
         "for command in ('constants', 'scales', 'toda-solve', 'spectrum',",
         "                'resonance-scan', 'weyl', 'ansatz-residual'):",
         f"    assert aclayers.cli.main([command, '--out', {str(tmp_path)!r}]) == 0",
+        # a varying K takes the numeric string spectrum, for one eps and for a sweep
+        "for extra in (['--epsilon', '0.00625'], []):",
+        f"    assert aclayers.cli.main(['resonance-scan', '--config', {str(config)!r},",
+        f"                              '--out', {str(tmp_path)!r}, *extra]) == 0",
         "print(sorted(name for name in ('scipy.linalg', 'scipy.sparse', 'scipy.optimize')",
         "             if name in sys.modules))",
     ])

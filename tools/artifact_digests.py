@@ -8,10 +8,12 @@ Runs `constants`, `scales`, `toda-solve`, `spectrum`, `resonance-scan`,
 two configs: the defaults (`{}`) and a 3-point m = 3 sweep on a curvature
 with one cosine harmonic. On the sweep, `newton-solve` also runs at
 `--epsilon 0.025` (as `newton-solve-0.025`), whose 8 Newton steps on the
-band grid take 4 line-search halvings; at 0.05 no step is damped. On the
-defaults, `toda-solve` also runs at `--epsilon 0.0471` (as `near-resonance`),
-where the forced gap operator at the root is close to singular (margin
-0.086). A third config, `m4-fine`, runs `ansatz-residual` alone: m = 4
+band grid take 4 line-search halvings; at 0.05 no step is damped, and
+`resonance-scan` also runs at `--epsilon 0.00625` (as `resonance-single`),
+the single-eps margin on the numeric string spectrum. On the defaults,
+`toda-solve` also runs at `--epsilon 0.0471` (as `near-resonance`), where
+the forced gap operator at the root is close to singular (margin 0.086). A
+third config, `m4-fine`, runs `ansatz-residual` alone: m = 4
 on a curvature with two cosine harmonics, eps 0.04 and 0.06, on 160 rows,
 whose y-spacing below 1 makes the norm balls span rows. Prints one
 `exit <code>  <config>/<run>` line per run, one
@@ -59,6 +61,7 @@ RUNS = [(label, command, command,
          ["--epsilon", "0.05"] if command == "newton-solve" else [])
         for label in ("default", "m3-sweep") for command in COMMANDS]
 RUNS.append(("m3-sweep", "newton-solve-0.025", "newton-solve", ["--epsilon", "0.025"]))
+RUNS.append(("m3-sweep", "resonance-single", "resonance-scan", ["--epsilon", "0.00625"]))
 RUNS.append(("default", "near-resonance", "toda-solve", ["--epsilon", "0.0471"]))
 RUNS.append(("m4-fine", "ansatz-residual", "ansatz-residual", []))
 
@@ -70,7 +73,8 @@ def main() -> None:
 
     cwd = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
-        # relative paths: the output directory enters the config hash
+        # relative paths: checkouts whose config hash still holds the output
+        # directory hash the same one in every temporary directory
         os.chdir(tmp)
         try:
             for label, config in CONFIGS.items():
