@@ -1,11 +1,16 @@
 """Batch front end: JSON run configs, subcommands, reproducible artifacts.
 
-Every subcommand reads one `RunConfig`, runs a slice of the pipeline, and
-writes artifacts into the output directory: JSON and/or CSV data files whose
-first record carries the schema version, plus a `manifest.json` with the
-config hash, package versions, and wall time. Data artifacts are
-deterministic (bit-identical across repeated runs on the same config);
-timestamps appear only in the manifest.
+Every subcommand in `COMMANDS` (name -> function and help text) reads one
+`RunConfig`, runs a slice of the pipeline, and writes artifacts into the
+output directory: JSON and/or CSV data files whose first record carries the
+schema version, plus a `manifest.json` with the config hash, package
+versions, and wall time. Data artifacts are deterministic (bit-identical
+across repeated runs on the same config): timestamps and timings appear only
+in the manifest, and `report` prints each criterion's runtime on stdout
+only. Floats are written as their shortest round-trip repr, by json's own
+encoder (numpy values reach it through `_json_default`), `_cell` in CSV rows
+and `_floatfmt` in matrices. `resonance-scan` runs one `scan_epsilons`, for
+a single epsilon as for a sweep.
 
 Exit codes: 0 success, 1 configuration or domain error, 2 resonance
 obstruction, 3 solver non-convergence, 4 numerical failure.
@@ -24,7 +29,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy
@@ -60,7 +65,6 @@ from .spectral import (
     DEFAULT_C_GAP,
     assemble_A,
     eigs_L_sigma,
-    resonance_margin,
     scan_epsilons,
     weyl_count,
 )
@@ -328,20 +332,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+def _json_default(value):
+    """numpy arrays and scalars as their Python values; json writes a float,
+    float64 included, with `float.__repr__`."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 class ArtifactWriter:
@@ -359,12 +355,11 @@ class ArtifactWriter:
     def json(self, name: str, payload: dict) -> None:
         if "json" not in self.formats:
             return
-        data = {"schema": SCHEMA}
-        data.update(_jsonable(payload))
-        path = self._record(name)
-        path.write_text(json.dumps(data, indent=2) + "\n")
+        text = json.dumps({"schema": SCHEMA, **payload}, indent=2,
+                          default=_json_default)
+        self._record(name).write_text(text + "\n")
 
-    def csv(self, name: str, header: Sequence[str], rows) -> None:
+    def csv(self, name: str, header: Iterable[str], rows) -> None:
         if "csv" not in self.formats:
             return
         lines = [f"# schema: {SCHEMA}", ",".join(header)]
@@ -466,9 +461,7 @@ def _cmd_scales(cfg: RunConfig, writer: ArtifactWriter,
             "rho_series": rho_expansion(eps), "defect": defect,
         })
     writer.json("scales.json", {"entries": entries})
-    writer.csv("scales.csv",
-               ("epsilon", "rho", "sigma", "beta", "rho_series", "defect"),
-               [tuple(e.values()) for e in entries])
+    writer.csv("scales.csv", entries[0].keys(), [e.values() for e in entries])
     return [f"solved layer-spacing scales for {len(entries)} epsilon value(s)"]
 
 
@@ -532,21 +525,16 @@ def _cmd_resonance_scan(cfg: RunConfig, writer: ArtifactWriter,
     K = cfg.curvature_field()
     eps = cfg.epsilons
     degenerate = jacobi_is_degenerate(K)
-    # a sweep is scan_epsilons' own log ladder (_parse_epsilon), so one scan serves it
-    if len(eps) > 1:
-        scan = scan_epsilons(eps[0], eps[-1], len(eps), K, cfg.m, c_gap=cfg.c_gap)
-        rows = zip(scan.epsilons, scan.sigmas, scan.min_margins, scan.admissible)
-        lam_covered = scan.lam_covered
-    else:
-        r = resonance_margin(eps[0], K, cfg.m, c_gap=cfg.c_gap)
-        rows = [(r.epsilon, r.sigma, r.min_margin, r.admissible)]
-        lam_covered = r.lam_covered
+    # a sweep is scan_epsilons' own log ladder (_parse_epsilon) and one
+    # epsilon its one-point scan, so one scan serves either
+    scan = scan_epsilons(eps[0], eps[-1], len(eps), K, cfg.m, c_gap=cfg.c_gap)
     entries = [{
         "epsilon": float(e), "sigma": float(sg),
         "min_margin": float(mg), "admissible": bool(ok),
         "jacobi_degenerate": degenerate,
-    } for e, sg, mg, ok in rows]
-    payload = {"m": cfg.m, "c_gap": cfg.c_gap, "lam_covered": lam_covered,
+    } for e, sg, mg, ok in zip(scan.epsilons, scan.sigmas, scan.min_margins,
+                               scan.admissible)]
+    payload = {"m": cfg.m, "c_gap": cfg.c_gap, "lam_covered": scan.lam_covered,
                "entries": entries,
                "admissible_epsilons": [e["epsilon"] for e in entries
                                        if e["admissible"]]}
@@ -583,10 +571,7 @@ def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter,
             "prediction": cfg.length / math.pi * math.sqrt(a_plus),
         })
     writer.json("weyl.json", {"m": cfg.m, "entries": entries})
-    writer.csv("weyl.csv",
-               ("epsilon", "sigma", "a_plus", "count", "count_sqrt_sigma",
-                "prediction"),
-               [tuple(e.values()) for e in entries])
+    writer.csv("weyl.csv", entries[0].keys(), [e.values() for e in entries])
     return [f"eigenvalue counts tabulated for {len(entries)} "
             f"epsilon value(s)"]
 
@@ -610,10 +595,8 @@ def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
         writer.matrix(f"u0_{i:02d}.csv", rep.u0.values, comment)
         writer.matrix(f"residual_{i:02d}.csv", rep.residual.values, comment)
     writer.json("ansatz_residual.json", {"m": cfg.m, "entries": entries})
-    writer.csv("ansatz_residual.csv",
-               ("epsilon", "p", "sigma_decay", "interaction", "curvature",
-                "jacobi", "gradient_sq", "remainder", "total", "slack"),
-               [tuple(e.values()) for e in entries])
+    writer.csv("ansatz_residual.csv", entries[0].keys(),
+               [e.values() for e in entries])
     return [f"residual decomposed for {len(entries)} epsilon value(s); "
             f"largest total {max(e['total'] for e in entries):.4g}"]
 
@@ -660,28 +643,29 @@ def _cmd_report(cfg: RunConfig, writer: ArtifactWriter,
     writer.json("report.json", {
         "results": [{
             "index": r.index, "name": r.name, "passed": r.passed,
-            "details": r.details, "runtime_seconds": r.runtime,
+            "details": r.details,
         } for r in results],
         "passed": sum(r.passed for r in results),
         "total": len(results),
     })
     writer.csv("report.csv",
-               ("index", "name", "passed", "runtime_seconds", "details"),
-               [(r.index, r.name, r.passed, r.runtime,
-                 r.details.replace(",", ";")) for r in results])
+               ("index", "name", "passed", "details"),
+               [(r.index, r.name, r.passed, r.details.replace(",", ";"))
+                for r in results])
     return format_lines(results)
 
 
+# subcommand name -> (function, help text), in the order --help lists them
 COMMANDS = {
-    "constants": _cmd_constants,
-    "scales": _cmd_scales,
-    "toda-solve": _cmd_toda_solve,
-    "spectrum": _cmd_spectrum,
-    "resonance-scan": _cmd_resonance_scan,
-    "weyl": _cmd_weyl,
-    "ansatz-residual": _cmd_ansatz_residual,
-    "newton-solve": _cmd_newton_solve,
-    "report": _cmd_report,
+    "constants": (_cmd_constants, "profile interaction constants (quadrature vs exact)"),
+    "scales": (_cmd_scales, "layer spacing rho and coupling sigma per epsilon"),
+    "toda-solve": (_cmd_toda_solve, "solve the interacting gap system"),
+    "spectrum": (_cmd_spectrum, "eigenvalues of the reduced linearization"),
+    "resonance-scan": (_cmd_resonance_scan, "admissibility margins over an epsilon sweep"),
+    "weyl": (_cmd_weyl, "eigenvalue counts against the Weyl prediction"),
+    "ansatz-residual": (_cmd_ansatz_residual, "weighted-norm residual decomposition"),
+    "newton-solve": (_cmd_newton_solve, "Newton solve on the strip from the gap ansatz"),
+    "report": (_cmd_report, "run the acceptance battery and emit its table"),
 }
 
 
@@ -701,18 +685,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multilayer Allen-Cahn pipeline: scales, gap systems, "
                     "spectra, residuals, and a strip Newton solver.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "constants": "profile interaction constants (quadrature vs exact)",
-        "scales": "layer spacing rho and coupling sigma per epsilon",
-        "toda-solve": "solve the interacting gap system",
-        "spectrum": "eigenvalues of the reduced linearization",
-        "resonance-scan": "admissibility margins over an epsilon sweep",
-        "weyl": "eigenvalue counts against the Weyl prediction",
-        "ansatz-residual": "weighted-norm residual decomposition",
-        "newton-solve": "Newton solve on the strip from the gap ansatz",
-        "report": "run the acceptance battery and emit its table",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         if name == "newton-solve":
             p.add_argument("--emit-levelsets", action="store_true",
@@ -742,7 +715,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         writer = ArtifactWriter(out_dir, cfg.formats)
         start = time.perf_counter()
-        summary = COMMANDS[args.command](cfg, writer, args)
+        summary = COMMANDS[args.command][0](cfg, writer, args)
         wall = time.perf_counter() - start
         _write_manifest(out_dir, args.command, cfg, wall, writer.names)
         for line in summary:

@@ -211,6 +211,11 @@ def _squared_band(K: PeriodicField) -> int:
     return int(np.nonzero(c > 1e-13 * c[0])[0][-1])
 
 
+def _covering_bound(lam_max: float) -> float:
+    """lam_c: the covering spectrum reaches past it (`_sl_eigs_covering`)."""
+    return 1.3 * lam_max + 10.0
+
+
 def _sl_eigs_covering(K: PeriodicField, lam_max: float) -> np.ndarray:
     """String eigenvalues past lam_c = 1.3 lam_max + 10, which settle every margin
     at couplings >= max(mu)/lam_max: (2 pi j/ell)^2/K for constant K, else one
@@ -226,7 +231,7 @@ def _sl_eigs_covering(K: PeriodicField, lam_max: float) -> np.ndarray:
     """
     if np.min(K.values) <= 0.0:
         raise DomainError("weight K must be positive")
-    lam_c = 1.3 * lam_max + 10.0
+    lam_c = _covering_bound(lam_max)
     j_max = int(math.ceil(ell0(K) / (2.0 * math.pi) * math.sqrt(lam_c))) + 3
     if np.all(K.values == K.values[0]):
         j = np.repeat(np.arange(j_max + 1), 2)[1:]
@@ -255,12 +260,10 @@ def _resonances(K: PeriodicField, mu: np.ndarray, lo: float,
 class ResonanceReport:
     """Scaled distances of sigma^{-1} mu_i to the weighted string spectrum."""
 
-    epsilon: float
     sigma: float
     min_margin: float
     c_gap: float
     admissible: bool
-    lam_covered: float  # largest string eigenvalue the margins used
 
     def __post_init__(self) -> None:
         if self.admissible != (self.min_margin >= self.c_gap):
@@ -269,20 +272,18 @@ class ResonanceReport:
 
 def resonance_margin(epsilon: float, K: PeriodicField, m: int,
                      c_gap: float = DEFAULT_C_GAP) -> ResonanceReport:
-    """Admissibility of one epsilon: scaled spectral gaps at sigma = sigma_eps.
+    """Admissibility of one epsilon: scaled spectral gaps at sigma = sigma_eps,
+    the one-point `scan_epsilons`.
 
     A degenerate Jacobi operator (periodic Jacobi fields, e.g. the round unit
     circle; see `geometry.jacobi_is_degenerate`) gives the summed height
     equation nonzero solutions, so the stack's centring is no longer forced,
     but it leaves the gap margins themselves unchanged.
     """
-    s = scales_of(epsilon)
-    mu = decoupled_couplings(m, BETA_EXACT)
-    lam = _sl_eigs_covering(K, float(np.max(mu)) / s.sigma)
-    min_margin = float(np.min(_margins(mu, s.sigma, lam)))
-    return ResonanceReport(
-        epsilon=epsilon, sigma=s.sigma, min_margin=min_margin, c_gap=c_gap,
-        admissible=min_margin >= c_gap, lam_covered=float(lam[-1]))
+    scan = scan_epsilons(epsilon, epsilon, 1, K, m, c_gap=c_gap)
+    return ResonanceReport(sigma=float(scan.sigmas[0]),
+                           min_margin=float(scan.min_margins[0]), c_gap=c_gap,
+                           admissible=bool(scan.admissible[0]))
 
 
 def resonant_sigmas(K: PeriodicField, m: int, sigma_min: float, sigma_max: float) -> np.ndarray:
@@ -323,20 +324,22 @@ class ScanResult:
     min_margins: np.ndarray
     admissible: np.ndarray  # boolean mask
     dyadic_best: dict  # dyadic sigma-interval exponent -> (epsilon, margin)
-    lam_covered: float  # largest string eigenvalue the margins used
+    lam_covered: float  # lam_c: the spectrum covers every eigenvalue below it
 
 
 def scan_epsilons(eps_min: float, eps_max: float, steps: int, K: PeriodicField,
                   m: int, c_gap: float = DEFAULT_C_GAP) -> ScanResult:
-    """Log-spaced admissibility sweep; also the best point per dyadic sigma bin."""
-    if not (0.0 < eps_min < eps_max < EPS_MAX):
+    """Log-spaced admissibility sweep (equal ends: one epsilon), its margins
+    read from one string spectrum; also the best point per dyadic sigma bin."""
+    if not (0.0 < eps_min <= eps_max < EPS_MAX):
         raise DomainError(f"epsilon range must sit inside (0, {EPS_MAX})")
     if steps < 1:
         raise DomainError(f"a scan needs at least 1 step, got {steps}")
     eps = np.geomspace(eps_min, eps_max, steps)
     sigmas = np.array([scales_of(float(e)).sigma for e in eps])
     mu = decoupled_couplings(m, BETA_EXACT)
-    lam = _sl_eigs_covering(K, float(np.max(mu) / np.min(sigmas)))
+    lam_max = float(np.max(mu) / np.min(sigmas))
+    lam = _sl_eigs_covering(K, lam_max)
     margins = np.array([float(np.min(_margins(mu, sg, lam))) for sg in sigmas])
     admissible = margins >= c_gap
     dyadic: dict = {}
@@ -346,4 +349,4 @@ def scan_epsilons(eps_min: float, eps_max: float, steps: int, K: PeriodicField,
             dyadic[expo] = (float(e), float(mg))
     return ScanResult(epsilons=eps, sigmas=sigmas, min_margins=margins,
                       admissible=admissible, dyadic_best=dyadic,
-                      lam_covered=float(lam[-1]))
+                      lam_covered=_covering_bound(lam_max))

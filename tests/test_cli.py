@@ -350,6 +350,30 @@ def test_resonance_scan_sweep(tmp_path):
     assert doc["lam_covered"] >= max(mu_max / e["sigma"] for e in doc["entries"])
 
 
+@pytest.mark.parametrize("eps", [0.00625, 0.02])
+def test_resonance_scan_single_is_the_first_entry_of_a_sweep(tmp_path, eps):
+    # one scan serves both: a sweep starting at eps covers the same smallest
+    # sigma, so its first entry and lam_covered are the single run's, bit for bit
+    doc = {"m": 3, "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}},
+           "epsilon": {"min": eps, "max": 0.05, "steps": 4}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, sweep = _run(tmp_path / "sweep", "resonance-scan", "--config", str(cfg))
+    assert code == 0
+    code, single = _run(tmp_path / "single", "resonance-scan", "--config", str(cfg),
+                        "--epsilon", str(eps))
+    assert code == 0
+    many = json.loads((sweep / "resonance_scan.json").read_text())
+    one = json.loads((single / "resonance_scan.json").read_text())
+    assert len(many["entries"]) == 4 and len(one["entries"]) == 1
+    assert one["entries"][0] == many["entries"][0]
+    assert one["entries"][0]["epsilon"] == eps
+    assert one["lam_covered"] == many["lam_covered"]
+    csv_many = (sweep / "resonance_scan.csv").read_text().splitlines()
+    csv_one = (single / "resonance_scan.csv").read_text().splitlines()
+    assert csv_one == csv_many[:3]
+
+
 def test_spectrum_artifacts(tmp_path):
     code, out = _run(tmp_path, "spectrum", "--epsilon", "0.05")
     assert code == 0
@@ -369,6 +393,52 @@ def test_weyl_artifacts(tmp_path):
     # the normalized count should sit near its large-sigma prediction
     assert entry["count_sqrt_sigma"] == pytest.approx(entry["prediction"],
                                                       rel=0.05)
+
+
+def test_json_writes_numpy_values_as_their_python_values(tmp_path):
+    writer = cli.ArtifactWriter(tmp_path, ("json",))
+    writer.json("p.json", {
+        "floats": [np.float64(0.1), np.float64(-0.0), np.float64("nan"),
+                   np.float64("inf")],
+        "int": np.int64(-7), "flag": np.bool_(True),
+        "array": np.array([1.0 / 3.0, 1e-300]), "mask": np.array([True, False]),
+        "pair": (np.int64(2), 2.5), "nested": {"a": {"b": np.float64(2.0)}},
+    })
+    assert (tmp_path / "p.json").read_text() == """{
+  "schema": "aclayers/1",
+  "floats": [
+    0.1,
+    -0.0,
+    NaN,
+    Infinity
+  ],
+  "int": -7,
+  "flag": true,
+  "array": [
+    0.3333333333333333,
+    1e-300
+  ],
+  "mask": [
+    true,
+    false
+  ],
+  "pair": [
+    2,
+    2.5
+  ],
+  "nested": {
+    "a": {
+      "b": 2.0
+    }
+  }
+}
+"""
+    assert writer.names == ["p.json"]
+
+
+def test_json_rejects_values_it_cannot_write(tmp_path):
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli.ArtifactWriter(tmp_path, ("json",)).json("p.json", {"x": object()})
 
 
 def test_matrix_writes_shortest_round_trip_reprs(tmp_path):
@@ -621,6 +691,13 @@ def test_report_emits_acceptance_table(tmp_path, capsys):
     assert doc["total"] == 12
     assert doc["passed"] == 11
     assert len(doc["results"]) == 12
+    # runtimes go to stdout only: the data artifacts hold no timings
+    assert all(set(r) == {"index", "name", "passed", "details"} for r in doc["results"])
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[1] == "index,name,passed,details"
+    assert len(lines) == 2 + 12
+    assert all(line.count(",") == 3 for line in lines[1:])
+    assert text.count(" s): ") == 12
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +806,15 @@ def test_exit_code_on_singular_gap_step(tmp_path, monkeypatch, capsys):
     assert "gap solve step 1 has a singular Jacobian" in capsys.readouterr().err
 
 
+def test_help_lists_every_subcommand_with_its_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for name, (_, help_text) in cli.COMMANDS.items():
+        assert f"    {name}" in out and help_text in out
+
+
 @pytest.mark.parametrize("exc,expected", [
     (ResonanceError("resonant"), 2),
     (ConvergenceError("stalled"), 3),
@@ -737,6 +823,6 @@ def test_exit_code_on_singular_gap_step(tmp_path, monkeypatch, capsys):
 def test_exit_code_mapping(tmp_path, monkeypatch, exc, expected):
     def boom(cfg, writer, args):
         raise exc
-    monkeypatch.setitem(cli.COMMANDS, "constants", boom)
+    monkeypatch.setitem(cli.COMMANDS, "constants", (boom, "raises"))
     code, _ = _run(tmp_path, "constants")
     assert code == expected

@@ -360,6 +360,7 @@ def test_covering_spectrum_matches_fine_reference(shape, m):
         ref = covering_reference(K, lam_max)
         lam = _sl_eigs_covering(K, lam_max)
         assert len(lam) == len(ref)
+        assert lam[-1] >= 1.3 * lam_max + 10.0  # past lam_c
         low = ref <= lam_max
         assert lam[low] == pytest.approx(ref[low], rel=1e-9, abs=1e-9)
         ref_margin = float(np.min(np.abs(mu[:, None] / sigma - ref[None, :]))) * math.sqrt(sigma)
@@ -508,7 +509,21 @@ def test_resonance_margin_report():
     assert rep.admissible == (rep.min_margin >= 0.1)
     mu = decoupled_couplings(2, BETA_EXACT)
     assert len(mu) == 1
-    assert rep.lam_covered >= mu[0] / rep.sigma
+    assert scan_epsilons(0.05, 0.05, 1, K, 2, c_gap=0.1).lam_covered >= mu[0] / rep.sigma
+
+
+@pytest.mark.parametrize("shape", ["unit", "wavy", "B"])
+@pytest.mark.parametrize("eps", [0.00625, 0.0152, 0.05])
+def test_resonance_margin_is_the_one_point_scan(eps, shape):
+    K = {"unit": lambda: unit_K(128), "wavy": lambda: wavy_K(64, amp=0.2),
+         "B": COVERING_SHAPES["B"]}[shape]()
+    rep = resonance_margin(eps, K, 3, c_gap=1.0)
+    scan = scan_epsilons(eps, eps, 1, K, 3, c_gap=1.0)
+    assert scan.epsilons.tolist() == [eps]
+    assert (rep.sigma, rep.min_margin, rep.admissible) == (
+        scan.sigmas[0], scan.min_margins[0], scan.admissible[0])
+    assert rep.sigma == scales_of(eps).sigma
+    assert rep.c_gap == 1.0
 
 
 # min_margin of 1 + 0.2 cos y (64 samples, m 3) on the 8-point ladder, recorded
@@ -584,7 +599,10 @@ def test_scan_epsilons_matches_resonance_margin(values, m):
         rep = resonance_margin(float(e), K, m)
         assert got == pytest.approx(rep.min_margin, rel=1e-10)
         assert res.lam_covered >= mu_max / sg
-        assert rep.lam_covered >= mu_max / sg
+    # lam_covered is the covering bound lam_c, which the solve reaches past
+    lam_max = float(mu_max / np.min(res.sigmas))
+    assert res.lam_covered == 1.3 * lam_max + 10.0
+    assert _sl_eigs_covering(K, lam_max)[-1] >= res.lam_covered
 
 
 def test_scan_epsilons_basic():
@@ -601,6 +619,12 @@ def test_scan_epsilons_basic():
 def test_scan_epsilons_without_steps_rejected():
     with pytest.raises(DomainError, match="at least 1 step"):
         scan_epsilons(0.02, 0.15, 0, unit_K(64), 2)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.05, 0.02), (0.0, 0.05), (0.05, 0.2)])
+def test_scan_epsilons_rejects_bad_ranges(lo, hi):
+    with pytest.raises(DomainError, match="epsilon range"):
+        scan_epsilons(lo, hi, 3, unit_K(64), 2)
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):

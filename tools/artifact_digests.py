@@ -11,8 +11,10 @@ with one cosine harmonic. On the sweep, `newton-solve` also runs at
 band grid take 4 line-search halvings; at 0.05 no step is damped, and
 `resonance-scan` also runs at `--epsilon 0.00625` (as `resonance-single`),
 the single-eps margin on the numeric string spectrum. On the defaults,
-`toda-solve` also runs at `--epsilon 0.0471` (as `near-resonance`), where
-the forced gap operator at the root is close to singular (margin 0.086). A
+`newton-solve` also passes `--emit-levelsets`, so its `levelsets.csv` is
+digested, and `toda-solve` also runs at `--epsilon 0.0471` (as
+`near-resonance`), where the forced gap operator at the root is close to
+singular (margin 0.086). A
 third config, `m4-fine`, runs `ansatz-residual` alone: m = 4
 on a curvature with two cosine harmonics, eps 0.04 and 0.06, on 160 rows,
 whose y-spacing below 1 makes the norm balls span rows. Prints one
@@ -58,7 +60,8 @@ COMMANDS = ("constants", "scales", "toda-solve", "spectrum", "resonance-scan",
             "weyl", "ansatz-residual", "newton-solve")
 # (config, run name, command, extra arguments), in the order they run
 RUNS = [(label, command, command,
-         ["--epsilon", "0.05"] if command == "newton-solve" else [])
+         ["--epsilon", "0.05", *(["--emit-levelsets"] if label == "default" else [])]
+         if command == "newton-solve" else [])
         for label in ("default", "m3-sweep") for command in COMMANDS]
 RUNS.append(("m3-sweep", "newton-solve-0.025", "newton-solve", ["--epsilon", "0.025"]))
 RUNS.append(("m3-sweep", "resonance-single", "resonance-scan", ["--epsilon", "0.00625"]))
