@@ -449,7 +449,6 @@ class ResidualReport:
     heteroclinic stack and `residual` the S(u0) field that was decomposed.
     """
 
-    epsilon: float
     p: float
     sigma_decay: float
     interaction: float
@@ -498,7 +497,7 @@ def residual_report(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: flo
         p, sigma_decay)
     total = weighted_norm(res, p, sigma_decay)
     slack = exterior + 1e-9 * (sum(norms.values()) + remainder + total)
-    return ResidualReport(epsilon=epsilon, p=p, sigma_decay=sigma_decay,
+    return ResidualReport(p=p, sigma_decay=sigma_decay,
                           interaction=norms["interaction"],
                           curvature=norms["curvature"],
                           jacobi=norms["jacobi"],

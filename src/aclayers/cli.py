@@ -1,10 +1,13 @@
 """Batch front end: JSON run configs, subcommands, reproducible artifacts.
 
-Every subcommand in `COMMANDS` (name -> function and help text) reads one
-`RunConfig`, runs a slice of the pipeline, and writes artifacts into the
-output directory: JSON and/or CSV data files whose first record carries the
-schema version, plus a `manifest.json` with the config hash, package
-versions, and wall time. Data artifacts are deterministic (bit-identical
+Every subcommand in `COMMANDS` (name -> function and help text) is a
+function `(cfg, writer) -> summary lines`: it reads one `RunConfig`, runs a
+slice of the pipeline, and writes artifacts through the `ArtifactWriter`
+into the output directory. The subcommands share one set of options
+(`--config`, `--epsilon`, `--out`, `--strict`), which act on the config
+alone. The artifacts are JSON and/or CSV data files whose first record
+carries the schema version, plus a `manifest.json` with the config hash,
+package versions, and wall time. Data artifacts are deterministic (bit-identical
 across repeated runs on the same config): timestamps and timings appear only
 in the manifest, and `report` prints each criterion's runtime on stdout
 only. Floats are written as their shortest round-trip repr, by json's own
@@ -433,8 +436,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
 # subcommands
 
 
-def _cmd_constants(cfg: RunConfig, writer: ArtifactWriter,
-                   args: argparse.Namespace) -> list[str]:
+def _cmd_constants(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     quad = compute_constants()
     exact = exact_constants()
     names = ("c_star", "b1", "b2", "beta")
@@ -450,8 +452,7 @@ def _cmd_constants(cfg: RunConfig, writer: ArtifactWriter,
     return [f"profile constants agree to {max(r[3] for r in rows):.3e}"]
 
 
-def _cmd_scales(cfg: RunConfig, writer: ArtifactWriter,
-                args: argparse.Namespace) -> list[str]:
+def _cmd_scales(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     entries = []
     for eps in cfg.epsilons:
         s = scales_of(eps)
@@ -472,8 +473,7 @@ def _toda_solution(cfg: RunConfig, K: PeriodicField, eps: float):
     return s, sol
 
 
-def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter,
-                    args: argparse.Namespace) -> list[str]:
+def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     K = cfg.curvature_field()
     entries = []
     for i, eps in enumerate(cfg.epsilons):
@@ -497,8 +497,7 @@ def _cmd_toda_solve(cfg: RunConfig, writer: ArtifactWriter,
             f"worst residual {max(e['residual'] for e in entries):.3e}"]
 
 
-def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
-                  args: argparse.Namespace) -> list[str]:
+def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     K = cfg.curvature_field()
     C_sqrt = build_matrices(cfg.m)
     v1 = first_order_profile(K, cfg.m, exact_constants().beta)
@@ -520,8 +519,7 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
     return [f"reduced spectra computed for {len(entries)} epsilon value(s)"]
 
 
-def _cmd_resonance_scan(cfg: RunConfig, writer: ArtifactWriter,
-                        args: argparse.Namespace) -> list[str]:
+def _cmd_resonance_scan(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     K = cfg.curvature_field()
     eps = cfg.epsilons
     degenerate = jacobi_is_degenerate(K)
@@ -553,8 +551,7 @@ def _cmd_resonance_scan(cfg: RunConfig, writer: ArtifactWriter,
             f"at c_gap={cfg.c_gap}"]
 
 
-def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter,
-              args: argparse.Namespace) -> list[str]:
+def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     K = cfg.curvature_field()
     C_sqrt = build_matrices(cfg.m)
     v1 = first_order_profile(K, cfg.m, exact_constants().beta)
@@ -576,8 +573,7 @@ def _cmd_weyl(cfg: RunConfig, writer: ArtifactWriter,
             f"epsilon value(s)"]
 
 
-def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
-                         args: argparse.Namespace) -> list[str]:
+def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     K = cfg.curvature_field()
     entries = []
     for i, eps in enumerate(cfg.epsilons):
@@ -601,8 +597,7 @@ def _cmd_ansatz_residual(cfg: RunConfig, writer: ArtifactWriter,
             f"largest total {max(e['total'] for e in entries):.4g}"]
 
 
-def _cmd_newton_solve(cfg: RunConfig, writer: ArtifactWriter,
-                      args: argparse.Namespace) -> list[str]:
+def _cmd_newton_solve(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     if len(cfg.epsilons) != 1:
         raise ConfigError(
             "newton-solve runs a single epsilon; pass a scalar epsilon "
@@ -626,19 +621,15 @@ def _cmd_newton_solve(cfg: RunConfig, writer: ArtifactWriter,
                               for j in range(report.level_curves.shape[1])],
     })
     writer.matrix("solution.csv", report.solution.values, _strip_comment(grid))
-    if getattr(args, "emit_levelsets", False):
-        y = grid.y_grid.points()
-        m = report.level_curves.shape[1]
-        writer.csv("levelsets.csv",
-                   ["y"] + [f"t_{j + 1}" for j in range(m)],
-                   np.column_stack([y, report.level_curves]))
+    m = report.level_curves.shape[1]
+    writer.csv("levelsets.csv", ["y"] + [f"t_{j + 1}" for j in range(m)],
+               np.column_stack([grid.y_grid.points(), report.level_curves]))
     final = report.residual_norms[-1]
     return [f"Newton converged in {report.iterations} iteration(s); "
             f"final residual {final:.3e}"]
 
 
-def _cmd_report(cfg: RunConfig, writer: ArtifactWriter,
-                args: argparse.Namespace) -> list[str]:
+def _cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
     results = run_all()
     writer.json("report.json", {
         "results": [{
@@ -686,10 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "spectra, residuals, and a strip Newton solver.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if name == "newton-solve":
-            p.add_argument("--emit-levelsets", action="store_true",
-                           help="also write zero-crossing curves as CSV")
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -715,7 +703,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         writer = ArtifactWriter(out_dir, cfg.formats)
         start = time.perf_counter()
-        summary = COMMANDS[args.command][0](cfg, writer, args)
+        summary = COMMANDS[args.command][0](cfg, writer)
         wall = time.perf_counter() - start
         _write_manifest(out_dir, args.command, cfg, wall, writer.names)
         for line in summary:

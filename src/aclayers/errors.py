@@ -20,7 +20,7 @@ class WindowError(DomainError):
 
 
 class IterationError(AclayersError, RuntimeError):
-    """A scalar iteration ran out of budget: `scales.solve_rho` or `_quad.boole_adaptive`."""
+    """A scalar iteration ran out of budget: the `scales.solve_rho` root solve."""
 
 
 class ConvergenceError(AclayersError, RuntimeError):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import boole_adaptive
 from .errors import DomainError, NumericalError
 
 SQRT2 = math.sqrt(2.0)
@@ -27,9 +26,10 @@ B1_EXACT = 2.0 * SQRT2 / 3.0
 B2_EXACT = 16.0
 BETA_EXACT = B2_EXACT / B1_EXACT  # = 12*sqrt(2)
 
-# quadrature window [-T, T] (tails e^{-sqrt(2) T} far below the tolerance)
-# and the agreement asked of the two b2 routes
+# quadrature window [-T, T] (tails e^{-sqrt(2) T} far below the tolerance),
+# the trapezoid step on it, and the agreement asked of the two b2 routes
 _HALF_WIDTH = 40.0
+_STEP = 0.1
 _TOLERANCE = 1e-10
 
 
@@ -76,36 +76,26 @@ def heteroclinic_derivative(t):
 
 
 def compute_constants() -> ProfileConstants:
-    """Interaction constants by composite quadrature on [-_HALF_WIDTH, _HALF_WIDTH].
+    """Interaction constants by the trapezoid rule on [-_HALF_WIDTH, _HALF_WIDTH].
 
-    Evaluates b2 through both of its equivalent one-sided-weight forms
-    (weights e^{+sqrt(2) t} and e^{-sqrt(2) t}) and fails if they disagree
-    beyond ``_TOLERANCE``; the two agree exactly because the integrand pair
-    is related by t -> -t.
+    One tanh evaluation on the grid of step ``_STEP`` feeds all four
+    integrands. They are analytic and decay exponentially, so the rule's
+    error falls exponentially with the step and halving ``_STEP`` moves no
+    constant by more than rounding. Evaluates b2 through both of its
+    equivalent one-sided-weight forms (weights e^{+sqrt(2) t} and
+    e^{-sqrt(2) t}) and fails if they disagree beyond ``_TOLERANCE``; the two
+    agree exactly because the integrand pair is related by t -> -t.
     """
-    T = _HALF_WIDTH
-
-    def energy(t):
-        th = np.tanh(t / SQRT2)
-        wp = (1.0 - th * th) / SQRT2
-        return 0.5 * wp * wp + 0.25 * (1.0 - th * th) ** 2
-
-    def dirichlet(t):
-        wp = heteroclinic_derivative(t)
-        return wp * wp
-
-    def interaction_plus(t):
-        th = np.tanh(t / SQRT2)
-        return 6.0 * (1.0 - th * th) * np.exp(SQRT2 * t) * heteroclinic_derivative(t)
-
-    def interaction_minus(t):
-        th = np.tanh(t / SQRT2)
-        return 6.0 * (1.0 - th * th) * np.exp(-SQRT2 * t) * heteroclinic_derivative(t)
-
-    c_star = boole_adaptive(energy, -T, T)
-    b1 = boole_adaptive(dirichlet, -T, T)
-    b2_plus = boole_adaptive(interaction_plus, -T, T)
-    b2_minus = boole_adaptive(interaction_minus, -T, T)
+    n = round(2.0 * _HALF_WIDTH / _STEP)
+    t = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, n + 1)
+    weights = np.full(n + 1, 2.0 * _HALF_WIDTH / n)
+    weights[[0, -1]] *= 0.5
+    sech2 = 1.0 - np.tanh(t / SQRT2) ** 2
+    wp = sech2 / SQRT2
+    c_star = float(weights @ (0.5 * wp * wp + 0.25 * sech2 * sech2))
+    b1 = float(weights @ (wp * wp))
+    b2_plus = float(weights @ (6.0 * sech2 * np.exp(SQRT2 * t) * wp))
+    b2_minus = float(weights @ (6.0 * sech2 * np.exp(-SQRT2 * t) * wp))
     if abs(b2_plus - b2_minus) > _TOLERANCE * max(abs(b2_plus), 1.0):
         raise NumericalError(
             f"the two interaction quadratures disagree: {b2_plus} vs {b2_minus}")

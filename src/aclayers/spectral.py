@@ -322,7 +322,7 @@ class ScanResult:
     epsilons: np.ndarray
     sigmas: np.ndarray
     min_margins: np.ndarray
-    admissible: np.ndarray  # boolean mask
+    admissible: np.ndarray  # bool mask
     dyadic_best: dict  # dyadic sigma-interval exponent -> (epsilon, margin)
     lam_covered: float  # lam_c: the spectrum covers every eigenvalue below it
 

@@ -166,7 +166,7 @@ def iterate_corrections(K: PeriodicField, sigma: float, beta: float, m: int,
     def jac_ky(g: np.ndarray) -> np.ndarray:
         return sigma * (_spectral_derivative(g, K.grid, 2) + Kv[None, :] * g)
 
-    def n_quad(s: np.ndarray) -> np.ndarray:
+    def nonlinear_part(s: np.ndarray) -> np.ndarray:
         # N(s) = S0(v1+s) - S0(v1) - DS0(v1) s, evaluated pointwise
         lin = np.einsum("nij,jn->in", M, s)
         return S0_bar(v1 + s) - S0_bar(v1) - lin
@@ -184,7 +184,7 @@ def iterate_corrections(K: PeriodicField, sigma: float, beta: float, m: int,
         if order == 1:
             r = jac_ky(v1)
         else:
-            nq = n_quad(partial)
+            nq = nonlinear_part(partial)
             r = jac_ky(omegas[-1]) + nq - prev_nq
             prev_nq = nq
         omega = solve_pointwise(r)

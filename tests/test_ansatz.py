@@ -653,7 +653,7 @@ def test_residual_report_pinned(eps, m):
     got = (rep.interaction, rep.curvature, rep.jacobi, rep.gradient_sq,
            rep.remainder, rep.total, rep.slack, float(np.abs(rep.residual.values).sum()))
     assert got == pytest.approx(_REPORT_PINS[eps, m], rel=1e-12, abs=1e-15)
-    assert (rep.epsilon, rep.p, rep.sigma_decay) == (eps, 4.0, 1.0)
+    assert (rep.p, rep.sigma_decay) == (4.0, 1.0)
 
 
 @pytest.mark.parametrize("eps, m", list(_REPORT_PINS))
@@ -823,7 +823,7 @@ def test_residual_report_matches_the_full_strip_reference(m, shape, eps, n_y):
             rep.remainder, rep.total, rep.slack) == (
         want["interaction"], want["curvature"], want["jacobi"],
         want["gradient_sq"], want["remainder"], want["total"], slack)
-    assert (rep.epsilon, rep.p, rep.sigma_decay) == (eps, p, sigma_decay)
+    assert (rep.p, rep.sigma_decay) == (p, sigma_decay)
     assert rep.u0.values.tobytes() == u0.tobytes()
     assert rep.residual.values.tobytes() == res.tobytes()
 

@@ -653,9 +653,11 @@ def test_sweep_failing_partway_writes_no_manifest(tmp_path, monkeypatch,
 
 
 def test_newton_solve_artifacts(tmp_path):
-    code, out = _run(tmp_path, "newton-solve", "--epsilon", "0.05",
-                     "--emit-levelsets")
+    code, out = _run(tmp_path, "newton-solve", "--epsilon", "0.05")
     assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == [
+        "newton_solve.json", "solution.csv", "levelsets.csv"]
     doc = json.loads((out / "newton_solve.json").read_text())
     assert doc["residual_norms"][-1] < 1e-9
     inner = doc["linear_iterations"]
@@ -672,6 +674,12 @@ def test_newton_solve_artifacts(tmp_path):
     spacing = [float(r.split(",")[2]) - float(r.split(",")[1])
                for r in lines[2:]]
     assert np.allclose(spacing, 2.0 * means[1], atol=1e-6)
+
+
+def test_subcommands_take_only_the_common_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["newton-solve", "--emit-levelsets"])
+    assert "unrecognized arguments: --emit-levelsets" in capsys.readouterr().err
 
 
 def test_newton_solve_rejects_sweeps(tmp_path):
@@ -821,7 +829,7 @@ def test_help_lists_every_subcommand_with_its_help(monkeypatch, capsys):
     (NumericalError("lost digits"), 4),
 ])
 def test_exit_code_mapping(tmp_path, monkeypatch, exc, expected):
-    def boom(cfg, writer, args):
+    def boom(cfg, writer):
         raise exc
     monkeypatch.setitem(cli.COMMANDS, "constants", (boom, "raises"))
     code, _ = _run(tmp_path, "constants")

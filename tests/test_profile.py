@@ -2,7 +2,7 @@
 
 Expected values are frozen from independent oracles: closed-form reductions,
 a 50-digit tanh evaluation, and scipy adaptive quadrature (re-run inline here
-as a second route against the library's composite rule).
+as a second route against the library's trapezoid rule).
 """
 
 import math
@@ -108,10 +108,10 @@ def test_ode_residual_pointwise():
 
 def test_constants_against_closed_forms():
     c = compute_constants()
-    assert c.b1 == pytest.approx(B1_EXACT, rel=1e-12)
-    assert c.b2 == pytest.approx(B2_EXACT, rel=1e-12)
-    assert c.beta == pytest.approx(BETA_EXACT, rel=1e-12)
-    assert c.c_star == pytest.approx(c.b1, rel=1e-10)
+    assert c.b1 == pytest.approx(B1_EXACT, rel=1e-13)
+    assert c.b2 == pytest.approx(B2_EXACT, rel=1e-13)
+    assert c.beta == pytest.approx(BETA_EXACT, rel=1e-13)
+    assert c.c_star == pytest.approx(B1_EXACT, rel=1e-13)
 
 
 def test_constants_against_adaptive_quadrature_oracle():
@@ -140,6 +140,16 @@ def test_profile_constants_validation():
         ProfileConstants(c_star=-1.0, b1=1.0, b2=2.0, beta=2.0)
     with pytest.raises(DomainError):
         ProfileConstants(c_star=1.5, b1=1.0, b2=2.0, beta=2.0)  # c_star != b1
+
+
+def test_constants_stand_at_half_the_step(monkeypatch):
+    # the trapezoid rule's error falls exponentially with the step on these
+    # integrands: halving it moves no constant by more than rounding
+    c = compute_constants()
+    monkeypatch.setattr(profile_module, "_STEP", 0.5 * profile_module._STEP)
+    half = compute_constants()
+    for name in ("c_star", "b1", "b2", "beta"):
+        assert getattr(half, name) == pytest.approx(getattr(c, name), rel=1e-14, abs=0.0)
 
 
 def test_interaction_quadrature_cross_check_error(monkeypatch):

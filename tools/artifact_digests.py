@@ -1,30 +1,30 @@
-"""Print a sha256 of every data artifact the eight data commands write.
+"""Print a sha256 of every data artifact the nine subcommands write.
 
     python3 tools/artifact_digests.py [CHECKOUT] > digests.txt
 
 Runs `constants`, `scales`, `toda-solve`, `spectrum`, `resonance-scan`,
-`weyl`, `ansatz-residual` and `newton-solve` (at `--epsilon 0.05`) of the
-`aclayers` package in CHECKOUT's `src/` (default: this script's checkout) on
-two configs: the defaults (`{}`) and a 3-point m = 3 sweep on a curvature
-with one cosine harmonic. On the sweep, `newton-solve` also runs at
-`--epsilon 0.025` (as `newton-solve-0.025`), whose 8 Newton steps on the
-band grid take 4 line-search halvings; at 0.05 no step is damped, and
-`resonance-scan` also runs at `--epsilon 0.00625` (as `resonance-single`),
-the single-eps margin on the numeric string spectrum. On the defaults,
-`newton-solve` also passes `--emit-levelsets`, so its `levelsets.csv` is
-digested, and `toda-solve` also runs at `--epsilon 0.0471` (as
-`near-resonance`), where the forced gap operator at the root is close to
-singular (margin 0.086). A
-third config, `m4-fine`, runs `ansatz-residual` alone: m = 4
-on a curvature with two cosine harmonics, eps 0.04 and 0.06, on 160 rows,
-whose y-spacing below 1 makes the norm balls span rows. Prints one
-`exit <code>  <config>/<run>` line per run, one
-`config <sha256>  <config>/<run>` line with the `config_sha256` of each
-run that wrote a manifest, so a change of the config schema shows too, and
-one `<sha256>  <config>/<run>/<file>` line per artifact; `manifest.json`
-itself is left out, as it holds the wall time. Two checkouts write
-byte-identical data artifacts under the same config hashes when their
-outputs are equal:
+`weyl`, `ansatz-residual` and `newton-solve` (at `--epsilon 0.05`, where it
+writes `levelsets.csv` next to `solution.csv`) of the `aclayers` package in
+CHECKOUT's `src/` (default: this script's checkout) on two configs: the
+defaults (`{}`) and a 3-point m = 3 sweep on a curvature with one cosine
+harmonic. On the sweep, `newton-solve` also runs at `--epsilon 0.025` (as
+`newton-solve-0.025`), whose 8 Newton steps on the band grid take 4
+line-search halvings; at 0.05 no step is damped, and `resonance-scan` also
+runs at `--epsilon 0.00625` (as `resonance-single`), the single-eps margin
+on the numeric string spectrum. On the defaults, `toda-solve` also runs at
+`--epsilon 0.0471` (as `near-resonance`), where the forced gap operator at
+the root is close to singular (margin 0.086), and `report` runs the
+acceptance battery once (about 0.5 s), whose `report.json` and `report.csv`
+hold each criterion's details but no runtime. A third config, `m4-fine`,
+runs `ansatz-residual` alone: m = 4 on a curvature with two cosine
+harmonics, eps 0.04 and 0.06, on 160 rows, whose y-spacing below 1 makes
+the norm balls span rows. Prints one `exit <code>  <config>/<run>` line per
+run, one `config <sha256>  <config>/<run>` line with the `config_sha256` of
+each run that wrote a manifest, so a change of the config schema shows too,
+and one `<sha256>  <config>/<run>/<file>` line per artifact;
+`manifest.json` itself is left out, as it holds the wall time. Two
+checkouts write byte-identical data artifacts under the same config hashes
+when their outputs are equal:
 
     diff <(python3 tools/artifact_digests.py OTHER) <(python3 tools/artifact_digests.py)
 
@@ -60,12 +60,12 @@ COMMANDS = ("constants", "scales", "toda-solve", "spectrum", "resonance-scan",
             "weyl", "ansatz-residual", "newton-solve")
 # (config, run name, command, extra arguments), in the order they run
 RUNS = [(label, command, command,
-         ["--epsilon", "0.05", *(["--emit-levelsets"] if label == "default" else [])]
-         if command == "newton-solve" else [])
+         ["--epsilon", "0.05"] if command == "newton-solve" else [])
         for label in ("default", "m3-sweep") for command in COMMANDS]
 RUNS.append(("m3-sweep", "newton-solve-0.025", "newton-solve", ["--epsilon", "0.025"]))
 RUNS.append(("m3-sweep", "resonance-single", "resonance-scan", ["--epsilon", "0.00625"]))
 RUNS.append(("default", "near-resonance", "toda-solve", ["--epsilon", "0.0471"]))
+RUNS.append(("default", "report", "report", []))
 RUNS.append(("m4-fine", "ansatz-residual", "ansatz-residual", []))
 
 
