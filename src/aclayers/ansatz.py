@@ -59,6 +59,12 @@ M_BUDGET = 2.0
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 STATE_BOUND = 1.5
+# a GMRES restart cycle must cut the true linear residual to at most this
+# share of the previous cycle's; measured: no step of a converging strip solve
+# (m = 2-5) needs a second cycle, and on the failing m = 4, 5 points on
+# 1 + 0.2 cos y every cycle after the first, at the residual's round-off
+# floor, ends at 0.012-5.2 times the one before
+_GMRES_CYCLE_CUT = 0.5
 # automatic strip size: transverse room past the outer layers, target t-step
 _T_MARGIN = 6.0
 _DT_TARGET = 0.125
@@ -721,18 +727,40 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, K: PeriodicField, epsilon: flo
 
     def solve(u: np.ndarray, res: np.ndarray) -> np.ndarray:
         fused, precondition = _right_preconditioned(u, grid, kv, epsilon)
-        op = scipy.sparse.linalg.LinearOperator((u.size, u.size), matvec=fused, dtype=float)
-        inner: list[float] = []  # one relative residual per inner iteration
+        rhs = -res.ravel()
+        products, last = 0, None
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            nonlocal products, last
+            products += 1
+            last = fused(x)
+            return last
+
+        # true residual |rhs - J P^{-1} z| at the start and after each cycle
+        cycles = [float(np.linalg.norm(rhs))]
         # inexact-Newton floor: near its round-off floor a residual cannot be
         # cut 1e-12 relative, and a step residual far under NEWTON_TOL suffices
+        floor = max(1e-3 * NEWTON_TOL, 1e-12 * cycles[0])
+
+        def restarted(z: np.ndarray) -> None:
+            # gmres ends every cycle on rhs - matvec(z): that product is last
+            cycles.append(float(np.linalg.norm(rhs - last)))
+            if cycles[-1] > floor and cycles[-1] > _GMRES_CYCLE_CUT * cycles[-2]:
+                raise ConvergenceError(
+                    f"Newton step solve stalled (GMRES restart cycle {len(cycles) - 1} "
+                    f"left {cycles[-1] / cycles[-2]:.3g} of the residual) "
+                    f"at iteration {len(linear_iterations)}")
+
+        op = scipy.sparse.linalg.LinearOperator((u.size, u.size), matvec=matvec, dtype=float)
         z, info = scipy.sparse.linalg.gmres(
-            op, -res.ravel(), rtol=1e-12, atol=1e-3 * NEWTON_TOL,
-            restart=60, maxiter=50, callback=inner.append, callback_type="pr_norm")
+            op, rhs, rtol=1e-12, atol=1e-3 * NEWTON_TOL, restart=60, maxiter=50,
+            callback=restarted, callback_type="x")
         if info != 0:
             raise ConvergenceError(
                 f"Newton step solve did not converge (GMRES info {info}) "
                 f"at iteration {len(linear_iterations)}")
-        linear_iterations.append(len(inner))
+        # each cycle's inner iterations apply the operator once each, its end once more
+        linear_iterations.append(products - (len(cycles) - 1))
         return precondition(z)
 
     res_norms, energies = [], []

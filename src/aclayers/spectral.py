@@ -7,11 +7,21 @@ family L_sigma = -sigma d^2/dy^2 - A(y, sigma) with
 
 Its eigenvalues cross zero at a discrete set of couplings; solvability of the
 full problem needs sigma to keep a quantified distance from those crossings.
-At the first-order profile the zero crossings decouple: with mu_i the
-eigenvalues of (beta/sqrt(2)) C^{1/2} diag(a) C^{1/2}, resonance happens when
-sigma^{-1} mu_i hits an eigenvalue of the curvature-weighted string problem
--phi'' = lambda K phi. This module assembles A, computes spectra, verifies the
-eigenvalue monotonicity bounds in sigma, counts modes Weyl-style and scans for
+At the first-order profile v^1, e^{-sqrt(2) v^1_l} = (beta/2) K a_l makes
+A = K(y) (sigma I + (beta/sqrt(2)) C^{1/2} diag(a) C^{1/2}), so L_sigma is
+the direct sum over the m - 1 decoupled channels
+
+    -sigma d^2/dy^2 - (sigma + mu_i) K(y),
+
+with mu_i the eigenvalues of (beta/sqrt(2)) C^{1/2} diag(a) C^{1/2}: channel i
+has a zero eigenvalue when 1 + sigma^{-1} mu_i is an eigenvalue lambda_j of
+the curvature-weighted string problem -phi'' = lambda K phi. `eigs_L_sigma`
+takes the spectrum channel by channel wherever A shares one eigenbasis along
+the curve. The margins (`_margins`) read |sigma^{-1} mu_i - lambda_j|
+sqrt(sigma), without the shift by 1 that the sigma K I of A carries.
+
+This module assembles A, computes spectra, verifies the eigenvalue
+monotonicity bounds in sigma, counts modes Weyl-style and scans for
 admissible parameters. The string spectrum is the closed form (2 pi j/ell)^2/K
 for constant K, else one standard symmetric eigvalsh on a grid sized by the
 WKB wavenumber of its highest covered mode (the tests check it against the
@@ -22,10 +32,11 @@ Two operators carry the name L_sigma. `resonance_margin`, the scans and the
 CLI's `spectrum` measure the normalized one, A at the first-order profile
 v^1. `toda.TodaSolution.margin` measures the equilibrium-forced one, A at the
 solved gaps, through the same builders (`toda._symmetric_field`, which
-`assemble_A` calls, and `toda._gap_blocks`). They can disagree: on K = 1,
+`assemble_A` calls, and `toda._gap_spectrum`). They can disagree: on K = 1,
 m = 2, eps 0.0471 the forced margin min |eig|/sigma is 0.086 while
-`min_margin` is 4.53. Which one the paper's gap condition refers to is open;
-PAPER.md holds only the abstract.
+`min_margin` is 4.53. Which one the paper's gap condition refers to is open,
+and so is whether it means the normalized distance of `_margins` or the
+assembled operator with its shift; PAPER.md holds only the abstract.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from .errors import DomainError
 from .geometry import PeriodicField, PeriodicGrid, _trig_eval, ell0, second_derivative_matrix
 from .profile import BETA_EXACT, SQRT2
 from .scales import EPS_MAX, scales_of
-from .toda import _gap_blocks, _symmetric_field, build_matrices, interaction_weights
+from .toda import _gap_spectrum, _symmetric_field, build_matrices, interaction_weights
 
 DEFAULT_C_GAP = 0.5
 _TIE_RTOL = 1e-12
@@ -96,9 +107,18 @@ def assemble_A(gaps: np.ndarray, sigma: float, K: PeriodicField,
 
 
 def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
-    """Full sorted spectrum of -sigma d^2/dy^2 - A(y), discretized as one dense
-    symmetric matrix; zeros are not negative."""
-    ev = np.linalg.eigvalsh(_gap_blocks(sigma, A.grid, A.entries.shape[1])(A.entries))
+    """Full sorted spectrum of -sigma d^2/dy^2 - A(y) on A's grid; zeros are not
+    negative.
+
+    When every A(y) shares one eigenbasis, as at v^1 (the channels
+    -sigma d^2 - (sigma + mu_i) K) or for constant K, the spectrum is the
+    union of the m - 1 channel spectra, each one eigvalsh of size n;
+    otherwise, as for the forced field at a varying-K gap root with m >= 4,
+    it is one eigvalsh of the dense (m-1) n matrix (`toda._gap_spectrum`).
+    Either way the channels keep K's grid: a mode past its Nyquist mode is
+    not resolved, so negative_count is capped by the grid.
+    """
+    ev = _gap_spectrum(A.entries, sigma, second_derivative_matrix(A.grid))
     scale = max(float(np.max(np.abs(ev))), 1.0)
     negative = int(np.sum(ev < -_TIE_RTOL * scale))
     return EigenReport(eigenvalues=ev, negative_count=negative)

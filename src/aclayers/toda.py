@@ -17,7 +17,9 @@ The explicit profile v^1 kills the O(1) part exactly; sigma^k corrections
 refine it, and damped Newton from that profile, shifted to the forced
 leading-order balance, finishes the solve on `_damped_newton`, the driver the
 strip solve shares (here with the merit sup |F| and the damping floor 1e-6).
-At the root one symmetric eigensolve gives the forced resonance margin.
+At the root the spectrum of the symmetric gap operator gives the forced
+resonance margin: m - 1 scalar eigensolves when its field shares one
+eigenbasis along the curve (`_gap_spectrum`), else one dense eigensolve.
 
 All gap operators take the coupling sigma as a plain number so formal sigma
 sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
@@ -26,6 +28,7 @@ sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,19 +46,32 @@ MAX_CORRECTION_ORDER = 6
 _RESONANCE_RATIO = 1e-6  # min |eig| at the root below this multiple of the median
 MAX_ITERATIONS = 50  # Newton steps of the gap solve
 RESIDUAL_TOL = 1e-10  # sup-norm residual the gap solve must reach
+# largest off-diagonal of a gap field in its y-mean eigenbasis, relative to
+# max |F|, up to which its channels count as decoupled (`_gap_spectrum`);
+# measured at the gap roots on the benchmark curves over the eps ladder: at
+# most 4.7e-14 where they decouple (m = 3, constant K), at least 6.9e-6 where
+# they do not (m = 4, 5 on a varying K)
+_SPLIT_RTOL = 1e-12
 
 
+@lru_cache(maxsize=16)
 def _interaction_matrix(m: int) -> np.ndarray:
-    """The (m-1) tridiagonal (-1, 2, -1) interaction matrix C."""
+    """The (m-1) tridiagonal (-1, 2, -1) interaction matrix C (cached, read-only)."""
     if m < 2:
         raise DomainError(f"need at least 2 layers, got m={m}")
-    return 2.0 * np.eye(m - 1) - np.eye(m - 1, k=1) - np.eye(m - 1, k=-1)
+    C = 2.0 * np.eye(m - 1) - np.eye(m - 1, k=1) - np.eye(m - 1, k=-1)
+    C.flags.writeable = False
+    return C
 
 
+@lru_cache(maxsize=16)
 def build_matrices(m: int) -> np.ndarray:
-    """C^{1/2}, the symmetric square root of the tridiagonal C, from its eigendecomposition."""
+    """C^{1/2}, the symmetric square root of the tridiagonal C, from its
+    eigendecomposition (cached, read-only)."""
     lam, V = np.linalg.eigh(_interaction_matrix(m))
-    return (V * np.sqrt(lam)) @ V.T
+    C_sqrt = (V * np.sqrt(lam)) @ V.T
+    C_sqrt.flags.writeable = False
+    return C_sqrt
 
 
 def h_from_v(grid: PeriodicGrid, gaps: np.ndarray) -> tuple[PeriodicField, ...]:
@@ -208,16 +224,17 @@ def _symmetric_field(gaps: np.ndarray, sigma: float, Kv: np.ndarray,
     return 0.5 * (entries + np.swapaxes(entries, 1, 2))
 
 
-def _gap_blocks(sigma: float, grid: PeriodicGrid, mm: int):
+def _gap_blocks(sigma: float, D2: np.ndarray, mm: int):
     """Builder of dense matrices omega -> -sigma omega'' - F(y) omega on mm stacked fields.
 
-    kron(I, -sigma D2) is made once; each call F -> matrix copies it and
-    subtracts the pointwise (n, mm, mm) field F. The unknown omega is
-    flattened as (mm, n) row-major, so each diagonal n x n block carries
-    -sigma D2 and the block (i, j) carries -F[:, i, j] on its diagonal.
+    D2 is the grid's spectral second-derivative matrix. kron(I, -sigma D2) is
+    made once; each call F -> matrix copies it and subtracts the pointwise
+    (n, mm, mm) field F. The unknown omega is flattened as (mm, n) row-major,
+    so each diagonal n x n block carries -sigma D2 and the block (i, j)
+    carries -F[:, i, j] on its diagonal.
     """
-    n = grid.n
-    base = np.kron(np.eye(mm), -sigma * second_derivative_matrix(grid))
+    n = D2.shape[0]
+    base = np.kron(np.eye(mm), -sigma * D2)
     idx = np.arange(n)
 
     def blocks(field: np.ndarray) -> np.ndarray:
@@ -226,6 +243,33 @@ def _gap_blocks(sigma: float, grid: PeriodicGrid, mm: int):
         return L
 
     return blocks
+
+
+def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray,
+                  blocks=None) -> np.ndarray:
+    """Sorted eigenvalues of omega -> -sigma omega'' - F(y) omega, F a symmetric
+    (n, mm, mm) field and D2 the grid's second-derivative matrix.
+
+    With V the eigenbasis of F's y-mean, B(y) = V^T F(y) V is diagonal up to
+    _SPLIT_RTOL max |F| when all F(y) share that eigenbasis (F = K(y) times a
+    constant matrix, as at v^1, or a constant F). The operator is then the
+    direct sum of the mm channels -sigma D2 - diag(B_ii), and the spectrum is
+    the union of mm eigvalsh of size n. Otherwise it is one eigvalsh of the
+    dense (mm n) matrix from blocks, the caller's `_gap_blocks` builder (one
+    is made here when None).
+    """
+    mm = field.shape[1]
+    _, V = np.linalg.eigh(field.mean(axis=0))
+    rotated = V.T @ field @ V
+    channels = np.diagonal(rotated, axis1=1, axis2=2).T.copy()  # (mm, n)
+    rotated[:, np.arange(mm), np.arange(mm)] = 0.0
+    if np.max(np.abs(rotated)) <= _SPLIT_RTOL * np.max(np.abs(field)):
+        base = -sigma * D2
+        return np.sort(np.concatenate([np.linalg.eigvalsh(base - np.diag(c))
+                                       for c in channels]))
+    if blocks is None:
+        blocks = _gap_blocks(sigma, D2, mm)
+    return np.linalg.eigvalsh(blocks(field))
 
 
 @dataclass(frozen=True)
@@ -305,9 +349,10 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     centred ones (`h_from_v`). max_iterations caps the Newton steps, and
     tolerance is the sup-norm residual they must reach.
 
-    At the root one eigvalsh of the C^{1/2}-conjugated operator
-    -(sigma D2 + A(v)) gives margin = min |eig| / sigma; a ResonanceError is
-    raised when min |eig| < _RESONANCE_RATIO * median |eig|.
+    At the root the spectrum of the C^{1/2}-conjugated operator
+    -(sigma D2 + A(v)) (`_gap_spectrum`, on the same D2 and, when A(v) does
+    not decouple, a matrix from the same base) gives margin = min |eig| / sigma;
+    a ResonanceError is raised when min |eig| < _RESONANCE_RATIO * median |eig|.
     """
     if max_iterations < 1:
         raise DomainError("max_iterations must be at least 1")
@@ -332,7 +377,8 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
             F = S_bar(trial, sigma, K, beta) - target
         return float(np.max(np.abs(F))), F
 
-    blocks = _gap_blocks(sigma, K.grid, m - 1)
+    D2 = second_derivative_matrix(K.grid)
+    blocks = _gap_blocks(sigma, D2, m - 1)
     shift = sigma * K.values[:, None, None] * np.eye(m - 1)[None, :, :]
 
     def solve(v: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -343,8 +389,8 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     for iterations, (gaps, r_now) in enumerate(_damped_newton(
             gaps, merit, solve, 1e-6, max_iterations, tolerance, "gap solve")):
         pass
-    ev = np.abs(np.linalg.eigvalsh(blocks(_symmetric_field(gaps, sigma, K.values,
-                                                           build_matrices(m)))))
+    field = _symmetric_field(gaps, sigma, K.values, build_matrices(m))
+    ev = np.abs(_gap_spectrum(field, sigma, D2, blocks))
     ev_min, ev_med = float(np.min(ev)), float(np.median(ev))
     if ev_min < _RESONANCE_RATIO * ev_med:
         raise ResonanceError(

@@ -1074,6 +1074,18 @@ def test_newton_raises_at_its_step_cap(monkeypatch):
         newton_allen_cahn(u0, K, 0.025)
 
 
+# the baseline's failing m >= 4 points on 1 + 0.2 cos y: GMRES info 50 after
+# 8.8-12.7 s through the CLI, measured; a stalled restart cycle ends them first
+@pytest.mark.parametrize("m, eps", [(4, 0.1), (4, 0.05), (5, 0.05)])
+def test_newton_stalled_gmres_cycle_fails_fast(m, eps):
+    K = shape_K("cos")
+    _, _, u0 = toda_start(K, m, eps)
+    with pytest.raises(ConvergenceError,
+                       match=r"^Newton step solve stalled \(GMRES restart cycle \d+ left "
+                             r"[0-9.e+-]+ of the residual\) at iteration \d+$"):
+        newton_allen_cahn(u0, K, eps)
+
+
 # layer positions against the reduction on 1 + 0.2 cos y. Measured: slopes
 # 1.531 (m = 2) and 1.522 (m = 3); error over f_j's variation along y at eps
 # 0.0125: 0.73% (m = 2) and 1.79% (m = 3). Bounds fixed before the test ran.

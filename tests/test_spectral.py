@@ -36,7 +36,15 @@ from aclayers.spectral import (
     sturm_liouville_eigs,
     weyl_count,
 )
-from aclayers.toda import DS0_bar, _gap_blocks, build_matrices, first_order_profile
+import aclayers.toda as toda_module
+from aclayers.toda import (
+    _SPLIT_RTOL,
+    DS0_bar,
+    _gap_blocks,
+    _gap_spectrum,
+    build_matrices,
+    first_order_profile,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,7 +173,7 @@ def test_conjugated_operator_matches_linearized_solve():
     C_sqrt = build_matrices(m)
     v1 = first_order_profile(K, m, BETA_EXACT)
     sigma = 0.06
-    blocks = _gap_blocks(sigma, K.grid, m - 1)
+    blocks = _gap_blocks(sigma, second_derivative_matrix(K.grid), m - 1)
     # the gap solve's Newton matrix, acting on stacked omega
     Lt = blocks(DS0_bar(v1) + sigma * K.values[:, None, None] * np.eye(m - 1)[None, :, :])
     A = assemble_A(v1, sigma, K, C_sqrt)
@@ -175,6 +183,98 @@ def test_conjugated_operator_matches_linearized_solve():
     Sinv = np.kron(np.linalg.inv(C_sqrt), np.eye(n))
     conj = Sinv @ Lt @ S
     assert np.max(np.abs(conj - Ls)) < 1e-10 * np.max(np.abs(Ls))
+
+
+# --- the spectrum channel by channel ---
+
+# K = 1, 1 + 0.2 cos y and the benchmark's shape B, as functions of y
+_CHANNEL_SHAPES = {
+    "K=1": lambda y: np.ones_like(y),
+    "cos": lambda y: 1.0 + 0.2 * np.cos(y),
+    "B": lambda y: 1.0 + 0.03 * np.cos(y) + 0.01 * np.cos(2.0 * y + 4.0),
+}
+
+
+def _v1_field(shape, m, eps, n=64):
+    """A at v^1 on n samples of the 2 pi circle, with sigma from scales_of(eps)."""
+    g = circle_grid(n)
+    K = PeriodicField(g, _CHANNEL_SHAPES[shape](g.points()))
+    s = scales_of(eps)
+    A = assemble_A(first_order_profile(K, m, BETA_EXACT), s.sigma, K, build_matrices(m))
+    return A.entries, s.sigma, second_derivative_matrix(g)
+
+
+def _dense_spectrum(field, sigma, D2):
+    """eigvalsh of kron(I, -sigma D2) minus the block-diagonal field, built here."""
+    n, mm = D2.shape[0], field.shape[1]
+    L = np.kron(np.eye(mm), -sigma * D2)
+    for i in range(mm):
+        for j in range(mm):
+            L[i * n:(i + 1) * n, j * n:(j + 1) * n] -= np.diag(field[:, i, j])
+    return np.linalg.eigvalsh(L)
+
+
+def _eigvalsh_sizes(monkeypatch):
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(toda_module.np.linalg, "eigvalsh",
+                        lambda H: sizes.append(H.shape[0]) or eigvalsh(H))
+    return sizes
+
+
+@pytest.mark.parametrize("shape", list(_CHANNEL_SHAPES))
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gap_spectrum_splits_v1_fields_into_channels(shape, m, monkeypatch):
+    # at v^1, A = K(y) (sigma I + const): m - 1 eigvalsh of size n, whose
+    # union is the dense spectrum
+    field, sigma, D2 = _v1_field(shape, m, 0.025)
+    dense = _dense_spectrum(field, sigma, D2)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    ev = _gap_spectrum(field, sigma, D2)
+    assert sizes == [D2.shape[0]] * (m - 1)
+    assert np.all(np.diff(ev) >= 0.0)
+    assert np.max(np.abs(ev - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_eigs_L_sigma_reads_the_channels_at_v1(monkeypatch):
+    K = wavy_K(64, amp=0.2)
+    s = scales_of(0.05)
+    A = assemble_A(first_order_profile(K, 3, BETA_EXACT), s.sigma, K, build_matrices(3))
+    sizes = _eigvalsh_sizes(monkeypatch)
+    rep = eigs_L_sigma(A, s.sigma)
+    assert sizes == [64, 64]
+    assert rep.eigenvalues.shape == (128,)
+
+
+def _channel_coupling(field, size):
+    """field + V E V^T: E couples channels 0 and 1 by size cos y, V the channel basis."""
+    _, V = np.linalg.eigh(field.mean(axis=0))
+    E = np.zeros_like(field)
+    E[:, 0, 1] = E[:, 1, 0] = size * np.cos(circle_grid(field.shape[0]).points())
+    return field + V @ E @ V.T
+
+
+def test_gap_spectrum_of_a_coupled_field_is_the_dense_one():
+    # 1e-8 max|A| of channel coupling on a v^1 field: no split, and the
+    # spectrum is the dense builder's, bit for bit
+    field, sigma, D2 = _v1_field("cos", 3, 0.025)
+    field = _channel_coupling(field, 1e-8 * np.max(np.abs(field)))
+    want = np.linalg.eigvalsh(_gap_blocks(sigma, D2, 2)(field))
+    assert np.array_equal(_gap_spectrum(field, sigma, D2), want)
+    assert np.array_equal(_gap_spectrum(field, sigma, D2, _gap_blocks(sigma, D2, 2)), want)
+
+
+def test_gap_spectrum_below_the_split_tolerance_keeps_weyls_bound(monkeypatch):
+    # an off-diagonal below _SPLIT_RTOL max|A| in the channel basis is dropped;
+    # by Weyl's inequality the eigenvalues move by at most its operator norm,
+    # max_y |E(y)| = delta, plus the dense solve's rounding
+    field, sigma, D2 = _v1_field("B", 4, 0.025)
+    delta = 0.5 * _SPLIT_RTOL * np.max(np.abs(field))
+    perturbed = _channel_coupling(field, delta)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    ev = _gap_spectrum(perturbed, sigma, D2)
+    assert sizes == [64] * 3
+    dense = _dense_spectrum(perturbed, sigma, D2)
+    assert np.max(np.abs(ev - dense)) <= delta + 1e-14 * np.max(np.abs(dense))
 
 
 # --- monotonicity ---
@@ -306,7 +406,7 @@ def test_l_sigma_and_string_matrices_exactly_symmetric(monkeypatch):
     K = wavy_K(64, amp=0.2)
     C_sqrt = build_matrices(3)
     A = assemble_A(first_order_profile(K, 3, BETA_EXACT), 0.06, K, C_sqrt)
-    L = _gap_blocks(0.06, A.grid, 2)(A.entries)
+    L = _gap_blocks(0.06, second_derivative_matrix(A.grid), 2)(A.entries)
     assert np.array_equal(L, L.T)
 
     seen = []

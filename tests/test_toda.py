@@ -17,6 +17,7 @@ from aclayers.geometry import (
     PeriodicField,
     PeriodicGrid,
     sample_curvature,
+    second_derivative_matrix,
 )
 from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.spectral import assemble_A, eigs_L_sigma, resonance_margin
@@ -417,22 +418,25 @@ def test_solve_toda_raises_at_its_step_cap():
 
 def test_solve_toda_builds_one_jacobian_per_step(monkeypatch):
     # one kron(I, -sigma D2) base per solve; from it one matrix per Newton
-    # step and one symmetric operator for the margin at the root
-    factories, matrices = [], []
+    # step, and one symmetric operator for the margin at the root only where
+    # the root field does not decouple: the m = 3 root decouples (v_1 = v_2),
+    # the m = 4 root on a varying K does not
     gap_blocks = toda_module._gap_blocks
-
-    def counting(sigma, grid, mm):
-        factories.append(mm)
-        blocks = gap_blocks(sigma, grid, mm)
-        return lambda field: matrices.append(1) or blocks(field)
-
-    monkeypatch.setattr(toda_module, "_gap_blocks", counting)
     s = scales_of(0.05)
     K = wavy_K(64, amp=0.2)
-    sol = solve_toda(K, s, 3, gbar=equilibrium_gap_forcing(K, 3, s.beta))
-    assert sol.iterations > 1
-    assert factories == [2]
-    assert len(matrices) == sol.iterations + 1
+    for m, root_matrices in ((3, 0), (4, 1)):
+        factories, matrices = [], []
+
+        def counting(sigma, D2, mm):
+            factories.append(mm)
+            blocks = gap_blocks(sigma, D2, mm)
+            return lambda field: matrices.append(1) or blocks(field)
+
+        monkeypatch.setattr(toda_module, "_gap_blocks", counting)
+        sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
+        assert sol.iterations > 1
+        assert factories == [m - 1]
+        assert len(matrices) == sol.iterations + root_matrices
 
 
 def test_solve_toda_singular_step_is_a_convergence_error(monkeypatch):
@@ -565,6 +569,39 @@ def test_margin_is_spectrals_operator_at_the_root(K, m, eps):
     sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
     ev = eigs_L_sigma(assemble_A(sol.v, s.sigma, K, build_matrices(m)), s.sigma).eigenvalues
     assert sol.margin == float(np.min(np.abs(ev))) / s.sigma
+
+
+def _dense_margin(sol, K, s, m):
+    """min |eig| / sigma of the root operator as one dense eigvalsh."""
+    field = assemble_A(sol.v, s.sigma, K, build_matrices(m)).entries
+    L = toda_module._gap_blocks(s.sigma, second_derivative_matrix(K.grid), m - 1)(field)
+    return float(np.min(np.abs(np.linalg.eigvalsh(L)))) / s.sigma
+
+
+@pytest.mark.parametrize("K,m,eps", [
+    (wavy_K(64, amp=0.2), 3, 0.05), (wavy_K(64, amp=0.2), 3, 0.0125),
+    (_fourier_K(64, 0.25, 0.025, 1.25), 3, 0.025), (unit_K(64), 3, 0.05),
+    (unit_K(64), 4, 0.025), (unit_K(128), 5, 0.0125)])
+def test_decoupled_roots_split_and_keep_the_dense_margin(K, m, eps, monkeypatch):
+    # m = 3 roots (v_1 = v_2) and constant-K roots share one eigenbasis along
+    # the curve: the margin takes m - 1 eigvalsh of size n and no dense matrix
+    s = scales_of(eps)
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(toda_module.np.linalg, "eigvalsh",
+                        lambda H: sizes.append(H.shape[0]) or eigvalsh(H))
+    sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
+    assert sizes == [K.grid.n] * (m - 1)
+    assert sol.margin == pytest.approx(_dense_margin(sol, K, s, m), rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [wavy_K(64, amp=0.2), _fourier_K(64, 0.03, 0.01, 4.0)],
+                         ids=["cos", "B"])
+def test_coupled_root_margin_is_the_dense_one(K):
+    # m = 4 on a varying K: the root field couples its channels, so the
+    # margin is the dense eigvalsh, bit for bit
+    s = scales_of(0.05)
+    sol = solve_toda(K, s, 4, gbar=equilibrium_gap_forcing(K, 4, s.beta))
+    assert sol.margin == _dense_margin(sol, K, s, 4)
 
 
 def test_resonance_gate_reads_the_root_spectrum(monkeypatch):

@@ -16,9 +16,12 @@ on the numeric string spectrum. On the defaults, `toda-solve` also runs at
 the root is close to singular (margin 0.086), and `report` runs the
 acceptance battery once (about 0.5 s), whose `report.json` and `report.csv`
 hold each criterion's details but no runtime. A third config, `m4-fine`,
-runs `ansatz-residual` alone: m = 4 on a curvature with two cosine
-harmonics, eps 0.04 and 0.06, on 160 rows, whose y-spacing below 1 makes
-the norm balls span rows. Prints one `exit <code>  <config>/<run>` line per
+runs `toda-solve`, `spectrum` and `ansatz-residual`: m = 4 on a curvature
+with two cosine harmonics, eps 0.04 and 0.06. Its `spectrum` takes the
+3-channel split of the operator at v^1, and its gap roots couple their
+channels, so `toda-solve`'s margins take the dense eigensolve; its 160 rows,
+whose y-spacing is below 1, make the norm balls of `ansatz-residual` span
+rows. Prints one `exit <code>  <config>/<run>` line per
 run, one `config <sha256>  <config>/<run>` line with the `config_sha256` of
 each run that wrote a manifest, so a change of the config schema shows too,
 and one `<sha256>  <config>/<run>/<file>` line per artifact;
@@ -66,7 +69,8 @@ RUNS.append(("m3-sweep", "newton-solve-0.025", "newton-solve", ["--epsilon", "0.
 RUNS.append(("m3-sweep", "resonance-single", "resonance-scan", ["--epsilon", "0.00625"]))
 RUNS.append(("default", "near-resonance", "toda-solve", ["--epsilon", "0.0471"]))
 RUNS.append(("default", "report", "report", []))
-RUNS.append(("m4-fine", "ansatz-residual", "ansatz-residual", []))
+RUNS += [("m4-fine", command, command, [])
+         for command in ("toda-solve", "spectrum", "ansatz-residual")]
 
 
 def main() -> None:
