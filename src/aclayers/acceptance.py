@@ -1,9 +1,12 @@
 """Acceptance battery: twelve end-to-end checks with pinned tolerances.
 
 Each check builds its own inputs, measures against an independent oracle or
-a closed form, and returns a CriterionResult; the test suite asserts on
-these and the CLI `report` subcommand tabulates them. Checks also enforce
-their runtime budgets, so a pathological slowdown fails loudly.
+a closed form, and returns `(ok, details)`. `@_criterion(name, budget_s)`
+declares its report name and runtime budget once; it times the whole check,
+fails it over budget (so a slowdown fails loudly) and builds the
+CriterionResult that the tests assert on and `report` tabulates. ALL_CHECKS
+fixes the battery's order and index: a new criterion, such as 13 (the
+paper's theorem), is one decorated function appended there.
 
 Known state: the residual-scaling check measures a slope near 1.24 for
 two-layer stacks, below its [1.7, 2.3] window, while its single-layer
@@ -15,6 +18,7 @@ the measured numbers and fails honestly.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -82,6 +86,21 @@ class CriterionResult:
                 f"({self.runtime:.2f} s): {self.details}")
 
 
+def _criterion(name: str, budget_s: float):
+    """Declare a check's report name and runtime budget; the body returns (ok, details)."""
+    def declare(body):
+        @functools.wraps(body)
+        def check() -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, details = body()
+            runtime = time.perf_counter() - t0
+            return CriterionResult(ALL_CHECKS.index(check) + 1, name,
+                                   ok and runtime < budget_s, details, runtime)
+        check.budget_s = budget_s
+        return check
+    return declare
+
+
 def _circle_K(n: int, amp: float = 0.0) -> PeriodicField:
     grid = PeriodicGrid(n=n, length=TWO_PI)
     if amp == 0.0:
@@ -89,25 +108,22 @@ def _circle_K(n: int, amp: float = 0.0) -> PeriodicField:
     return PeriodicField(grid, 1.0 + amp * np.cos(grid.points()))
 
 
-def check_profile_constants() -> CriterionResult:
+@_criterion("profile constants dual route", 1.0)
+def check_profile_constants() -> tuple[bool, str]:
     """Interaction constants agree across quadrature and closed forms."""
-    t0 = time.perf_counter()
     q = compute_constants()
     errs = {
         "b1": abs(q.b1 - B1_EXACT),
         "c*": abs(q.c_star - B1_EXACT),
         "b2": abs(q.b2 - B2_EXACT),
     }
-    worst = max(errs.values())
-    runtime = time.perf_counter() - t0
-    details = ", ".join(f"{k} err {v:.2e}" for k, v in errs.items())
-    return CriterionResult(1, "profile constants dual route",
-                           worst < 1e-8 and runtime < 1.0, details, runtime)
+    return (max(errs.values()) < 1e-8,
+            ", ".join(f"{k} err {v:.2e}" for k, v in errs.items()))
 
 
-def check_scale_solver() -> CriterionResult:
+@_criterion("layer-scale solver", 1.0)
+def check_scale_solver() -> tuple[bool, str]:
     """Defining relation to 1e-12; two-term expansion error stays bounded."""
-    t0 = time.perf_counter()
     worst_res = 0.0
     worst_exp = 0.0
     for eps in (1e-1, 1e-2, 1e-4):
@@ -116,16 +132,13 @@ def check_scale_solver() -> CriterionResult:
         big_l = math.log(1.0 / eps)
         scale = big_l / math.log(big_l)
         worst_exp = max(worst_exp, abs(rho - rho_expansion(eps)) * scale)
-    runtime = time.perf_counter() - t0
     details = f"residual {worst_res:.2e}, scaled expansion error {worst_exp:.3f}"
-    return CriterionResult(2, "layer-scale solver",
-                           worst_res < 1e-12 and worst_exp <= 2.0
-                           and runtime < 1.0, details, runtime)
+    return worst_res < 1e-12 and worst_exp <= 2.0, details
 
 
-def check_first_order_balance() -> CriterionResult:
+@_criterion("first-order gap balance", 1.0)
+def check_first_order_balance() -> tuple[bool, str]:
     """The first-order gap profile balances the curvature forcing exactly."""
-    t0 = time.perf_counter()
     worst = 0.0
     for K in (_circle_K(128), _circle_K(128, amp=0.3)):
         for m in (2, 3):
@@ -133,15 +146,12 @@ def check_first_order_balance() -> CriterionResult:
             gap = np.max(np.abs(BETA_EXACT * K.values[None, :]
                                 + S0_bar(v1)))
             worst = max(worst, float(gap))
-    runtime = time.perf_counter() - t0
-    details = f"max ||beta K + S0(v1)|| = {worst:.2e}"
-    return CriterionResult(3, "first-order gap balance",
-                           worst < 1e-12 and runtime < 1.0, details, runtime)
+    return worst < 1e-12, f"max ||beta K + S0(v1)|| = {worst:.2e}"
 
 
-def check_correction_order() -> CriterionResult:
+@_criterion("correction-order slopes", 10.0)
+def check_correction_order() -> tuple[bool, str]:
     """k-th correction leaves an O(sigma^k) defect: fitted slopes near k."""
-    t0 = time.perf_counter()
     K = _circle_K(64, amp=0.3)
     sigmas = np.array([0.2, 0.1, 0.05, 0.025])
     slopes = []
@@ -151,11 +161,8 @@ def check_correction_order() -> CriterionResult:
             vk = iterate_corrections(K, float(sg), BETA_EXACT, 3, k)
             norms.append(np.max(np.abs(S_bar(vk, float(sg), K, BETA_EXACT))))
         slopes.append(float(np.polyfit(np.log(sigmas), np.log(norms), 1)[0]))
-    runtime = time.perf_counter() - t0
-    ok = all(abs(s - k) < 0.25 for k, s in zip((1, 2, 3), slopes))
-    details = "slopes " + ", ".join(f"{s:.3f}" for s in slopes) + " vs 1, 2, 3"
-    return CriterionResult(4, "correction-order slopes",
-                           ok and runtime < 10.0, details, runtime)
+    return (all(abs(s - k) < 0.25 for k, s in zip((1, 2, 3), slopes)),
+            "slopes " + ", ".join(f"{s:.3f}" for s in slopes) + " vs 1, 2, 3")
 
 
 def _gap_oracle(m: int, sigma: float, beta: float) -> np.ndarray:
@@ -172,9 +179,9 @@ def _gap_oracle(m: int, sigma: float, beta: float) -> np.ndarray:
     raise AssertionError("oracle Newton did not converge")
 
 
-def check_gap_solver_oracle() -> CriterionResult:
+@_criterion("gap solver vs algebraic oracle", 5.0)
+def check_gap_solver_oracle() -> tuple[bool, str]:
     """Full gap solve matches the algebraic oracle on constant curvature."""
-    t0 = time.perf_counter()
     s = scales_of(0.05)
     K = _circle_K(32)
     worst = 0.0
@@ -182,15 +189,12 @@ def check_gap_solver_oracle() -> CriterionResult:
         sol = solve_toda(K, s, m, k_start=3)
         oracle = _gap_oracle(m, s.sigma, s.beta)
         worst = max(worst, float(np.max(np.abs(sol.v - oracle[:, None]))))
-    runtime = time.perf_counter() - t0
-    details = f"max |solve - oracle| = {worst:.2e} over m in (2, 3, 4)"
-    return CriterionResult(5, "gap solver vs algebraic oracle",
-                           worst < 1e-9 and runtime < 5.0, details, runtime)
+    return worst < 1e-9, f"max |solve - oracle| = {worst:.2e} over m in (2, 3, 4)"
 
 
-def check_string_spectrum() -> CriterionResult:
+@_criterion("weighted string spectrum", 5.0)
+def check_string_spectrum() -> tuple[bool, str]:
     """Weighted string eigenvalues: exact circle values, variable-K drift."""
-    t0 = time.perf_counter()
     lam = sturm_liouville_eigs(_circle_K(256), 7)
     exact = np.array([0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0])
     err_exact = float(np.max(np.abs(lam - exact)))
@@ -204,30 +208,24 @@ def check_string_spectrum() -> CriterionResult:
         pair = lam_w[2 * j - 1: 2 * j + 1]
         drift = max(drift, j**2 * max(abs(pair[0] - target),
                                       abs(pair[1] - target)))
-    runtime = time.perf_counter() - t0
     details = f"circle err {err_exact:.2e}, j^2-scaled drift {drift:.2f}"
-    return CriterionResult(6, "weighted string spectrum",
-                           err_exact < 1e-8 and drift < 10.0
-                           and runtime < 5.0, details, runtime)
+    return err_exact < 1e-8 and drift < 10.0, details
 
 
-def check_weyl_law() -> CriterionResult:
+@_criterion("eigenvalue counting law", 5.0)
+def check_weyl_law() -> tuple[bool, str]:
     """Counting measure obeys the square-root law on the circle."""
-    t0 = time.perf_counter()
     target = (TWO_PI / math.pi) * 1.0
     worst = 0.0
     for sigma in (1e-3, 1e-4):
         n = weyl_count(sigma, 1.0, TWO_PI)
         worst = max(worst, abs(n * math.sqrt(sigma) - target) / target)
-    runtime = time.perf_counter() - t0
-    details = f"worst relative deviation {worst:.4f}"
-    return CriterionResult(7, "eigenvalue counting law",
-                           worst < 0.05 and runtime < 5.0, details, runtime)
+    return worst < 0.05, f"worst relative deviation {worst:.4f}"
 
 
-def check_monotonicity() -> CriterionResult:
+@_criterion("eigenvalue monotonicity", 10.0)
+def check_monotonicity() -> tuple[bool, str]:
     """Both eigenvalue-difference inequalities hold on two test curves."""
-    t0 = time.perf_counter()
     ok = True
     slacks = []
     for K in (_circle_K(48), _circle_K(48, amp=0.3)):
@@ -237,15 +235,12 @@ def check_monotonicity() -> CriterionResult:
                                  assemble_A(v1, 0.05, K, C_sqrt))
         ok = ok and rep.holds
         slacks.append(rep.worst_slack)
-    runtime = time.perf_counter() - t0
-    details = "worst slacks " + ", ".join(f"{s:.3e}" for s in slacks)
-    return CriterionResult(8, "eigenvalue monotonicity",
-                           ok and runtime < 10.0, details, runtime)
+    return ok, "worst slacks " + ", ".join(f"{s:.3e}" for s in slacks)
 
 
-def check_resonance_structure() -> CriterionResult:
+@_criterion("resonance structure", 20.0)
+def check_resonance_structure() -> tuple[bool, str]:
     """Detected resonances match mu/j^2; every dyadic band has a safe point."""
-    t0 = time.perf_counter()
     K = _circle_K(128)
     vals = resonant_sigmas(K, 2, sigma_min=1e-3, sigma_max=1e-1)
     oracle = np.array(sorted(24.0 / j**2 for j in range(16, 155)))
@@ -266,17 +261,14 @@ def check_resonance_structure() -> CriterionResult:
         bands_ok = bands_ok and found is not None
         covered += 1
         k += 1
-    runtime = time.perf_counter() - t0
     details = (f"worst resonance mismatch {match:.2e}, "
                f"{covered} dyadic bands admissible: {bands_ok}")
-    return CriterionResult(9, "resonance structure",
-                           match < 1e-6 and bands_ok and runtime < 20.0,
-                           details, runtime)
+    return match < 1e-6 and bands_ok, details
 
 
-def check_projected_inversion() -> CriterionResult:
+@_criterion("projected transverse inversion", 30.0)
+def check_projected_inversion() -> tuple[bool, str]:
     """Kernel forcing inverts exactly; inversion constant stays O(1)."""
-    t0 = time.perf_counter()
     grid = StripGrid(PeriodicGrid(64, TWO_PI / 0.05), 12.0, 201)
     wp = heteroclinic_derivative(grid.t)
     g = StripField(grid, np.tile(wp, (64, 1)))
@@ -295,11 +287,16 @@ def check_projected_inversion() -> CriterionResult:
         ratios.append(weighted_norm(phi_e, np.inf, 1.0)
                       / weighted_norm(g_e, 4.0, 1.0))
     variation = max(ratios) / min(ratios)
-    runtime = time.perf_counter() - t0
     details = f"kernel-forcing error {kern_err:.2e}, stability variation {variation:.3f}"
-    return CriterionResult(10, "projected transverse inversion",
-                           kern_err < 1e-9 and variation < 2.0
-                           and runtime < 30.0, details, runtime)
+    return kern_err < 1e-9 and variation < 2.0, details
+
+
+def _two_layer_setup(K: PeriodicField, eps: float):
+    """Scales, equilibrium-forced Toda gaps and strip grid of two layers on K."""
+    s = scales_of(eps)
+    gbar = equilibrium_gap_forcing(K, 2, s.beta)
+    sol = solve_toda(K, s, 2, gbar=gbar)
+    return s, sol, default_strip_grid(K, eps, 2)
 
 
 def residual_scaling_slopes() -> tuple[float, float, float]:
@@ -313,10 +310,7 @@ def residual_scaling_slopes() -> tuple[float, float, float]:
     eps_list = (0.1, 0.05, 0.025, 0.0125)
     totals, remainders, controls = [], [], []
     for eps in eps_list:
-        s = scales_of(eps)
-        gbar = equilibrium_gap_forcing(K, 2, s.beta)
-        sol = solve_toda(K, s, 2, gbar=gbar)
-        grid = default_strip_grid(K, eps, 2)
+        _, sol, grid = _two_layer_setup(K, eps)
         rep = residual_report(sol.h, K, eps, grid)
         totals.append(rep.total)
         remainders.append(rep.remainder)
@@ -330,43 +324,34 @@ def residual_scaling_slopes() -> tuple[float, float, float]:
             float(np.polyfit(le, np.log(controls), 1)[0]))
 
 
-def check_residual_scaling() -> CriterionResult:
+@_criterion("residual scaling in epsilon", 60.0)
+def check_residual_scaling() -> tuple[bool, str]:
     """Weighted residual and expansion-remainder slopes across epsilon."""
-    t0 = time.perf_counter()
     slope_total, slope_rem, slope_ctrl = residual_scaling_slopes()
-    runtime = time.perf_counter() - t0
-    ok = 1.7 <= slope_total <= 2.3 and slope_rem >= 2.1
-    details = (f"residual slope {slope_total:.3f} (window [1.7, 2.3]), "
-               f"fidelity slope {slope_rem:.3f} (>= 2.1), "
-               f"single-layer control {slope_ctrl:.3f}")
-    return CriterionResult(11, "residual scaling in epsilon",
-                           ok and runtime < 60.0, details, runtime)
+    return (1.7 <= slope_total <= 2.3 and slope_rem >= 2.1,
+            f"residual slope {slope_total:.3f} (window [1.7, 2.3]), "
+            f"fidelity slope {slope_rem:.3f} (>= 2.1), "
+            f"single-layer control {slope_ctrl:.3f}")
 
 
-def check_two_layer_existence() -> CriterionResult:
+@_criterion("two-layer existence end to end", 120.0)
+def check_two_layer_existence() -> tuple[bool, str]:
     """Newton converges from the two-layer ansatz to the predicted spacing."""
-    t0 = time.perf_counter()
     eps = 0.05
     K = _circle_K(16)
-    s = scales_of(eps)
+    s, sol, grid = _two_layer_setup(K, eps)
     margin = resonance_margin(eps, K, 2, c_gap=0.1)
-    gbar = equilibrium_gap_forcing(K, 2, s.beta)
-    sol = solve_toda(K, s, 2, gbar=gbar)
-    grid = default_strip_grid(K, eps, 2)
     u0 = assemble_u0(f_from_h(sol.h, s), grid, eps)
     rep = newton_allen_cahn(u0, K, eps)
     curves = rep.level_curves
     spacing = float((curves[:, 1] - curves[:, 0]).mean())
     predicted = s.rho + float(sol.v[0].mean())
     rel = abs(spacing - predicted) / predicted
-    runtime = time.perf_counter() - t0
-    ok = (rep.residual_norms[-1] < 1e-9 and curves.shape[1] == 2
-          and rel < 0.15 and margin.admissible)
-    details = (f"residual {rep.residual_norms[-1]:.2e}, "
-               f"{curves.shape[1]} level curves, spacing {spacing:.4f} vs "
-               f"{predicted:.4f} ({rel:.2%}), admissible: {margin.admissible}")
-    return CriterionResult(12, "two-layer existence end to end",
-                           ok and runtime < 120.0, details, runtime)
+    return (rep.residual_norms[-1] < 1e-9 and curves.shape[1] == 2
+            and rel < 0.15 and margin.admissible,
+            f"residual {rep.residual_norms[-1]:.2e}, "
+            f"{curves.shape[1]} level curves, spacing {spacing:.4f} vs "
+            f"{predicted:.4f} ({rel:.2%}), admissible: {margin.admissible}")
 
 
 ALL_CHECKS = (

@@ -122,7 +122,9 @@ _D1_W = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2_W = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
 
-@lru_cache(maxsize=None)
+# bounded like toda.build_matrices: a sweep over many eps or m builds a new
+# (n_t, dt) pair per grid, and each pair holds two dense n_t x n_t arrays
+@lru_cache(maxsize=16)
 def _t_matrices(n_t: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense d/dt and d^2/dt^2 with even-reflection closure at both ends.
 

@@ -1,5 +1,11 @@
 """Acceptance battery: one test per criterion, each printing its line.
 
+The criterion tests are made from ALL_CHECKS, one per entry, named after the
+entry's index and its check (`test_criterion_01_profile_constants`, ...), so
+a new criterion is tested as soon as it is appended there. The protocol
+tests below pin the battery's order and the `_criterion` contract on
+throwaway checks, without running the battery.
+
 Criterion 11 is a known measured shortfall: the two-layer weighted residual
 slope sits near 1.24 while its window demands [1.7, 2.3]. The single-layer
 control at 2.0 and the passing fidelity slope localize the gap to the
@@ -10,74 +16,30 @@ its healthy sub-measurements are asserted separately.
 
 import pytest
 
+import aclayers.acceptance as acceptance
 from aclayers.acceptance import (
-    check_correction_order,
-    check_first_order_balance,
-    check_gap_solver_oracle,
-    check_monotonicity,
-    check_profile_constants,
-    check_projected_inversion,
-    check_resonance_structure,
+    ALL_CHECKS,
+    _criterion,
     check_residual_scaling,
-    check_scale_solver,
-    check_string_spectrum,
-    check_two_layer_existence,
-    check_weyl_law,
     residual_scaling_slopes,
 )
 
 
-def _assert_passes(check):
-    result = check()
-    print(result.line())
-    assert result.passed, result.details
+def _criterion_test(check):
+    def test():
+        result = check()
+        print(result.line())
+        assert result.passed, result.details
+    if check is check_residual_scaling:
+        return pytest.mark.xfail(
+            strict=True, reason="two-layer residual slope measures ~1.24 against "
+                                "the [1.7, 2.3] window; structural, see README")(test)
+    return test
 
 
-def test_criterion_01_profile_constants():
-    _assert_passes(check_profile_constants)
-
-
-def test_criterion_02_scale_solver():
-    _assert_passes(check_scale_solver)
-
-
-def test_criterion_03_first_order_balance():
-    _assert_passes(check_first_order_balance)
-
-
-def test_criterion_04_correction_order():
-    _assert_passes(check_correction_order)
-
-
-def test_criterion_05_gap_solver_oracle():
-    _assert_passes(check_gap_solver_oracle)
-
-
-def test_criterion_06_string_spectrum():
-    _assert_passes(check_string_spectrum)
-
-
-def test_criterion_07_weyl_law():
-    _assert_passes(check_weyl_law)
-
-
-def test_criterion_08_monotonicity():
-    _assert_passes(check_monotonicity)
-
-
-def test_criterion_09_resonance_structure():
-    _assert_passes(check_resonance_structure)
-
-
-def test_criterion_10_projected_inversion():
-    _assert_passes(check_projected_inversion)
-
-
-@pytest.mark.xfail(strict=True,
-                   reason="two-layer residual slope measures ~1.24 against "
-                          "the [1.7, 2.3] window; structural, see README")
-def test_criterion_11_residual_scaling():
-    _assert_passes(check_residual_scaling)
+for _index, _check in enumerate(ALL_CHECKS, start=1):
+    _name = _check.__name__.removeprefix("check_")
+    globals()[f"test_criterion_{_index:02d}_{_name}"] = _criterion_test(_check)
 
 
 def test_criterion_11_fidelity_and_control():
@@ -90,5 +52,46 @@ def test_criterion_11_fidelity_and_control():
     assert 1.1 <= slope_total <= 1.4  # regression pin on the measured value
 
 
-def test_criterion_12_two_layer_existence():
-    _assert_passes(check_two_layer_existence)
+def test_battery_holds_twelve_distinct_checks():
+    assert len(ALL_CHECKS) == 12
+    assert len(set(ALL_CHECKS)) == 12
+    assert ALL_CHECKS[10] is check_residual_scaling
+
+
+def test_every_budget_is_positive():
+    assert all(check.budget_s > 0.0 for check in ALL_CHECKS)
+
+
+def test_index_is_the_place_in_the_battery(monkeypatch):
+    checks = tuple(_criterion(f"throwaway {k}", 1.0)(lambda: (True, ""))
+                   for k in range(3))
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    results = [check() for check in reversed(checks)]
+    assert [(r.index, r.name) for r in results] == [
+        (3, "throwaway 2"), (2, "throwaway 1"), (1, "throwaway 0")]
+    assert all(r.passed for r in results)
+
+
+def test_check_over_its_budget_fails(monkeypatch):
+    @_criterion("no time at all", 0.0)
+    def check_instant():
+        return True, "ok"
+
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", (check_instant,))
+    result = check_instant()
+    assert result.passed is False
+    assert (result.index, result.name, result.details) == (1, "no time at all", "ok")
+    assert result.runtime >= 0.0
+
+
+def test_exception_in_a_check_propagates_unchanged(monkeypatch):
+    error = ArithmeticError("measurement failed")
+
+    @_criterion("raises", 1.0)
+    def check_raises():
+        raise error
+
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", (check_raises,))
+    with pytest.raises(ArithmeticError) as info:
+        check_raises()
+    assert info.value is error

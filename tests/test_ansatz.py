@@ -213,6 +213,20 @@ def test_operator_drift_sign():
     assert err < 1e-5
 
 
+def test_t_matrices_cache_is_bounded():
+    # an eps sweep builds one (n_t, dt) pair per grid; the cache keeps at
+    # most 16, and what it hands out equals a fresh build
+    K = circle_K()
+    keys = {(g.n_t, g.dt) for g in (default_strip_grid(K, float(eps), 2, n_y=16)
+                                    for eps in np.linspace(0.02, 0.15, 20))}
+    assert len(keys) == 20
+    for n_t, dt in sorted(keys):
+        got = _t_matrices(n_t, dt)
+        assert _t_matrices.cache_info().currsize <= 16
+        for cached, fresh in zip(got, _t_matrices.__wrapped__(n_t, dt)):
+            assert np.array_equal(cached, fresh)
+
+
 def test_residual_constant_state():
     K = circle_K(amp=0.3)
     grid = StripGrid(PeriodicGrid(16, TWO_PI / 0.05), 10.0, 161)
