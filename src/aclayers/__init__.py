@@ -12,10 +12,8 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    IterationError,
     NumericalError,
     ResonanceError,
-    WindowError,
 )
 from .profile import ProfileConstants, compute_constants, exact_constants
 from .scales import Scales, rho_expansion, scales_of, solve_rho

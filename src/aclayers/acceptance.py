@@ -36,7 +36,7 @@ from .ansatz import (
     solve_projected,
     weighted_norm,
 )
-from .geometry import ClosedCurve, PeriodicField, PeriodicGrid, ell0, sample_curvature
+from .geometry import PeriodicField, PeriodicGrid, ell0
 from .profile import (
     B1_EXACT,
     B2_EXACT,
@@ -103,8 +103,6 @@ def _criterion(name: str, budget_s: float):
 
 def _circle_K(n: int, amp: float = 0.0) -> PeriodicField:
     grid = PeriodicGrid(n=n, length=TWO_PI)
-    if amp == 0.0:
-        return sample_curvature(ClosedCurve.fourier(TWO_PI, 1.0), grid)
     return PeriodicField(grid, 1.0 + amp * np.cos(grid.points()))
 
 

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError, WindowError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .geometry import (
     PeriodicField,
     PeriodicGrid,
@@ -150,24 +150,21 @@ def _on_strip(fields: Sequence[PeriodicField], grid: StripGrid,
               epsilon: float) -> list[np.ndarray]:
     """Sample curve fields at the stretched nodes, arclength s = eps*y.
 
-    Fields on one curve grid share one `_phase_table` of the strip rows,
-    applied to one field at a time.
+    The fields lie on one curve grid (else a DomainError) and share one
+    `_phase_table` of the strip rows, applied to one field at a time.
     """
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
-    s = epsilon * grid.y_grid.points()
-    tables: dict[PeriodicGrid, np.ndarray] = {}
-    sampled = []
-    for f in fields:
-        stretched = f.grid.length / epsilon
-        if abs(grid.y_grid.length - stretched) > 1e-8 * stretched:
-            raise DomainError(
-                f"strip y-period {grid.y_grid.length:.6g} is not the curve length "
-                f"{f.grid.length:.6g} over epsilon {epsilon:.6g}")
-        if f.grid not in tables:
-            tables[f.grid] = _phase_table(f.grid.n, f.grid.length, s)
-        sampled.append(_trig_apply(tables[f.grid], f.values))
-    return sampled
+    curve = fields[0].grid
+    stretched = curve.length / epsilon
+    if abs(grid.y_grid.length - stretched) > 1e-8 * stretched:
+        raise DomainError(
+            f"strip y-period {grid.y_grid.length:.6g} is not the curve length "
+            f"{curve.length:.6g} over epsilon {epsilon:.6g}")
+    if any(f.grid != curve for f in fields):
+        raise DomainError("strip fields must share one curve grid")
+    table = _phase_table(curve.n, curve.length, epsilon * grid.y_grid.points())
+    return [_trig_apply(table, f.values) for f in fields]
 
 
 def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
@@ -197,7 +194,7 @@ def _check_window(grid: StripGrid, m: int, rho: float) -> None:
     """The strip must reach (m/2 + 1) rho on both sides to hold m layers."""
     need = (m / 2.0 + 1.0) * rho
     if grid.t_extent < need * (1.0 - 1e-12):
-        raise WindowError(
+        raise DomainError(
             f"t_extent {grid.t_extent:.4g} below the layer window "
             f"({m}/2 + 1) rho = {need:.4g}")
 

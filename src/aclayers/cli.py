@@ -7,16 +7,20 @@ into the output directory. The subcommands share one set of options
 (`--config`, `--epsilon`, `--out`, `--strict`), which act on the config
 alone. The artifacts are JSON and/or CSV data files whose first record
 carries the schema version, plus a `manifest.json` with the config hash,
-package versions, and wall time. Data artifacts are deterministic (bit-identical
-across repeated runs on the same config): timestamps and timings appear only
-in the manifest, and `report` prints each criterion's runtime on stdout
-only. Floats are written as their shortest round-trip repr, by json's own
-encoder (numpy values reach it through `_json_default`), `_cell` in CSV rows
-and `_floatfmt` in matrices. `resonance-scan` runs one `scan_epsilons`, for
-a single epsilon as for a sweep.
+package versions, and wall time. Data artifacts are deterministic
+(bit-identical across repeated runs on the same config and BLAS thread
+count, which reaches the last bits of the gap, resonance, residual, Newton
+and report data; `OPENBLAS_NUM_THREADS=1` gives the bytes that
+`tools/artifact_digests.py` digests): timestamps and timings appear only in
+the manifest, and `report` prints each criterion's runtime on stdout only.
+Floats are written as their shortest round-trip repr, by json's own encoder
+(numpy values reach it through `_json_default`), `_cell` in CSV rows and
+`_floatfmt` in matrices. `resonance-scan` runs one `scan_epsilons`, for a
+single epsilon as for a sweep.
 
-Exit codes: 0 success, 1 configuration or domain error, 2 resonance
-obstruction, 3 solver non-convergence, 4 numerical failure.
+Exit codes: 0 success, then one error class each: 1 config or domain error
+(`DomainError`), 2 resonance (`ResonanceError`), 3 solver non-convergence
+(`ConvergenceError`), 4 numerical failure (`NumericalError`).
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    IterationError,
     NumericalError,
     ResonanceError,
 )
@@ -690,6 +693,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config}: "
                                   f"{exc.strerror}") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         else:
             text = "{}"
         cfg = parse_config(text, strict=args.strict)
@@ -710,21 +715,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(line)
         print(f"wrote {len(writer.names)} artifact(s) + manifest to {out_dir}")
         return 0
-    except ConfigError as exc:
+    except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ResonanceError as exc:
         print(f"resonance obstruction: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, IterationError) as exc:
+    except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

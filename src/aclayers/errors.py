@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-Every raised error carries one of these types so callers (and the CLI) can
-map failures to exit codes without string matching.
+Every raised error carries one of these types, one per CLI exit code, so
+`cli.main` maps failures to exit codes without string matching.
 """
 
 from __future__ import annotations
@@ -12,19 +12,15 @@ class AclayersError(Exception):
 
 
 class DomainError(AclayersError, ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition (a too narrow strip included)."""
 
 
-class WindowError(DomainError):
-    """A transverse coordinate lies outside its admissible window."""
-
-
-class IterationError(AclayersError, RuntimeError):
-    """A scalar iteration ran out of budget: the `scales.solve_rho` root solve."""
+class ConfigError(DomainError):
+    """Invalid CLI or run-configuration input."""
 
 
 class ConvergenceError(AclayersError, RuntimeError):
-    """A Newton solve hit its cap or stalled, a step solve failed, or the layer count changed."""
+    """A Newton or root solve hit its cap or stalled, a step failed, or the layer count changed."""
 
 
 class ResonanceError(AclayersError):
@@ -33,7 +29,3 @@ class ResonanceError(AclayersError):
 
 class NumericalError(AclayersError, ArithmeticError):
     """Cross-checked numerical routes disagree, or an operator is degenerate."""
-
-
-class ConfigError(AclayersError):
-    """Invalid CLI or run-configuration input."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, IterationError
+from .errors import ConvergenceError, DomainError
 from .profile import SQRT2, exact_constants
 
 EPS_MAX = 0.2  # above this, rho < 1 and the spacing asymptotics are meaningless
@@ -79,7 +79,7 @@ def solve_rho(epsilon: float) -> float:
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         x = x_new
-    raise IterationError(f"rho solve did not converge for epsilon={epsilon}")
+    raise ConvergenceError(f"rho solve did not converge for epsilon={epsilon}")
 
 
 def rho_expansion(epsilon: float) -> float:

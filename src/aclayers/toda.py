@@ -245,8 +245,7 @@ def _gap_blocks(sigma: float, D2: np.ndarray, mm: int):
     return blocks
 
 
-def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray,
-                  blocks=None) -> np.ndarray:
+def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of omega -> -sigma omega'' - F(y) omega, F a symmetric
     (n, mm, mm) field and D2 the grid's second-derivative matrix.
 
@@ -255,8 +254,7 @@ def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray,
     constant matrix, as at v^1, or a constant F). The operator is then the
     direct sum of the mm channels -sigma D2 - diag(B_ii), and the spectrum is
     the union of mm eigvalsh of size n. Otherwise it is one eigvalsh of the
-    dense (mm n) matrix from blocks, the caller's `_gap_blocks` builder (one
-    is made here when None).
+    dense (mm n) matrix from `_gap_blocks`.
     """
     mm = field.shape[1]
     _, V = np.linalg.eigh(field.mean(axis=0))
@@ -267,9 +265,7 @@ def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray,
         base = -sigma * D2
         return np.sort(np.concatenate([np.linalg.eigvalsh(base - np.diag(c))
                                        for c in channels]))
-    if blocks is None:
-        blocks = _gap_blocks(sigma, D2, mm)
-    return np.linalg.eigvalsh(blocks(field))
+    return np.linalg.eigvalsh(_gap_blocks(sigma, D2, mm)(field))
 
 
 @dataclass(frozen=True)
@@ -289,15 +285,6 @@ class TodaSolution:
     residual: float
     method: str
     margin: float
-
-
-def _as_gbar(gbar, shape: tuple[int, int]) -> np.ndarray:
-    if gbar is None:
-        return np.zeros(shape)
-    arr = np.asarray(gbar, dtype=float)
-    if arr.shape != shape:
-        raise DomainError(f"gbar shape {arr.shape} incompatible with {shape}")
-    return arr
 
 
 def _damped_newton(x, merit, solve, floor: float, max_steps: int,
@@ -349,10 +336,9 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     centred ones (`h_from_v`). max_iterations caps the Newton steps, and
     tolerance is the sup-norm residual they must reach.
 
-    At the root the spectrum of the C^{1/2}-conjugated operator
-    -(sigma D2 + A(v)) (`_gap_spectrum`, on the same D2 and, when A(v) does
-    not decouple, a matrix from the same base) gives margin = min |eig| / sigma;
-    a ResonanceError is raised when min |eig| < _RESONANCE_RATIO * median |eig|.
+    At the root the spectrum of the C^{1/2}-conjugated -(sigma D2 + A(v))
+    (`_gap_spectrum`, on the same D2) gives margin = min |eig| / sigma; a
+    ResonanceError is raised when min |eig| < _RESONANCE_RATIO * median |eig|.
     """
     if max_iterations < 1:
         raise DomainError("max_iterations must be at least 1")
@@ -360,7 +346,9 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
         raise DomainError("tolerance must be positive")
     sigma, beta = scales.sigma, scales.beta
     vk = iterate_corrections(K, sigma, beta, m, k_start)
-    target = _as_gbar(gbar, vk.shape)
+    target = np.zeros(vk.shape) if gbar is None else np.asarray(gbar, dtype=float)
+    if target.shape != vk.shape:
+        raise DomainError(f"gbar shape {target.shape} incompatible with {vk.shape}")
 
     # at leading order e^{-sqrt(2) v} = C^{-1}(beta K [1..1] - gbar), against
     # (beta/2) K a for v^1 without forcing; shift v^k by the log of the ratio
@@ -390,7 +378,7 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
             gaps, merit, solve, 1e-6, max_iterations, tolerance, "gap solve")):
         pass
     field = _symmetric_field(gaps, sigma, K.values, build_matrices(m))
-    ev = np.abs(_gap_spectrum(field, sigma, D2, blocks))
+    ev = np.abs(_gap_spectrum(field, sigma, D2))
     ev_min, ev_med = float(np.min(ev)), float(np.median(ev))
     if ev_min < _RESONANCE_RATIO * ev_med:
         raise ResonanceError(

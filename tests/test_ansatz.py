@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import aclayers.ansatz as ansatz_module
-from aclayers import ConvergenceError, DomainError, NumericalError, WindowError
+from aclayers import ConvergenceError, DomainError, NumericalError
 from aclayers.ansatz import (
     M_BUDGET,
     NEWTON_TOL,
@@ -159,10 +159,22 @@ def test_narrow_grid_rejected():
     eps = 0.05
     s = scales_of(eps)
     grid = StripGrid(PeriodicGrid(16, TWO_PI / eps), 1.5 * s.rho, 201)
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match=r"below the layer window \(2/2 \+ 1\) rho"):
         assemble_u0(f_from_h(flat_layers(K, 2), s), grid, eps)
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match=r"below the layer window \(2/2 \+ 1\) rho"):
         residual_report(flat_layers(K, 2), K, eps, grid)
+
+
+def test_strip_fields_share_one_curve_grid():
+    # one phase table per call: a field on another curve grid is rejected
+    K = circle_K(n=16)
+    eps = 0.05
+    grid = default_strip_grid(K, eps, 2)
+    other = circle_K(n=32)
+    with pytest.raises(DomainError, match="share one curve grid"):
+        _on_strip([K, other], grid, eps)
+    with pytest.raises(DomainError, match="strip y-period"):
+        _on_strip([K], grid, 2.0 * eps)
 
 
 # ---------------------------------------------------------------- operator

@@ -12,10 +12,12 @@ import pytest
 
 import aclayers.ansatz as ansatz
 import aclayers.cli as cli
+import aclayers.scales as scales
 from aclayers.cli import main, parse_config
 from aclayers.errors import (
     ConfigError,
     ConvergenceError,
+    DomainError,
     NumericalError,
     ResonanceError,
 )
@@ -755,6 +757,25 @@ def test_exit_code_on_bad_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_exit_code_on_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code, out = _run(tmp_path, "scales", "--config", str(cfg))
+    assert code == 1
+    assert f"config error: cannot read config {cfg}: 'utf-8' codec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_code_on_rho_solve_out_of_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scales, "_MAX_NEWTON", 0)
+    with pytest.raises(ConvergenceError, match="rho solve did not converge"):
+        scales.solve_rho(0.05)
+    code, _ = _run(tmp_path, "scales")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver did not converge: rho solve did not converge")
+
+
 def test_exit_code_on_bad_epsilon_override(tmp_path):
     code, _ = _run(tmp_path, "scales", "--epsilon", "0.5")
     assert code == 1
@@ -827,6 +848,8 @@ def test_help_lists_every_subcommand_with_its_help(monkeypatch, capsys):
     (ResonanceError("resonant"), 2),
     (ConvergenceError("stalled"), 3),
     (NumericalError("lost digits"), 4),
+    (ConfigError("bad key"), 1),
+    (DomainError("out of range"), 1),
 ])
 def test_exit_code_mapping(tmp_path, monkeypatch, exc, expected):
     def boom(cfg, writer):

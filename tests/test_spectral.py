@@ -260,7 +260,6 @@ def test_gap_spectrum_of_a_coupled_field_is_the_dense_one():
     field = _channel_coupling(field, 1e-8 * np.max(np.abs(field)))
     want = np.linalg.eigvalsh(_gap_blocks(sigma, D2, 2)(field))
     assert np.array_equal(_gap_spectrum(field, sigma, D2), want)
-    assert np.array_equal(_gap_spectrum(field, sigma, D2, _gap_blocks(sigma, D2, 2)), want)
 
 
 def test_gap_spectrum_below_the_split_tolerance_keeps_weyls_bound(monkeypatch):

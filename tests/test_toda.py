@@ -417,10 +417,10 @@ def test_solve_toda_raises_at_its_step_cap():
 
 
 def test_solve_toda_builds_one_jacobian_per_step(monkeypatch):
-    # one kron(I, -sigma D2) base per solve; from it one matrix per Newton
-    # step, and one symmetric operator for the margin at the root only where
-    # the root field does not decouple: the m = 3 root decouples (v_1 = v_2),
-    # the m = 4 root on a varying K does not
+    # one kron(I, -sigma D2) base for the Newton steps, and from it one matrix
+    # per step; the margin at the root takes a second base and one symmetric
+    # operator only where the root field does not decouple: the m = 3 root
+    # decouples (v_1 = v_2), the m = 4 root on a varying K does not
     gap_blocks = toda_module._gap_blocks
     s = scales_of(0.05)
     K = wavy_K(64, amp=0.2)
@@ -435,7 +435,7 @@ def test_solve_toda_builds_one_jacobian_per_step(monkeypatch):
         monkeypatch.setattr(toda_module, "_gap_blocks", counting)
         sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
         assert sol.iterations > 1
-        assert factories == [m - 1]
+        assert factories == [m - 1] * (1 + root_matrices)
         assert len(matrices) == sol.iterations + root_matrices
 
 

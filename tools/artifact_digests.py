@@ -1,4 +1,5 @@
-"""Print a sha256 of every data artifact the nine subcommands write.
+"""Print a sha256 of every data artifact the nine subcommands write, and of
+their exit codes and error messages.
 
     python3 tools/artifact_digests.py [CHECKOUT] > digests.txt
 
@@ -21,17 +22,25 @@ with two cosine harmonics, eps 0.04 and 0.06. Its `spectrum` takes the
 3-channel split of the operator at v^1, and its gap roots couple their
 channels, so `toda-solve`'s margins take the dense eigensolve; its 160 rows,
 whose y-spacing is below 1, make the norm balls of `ansatz-residual` span
-rows. Prints one `exit <code>  <config>/<run>` line per
-run, one `config <sha256>  <config>/<run>` line with the `config_sha256` of
-each run that wrote a manifest, so a change of the config schema shows too,
-and one `<sha256>  <config>/<run>/<file>` line per artifact;
-`manifest.json` itself is left out, as it holds the wall time. Two
-checkouts write byte-identical data artifacts under the same config hashes
-when their outputs are equal:
+rows. Two runs fail: `newton-solve --epsilon 0.05` on `m5` (m = 5 on the
+defaults) stalls in the strip line search after 17 Newton steps (exit 3,
+about 0.8 s), and `scales` on `m1` (m = 1) is a config error (exit 1).
+Prints one `exit <code>  <config>/<run>` line per run, one
+`stderr <sha256>  <config>/<run>` line for each run that wrote to stderr
+(its error message, or a config warning), one `config <sha256>
+<config>/<run>` line with the `config_sha256` of each run that wrote a
+manifest, so a change of the config schema shows too, and one
+`<sha256>  <config>/<run>/<file>` line per artifact; `manifest.json` itself
+is left out, as it holds the wall time. Two checkouts exit alike, print the
+same messages and write byte-identical data artifacts under the same
+config hashes when their outputs are equal:
 
     diff <(python3 tools/artifact_digests.py OTHER) <(python3 tools/artifact_digests.py)
 
-The BLAS and OpenMP pools are pinned to one thread, as in perfbench.
+The BLAS and OpenMP pools are pinned to one thread, as in perfbench: the
+thread count reaches the last bits of the gap, resonance, residual, Newton
+and report data, so a run of the CLI reproduces these bytes under
+`OPENBLAS_NUM_THREADS=1`.
 """
 
 from __future__ import annotations
@@ -58,6 +67,8 @@ CONFIGS = {
                 "geometry": {"curvature": {"mean": 1.0, "cos": [0.1, 0.03]}},
                 "grid": {"n_y": 160},
                 "epsilon": {"min": 0.04, "max": 0.06, "steps": 2}},
+    "m5": {"m": 5},
+    "m1": {"m": 1},
 }
 COMMANDS = ("constants", "scales", "toda-solve", "spectrum", "resonance-scan",
             "weyl", "ansatz-residual", "newton-solve")
@@ -71,6 +82,8 @@ RUNS.append(("default", "near-resonance", "toda-solve", ["--epsilon", "0.0471"])
 RUNS.append(("default", "report", "report", []))
 RUNS += [("m4-fine", command, command, [])
          for command in ("toda-solve", "spectrum", "ansatz-residual")]
+RUNS.append(("m5", "newton-solve-stall", "newton-solve", ["--epsilon", "0.05"]))
+RUNS.append(("m1", "scales", "scales", []))
 
 
 def main() -> None:
@@ -89,10 +102,14 @@ def main() -> None:
             for label, name, command, extra in RUNS:
                 out = Path(label, name)
                 argv = [command, "--config", f"{label}.json", "--out", str(out), *extra]
+                stderr = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
+                        contextlib.redirect_stderr(stderr):
                     code = run(argv)
                 print(f"exit {code}  {label}/{name}")
+                if stderr.getvalue():
+                    digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+                    print(f"stderr {digest}  {label}/{name}")
                 manifest = out / "manifest.json"
                 if manifest.exists():
                     config_sha256 = json.loads(manifest.read_text())["config_sha256"]
