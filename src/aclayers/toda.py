@@ -17,9 +17,12 @@ The explicit profile v^1 kills the O(1) part exactly; sigma^k corrections
 refine it, and damped Newton from that profile, shifted to the forced
 leading-order balance, finishes the solve on `_damped_newton`, the driver the
 strip solve shares (here with the merit sup |F| and the damping floor 1e-6).
+The system is unchanged by reversing the layer order (gap l <-> m - l), so a
+forcing with that symmetry keeps its Newton iterates in the reflection-even
+sector, whose r = ceil((m-1)/2) basis fields (`_even_basis`) carry the steps.
 At the root the spectrum of the symmetric gap operator gives the forced
-resonance margin: m - 1 scalar eigensolves when its field shares one
-eigenbasis along the curve (`_gap_spectrum`), else one dense eigensolve.
+resonance margin: one eigensolve per group of coupled channels in the
+eigenbasis of its field's mean along the curve (`_gap_spectrum`).
 
 All gap operators take the coupling sigma as a plain number so formal sigma
 sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
@@ -46,11 +49,13 @@ MAX_CORRECTION_ORDER = 6
 _RESONANCE_RATIO = 1e-6  # min |eig| at the root below this multiple of the median
 MAX_ITERATIONS = 50  # Newton steps of the gap solve
 RESIDUAL_TOL = 1e-10  # sup-norm residual the gap solve must reach
-# largest off-diagonal of a gap field in its y-mean eigenbasis, relative to
-# max |F|, up to which its channels count as decoupled (`_gap_spectrum`);
-# measured at the gap roots on the benchmark curves over the eps ladder: at
-# most 4.7e-14 where they decouple (m = 3, constant K), at least 6.9e-6 where
-# they do not (m = 4, 5 on a varying K)
+# largest coupling of two channels of a gap field in its y-mean eigenbasis,
+# relative to max |F|, up to which they count as decoupled (`_gap_spectrum`);
+# measured at the gap roots for m = 3-5 over the eps ladder on 64 and 128
+# samples of K = 1 and eleven shapes 1 + a1 cos y + a2 cos(2y + q): at most
+# 8.6e-14 where they decouple (a reflection-even channel against an odd one,
+# or a constant K), at least 6.9e-6 where they do not (two channels of one
+# sector on a varying K)
 _SPLIT_RTOL = 1e-12
 
 
@@ -72,6 +77,18 @@ def build_matrices(m: int) -> np.ndarray:
     C_sqrt = (V * np.sqrt(lam)) @ V.T
     C_sqrt.flags.writeable = False
     return C_sqrt
+
+
+@lru_cache(maxsize=16)
+def _even_basis(m: int) -> np.ndarray:
+    """The (m-1, r) orthonormal basis of the gap arrays unchanged by the
+    reflection l <-> m - l, r = ceil((m-1)/2): (e_l + e_{m-l})/sqrt(2) for
+    l < m - l, and e_l at the middle gap l = m/2 (cached, read-only)."""
+    Q = np.zeros((m - 1, m // 2))
+    for j in range(m // 2):
+        Q[j, j] = Q[m - 2 - j, j] = 1.0 if j == m - 2 - j else np.sqrt(0.5)
+    Q.flags.writeable = False
+    return Q
 
 
 def h_from_v(grid: PeriodicGrid, gaps: np.ndarray) -> tuple[PeriodicField, ...]:
@@ -249,23 +266,33 @@ def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray) -> np.ndarray
     """Sorted eigenvalues of omega -> -sigma omega'' - F(y) omega, F a symmetric
     (n, mm, mm) field and D2 the grid's second-derivative matrix.
 
-    With V the eigenbasis of F's y-mean, B(y) = V^T F(y) V is diagonal up to
-    _SPLIT_RTOL max |F| when all F(y) share that eigenbasis (F = K(y) times a
-    constant matrix, as at v^1, or a constant F). The operator is then the
-    direct sum of the mm channels -sigma D2 - diag(B_ii), and the spectrum is
-    the union of mm eigvalsh of size n. Otherwise it is one eigvalsh of the
-    dense (mm n) matrix from `_gap_blocks`.
+    With V the eigenbasis of F's y-mean, channels i and j of B(y) = V^T F(y) V
+    couple where max_y |B_ij| exceeds _SPLIT_RTOL max |F|. The operator is the
+    direct sum over the connected groups of coupled channels, and the spectrum
+    the union of one eigvalsh per group: of -sigma D2 - diag(B_ii) of size n
+    for a lone channel (every channel at v^1, or for a constant F), else of
+    the group's rotated matrix from `_gap_blocks` (a reflection-even root at
+    m >= 4 on a varying K pairs its even channels, and at m >= 5 its odd ones).
     """
     mm = field.shape[1]
     _, V = np.linalg.eigh(field.mean(axis=0))
     rotated = V.T @ field @ V
-    channels = np.diagonal(rotated, axis1=1, axis2=2).T.copy()  # (mm, n)
-    rotated[:, np.arange(mm), np.arange(mm)] = 0.0
-    if np.max(np.abs(rotated)) <= _SPLIT_RTOL * np.max(np.abs(field)):
-        base = -sigma * D2
-        return np.sort(np.concatenate([np.linalg.eigvalsh(base - np.diag(c))
-                                       for c in channels]))
-    return np.linalg.eigvalsh(_gap_blocks(sigma, D2, mm)(field))
+    coupled = (np.max(np.abs(rotated), axis=0)
+               > _SPLIT_RTOL * np.max(np.abs(field))).tolist()
+    label = list(range(mm))  # channel -> its group, merged along each coupling
+    for i in range(mm):
+        for j in range(i):
+            if coupled[i][j]:
+                label = [label[j] if g == label[i] else g for g in label]
+    base = -sigma * D2
+    parts = []
+    for group in ([i for i in range(mm) if label[i] == g] for g in set(label)):
+        if len(group) == 1:
+            parts.append(np.linalg.eigvalsh(base - np.diag(rotated[:, group[0], group[0]])))
+        else:
+            blocks = _gap_blocks(sigma, D2, len(group))
+            parts.append(np.linalg.eigvalsh(blocks(rotated[:, group][:, :, group])))
+    return np.sort(np.concatenate(parts))
 
 
 @dataclass(frozen=True)
@@ -331,9 +358,14 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     F(v) = S_bar(v) - gbar starts from the order-k_start profile v^k shifted
     to the forced leading-order balance C e^{-sqrt(2) v} = beta K [1..1] - gbar,
     which is a zero shift without forcing; a forcing with no positive balance
-    is a DomainError. Each Newton step solves one dense system, all built
-    from one kron(I, -sigma D2) base (`_gap_blocks`). The heights are the
-    centred ones (`h_from_v`). max_iterations caps the Newton steps, and
+    is a DomainError. The steps live in the columns of Q: the reflection-even
+    basis `_even_basis(m)` when gbar reads the same in reversed gap order (as
+    zero and the equilibrium forcing do), else the identity. The start is
+    projected once onto them, and each step solves the r n system
+    Q^T L Q x = Q^T F and moves by Q x, so the gaps stay mirror images bit for
+    bit; all step matrices are copies of one kron(I_r, -sigma D2) base
+    (`_gap_blocks`). The merit is sup |F| in the full space. The heights are
+    the centred ones (`h_from_v`). max_iterations caps the Newton steps, and
     tolerance is the sup-norm residual they must reach.
 
     At the root the spectrum of the C^{1/2}-conjugated -(sigma D2 + A(v))
@@ -356,7 +388,8 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     if not np.all(balance > 0.0):
         raise DomainError("forcing leaves no positive leading-order gap balance")
     unforced = 0.5 * beta * np.outer(interaction_weights(m), K.values)
-    gaps = vk - np.log(balance / unforced) / SQRT2
+    Q = _even_basis(m) if np.array_equal(target, target[::-1]) else np.eye(m - 1)
+    gaps = Q @ (Q.T @ (vk - np.log(balance / unforced) / SQRT2))
 
     # trial steps can swing to large negative gaps: an exp overflow (and the
     # inf - inf it feeds) gives a non-finite merit, which rejects the trial
@@ -366,13 +399,13 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
         return float(np.max(np.abs(F))), F
 
     D2 = second_derivative_matrix(K.grid)
-    blocks = _gap_blocks(sigma, D2, m - 1)
+    blocks = _gap_blocks(sigma, D2, Q.shape[1])
     shift = sigma * K.values[:, None, None] * np.eye(m - 1)[None, :, :]
 
     def solve(v: np.ndarray, F: np.ndarray) -> np.ndarray:
         # L = -(dS_bar/dv) = -sigma [D2 + K] - DS0_bar(v), so the step solves L d = +F
-        L = blocks(DS0_bar(v) + shift)
-        return np.linalg.solve(L, F.reshape(-1)).reshape(v.shape)
+        L = blocks(Q.T @ (DS0_bar(v) + shift) @ Q)
+        return Q @ np.linalg.solve(L, (Q.T @ F).reshape(-1)).reshape(-1, K.grid.n)
 
     for iterations, (gaps, r_now) in enumerate(_damped_newton(
             gaps, merit, solve, 1e-6, max_iterations, tolerance, "gap solve")):

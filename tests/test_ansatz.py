@@ -649,18 +649,18 @@ _REPORT_PINS = {
     (0.05, 2): (0.11168302316622286, 0.4434432310093326, 0.15228718452771586,
                 0.0024338687452866987, 0.001134765557293303, 0.5406225745577168,
                 0.3973913283235643, 23.273719129380787),
-    (0.05, 3): (1.9758271880265912, 6.27441394756956, 2.216336495888192,
-                0.04569752675874416, 0.04053955853838797, 7.9189707540922445,
-                5.209788348073421, 65.35717745542911),
+    (0.05, 3): (1.9758271880265925, 6.274413947569436, 2.2163364958881324,
+                0.04569752675873017, 0.040539558538386755, 7.918970754091934,
+                5.209788348073957, 65.35717745542911),
     (0.025, 1): (0.0, 0.004331147815179605, 9.487697803003018e-06,
                  5.183424002538404e-06, 7.737124309802636e-16, 0.004339709365061557,
                  0.003700585558576274, 1.243561314039356),
     (0.025, 2): (0.050258997498528586, 0.18562454620658342, 0.05632347699463127,
                  0.00033519540482889555, 0.00017644861146859787, 0.23210982197705593,
                  0.14506047712471373, 15.789349934097718),
-    (0.025, 3): (1.392182794282284, 4.265530468108049, 1.4170322486222253,
-                 0.03641233075667974, 0.009749308937330768, 5.288884904238556,
-                 3.0031913002566757, 47.63243755780134),
+    (0.025, 3): (1.3921827942822858, 4.265530468108288, 1.4170322486221798,
+                 0.03641233075673931, 0.009749308937327615, 5.288884904238719,
+                 3.0031913002551347, 47.63243755780131),
 }
 
 

@@ -253,13 +253,33 @@ def _channel_coupling(field, size):
     return field + V @ E @ V.T
 
 
-def test_gap_spectrum_of_a_coupled_field_is_the_dense_one():
-    # 1e-8 max|A| of channel coupling on a v^1 field: no split, and the
-    # spectrum is the dense builder's, bit for bit
+def test_gap_spectrum_of_a_coupled_field_is_the_dense_one(monkeypatch):
+    # 1e-8 max|A| of channel coupling on a v^1 field: the two channels form
+    # one group, whose rotated matrix gives the dense builder's spectrum
+    # within 1e-13 max |eig|
     field, sigma, D2 = _v1_field("cos", 3, 0.025)
     field = _channel_coupling(field, 1e-8 * np.max(np.abs(field)))
     want = np.linalg.eigvalsh(_gap_blocks(sigma, D2, 2)(field))
-    assert np.array_equal(_gap_spectrum(field, sigma, D2), want)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    ev = _gap_spectrum(field, sigma, D2)
+    assert sizes == [2 * D2.shape[0]]
+    assert np.max(np.abs(ev - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_gap_spectrum_groups_channels_coupled_through_a_third(monkeypatch):
+    # channels 0-1 and 1-2 of an m = 5 v^1 field coupled by 1e-8 max|A|, 0
+    # and 2 not: the group is {0, 1, 2} next to the lone channel 3
+    field, sigma, D2 = _v1_field("B", 5, 0.025)
+    _, V = np.linalg.eigh(field.mean(axis=0))
+    E = np.zeros_like(field)
+    size = 1e-8 * np.max(np.abs(field)) * np.cos(circle_grid(64).points())
+    E[:, 0, 1] = E[:, 1, 0] = E[:, 1, 2] = E[:, 2, 1] = size
+    field = field + V @ E @ V.T
+    dense = _dense_spectrum(field, sigma, D2)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    ev = _gap_spectrum(field, sigma, D2)
+    assert sorted(sizes) == [64, 3 * 64]
+    assert np.max(np.abs(ev - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_gap_spectrum_below_the_split_tolerance_keeps_weyls_bound(monkeypatch):

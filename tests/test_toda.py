@@ -416,27 +416,34 @@ def test_solve_toda_raises_at_its_step_cap():
         solve_toda(K, s, 3, gbar=gbar, max_iterations=1)
 
 
+def _counting_gap_blocks(monkeypatch):
+    """Patch toda._gap_blocks to log each factory's size and each matrix it builds."""
+    gap_blocks, factories, matrices = toda_module._gap_blocks, [], []
+
+    def counting(sigma, D2, mm):
+        factories.append(mm)
+        blocks = gap_blocks(sigma, D2, mm)
+        return lambda field: matrices.append(field.shape[1]) or blocks(field)
+
+    monkeypatch.setattr(toda_module, "_gap_blocks", counting)
+    return factories, matrices
+
+
 def test_solve_toda_builds_one_jacobian_per_step(monkeypatch):
-    # one kron(I, -sigma D2) base for the Newton steps, and from it one matrix
-    # per step; the margin at the root takes a second base and one symmetric
-    # operator only where the root field does not decouple: the m = 3 root
-    # decouples (v_1 = v_2), the m = 4 root on a varying K does not
-    gap_blocks = toda_module._gap_blocks
+    # one kron(I_r, -sigma D2) base for the Newton steps in the reflection-even
+    # sector (r = 1 at m = 3, 2 at m = 4), and from it one matrix per step; the
+    # margin at the root takes one more base and matrix per group of coupled
+    # channels: the m = 3 root decouples (v_1 = v_2), and the m = 4 root on a
+    # varying K couples its two even channels
     s = scales_of(0.05)
     K = wavy_K(64, amp=0.2)
-    for m, root_matrices in ((3, 0), (4, 1)):
-        factories, matrices = [], []
-
-        def counting(sigma, D2, mm):
-            factories.append(mm)
-            blocks = gap_blocks(sigma, D2, mm)
-            return lambda field: matrices.append(1) or blocks(field)
-
-        monkeypatch.setattr(toda_module, "_gap_blocks", counting)
+    for m, root_groups in ((3, []), (4, [2])):
+        factories, matrices = _counting_gap_blocks(monkeypatch)
         sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
         assert sol.iterations > 1
-        assert factories == [m - 1] * (1 + root_matrices)
-        assert len(matrices) == sol.iterations + root_matrices
+        r = toda_module._even_basis(m).shape[1]
+        assert factories == [r] + root_groups
+        assert matrices == [r] * sol.iterations + root_groups
 
 
 def test_solve_toda_singular_step_is_a_convergence_error(monkeypatch):
@@ -446,9 +453,10 @@ def test_solve_toda_singular_step_is_a_convergence_error(monkeypatch):
     gbar = equilibrium_gap_forcing(K, 3, s.beta)
     assert solve_toda(K, s, 3, gbar=gbar).iterations > 1
     solve, steps = np.linalg.solve, []
+    sector = toda_module._even_basis(3).shape[1] * K.grid.n
 
     def singular_second_step(a, b):
-        if np.ndim(a) == 2 and np.shape(a)[0] == 2 * K.grid.n:  # a Newton step
+        if np.ndim(a) == 2 and np.shape(a)[0] == sector:  # a Newton step
             steps.append(1)
             if len(steps) == 2:
                 raise np.linalg.LinAlgError("Singular matrix")
@@ -458,6 +466,36 @@ def test_solve_toda_singular_step_is_a_convergence_error(monkeypatch):
     with pytest.raises(ConvergenceError,
                        match=r"^gap solve step 2 has a singular Jacobian \(Singular matrix; "):
         solve_toda(K, s, 3, gbar=gbar)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("eps", [0.05, 0.0125])
+def test_solve_toda_roots_are_exact_mirror_images(m, eps):
+    # the equilibrium forcing reads the same in reversed gap order, so the
+    # steps stay in the reflection-even sector: v_l = v_{m-l} bit for bit,
+    # and the full-space residual still meets the tolerance
+    s = scales_of(eps)
+    K = wavy_K(64, amp=0.2)
+    gbar = equilibrium_gap_forcing(K, m, s.beta)
+    sol = solve_toda(K, s, m, gbar=gbar)
+    assert np.array_equal(sol.v, sol.v[::-1])
+    assert np.max(np.abs(S_bar(sol.v, s.sigma, K, s.beta) - gbar)) < toda_module.RESIDUAL_TOL
+
+
+def test_solve_toda_without_reflection_steps_in_the_full_space(monkeypatch):
+    # a forcing that breaks the reflection keeps the steps in all m - 1 gaps:
+    # one factory of size m - 1 serves every step. Row 0 is scaled by 0.99:
+    # at beta = 17, 1.01 would leave it no positive leading-order balance
+    s = scales_of(0.05)
+    K = wavy_K(64, amp=0.2)
+    gbar = equilibrium_gap_forcing(K, 3, s.beta)
+    gbar[0] *= 0.99
+    factories, matrices = _counting_gap_blocks(monkeypatch)
+    sol = solve_toda(K, s, 3, gbar=gbar)
+    assert factories[0] == 2
+    assert matrices[:sol.iterations] == [2] * sol.iterations
+    assert not np.array_equal(sol.v, sol.v[::-1])
+    assert np.max(np.abs(S_bar(sol.v, s.sigma, K, s.beta) - gbar)) < toda_module.RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("gbar", [0.0, np.zeros(2)], ids=["scalar", "per-gap"])
@@ -596,12 +634,23 @@ def test_decoupled_roots_split_and_keep_the_dense_margin(K, m, eps, monkeypatch)
 
 @pytest.mark.parametrize("K", [wavy_K(64, amp=0.2), _fourier_K(64, 0.03, 0.01, 4.0)],
                          ids=["cos", "B"])
-def test_coupled_root_margin_is_the_dense_one(K):
-    # m = 4 on a varying K: the root field couples its channels, so the
-    # margin is the dense eigvalsh, bit for bit
+def test_coupled_root_margin_is_the_dense_one(K, monkeypatch):
+    # m = 4 on a varying K: the root couples its two reflection-even channels
+    # and leaves the odd one alone, so the margin's spectrum is one eigvalsh
+    # of size 2n and one of size n, equal to the dense eigvalsh of all three
+    # channels within 1e-13 max |eig|
     s = scales_of(0.05)
     sol = solve_toda(K, s, 4, gbar=equilibrium_gap_forcing(K, 4, s.beta))
-    assert sol.margin == _dense_margin(sol, K, s, 4)
+    field = assemble_A(sol.v, s.sigma, K, build_matrices(4)).entries
+    D2 = second_derivative_matrix(K.grid)
+    dense = np.linalg.eigvalsh(toda_module._gap_blocks(s.sigma, D2, 3)(field))
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(toda_module.np.linalg, "eigvalsh",
+                        lambda H: sizes.append(H.shape[0]) or eigvalsh(H))
+    ev = toda_module._gap_spectrum(field, s.sigma, D2)
+    assert sorted(sizes) == [K.grid.n, 2 * K.grid.n]
+    assert np.max(np.abs(ev - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert sol.margin == float(np.min(np.abs(ev))) / s.sigma
 
 
 def test_resonance_gate_reads_the_root_spectrum(monkeypatch):

@@ -19,12 +19,16 @@ acceptance battery once (about 0.5 s), whose `report.json` and `report.csv`
 hold each criterion's details but no runtime. A third config, `m4-fine`,
 runs `toda-solve`, `spectrum` and `ansatz-residual`: m = 4 on a curvature
 with two cosine harmonics, eps 0.04 and 0.06. Its `spectrum` takes the
-3-channel split of the operator at v^1, and its gap roots couple their
-channels, so `toda-solve`'s margins take the dense eigensolve; its 160 rows,
-whose y-spacing is below 1, make the norm balls of `ansatz-residual` span
-rows. Two runs fail: `newton-solve --epsilon 0.05` on `m5` (m = 5 on the
-defaults) stalls in the strip line search after 17 Newton steps (exit 3,
-about 0.8 s), and `scales` on `m1` (m = 1) is a config error (exit 1).
+3-channel split of the operator at v^1, and its gap roots couple their two
+reflection-even channels, so `toda-solve`'s margins take one eigensolve of
+that pair and one of the odd channel; its 160 rows, whose y-spacing is
+below 1, make the norm balls of `ansatz-residual` span rows. A fourth,
+`m5-wavy`, runs `toda-solve` only: m = 5 on a curvature with one cosine
+harmonic, eps 0.04 and 0.06, whose roots couple two pairs of channels (the
+even and the odd sector). Two runs fail: `newton-solve --epsilon 0.05` on
+`m5` (m = 5 on the defaults) stalls in the strip line search after 17
+Newton steps (exit 3, about 0.8 s), and `scales` on `m1` (m = 1) is a
+config error (exit 1).
 Prints one `exit <code>  <config>/<run>` line per run, one
 `stderr <sha256>  <config>/<run>` line for each run that wrote to stderr
 (its error message, or a config warning), one `config <sha256>
@@ -67,6 +71,9 @@ CONFIGS = {
                 "geometry": {"curvature": {"mean": 1.0, "cos": [0.1, 0.03]}},
                 "grid": {"n_y": 160},
                 "epsilon": {"min": 0.04, "max": 0.06, "steps": 2}},
+    "m5-wavy": {"m": 5,
+                "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}},
+                "epsilon": {"min": 0.04, "max": 0.06, "steps": 2}},
     "m5": {"m": 5},
     "m1": {"m": 1},
 }
@@ -82,6 +89,7 @@ RUNS.append(("default", "near-resonance", "toda-solve", ["--epsilon", "0.0471"])
 RUNS.append(("default", "report", "report", []))
 RUNS += [("m4-fine", command, command, [])
          for command in ("toda-solve", "spectrum", "ansatz-residual")]
+RUNS.append(("m5-wavy", "toda-solve", "toda-solve", []))
 RUNS.append(("m5", "newton-solve-stall", "newton-solve", ["--epsilon", "0.05"]))
 RUNS.append(("m1", "scales", "scales", []))
 
