@@ -17,9 +17,11 @@ with mu_i the eigenvalues of (beta/sqrt(2)) C^{1/2} diag(a) C^{1/2}: channel i
 has a zero eigenvalue when 1 + sigma^{-1} mu_i is an eigenvalue lambda_j of
 the curvature-weighted string problem -phi'' = lambda K phi. `eigs_L_sigma`
 takes the spectrum group by group of the channels that A couples in the
-eigenbasis of its mean along the curve: channel by channel at v^1. The
-margins (`_margins`) read |sigma^{-1} mu_i - lambda_j| sqrt(sigma), without
-the shift by 1 that the sigma K I of A carries.
+eigenbasis of its mean along the curve: channel by channel at v^1, and in
+closed form, sigma (2 pi j/ell)^2 - (sigma + mu_i) K over the grid's modes j,
+for every channel on a constant K. The margins (`_margins`) read
+|sigma^{-1} mu_i - lambda_j| sqrt(sigma), without the shift by 1 that the
+sigma K I of A carries.
 
 This module assembles A, computes spectra, verifies the eigenvalue
 monotonicity bounds in sigma, counts modes Weyl-style and scans for
@@ -113,13 +115,16 @@ def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
 
     In the eigenbasis of A's mean along the curve the channels form groups,
     the connected components of their couplings, and the spectrum is the
-    union of one eigvalsh per group (`toda._gap_spectrum`). Where every A(y)
+    union of the groups' spectra (`toda._gap_spectrum`). Where every A(y)
     shares that eigenbasis, as at v^1 (the channels
     -sigma d^2 - (sigma + mu_i) K) or for constant K, each channel is its own
-    group, of size n; the forced field at a reflection-symmetric varying-K
-    gap root with m >= 4 couples the channels of each sector (m = 4: one
-    group of 2n and one of n). The channels keep K's grid: a mode past its
-    Nyquist mode is not resolved, so negative_count is capped by the grid.
+    group: one eigvalsh of size n, or none where the channel is constant
+    along the curve, as on a constant K, whose spectrum is then
+    -sigma eig(D2) minus that constant. The forced field at a
+    reflection-symmetric varying-K gap root with m >= 4 couples the channels
+    of each sector (m = 4: one group of 2n and one of n). The channels keep
+    K's grid: a mode past its Nyquist mode is not resolved, so
+    negative_count is capped by the grid.
     """
     ev = _gap_spectrum(A.entries, sigma, second_derivative_matrix(A.grid))
     scale = max(float(np.max(np.abs(ev))), 1.0)

@@ -22,7 +22,10 @@ forcing with that symmetry keeps its Newton iterates in the reflection-even
 sector, whose r = ceil((m-1)/2) basis fields (`_even_basis`) carry the steps.
 At the root the spectrum of the symmetric gap operator gives the forced
 resonance margin: one eigensolve per group of coupled channels in the
-eigenbasis of its field's mean along the curve (`_gap_spectrum`).
+eigenbasis of its field's mean along the curve, but none for a lone channel
+-sigma d^2 - c whose coefficient c is constant along the curve, as on a
+constant K: its spectrum is sigma (2 pi j/ell)^2 - c over the grid's modes j
+(`_gap_spectrum`).
 
 All gap operators take the coupling sigma as a plain number so formal sigma
 sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
@@ -55,7 +58,11 @@ RESIDUAL_TOL = 1e-10  # sup-norm residual the gap solve must reach
 # samples of K = 1 and eleven shapes 1 + a1 cos y + a2 cos(2y + q): at most
 # 8.6e-14 where they decouple (a reflection-even channel against an odd one,
 # or a constant K), at least 6.9e-6 where they do not (two channels of one
-# sector on a varying K)
+# sector on a varying K). It also bounds the variation of a lone channel's
+# coefficient along the curve up to which it counts as constant: at most
+# 2.7e-13 at the K = 1 roots (m = 2-5, 64 and 128 samples, eps 0.05 and
+# 0.00625), at least 6.4e-3 at v^1 and at the roots on 1 + 0.2 cos y and
+# 1 + 0.03 cos y + 0.01 cos(2y + 4)
 _SPLIT_RTOL = 1e-12
 
 
@@ -269,29 +276,40 @@ def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray) -> np.ndarray
     With V the eigenbasis of F's y-mean, channels i and j of B(y) = V^T F(y) V
     couple where max_y |B_ij| exceeds _SPLIT_RTOL max |F|. The operator is the
     direct sum over the connected groups of coupled channels, and the spectrum
-    the union of one eigvalsh per group: of -sigma D2 - diag(B_ii) of size n
-    for a lone channel (every channel at v^1, or for a constant F), else of
-    the group's rotated matrix from `_gap_blocks` (a reflection-even root at
-    m >= 4 on a varying K pairs its even channels, and at m >= 5 its odd ones).
+    the union of the groups' spectra. A group of two or more channels takes
+    one eigvalsh of its rotated matrix from `_gap_blocks` (a reflection-even
+    root at m >= 4 on a varying K pairs its even channels, and at m >= 5 its
+    odd ones). A lone channel (every channel at v^1, and every channel of an
+    m = 3 root or of a constant F) is -sigma D2 - diag(B_ii): one eigvalsh of
+    size n, or the closed form -sigma eig(D2) - mean B_ii when B_ii varies
+    along the curve by at most _SPLIT_RTOL max |F|, as it does on a constant
+    K at v^1 and at the roots. Dropping that variation moves each eigenvalue
+    by at most the same bound (Weyl), as dropping a coupling does.
     """
     mm = field.shape[1]
     _, V = np.linalg.eigh(field.mean(axis=0))
     rotated = V.T @ field @ V
-    coupled = (np.max(np.abs(rotated), axis=0)
-               > _SPLIT_RTOL * np.max(np.abs(field))).tolist()
+    tol = _SPLIT_RTOL * np.max(np.abs(field))
+    coupled = (np.max(np.abs(rotated), axis=0) > tol).tolist()
     label = list(range(mm))  # channel -> its group, merged along each coupling
     for i in range(mm):
         for j in range(i):
             if coupled[i][j]:
                 label = [label[j] if g == label[i] else g for g in label]
-    base = -sigma * D2
     parts = []
     for group in ([i for i in range(mm) if label[i] == g] for g in set(label)):
-        if len(group) == 1:
-            parts.append(np.linalg.eigvalsh(base - np.diag(rotated[:, group[0], group[0]])))
-        else:
+        if len(group) > 1:
             blocks = _gap_blocks(sigma, D2, len(group))
             parts.append(np.linalg.eigvalsh(blocks(rotated[:, group][:, :, group])))
+            continue
+        d = rotated[:, group[0], group[0]]
+        if np.max(np.abs(d - d.mean())) <= tol:
+            # D2 is a symmetric circulant: its eigenvalues are the real DFT of
+            # its first row, mode 0 and the Nyquist mode once, the others twice
+            n = D2.shape[0]
+            parts.append(-sigma * np.repeat(np.fft.rfft(D2[0]).real, 2)[1:n + 1] - d.mean())
+        else:
+            parts.append(np.linalg.eigvalsh(-sigma * D2 - np.diag(d)))
     return np.sort(np.concatenate(parts))
 
 

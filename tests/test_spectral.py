@@ -43,7 +43,9 @@ from aclayers.toda import (
     _gap_blocks,
     _gap_spectrum,
     build_matrices,
+    equilibrium_gap_forcing,
     first_order_profile,
+    solve_toda,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -224,13 +226,14 @@ def _eigvalsh_sizes(monkeypatch):
 @pytest.mark.parametrize("shape", list(_CHANNEL_SHAPES))
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_gap_spectrum_splits_v1_fields_into_channels(shape, m, monkeypatch):
-    # at v^1, A = K(y) (sigma I + const): m - 1 eigvalsh of size n, whose
-    # union is the dense spectrum
+    # at v^1, A = K(y) (sigma I + const): m - 1 channels, whose union is the
+    # dense spectrum; each takes one eigvalsh of size n on a varying K and
+    # the closed form on K = 1
     field, sigma, D2 = _v1_field(shape, m, 0.025)
     dense = _dense_spectrum(field, sigma, D2)
     sizes = _eigvalsh_sizes(monkeypatch)
     ev = _gap_spectrum(field, sigma, D2)
-    assert sizes == [D2.shape[0]] * (m - 1)
+    assert sizes == ([] if shape == "K=1" else [D2.shape[0]] * (m - 1))
     assert np.all(np.diff(ev) >= 0.0)
     assert np.max(np.abs(ev - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -245,11 +248,12 @@ def test_eigs_L_sigma_reads_the_channels_at_v1(monkeypatch):
     assert rep.eigenvalues.shape == (128,)
 
 
-def _channel_coupling(field, size):
-    """field + V E V^T: E couples channels 0 and 1 by size cos y, V the channel basis."""
+def _channel_coupling(field, size, i=0, j=1):
+    """field + V E V^T: E holds size cos y at (i, j) and (j, i), V the channel
+    basis; it couples channels i != j, or varies channel i's diagonal."""
     _, V = np.linalg.eigh(field.mean(axis=0))
     E = np.zeros_like(field)
-    E[:, 0, 1] = E[:, 1, 0] = size * np.cos(circle_grid(field.shape[0]).points())
+    E[:, i, j] = E[:, j, i] = size * np.cos(circle_grid(field.shape[0]).points())
     return field + V @ E @ V.T
 
 
@@ -294,6 +298,70 @@ def test_gap_spectrum_below_the_split_tolerance_keeps_weyls_bound(monkeypatch):
     assert sizes == [64] * 3
     dense = _dense_spectrum(perturbed, sigma, D2)
     assert np.max(np.abs(ev - dense)) <= delta + 1e-14 * np.max(np.abs(dense))
+
+
+def test_gap_spectrum_takes_the_closed_form_below_the_split_tolerance(monkeypatch):
+    # a channel that varies along the curve by at most _SPLIT_RTOL max|A|
+    # takes -sigma eig(D2) - its mean; by Weyl's inequality the eigenvalues
+    # move by at most max_y |E(y)| = delta, plus the rounding
+    field, sigma, D2 = _v1_field("K=1", 3, 0.025)
+    delta = 0.5 * _SPLIT_RTOL * np.max(np.abs(field))
+    perturbed = _channel_coupling(field, delta, 0, 0)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    ev = _gap_spectrum(perturbed, sigma, D2)
+    assert sizes == []
+    dense = _dense_spectrum(perturbed, sigma, D2)
+    assert np.max(np.abs(ev - dense)) <= delta + 1e-14 * np.max(np.abs(dense))
+
+
+def test_gap_spectrum_solves_a_channel_above_the_split_tolerance(monkeypatch):
+    # twice the tolerance: the varying channel takes one eigvalsh of size n,
+    # the constant one still the closed form
+    field, sigma, D2 = _v1_field("K=1", 3, 0.025)
+    perturbed = _channel_coupling(field, 2.0 * _SPLIT_RTOL * np.max(np.abs(field)), 0, 0)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    _gap_spectrum(perturbed, sigma, D2)
+    assert sizes == [D2.shape[0]]
+
+
+def _root_field(m, eps, n):
+    """A at the equilibrium-forced gap root on n samples of K = 1."""
+    K = unit_K(n)
+    s = scales_of(eps)
+    sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
+    A = assemble_A(sol.v, s.sigma, K, build_matrices(m))
+    return A.entries, s.sigma, second_derivative_matrix(K.grid)
+
+
+@pytest.mark.parametrize("at", ["v1", "root"])
+@pytest.mark.parametrize("eps", [0.05, 0.00625])
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_constant_K_closed_form_is_the_dense_spectrum(m, n, eps, at, monkeypatch):
+    # K = 1: every channel at v^1 and at the root is constant along the
+    # curve, so the spectrum takes no eigvalsh and matches the dense one
+    # within 1e-13 max |eig|
+    field, sigma, D2 = (_v1_field("K=1", m, eps, n) if at == "v1"
+                        else _root_field(m, eps, n))
+    sizes = _eigvalsh_sizes(monkeypatch)
+    ev = _gap_spectrum(field, sigma, D2)
+    assert sizes == []
+    dense = _dense_spectrum(field, sigma, D2)
+    assert np.max(np.abs(ev - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.00625])
+@pytest.mark.parametrize("shape", ["cos", "B"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_varying_K_channels_keep_their_eigvalsh(m, shape, eps):
+    # a varying K at v^1: each channel is -sigma D2 - diag(d) with d varying
+    # along the curve, solved by one eigvalsh, bit for bit
+    field, sigma, D2 = _v1_field(shape, m, eps)
+    _, V = np.linalg.eigh(field.mean(axis=0))
+    rotated = V.T @ field @ V
+    want = np.sort(np.concatenate([np.linalg.eigvalsh(-sigma * D2 - np.diag(rotated[:, i, i]))
+                                   for i in range(m - 1)]))
+    assert np.array_equal(_gap_spectrum(field, sigma, D2), want)
 
 
 # --- monotonicity ---

@@ -25,10 +25,14 @@ that pair and one of the odd channel; its 160 rows, whose y-spacing is
 below 1, make the norm balls of `ansatz-residual` span rows. A fourth,
 `m5-wavy`, runs `toda-solve` only: m = 5 on a curvature with one cosine
 harmonic, eps 0.04 and 0.06, whose roots couple two pairs of channels (the
-even and the odd sector). Two runs fail: `newton-solve --epsilon 0.05` on
-`m5` (m = 5 on the defaults) stalls in the strip line search after 17
-Newton steps (exit 3, about 0.8 s), and `scales` on `m1` (m = 1) is a
-config error (exit 1).
+even and the odd sector). A fifth, `m3-circle`, runs `toda-solve` and
+`spectrum` at m = 3 on the default K = 1, at the default eps 0.05 and at
+`--epsilon 0.00625` (as `toda-solve-0.00625` and `spectrum-0.00625`): its
+two channels are constant along the curve at v^1 and at the roots, so both
+spectra take the closed form and no eigensolve. Two runs fail:
+`newton-solve --epsilon 0.05` on `m5` (m = 5 on the defaults) stalls in the
+strip line search after 17 Newton steps (exit 3, about 0.8 s), and
+`scales` on `m1` (m = 1) is a config error (exit 1).
 Prints one `exit <code>  <config>/<run>` line per run, one
 `stderr <sha256>  <config>/<run>` line for each run that wrote to stderr
 (its error message, or a config warning), one `config <sha256>
@@ -74,6 +78,7 @@ CONFIGS = {
     "m5-wavy": {"m": 5,
                 "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}},
                 "epsilon": {"min": 0.04, "max": 0.06, "steps": 2}},
+    "m3-circle": {"m": 3},
     "m5": {"m": 5},
     "m1": {"m": 1},
 }
@@ -90,6 +95,9 @@ RUNS.append(("default", "report", "report", []))
 RUNS += [("m4-fine", command, command, [])
          for command in ("toda-solve", "spectrum", "ansatz-residual")]
 RUNS.append(("m5-wavy", "toda-solve", "toda-solve", []))
+RUNS += [("m3-circle", f"{command}{suffix}", command, extra)
+         for suffix, extra in (("", []), ("-0.00625", ["--epsilon", "0.00625"]))
+         for command in ("toda-solve", "spectrum")]
 RUNS.append(("m5", "newton-solve-stall", "newton-solve", ["--epsilon", "0.05"]))
 RUNS.append(("m1", "scales", "scales", []))
 
