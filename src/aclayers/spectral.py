@@ -118,9 +118,9 @@ def eigs_L_sigma(A: MatrixFieldA, sigma: float) -> EigenReport:
     union of the groups' spectra (`toda._gap_spectrum`). Where every A(y)
     shares that eigenbasis, as at v^1 (the channels
     -sigma d^2 - (sigma + mu_i) K) or for constant K, each channel is its own
-    group: one eigvalsh of size n, or none where the channel is constant
-    along the curve, as on a constant K, whose spectrum is then
-    -sigma eig(D2) minus that constant. The forced field at a
+    group: one eigvalsh of size n from `toda._gap_blocks`, or none where the
+    channel is constant along the curve, as on a constant K, whose spectrum
+    is then -sigma eig(D2) minus that constant. The forced field at a
     reflection-symmetric varying-K gap root with m >= 4 couples the channels
     of each sector (m = 4: one group of 2n and one of n). The channels keep
     K's grid: a mode past its Nyquist mode is not resolved, so

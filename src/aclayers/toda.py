@@ -17,15 +17,15 @@ The explicit profile v^1 kills the O(1) part exactly; sigma^k corrections
 refine it, and damped Newton from that profile, shifted to the forced
 leading-order balance, finishes the solve on `_damped_newton`, the driver the
 strip solve shares (here with the merit sup |F| and the damping floor 1e-6).
-The system is unchanged by reversing the layer order (gap l <-> m - l), so a
-forcing with that symmetry keeps its Newton iterates in the reflection-even
-sector, whose r = ceil((m-1)/2) basis fields (`_even_basis`) carry the steps.
-At the root the spectrum of the symmetric gap operator gives the forced
-resonance margin: one eigensolve per group of coupled channels in the
-eigenbasis of its field's mean along the curve, but none for a lone channel
--sigma d^2 - c whose coefficient c is constant along the curve, as on a
-constant K: its spectrum is sigma (2 pi j/ell)^2 - c over the grid's modes j
-(`_gap_spectrum`).
+The system is unchanged by reversing the layer order (gap l <-> m - l), and
+so is every forcing the solve takes: the Newton iterates stay in the
+reflection-even sector, whose r = ceil((m-1)/2) basis fields (`_even_basis`)
+carry the steps. At the root the spectrum of the symmetric gap operator gives
+the forced resonance margin: one eigensolve per group of coupled channels in
+the eigenbasis of its field's mean along the curve, but none for a lone
+channel -sigma d^2 - c whose c is constant along the curve, as on a constant
+K: its spectrum is sigma (2 pi j/ell)^2 - c over the grid's modes j
+(`_gap_spectrum`). One assembler builds every dense operator (`_gap_blocks`).
 
 All gap operators take the coupling sigma as a plain number so formal sigma
 sweeps and physically derived values (sigma = 1/(beta rho)) share one path.
@@ -251,14 +251,15 @@ def _symmetric_field(gaps: np.ndarray, sigma: float, Kv: np.ndarray,
 def _gap_blocks(sigma: float, D2: np.ndarray, mm: int):
     """Builder of dense matrices omega -> -sigma omega'' - F(y) omega on mm stacked fields.
 
-    D2 is the grid's spectral second-derivative matrix. kron(I, -sigma D2) is
-    made once; each call F -> matrix copies it and subtracts the pointwise
-    (n, mm, mm) field F. The unknown omega is flattened as (mm, n) row-major,
-    so each diagonal n x n block carries -sigma D2 and the block (i, j)
-    carries -F[:, i, j] on its diagonal.
+    D2 is the grid's spectral second-derivative matrix. The base, a zero
+    matrix with -sigma D2 on each diagonal n x n block, is made once; each
+    call F -> matrix copies it and subtracts the pointwise (n, mm, mm) field
+    F. The unknown omega is flattened as (mm, n) row-major, so the block
+    (i, j) carries -F[:, i, j] on its diagonal.
     """
     n = D2.shape[0]
-    base = np.kron(np.eye(mm), -sigma * D2)
+    base = np.zeros((mm * n, mm * n))
+    base.reshape(mm, n, mm, n)[np.arange(mm), :, np.arange(mm)] = -sigma * D2
     idx = np.arange(n)
 
     def blocks(field: np.ndarray) -> np.ndarray:
@@ -276,15 +277,15 @@ def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray) -> np.ndarray
     With V the eigenbasis of F's y-mean, channels i and j of B(y) = V^T F(y) V
     couple where max_y |B_ij| exceeds _SPLIT_RTOL max |F|. The operator is the
     direct sum over the connected groups of coupled channels, and the spectrum
-    the union of the groups' spectra. A group of two or more channels takes
-    one eigvalsh of its rotated matrix from `_gap_blocks` (a reflection-even
-    root at m >= 4 on a varying K pairs its even channels, and at m >= 5 its
-    odd ones). A lone channel (every channel at v^1, and every channel of an
-    m = 3 root or of a constant F) is -sigma D2 - diag(B_ii): one eigvalsh of
-    size n, or the closed form -sigma eig(D2) - mean B_ii when B_ii varies
-    along the curve by at most _SPLIT_RTOL max |F|, as it does on a constant
-    K at v^1 and at the roots. Dropping that variation moves each eigenvalue
-    by at most the same bound (Weyl), as dropping a coupling does.
+    the union of the groups' spectra. A lone channel (every channel at v^1,
+    and of an m = 3 root or a constant F) whose B_ii varies along the curve
+    by at most _SPLIT_RTOL max |F|, as on a constant K, takes the closed form
+    -sigma eig(D2) - mean B_ii; dropping that variation moves each eigenvalue
+    by at most the same bound (Weyl), as dropping a coupling does. Every other
+    group, a lone varying channel -sigma D2 - diag(B_ii) included, takes one
+    eigvalsh of its rotated matrix from `_gap_blocks` (a reflection-even root
+    at m >= 4 on a varying K pairs its even channels, and at m >= 5 its odd
+    ones).
     """
     mm = field.shape[1]
     _, V = np.linalg.eigh(field.mean(axis=0))
@@ -298,18 +299,15 @@ def _gap_spectrum(field: np.ndarray, sigma: float, D2: np.ndarray) -> np.ndarray
                 label = [label[j] if g == label[i] else g for g in label]
     parts = []
     for group in ([i for i in range(mm) if label[i] == g] for g in set(label)):
-        if len(group) > 1:
-            blocks = _gap_blocks(sigma, D2, len(group))
-            parts.append(np.linalg.eigvalsh(blocks(rotated[:, group][:, :, group])))
-            continue
         d = rotated[:, group[0], group[0]]
-        if np.max(np.abs(d - d.mean())) <= tol:
+        if len(group) == 1 and np.max(np.abs(d - d.mean())) <= tol:
             # D2 is a symmetric circulant: its eigenvalues are the real DFT of
             # its first row, mode 0 and the Nyquist mode once, the others twice
             n = D2.shape[0]
             parts.append(-sigma * np.repeat(np.fft.rfft(D2[0]).real, 2)[1:n + 1] - d.mean())
         else:
-            parts.append(np.linalg.eigvalsh(-sigma * D2 - np.diag(d)))
+            blocks = _gap_blocks(sigma, D2, len(group))
+            parts.append(np.linalg.eigvalsh(blocks(rotated[:, group][:, :, group])))
     return np.sort(np.concatenate(parts))
 
 
@@ -372,19 +370,18 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
                tolerance: float = RESIDUAL_TOL) -> TodaSolution:
     """Solve S_bar(v) = gbar for the gaps of a centred stack.
 
-    gbar is an (m-1, n) array, or None for zero. Newton on
-    F(v) = S_bar(v) - gbar starts from the order-k_start profile v^k shifted
-    to the forced leading-order balance C e^{-sqrt(2) v} = beta K [1..1] - gbar,
-    which is a zero shift without forcing; a forcing with no positive balance
-    is a DomainError. The steps live in the columns of Q: the reflection-even
-    basis `_even_basis(m)` when gbar reads the same in reversed gap order (as
-    zero and the equilibrium forcing do), else the identity. The start is
-    projected once onto them, and each step solves the r n system
-    Q^T L Q x = Q^T F and moves by Q x, so the gaps stay mirror images bit for
-    bit; all step matrices are copies of one kron(I_r, -sigma D2) base
-    (`_gap_blocks`). The merit is sup |F| in the full space. The heights are
-    the centred ones (`h_from_v`). max_iterations caps the Newton steps, and
-    tolerance is the sup-norm residual they must reach.
+    gbar is an (m-1, n) array that reads the same in reversed gap order, as
+    the equilibrium forcing does, or None for zero; any other is a DomainError
+    before any Newton step. Newton on F(v) = S_bar(v) - gbar starts from the
+    order-k_start profile v^k shifted to the forced leading-order balance
+    C e^{-sqrt(2) v} = beta K [1..1] - gbar (no shift without forcing); a
+    forcing with no positive balance is a DomainError. The steps live in the
+    columns of Q = `_even_basis(m)`: the start is projected once onto them,
+    and each step solves the r n system Q^T L Q x = Q^T F from `_gap_blocks`
+    and moves by Q x, so the gaps stay mirror images bit for bit. The merit
+    is sup |F| in the full space. The heights are the centred ones
+    (`h_from_v`). max_iterations caps the Newton steps, and tolerance is the
+    sup-norm residual they must reach.
 
     At the root the spectrum of the C^{1/2}-conjugated -(sigma D2 + A(v))
     (`_gap_spectrum`, on the same D2) gives margin = min |eig| / sigma; a
@@ -399,6 +396,8 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     target = np.zeros(vk.shape) if gbar is None else np.asarray(gbar, dtype=float)
     if target.shape != vk.shape:
         raise DomainError(f"gbar shape {target.shape} incompatible with {vk.shape}")
+    if not np.array_equal(target, target[::-1]):
+        raise DomainError("gbar must read the same in reversed gap order")
 
     # at leading order e^{-sqrt(2) v} = C^{-1}(beta K [1..1] - gbar), against
     # (beta/2) K a for v^1 without forcing; shift v^k by the log of the ratio
@@ -406,7 +405,7 @@ def solve_toda(K: PeriodicField, scales: Scales, m: int, k_start: int = 3,
     if not np.all(balance > 0.0):
         raise DomainError("forcing leaves no positive leading-order gap balance")
     unforced = 0.5 * beta * np.outer(interaction_weights(m), K.values)
-    Q = _even_basis(m) if np.array_equal(target, target[::-1]) else np.eye(m - 1)
+    Q = _even_basis(m)
     gaps = Q @ (Q.T @ (vk - np.log(balance / unforced) / SQRT2))
 
     # trial steps can swing to large negative gaps: an exp overflow (and the

@@ -324,9 +324,10 @@ def test_gap_spectrum_solves_a_channel_above_the_split_tolerance(monkeypatch):
     assert sizes == [D2.shape[0]]
 
 
-def _root_field(m, eps, n):
-    """A at the equilibrium-forced gap root on n samples of K = 1."""
-    K = unit_K(n)
+def _root_field(m, eps, n, shape="K=1"):
+    """A at the equilibrium-forced gap root on n samples of a _CHANNEL_SHAPES curvature."""
+    g = circle_grid(n)
+    K = PeriodicField(g, _CHANNEL_SHAPES[shape](g.points()))
     s = scales_of(eps)
     sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
     A = assemble_A(sol.v, s.sigma, K, build_matrices(m))
@@ -362,6 +363,32 @@ def test_varying_K_channels_keep_their_eigvalsh(m, shape, eps):
     want = np.sort(np.concatenate([np.linalg.eigvalsh(-sigma * D2 - np.diag(rotated[:, i, i]))
                                    for i in range(m - 1)]))
     assert np.array_equal(_gap_spectrum(field, sigma, D2), want)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.0125])
+@pytest.mark.parametrize("shape", ["cos", "B"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_lone_varying_root_channels_keep_their_eigvalsh(m, shape, eps, monkeypatch):
+    # at the equilibrium-forced root on a varying K, a channel coupled to no
+    # other (both of m = 3, the odd one of m = 4) is -sigma D2 - diag(d) with
+    # d varying along the curve; its eigenvalues are one eigvalsh of that
+    # matrix, bit for bit
+    field, sigma, D2 = _root_field(m, eps, 64, shape)
+    _, V = np.linalg.eigh(field.mean(axis=0))
+    rotated = V.T @ field @ V
+    tol = _SPLIT_RTOL * np.max(np.abs(field))
+    coupled = np.max(np.abs(rotated), axis=0) > tol
+    lone = [i for i in range(m - 1) if np.sum(coupled[i]) == coupled[i, i]]
+    assert len(lone) == {3: 2, 4: 1}[m]
+    assert all(np.ptp(rotated[:, i, i]) > tol for i in lone)
+    want = [np.linalg.eigvalsh(-sigma * D2 - np.diag(rotated[:, i, i])) for i in lone]
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(toda_module.np.linalg, "eigvalsh",
+                        lambda H: seen.append(eigvalsh(H)) or seen[-1])
+    _gap_spectrum(field, sigma, D2)
+    got = [ev for ev in seen if ev.shape == (D2.shape[0],)]
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # --- monotonicity ---

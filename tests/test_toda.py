@@ -6,6 +6,7 @@ y-independent (m-1)-dimensional system, built here with its own Jacobian.
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,20 +431,22 @@ def _counting_gap_blocks(monkeypatch):
 
 
 def test_solve_toda_builds_one_jacobian_per_step(monkeypatch):
-    # one kron(I_r, -sigma D2) base for the Newton steps in the reflection-even
+    # one block-diagonal base for the Newton steps in the reflection-even
     # sector (r = 1 at m = 3, 2 at m = 4), and from it one matrix per step; the
-    # margin at the root takes one more base and matrix per group of coupled
-    # channels: the m = 3 root decouples (v_1 = v_2), and the m = 4 root on a
-    # varying K couples its two even channels
+    # margin at the root takes one more base and matrix per group of channels
+    # that vary along the curve, a lone one included: the m = 3 root
+    # decouples (v_1 = v_2) into two lone channels, and the m = 4 root couples
+    # its two even channels and leaves the odd one alone
     s = scales_of(0.05)
     K = wavy_K(64, amp=0.2)
-    for m, root_groups in ((3, []), (4, [2])):
+    for m, steps, want_factories, want_matrices in (
+            (3, 5, [1, 1, 1], [1, 1, 1, 1, 1, 1, 1]),
+            (4, 4, [2, 2, 1], [2, 2, 2, 2, 2, 1])):
         factories, matrices = _counting_gap_blocks(monkeypatch)
         sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
-        assert sol.iterations > 1
-        r = toda_module._even_basis(m).shape[1]
-        assert factories == [r] + root_groups
-        assert matrices == [r] * sol.iterations + root_groups
+        assert sol.iterations == steps
+        assert factories == want_factories
+        assert matrices == want_matrices
 
 
 def test_solve_toda_singular_step_is_a_convergence_error(monkeypatch):
@@ -482,20 +485,31 @@ def test_solve_toda_roots_are_exact_mirror_images(m, eps):
     assert np.max(np.abs(S_bar(sol.v, s.sigma, K, s.beta) - gbar)) < toda_module.RESIDUAL_TOL
 
 
-def test_solve_toda_without_reflection_steps_in_the_full_space(monkeypatch):
-    # a forcing that breaks the reflection keeps the steps in all m - 1 gaps:
-    # one factory of size m - 1 serves every step. Row 0 is scaled by 0.99:
-    # at beta = 17, 1.01 would leave it no positive leading-order balance
+def test_solve_toda_rejects_a_forcing_without_reflection(monkeypatch):
+    # the steps live in the reflection-even sector only: a forcing that does
+    # not read the same in reversed gap order (row 0 scaled by 0.99) is a
+    # DomainError before any step matrix is built
     s = scales_of(0.05)
     K = wavy_K(64, amp=0.2)
     gbar = equilibrium_gap_forcing(K, 3, s.beta)
     gbar[0] *= 0.99
-    factories, matrices = _counting_gap_blocks(monkeypatch)
-    sol = solve_toda(K, s, 3, gbar=gbar)
-    assert factories[0] == 2
-    assert matrices[:sol.iterations] == [2] * sol.iterations
-    assert not np.array_equal(sol.v, sol.v[::-1])
-    assert np.max(np.abs(S_bar(sol.v, s.sigma, K, s.beta) - gbar)) < toda_module.RESIDUAL_TOL
+    factories, _ = _counting_gap_blocks(monkeypatch)
+    with pytest.raises(DomainError, match="^gbar must read the same in reversed gap order$"):
+        solve_toda(K, s, 3, gbar=gbar)
+    assert factories == []
+
+
+def test_readme_library_example_runs_as_printed():
+    # the README's example feeds the equilibrium forcing, a gbar that reads
+    # the same in reversed gap order, through the strip Newton solve
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example\n", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    exec(example.split("```", 1)[0], namespace)
+    report = namespace["report"]
+    assert report.iterations == 3
+    assert report.residual_norms[-1] < 1e-10
+    assert report.level_curves.mean(axis=0) == pytest.approx([-2.768, 2.768], abs=1e-3)
 
 
 @pytest.mark.parametrize("gbar", [0.0, np.zeros(2)], ids=["scalar", "per-gap"])
