@@ -19,9 +19,12 @@ expansion of S(u0) near each layer (its terms are documented at
 `_expansion`, which `residual_report` measures), exponentially weighted strip
 norms, the projected transverse linear problem (inversion modulo the kernel
 direction w'), and a damped-Newton solve of the full strip equation that
-steps on the y-bandwidth of its initial state, on the gap solve's driver
-`toda._damped_newton` (merit ||R||^2, infinite outside |u| <= STATE_BOUND
-without evaluating R; damping floor 2^-16).
+steps on the y-bandwidth of its initial state and on the columns t >= 0
+alone, in the reflection sector u(-t) = (-1)^m u(t) of a stack placed as
+mirror images about the curve (folded t-operators, `_HalfStrip`; a start
+that is not a mirror image is a DomainError), on the gap solve's Newton
+loop `toda._damped_newton` (merit the full strip's ||R||^2, infinite outside
+|u| <= STATE_BOUND without evaluating R; damping floor 2^-16).
 
 Discretization: 6th-order centered finite differences in t with an
 even-reflection (homogeneous Neumann) closure at t = +-T, spectral
@@ -217,19 +220,24 @@ def assemble_u0(f: Sequence[PeriodicField], grid: StripGrid,
     return StripField(grid, vals)
 
 
-def _strip_residual(vals: np.ndarray, kv: np.ndarray, grid: StripGrid,
+def _strip_residual(vals: np.ndarray, kv: np.ndarray, y_grid: PeriodicGrid,
+                    t: np.ndarray, d1t: np.ndarray, d2t: np.ndarray,
                     epsilon: float) -> np.ndarray:
-    """u_zz + u_yy - eps^2 z kv u_z + u - u^3 on raw values, kv = K on the strip."""
-    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
-    z = grid.t[None, :]
-    return (vals @ d2t.T + _spectral_derivative(vals, grid.y_grid, 2, axis=0)
+    """u_zz + u_yy - eps^2 z kv u_z + u - u^3 on raw values, kv = K on the strip.
+
+    t holds the nodes of the columns and d1t, d2t the t-operators on them:
+    the strip's, or the half strip's folded ones (`_HalfStrip`)."""
+    z = t[None, :]
+    return (vals @ d2t.T + _spectral_derivative(vals, y_grid, 2, axis=0)
             - epsilon**2 * z * kv[:, None] * (vals @ d1t.T)) + vals - vals * vals * vals
 
 
 def residual(u0: StripField, K: PeriodicField, epsilon: float) -> StripField:
     """S(u0) = u0_zz + u0_yy - eps^2 z K(eps y) u0_z + u0 - u0^3."""
-    [kv] = _on_strip([K], u0.grid, epsilon)
-    return StripField(u0.grid, _strip_residual(u0.values, kv, u0.grid, epsilon))
+    grid = u0.grid
+    [kv] = _on_strip([K], grid, epsilon)
+    return StripField(grid, _strip_residual(u0.values, kv, grid.y_grid, grid.t,
+                                            *_t_matrices(grid.n_t, grid.dt), epsilon))
 
 
 def _layer_shares(positions: Sequence[np.ndarray],
@@ -583,6 +591,15 @@ def solve_projected(g: StripField, epsilon: float) -> tuple[StripField, Periodic
     return StripField(grid, phi), PeriodicField(grid.y_grid, c)
 
 
+def _strip_energy(vals: np.ndarray, y_grid: PeriodicGrid, d1t: np.ndarray,
+                  wt: np.ndarray, epsilon: float) -> float:
+    """`strip_energy` on raw values, with d/dt and the t-weights of their columns."""
+    uz = vals @ d1t.T
+    uy = _spectral_derivative(vals, y_grid, 1, axis=0)
+    dens = 0.5 * (uy * uy + uz * uz) + 0.25 * (1.0 - vals**2) ** 2
+    return float(epsilon * y_grid.spacing * np.sum(dens * wt[None, :]))
+
+
 def strip_energy(u: StripField, epsilon: float) -> float:
     """Discrete phase-transition energy in unstretched variables.
 
@@ -592,11 +609,7 @@ def strip_energy(u: StripField, epsilon: float) -> float:
     """
     grid = u.grid
     d1t, _ = _t_matrices(grid.n_t, grid.dt)
-    uz = u.values @ d1t.T
-    uy = _spectral_derivative(u.values, grid.y_grid, 1, axis=0)
-    dens = 0.5 * (uy * uy + uz * uz) + 0.25 * (1.0 - u.values**2) ** 2
-    wt = _trapezoid_weights(grid)
-    return float(epsilon * grid.y_grid.spacing * np.sum(dens * wt[None, :]))
+    return _strip_energy(u.values, grid.y_grid, d1t, _trapezoid_weights(grid), epsilon)
 
 
 def level_sets(u: StripField) -> np.ndarray:
@@ -637,12 +650,16 @@ def level_sets(u: StripField) -> np.ndarray:
 class NewtonReport:
     """Converged strip solve with its iteration history.
 
-    When the Newton steps ran on a band grid of `band_n_y` rows (see
-    `newton_allen_cahn`), the entries of `residual_norms` and `energies` up
-    to the band pass's last iterate are measured on that grid: the sup over
-    its rows, and the energy with its y-spacing. The band pass's converged
-    iterate, interpolated, and every later one are measured on the caller's
-    grid, so the last entries always belong to `solution`.
+    The Newton steps ran on the `half_n_t` columns t >= 0 of the strip, in
+    the reflection sector of the initial state (see `newton_allen_cahn`), so
+    `band_n_y * half_n_t` is the number of unknowns of the band pass. When
+    they ran on a band grid of `band_n_y` rows, the entries of
+    `residual_norms` and `energies` up to the band pass's last iterate are
+    measured on that grid: the sup over its rows, and the energy with its
+    y-spacing. The band pass's converged iterate, interpolated, and every
+    later one are measured on the caller's grid, so the last entries always
+    belong to `solution`. Every entry is that of the full strip: the sup
+    over t >= 0 and the energy with the folded trapezoid weights.
     """
 
     solution: StripField
@@ -652,16 +669,74 @@ class NewtonReport:
     level_curves: np.ndarray  # (n_y, m) zero-crossing positions
     linear_iterations: tuple[int, ...]  # GMRES inner iterations per Newton step
     band_n_y: int  # y-size of the grid the steps ran on (n_y when it holds the band)
+    half_n_t: int  # t-columns the steps ran on: t >= 0, n_t // 2 + 1
     caller_grid_steps: int  # steps taken on the caller's grid
 
 
-def _right_preconditioned(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
+@dataclass(frozen=True)
+class _HalfStrip:
+    """The columns t >= 0 of a strip grid, for states with u(-t) = s u(t).
+
+    The strip operator commutes with t -> -t for any K, and a stack of m
+    alternating layers placed as mirror images about the curve has
+    u(-t) = (-1)^m u(t), so its Newton solve runs on the columns
+    mid = n_t // 2 onward, t >= 0, alone. The folded d/dt and
+    d^2/dt^2 are D_s = D[mid:, mid:] plus s D[mid:, mid - 1::-1] on the
+    columns past the centre: D_s x is exactly the rows t >= 0 of D applied
+    to the mirror image of x, and D_s keeps the half-bandwidth _BAND. A sum
+    over the strip counts the centre column once and every other column
+    twice: `merit_weights` turn sum R^2 over the half into the full strip's,
+    and `energy_weights` are the folded trapezoid weights, dt at the centre,
+    2 dt inside and dt at the wall.
+    """
+
+    s: int  # the sector sign, +1 or -1
+    t: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    merit_weights: np.ndarray
+    energy_weights: np.ndarray
+
+    @classmethod
+    def of(cls, grid: StripGrid, s: int) -> _HalfStrip:
+        mid = grid.n_t // 2
+
+        def folded(d: np.ndarray) -> np.ndarray:
+            out = d[mid:, mid:].copy()
+            out[:, 1:] += s * d[mid:, mid - 1::-1]
+            return out
+
+        d1, d2 = map(folded, _t_matrices(grid.n_t, grid.dt))
+        merit_weights = np.full(mid + 1, 2.0)
+        merit_weights[0] = 1.0
+        energy_weights = grid.dt * merit_weights
+        energy_weights[-1] = grid.dt
+        # linspace can leave round-off at the centre node; t = 0 there exactly
+        # keeps the centre column of an odd-sector state at 0 through every step
+        t = grid.t[mid:]
+        t[0] = 0.0
+        return cls(s, t, d1, d2, merit_weights, energy_weights)
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """The sector part (u(t) + s u(-t))/2 of strip values, on t >= 0."""
+        mid = values.shape[1] // 2
+        return 0.5 * (values[:, mid:] + self.s * values[:, mid::-1])
+
+    def unfold(self, half: np.ndarray) -> np.ndarray:
+        """The strip values with these t >= 0 columns and u(-t) = s u(t)."""
+        return np.concatenate([self.s * half[:, :0:-1], half], axis=1)
+
+
+def _right_preconditioned(u: np.ndarray, kv: np.ndarray, y_grid: PeriodicGrid,
+                          t: np.ndarray, d1t: np.ndarray, d2t: np.ndarray,
                           epsilon: float):
     """The Newton Jacobian J at u, right-preconditioned by the y-averaged P.
 
-    Returns (fused, precondition). fused maps a flat strip vector x to
-    J P^{-1} x = x + (J - P) P^{-1} x; precondition maps it to P^{-1} x as
-    an (n_y, n_t) array. On the y-mode k, P is base - k^2 I with
+    t holds the nodes of u's columns and d1t, d2t the t-operators on them,
+    as in `_strip_residual`. Returns (fused, precondition). fused maps a
+    flat vector x of u's shape to J P^{-1} x = x + (J - P) P^{-1} x;
+    precondition maps it to P^{-1} x as an array of u's shape. On the
+    y-mode k, P is base - k^2 I with
     base = d_tt - eps^2 mean(K) t d_t + mean_y F'(u), and one banded LU
     inverts every mode (`_mode_solver`). P carries J's d_tt, d_yy and mean
     terms exactly, so only the y-varying parts are left in
@@ -669,16 +744,15 @@ def _right_preconditioned(u: np.ndarray, grid: StripGrid, kv: np.ndarray,
     dF' = F'(u) - mean_y F'(u). One application of fused costs one rfft,
     one banded solve, one irfft and one d_t product.
     """
-    n_y, n_t = grid.shape
-    d1t, d2t = _t_matrices(n_t, grid.dt)
+    n_y, n_t = u.shape
     d1t_T = d1t.T
     coeff = 1.0 - 3.0 * u * u
     dbar = np.mean(coeff, axis=0)
     kbar = float(np.mean(kv))
     dcoeff = coeff - dbar
-    dtransport = epsilon**2 * grid.t[None, :] * (kv - kbar)[:, None]
-    base = d2t - epsilon**2 * kbar * (grid.t[:, None] * d1t) + np.diag(dbar)
-    kfreq = _fourier_multipliers(grid.y_grid)
+    dtransport = epsilon**2 * t[None, :] * (kv - kbar)[:, None]
+    base = d2t - epsilon**2 * kbar * (t[:, None] * d1t) + np.diag(dbar)
+    kfreq = _fourier_multipliers(y_grid)
     mode_inverse = _mode_solver(base, kfreq * kfreq)
 
     def precondition(x: np.ndarray) -> np.ndarray:
@@ -706,26 +780,30 @@ def _band_rows(values: np.ndarray) -> int:
     return max(16, 2 * (int(modes[-1]) + 1))
 
 
-def _newton_steps(u: np.ndarray, grid: StripGrid, K: PeriodicField, epsilon: float):
-    """Damped Newton from u on one grid until the sup residual is below NEWTON_TOL.
+def _newton_steps(u: np.ndarray, grid: StripGrid, half: _HalfStrip, K: PeriodicField,
+                  epsilon: float):
+    """Damped Newton from u on one grid's half strip until |R|_inf < NEWTON_TOL.
 
-    Returns (u, residual_norms, energies, linear_iterations) with one norm and
-    one energy per iterate, start and end included, and one GMRES count per
-    step.
+    u holds the columns t >= 0 of `half` on the rows of grid. Returns (u,
+    residual_norms, energies, linear_iterations) with one norm and one
+    energy per iterate, start and end included, and one GMRES count per
+    step. The merit, the norms and the energies are the full strip's.
     """
     import scipy.sparse.linalg
 
     [kv] = _on_strip([K], grid, epsilon)
+    y_grid = grid.y_grid
+    operators = (y_grid, half.t, half.d1, half.d2)
     linear_iterations: list[int] = []
 
     def merit(trial: np.ndarray) -> tuple[float, np.ndarray | None]:
         if float(np.max(np.abs(trial))) > STATE_BOUND:
             return math.inf, None
-        res = _strip_residual(trial, kv, grid, epsilon)
-        return float(np.sum(res * res)), res
+        res = _strip_residual(trial, kv, *operators, epsilon)
+        return float(np.sum(res * res * half.merit_weights)), res
 
     def solve(u: np.ndarray, res: np.ndarray) -> np.ndarray:
-        fused, precondition = _right_preconditioned(u, grid, kv, epsilon)
+        fused, precondition = _right_preconditioned(u, kv, *operators, epsilon)
         rhs = -res.ravel()
         products, last = 0, None
 
@@ -766,7 +844,7 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, K: PeriodicField, epsilon: flo
     for u, r_inf in _damped_newton(u, merit, solve, 2.0**-16, NEWTON_MAX_ITER,
                                    NEWTON_TOL, "strip solve"):
         res_norms.append(r_inf)
-        energies.append(strip_energy(StripField(grid, u), epsilon))
+        energies.append(_strip_energy(u, y_grid, half.d1, half.energy_weights, epsilon))
     return u, res_norms, energies, linear_iterations
 
 
@@ -783,6 +861,20 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     level curves must be as numerous as in the initial state (the layer count
     is conserved or the solve is rejected).
 
+    The steps run on the half strip t >= 0, in the reflection sector
+    u(-t) = s u(t) with s = (-1)^m for the m level curves of u_init: S
+    commutes with t -> -t for any K, so a mirror-image start keeps its
+    sector, and the folded t-operators of `_HalfStrip` act on the columns
+    t >= 0 alone. The sector holds half the unknowns, and it leaves out the
+    common translation of the stack, whose direction u_t has the other
+    parity: on the round circle K = 1 that is where the two Jacobi zero
+    modes lie. The merit and the norms weigh the columns so that they are
+    the full strip's, and the line search decides as on the full strip.
+    u_init is taken as its sector part (u(t) + s u(-t))/2, which puts the
+    centre column of an odd-sector state at exactly 0; a start farther than
+    1e-12 max|u| from a mirror image raises DomainError before any step.
+    The solution is the mirror image of the half, u(-t) = s u(t) exactly.
+
     The steps run on the y-bandwidth of u_init, which K and the layer gaps
     fix, not epsilon: when the `_band_rows` that carry it are fewer than the
     caller's n_y, Newton first converges on a band grid of that many rows
@@ -792,28 +884,38 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     solution, its residual and its level curves are on the caller's grid.
     """
     grid = u_init.grid
-    if float(np.max(np.abs(u_init.values))) > STATE_BOUND:
+    values = u_init.values
+    if float(np.max(np.abs(values))) > STATE_BOUND:
         raise DomainError(f"initial state leaves the |u| <= {STATE_BOUND} band")
     m_expected = level_sets(u_init).shape[1]
     if m_expected == 0:
         raise DomainError("initial state has no transition layers")
+    half = _HalfStrip.of(grid, (-1) ** m_expected)
+    # Toda starts are mirror images to 3.7e-15 (m = 2-4)
+    defect = float(np.max(np.abs(values[:, ::-1] - half.s * values)))
+    bound = 1e-12 * float(np.max(np.abs(values)))
+    if defect > bound:
+        raise DomainError(
+            f"initial state with {m_expected} level curves is not a mirror image "
+            f"u(-t) = {half.s:+d} u(t): max|u(-t) - ({half.s:+d}) u(t)| = {defect:.3e} "
+            f"exceeds 1e-12 max|u| = {bound:.3e}")
 
     n_y = grid.y_grid.n
-    band_n_y = min(_band_rows(u_init.values), n_y)
-    u = u_init.values.copy()
+    u = half.fold(values)
+    band_n_y = min(_band_rows(u), n_y)
     res_norms: list[float] = []
     energies: list[float] = []
     linear_iterations: list[int] = []
     if band_n_y < n_y:
         band = replace(grid, y_grid=PeriodicGrid(band_n_y, grid.y_grid.length))
         u, res_norms, energies, linear_iterations = _newton_steps(
-            _resample_rows(u, band_n_y), band, K, epsilon)
+            _resample_rows(u, band_n_y), band, half, K, epsilon)
         # the finish measures the band pass's last iterate again on the caller's grid
         del res_norms[-1], energies[-1]
         u = _resample_rows(u, n_y)
-    u, finish_norms, finish_energies, finish_inner = _newton_steps(u, grid, K, epsilon)
+    u, finish_norms, finish_energies, finish_inner = _newton_steps(u, grid, half, K, epsilon)
 
-    solution = StripField(grid, u)
+    solution = StripField(grid, half.unfold(u))
     levels = level_sets(solution)
     if levels.shape[1] != m_expected:
         raise ConvergenceError(
@@ -827,4 +929,5 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
                         level_curves=levels,
                         linear_iterations=tuple(linear_iterations),
                         band_n_y=band_n_y,
+                        half_n_t=u.shape[1],
                         caller_grid_steps=len(finish_inner))

@@ -21,6 +21,7 @@ from aclayers.ansatz import (
     StripField,
     StripGrid,
     _expansion,
+    _HalfStrip,
     _on_strip,
     _right_preconditioned,
     _t_matrices,
@@ -877,6 +878,72 @@ def test_weighted_norm_crop_matches_the_full_strip_reference(n_y):
 # ---------------------------------------------------------------- newton
 
 
+@pytest.mark.parametrize("n_t", [15, 161])
+@pytest.mark.parametrize("sector", [1, -1])
+def test_half_strip_folding_matches_the_full_strip(n_t, sector):
+    # the folded t-operators on a half vector are the full ones on its mirror
+    # image, restricted to t >= 0, and keep the half-bandwidth 3; the folded
+    # merit and energy are the full strip's sums on a mirrored state
+    eps = 0.05
+    grid = StripGrid(PeriodicGrid(16, TWO_PI / eps), 10.0, n_t)
+    half = _HalfStrip.of(grid, sector)
+    mid = n_t // 2
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(mid + 1)
+    if sector == -1:
+        x[0] = 0.0
+    mirrored = np.concatenate([sector * x[:0:-1], x])
+    for folded, full in zip((half.d1, half.d2), _t_matrices(n_t, grid.dt)):
+        want = (full @ mirrored)[mid:]
+        assert np.abs(folded @ x - want).max() <= 1e-13 * np.abs(want).max()
+        assert not np.any(np.triu(folded, 4)) and not np.any(np.tril(folded, -4))
+    assert half.t[0] == 0.0 and np.array_equal(half.t[1:], grid.t[mid + 1:])
+
+    K = circle_K(amp=0.2)
+    [kv] = _on_strip([K], grid, eps)
+    u_half = rng.uniform(-1.0, 1.0, (16, mid + 1))
+    if sector == -1:
+        u_half[:, 0] = 0.0
+    u = half.unfold(u_half)
+    assert np.array_equal(u[:, ::-1], sector * u)
+    assert np.array_equal(half.fold(u), u_half)
+    r_full = residual(StripField(grid, u), K, eps).values
+    r_half = ansatz_module._strip_residual(u_half, kv, grid.y_grid, half.t, half.d1,
+                                           half.d2, eps)
+    merit_full = float(np.sum(r_full * r_full))
+    merit_half = float(np.sum(r_half * r_half * half.merit_weights))
+    assert merit_half == pytest.approx(merit_full, rel=1e-13)
+    energy_half = ansatz_module._strip_energy(u_half, grid.y_grid, half.d1,
+                                              half.energy_weights, eps)
+    assert energy_half == pytest.approx(strip_energy(StripField(grid, u), eps), rel=1e-13)
+
+
+def test_newton_solution_is_an_exact_mirror_image():
+    # m = 3 lies in the odd sector u(-t) = -u(t): the centre column is 0
+    K = shape_K("cos")
+    grid, _, u0 = toda_start(K, 3, 0.05)
+    rep = newton_allen_cahn(u0, K, 0.05)
+    sol = rep.solution.values
+    assert rep.residual_norms[-1] < NEWTON_TOL
+    assert rep.half_n_t == grid.n_t // 2 + 1
+    assert np.array_equal(sol[:, ::-1], -sol)
+    assert not np.any(sol[:, grid.n_t // 2])
+
+
+def test_newton_rejects_a_start_that_is_not_a_mirror_image(monkeypatch):
+    # an m = 2 stack plus 1e-6 times a bump odd in t leaves the even sector:
+    # DomainError, naming the defect, before any Newton step
+    steps = []
+    monkeypatch.setattr(ansatz_module, "_newton_steps", lambda *args: steps.append(args))
+    K = shape_K("cos")
+    grid, _, u0 = toda_start(K, 2, 0.05)
+    bump = np.broadcast_to(grid.t * np.exp(-grid.t**2), grid.shape)
+    with pytest.raises(DomainError, match=r"not a mirror image u\(-t\) = \+1 u\(t\): "
+                                          r"max\|u\(-t\) - \(\+1\) u\(t\)\| = 8\.\d+e-07 exceeds"):
+        newton_allen_cahn(StripField(grid, u0.values + 1e-6 * bump), K, 0.05)
+    assert steps == []
+
+
 def test_newton_single_layer():
     K = circle_K()
     eps = 0.05
@@ -908,22 +975,24 @@ def test_newton_two_layers_matches_toda_spacing():
 
 def test_mode_preconditioner_matches_dense_modes():
     # precondition = P^{-1}: on each y-mode k a dense solve of base - k^2 I,
-    # base = d_tt - eps^2 mean(K) t d_t + mean_y F'(u)
+    # base = d_tt - eps^2 mean(K) t d_t + mean_y F'(u), with the half strip's
+    # folded t-operators, which the banded LU must hold in its band
     K = circle_K(amp=0.2)
     eps = 0.05
     s = scales_of(eps)
     grid = default_strip_grid(K, eps, 2, n_y=16)
-    u = assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps).values
+    half = _HalfStrip.of(grid, 1)
+    u = half.fold(assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps).values)
     [kv] = _on_strip([K], grid, eps)
     kfreq = 2.0 * np.pi * np.fft.rfftfreq(16, d=grid.y_grid.spacing)
-    _, precondition = _right_preconditioned(u, grid, kv, eps)
-    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
-    base = (d2t - eps**2 * kv.mean() * (grid.t[:, None] * d1t)
+    _, precondition = _right_preconditioned(u, kv, grid.y_grid, half.t, half.d1,
+                                            half.d2, eps)
+    base = (half.d2 - eps**2 * kv.mean() * (half.t[:, None] * half.d1)
             + np.diag(np.mean(1.0 - 3.0 * u * u, axis=0)))
-    x = np.random.default_rng(4).standard_normal(grid.shape)
+    x = np.random.default_rng(4).standard_normal(u.shape)
     got = precondition(x.ravel())
     xhat = np.fft.rfft(x, axis=0)
-    refhat = np.array([np.linalg.solve(base - k * k * np.eye(grid.n_t), xhat[idx])
+    refhat = np.array([np.linalg.solve(base - k * k * np.eye(len(half.t)), xhat[idx])
                        for idx, k in enumerate(kfreq)])
     ref = np.fft.irfft(refhat, n=16, axis=0)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -957,10 +1026,10 @@ def test_right_preconditioned_operator_is_jacobian_times_inverse():
     grid = default_strip_grid(K, eps, 2, n_y=16)
     u = assemble_u0(f_from_h(toda_layers(K, 2, eps).h, s), grid, eps).values
     [kv] = _on_strip([K], grid, eps)
-    fused, precondition = _right_preconditioned(u, grid, kv, eps)
+    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
+    fused, precondition = _right_preconditioned(u, kv, grid.y_grid, grid.t, d1t, d2t, eps)
     x = np.random.default_rng(6).standard_normal(grid.shape)
     y = precondition(x.ravel())
-    d1t, d2t = _t_matrices(grid.n_t, grid.dt)
     lin = (y @ d2t.T + _spectral_derivative(y, grid.y_grid, 2, axis=0)
            - eps**2 * grid.t[None, :] * kv[:, None] * (y @ d1t.T))
     want = lin + (1.0 - 3.0 * u * u) * y
@@ -1059,11 +1128,12 @@ def test_newton_band_pass_matches_a_solve_on_the_callers_grid(shape, eps, m):
     K = shape_K(shape)
     grid, _, u0 = toda_start(K, m, eps)
     rep = newton_allen_cahn(u0, K, eps)
-    direct, _, _, inner = ansatz_module._newton_steps(u0.values, grid, K, eps)
+    half = _HalfStrip.of(grid, (-1) ** m)
+    direct, _, _, inner = ansatz_module._newton_steps(half.fold(u0.values), grid, half, K, eps)
     assert rep.band_n_y < grid.y_grid.n
     assert rep.iterations == len(inner)
     assert rep.level_curves.shape == (grid.y_grid.n, m)
-    gap = np.abs(rep.level_curves - level_sets(StripField(grid, direct))).max()
+    gap = np.abs(rep.level_curves - level_sets(StripField(grid, half.unfold(direct)))).max()
     assert gap <= 1e-9, f"level curves differ by {gap:.3e}"
     assert rep.solution.grid == grid
     assert np.abs(residual(rep.solution, K, eps).values).max() < NEWTON_TOL
@@ -1071,13 +1141,14 @@ def test_newton_band_pass_matches_a_solve_on_the_callers_grid(shape, eps, m):
 
 def test_newton_steps_run_on_the_band_rows(monkeypatch):
     # the y-band of u0 at (0.025, 3) on 1 + 0.2 cos y needs 38 rows; the
-    # default grid has 126, which only the finish on the caller's grid sees
-    rows = []
+    # default grid has 126, which only the finish on the caller's grid sees.
+    # Every step runs on the columns t >= 0 alone
+    shapes = []
     right_preconditioned = ansatz_module._right_preconditioned
 
-    def recorded(u, grid, kv, epsilon):
-        rows.append(grid.y_grid.n)
-        return right_preconditioned(u, grid, kv, epsilon)
+    def recorded(u, kv, y_grid, *operators):
+        shapes.append((y_grid.n, u.shape[1]))
+        return right_preconditioned(u, kv, y_grid, *operators)
 
     monkeypatch.setattr(ansatz_module, "_right_preconditioned", recorded)
     K = shape_K("cos")
@@ -1085,8 +1156,8 @@ def test_newton_steps_run_on_the_band_rows(monkeypatch):
     rep = newton_allen_cahn(u0, K, 0.025)
     assert grid.y_grid.n == 126
     assert rep.iterations == 8
-    assert rows == [38] * 8
-    assert (rep.band_n_y, rep.caller_grid_steps) == (38, 0)
+    assert shapes == [(38, grid.n_t // 2 + 1)] * 8
+    assert (rep.band_n_y, rep.half_n_t, rep.caller_grid_steps) == (38, grid.n_t // 2 + 1, 0)
 
 
 def test_newton_raises_at_its_step_cap(monkeypatch):
