@@ -46,12 +46,8 @@ from .geometry import (
     PeriodicField,
     PeriodicGrid,
     _fourier_multipliers,
-    _phase_table,
     _resample_rows,
     _spectral_derivative,
-    _trig_apply,
-    first_derivative,
-    second_derivative,
 )
 from .profile import SQRT2, heteroclinic, heteroclinic_derivative
 from .scales import scales_of
@@ -149,25 +145,43 @@ def _t_matrices(n_t: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return d1 / dt, d2 / (dt * dt)
 
 
-def _on_strip(fields: Sequence[PeriodicField], grid: StripGrid,
-              epsilon: float) -> list[np.ndarray]:
-    """Sample curve fields at the stretched nodes, arclength s = eps*y.
+def _curve_grid(fields: Sequence[PeriodicField]) -> PeriodicGrid:
+    """The one curve grid that every field lies on, else a DomainError."""
+    curve = fields[0].grid
+    if any(f.grid != curve for f in fields):
+        raise DomainError("strip fields must share one curve grid")
+    return curve
 
-    The fields lie on one curve grid (else a DomainError) and share one
-    `_phase_table` of the strip rows, applied to one field at a time.
+
+def _slopes(fields: Sequence[PeriodicField]) -> list[PeriodicField]:
+    """Each field's d/dy, then each field's d^2/dy^2: one spectral derivative
+    per order of the stacked fields."""
+    curve = _curve_grid(fields)
+    values = np.stack([f.values for f in fields])
+    return [PeriodicField(curve, d) for order in (1, 2)
+            for d in _spectral_derivative(values, curve, order)]
+
+
+def _on_strip(fields: Sequence[PeriodicField], grid: StripGrid,
+              epsilon: float) -> np.ndarray:
+    """Sample curve fields at the stretched nodes, arclength s = eps*y; row i
+    holds fields[i].
+
+    The fields lie on one curve grid, and the strip's y-period is the curve
+    length over epsilon (else a DomainError), so the strip rows are the
+    uniform n_y-point grid of the curve: one resample (`_resample_rows`) of
+    the stacked fields.
     """
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
-    curve = fields[0].grid
+    curve = _curve_grid(fields)
     stretched = curve.length / epsilon
     if abs(grid.y_grid.length - stretched) > 1e-8 * stretched:
         raise DomainError(
             f"strip y-period {grid.y_grid.length:.6g} is not the curve length "
             f"{curve.length:.6g} over epsilon {epsilon:.6g}")
-    if any(f.grid != curve for f in fields):
-        raise DomainError("strip fields must share one curve grid")
-    table = _phase_table(curve.n, curve.length, epsilon * grid.y_grid.points())
-    return [_trig_apply(table, f.values) for f in fields]
+    stacked = np.stack([f.values for f in fields], axis=1)
+    return _resample_rows(stacked, grid.y_grid.n).T
 
 
 def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
@@ -272,12 +286,11 @@ def _sample_layers(f: Sequence[PeriodicField], K: PeriodicField, grid: StripGrid
                    epsilon: float, *extra: PeriodicField):
     """K, each f_j, the pairs (f_j', f_j'') and the extra fields, all on the strip.
 
-    One `_on_strip` call, so every field on K's curve grid shares one table.
+    f' and f'' are one spectral derivative per order (`_slopes`), and every
+    field reaches the strip in one `_on_strip` call: one resample.
     """
     m = len(f)
-    kv, *sampled = _on_strip(
-        [K, *f, *map(first_derivative, f), *map(second_derivative, f), *extra],
-        grid, epsilon)
+    kv, *sampled = _on_strip([K, *f, *_slopes(f), *extra], grid, epsilon)
     positions = sampled[:m]
     slopes = list(zip(sampled[m:2 * m], sampled[2 * m:3 * m]))
     return kv, positions, slopes, sampled[3 * m:]
@@ -330,8 +343,9 @@ def _expansion(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
     u0 and S(u0) cover the strip. The terms, the nearest layer and the window
     of layer ell are evaluated only on its column slab: the t-columns within
     rho/2 + M of f_ell on some row (found from the least and greatest f_ell,
-    one spare column each side), outside which its window is empty. Every
-    curve field is sampled by one `_on_strip` call.
+    one spare column each side), outside which its window is empty. h' and
+    h'' are one spectral derivative per order, and every curve field reaches
+    the strip in one `_on_strip` call: one resample.
     """
     m = len(h)
     s = scales_of(epsilon)
@@ -342,8 +356,7 @@ def _expansion(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
     gaps = [PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values)))
             for lo, hi in zip(h, h[1:])]
     kv, positions, slopes, sampled = _sample_layers(
-        f, K, grid, epsilon, *h, *map(first_derivative, h), *map(second_derivative, h),
-        *gaps)
+        f, K, grid, epsilon, *h, *_slopes(h), *gaps)
     height, grad_h, lap_h = sampled[:m], sampled[m:2 * m], sampled[2 * m:3 * m]
     gap_exp = [g[:, None] for g in sampled[3 * m:]]
     stacked = np.stack(positions)

@@ -13,7 +13,10 @@ periodic Jacobi fields), which every solvability statement downstream
 relies on.
 
 All fields live on uniform periodic grids and are differentiated
-trigonometrically, so derivatives are exact on resolved Fourier modes.
+trigonometrically, so derivatives are exact on resolved Fourier modes. A
+field reaches another uniform grid of the same period (the strip rows at
+arclength eps*y, the string spectrum's finer grid, the Newton band) by one
+trigonometric resampling, `_resample_rows`.
 """
 
 from __future__ import annotations
@@ -27,31 +30,6 @@ from .errors import DomainError
 
 _POSITIVITY_GRID = 2048  # construction-time positivity check resolution
 DEGENERACY_RATIO = 1e-8  # s_min < ratio * s_max flags a degenerate Jacobi operator
-
-
-def _trig_eval(samples: np.ndarray, length: float, y: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of uniform periodic samples at y."""
-    return _trig_apply(_phase_table(len(samples), length, y), samples)
-
-
-def _phase_table(m: int, length: float, y: np.ndarray) -> np.ndarray:
-    """e^{2 pi i k y/length} for the rfft modes k of m samples, one row per point y.
-
-    Every field sampled on the same m-point grid at the same points shares it."""
-    k = np.arange(m // 2 + 1)
-    return np.exp(2j * np.pi * np.outer(np.asarray(y, dtype=float) / length, k))
-
-
-def _trig_apply(phase: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """The trigonometric interpolant of samples at the points of a `_phase_table`."""
-    m = len(samples)
-    c = np.fft.rfft(samples) / m
-    # interior modes count twice (conjugate pairs); mean once; Nyquist (m even) once
-    w = np.full(len(c), 2.0)
-    w[0] = 1.0
-    if m % 2 == 0:
-        w[-1] = 1.0
-    return (phase * (w * c)).sum(axis=1).real
 
 
 @dataclass(frozen=True)
@@ -174,11 +152,11 @@ def _spectral_derivative(values: np.ndarray, grid: PeriodicGrid, order: int,
 def _resample_rows(values: np.ndarray, n: int) -> np.ndarray:
     """Trigonometric resampling of periodic samples along axis 0 onto n rows.
 
-    Truncates or zero-pads the rfft of every column. The Nyquist mode of the
-    smaller (even) size is the cosine that `_trig_eval` puts there: its
-    coefficient doubles on the way down and halves on the way up, so
-    resampling up samples that interpolant and resampling down samples
-    the interpolant's modes below n/2 and the cosine of mode n/2.
+    Zero-pads or truncates the rfft of every column, one rfft and one irfft
+    for all of them. Going up, it samples the trigonometric interpolant,
+    whose Nyquist mode is a cosine (its coefficient halves). Going down, it
+    keeps the modes below n/2 and the cosine of mode n/2 (that coefficient
+    doubles), and drops every mode above: truncation, not aliasing.
     """
     old = values.shape[0]
     if n == old:
@@ -187,16 +165,6 @@ def _resample_rows(values: np.ndarray, n: int) -> np.ndarray:
     spec = np.fft.rfft(values, axis=0)[:keep] * (n / old)
     spec[-1] *= 2.0 if n < old else 0.5
     return np.fft.irfft(spec, n=n, axis=0)
-
-
-def first_derivative(f: PeriodicField) -> PeriodicField:
-    """Spectral periodic df/dy; Nyquist mode dropped (odd derivative)."""
-    return PeriodicField(f.grid, _spectral_derivative(f.values, f.grid, 1))
-
-
-def second_derivative(f: PeriodicField) -> PeriodicField:
-    """Spectral periodic d^2f/dy^2; exact on modes below n/2."""
-    return PeriodicField(f.grid, _spectral_derivative(f.values, f.grid, 2))
 
 
 def ell0(K: PeriodicField) -> float:

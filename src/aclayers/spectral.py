@@ -50,7 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import PeriodicField, PeriodicGrid, _trig_eval, ell0, second_derivative_matrix
+from .geometry import (
+    PeriodicField,
+    PeriodicGrid,
+    _resample_rows,
+    ell0,
+    second_derivative_matrix,
+)
 from .profile import BETA_EXACT, SQRT2
 from .scales import EPS_MAX, scales_of
 from .toda import _gap_spectrum, _symmetric_field, build_matrices, interaction_weights
@@ -234,7 +240,7 @@ def decoupled_couplings(m: int, beta: float) -> np.ndarray:
 def _squared_band(K: PeriodicField) -> int:
     """Highest Fourier mode of K^2 above 1e-13 of its mean, K^2 taken on twice
     K's grid so that no mode folds back."""
-    doubled = np.fft.irfft(np.fft.rfft(K.values), n=2 * K.grid.n)
+    doubled = _resample_rows(K.values, 2 * K.grid.n)
     c = np.abs(np.fft.rfft(doubled * doubled))
     return int(np.nonzero(c > 1e-13 * c[0])[0][-1])
 
@@ -268,7 +274,7 @@ def _sl_eigs_covering(K: PeriodicField, lam_max: float) -> np.ndarray:
     n = max(64, K.grid.n, 2 * (kappa + _squared_band(K) + 8))
     if n > K.grid.n:  # trigonometric resampling onto the finer grid
         fine = PeriodicGrid(n, K.grid.length)
-        K = PeriodicField(fine, _trig_eval(K.values, K.grid.length, fine.points()))
+        K = PeriodicField(fine, _resample_rows(K.values, n))
     return sturm_liouville_eigs(K, 2 * j_max + 1)
 
 

@@ -41,14 +41,12 @@ from aclayers.geometry import (
     PeriodicField,
     PeriodicGrid,
     _spectral_derivative,
-    _trig_eval,
-    first_derivative,
     sample_curvature,
-    second_derivative,
 )
 from aclayers.profile import SQRT2, heteroclinic, heteroclinic_derivative
 from aclayers.scales import scales_of
 from aclayers.toda import equilibrium_gap_forcing, f_from_h, solve_toda
+from trig_oracle import phase_sum
 
 TWO_PI = 2.0 * math.pi
 B1 = 2.0 * math.sqrt(2.0) / 3.0
@@ -167,7 +165,7 @@ def test_narrow_grid_rejected():
 
 
 def test_strip_fields_share_one_curve_grid():
-    # one phase table per call: a field on another curve grid is rejected
+    # one resample per call: a field on another curve grid is rejected
     K = circle_K(n=16)
     eps = 0.05
     grid = default_strip_grid(K, eps, 2)
@@ -697,8 +695,8 @@ def test_residual_report_u0_is_the_assembled_stack(eps, m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_residual_report_samples_each_layer_once(m, monkeypatch):
     # one strip call samples K, each f_j, f_j', f_j'', h_j, h_j', h_j'' and each
-    # gap exponential against one phase table; one tanh per layer gives w and w'
-    counts = {"_on_strip": 0, "_phase_table": 0, "heteroclinic": 0,
+    # gap exponential in one resample; one tanh per layer gives w and w'
+    counts = {"_on_strip": 0, "_resample_rows": 0, "heteroclinic": 0,
               "heteroclinic_derivative": 0}
     for name in counts:
         fn = getattr(ansatz_module, name)
@@ -711,7 +709,7 @@ def test_residual_report_samples_each_layer_once(m, monkeypatch):
     K = circle_K(n=64, amp=0.2)
     eps = 0.05
     residual_report(report_layers(K, m, eps), K, eps, default_strip_grid(K, eps, m))
-    assert counts["_on_strip"] == counts["_phase_table"] == 1
+    assert counts["_on_strip"] == counts["_resample_rows"] == 1
     assert counts["heteroclinic"] == m
     assert counts["heteroclinic_derivative"] == 0
 
@@ -733,8 +731,9 @@ def test_residual_report_checks_p_and_sigma_before_the_expansion(monkeypatch):
 
 
 def _full_strip_expansion(h, K, eps, grid):
-    """Reference: `_expansion` on the whole strip, one `_trig_eval` per curve
-    field, `heteroclinic_derivative` for w' and the (m, n_y, n_t) argmin."""
+    """Reference: `_expansion` on the whole strip, one `_on_strip` call and one
+    spectral derivative per curve field, `heteroclinic_derivative` for w' and
+    the (m, n_y, n_t) argmin."""
     m = len(h)
     s = scales_of(eps)
     f = f_from_h(h, s)
@@ -743,7 +742,11 @@ def _full_strip_expansion(h, K, eps, grid):
     z = grid.t[None, :]
 
     def on_strip(field):
-        return _trig_eval(field.values, field.grid.length, eps * grid.y_grid.points())
+        [values] = _on_strip([field], grid, eps)
+        return values
+
+    def derivative(field, order):
+        return PeriodicField(field.grid, _spectral_derivative(field.values, field.grid, order))
 
     kv = on_strip(K)
     positions = [on_strip(fj) for fj in f]
@@ -758,8 +761,8 @@ def _full_strip_expansion(h, K, eps, grid):
              for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
     for ell, (h_ell, f_ell, pos) in enumerate(zip(h, f, positions), start=1):
         sign = (-1.0) ** (ell - 1)
-        fp = on_strip(first_derivative(f_ell))[:, None]
-        fpp = on_strip(second_derivative(f_ell))[:, None]
+        fp = on_strip(derivative(f_ell, 1))[:, None]
+        fpp = on_strip(derivative(f_ell, 2))[:, None]
         t_loc = z - pos[:, None]
         w = heteroclinic(t_loc)
         wp = heteroclinic_derivative(t_loc)
@@ -773,8 +776,8 @@ def _full_strip_expansion(h, K, eps, grid):
         if ell <= m - 1:
             inter -= pref * gap_exp[ell - 1] * np.exp(SQRT2 * t_loc)
         height = on_strip(h_ell)
-        lap_h = on_strip(second_derivative(h_ell))
-        grad_h = on_strip(first_derivative(h_ell))
+        lap_h = on_strip(derivative(h_ell, 2))
+        grad_h = on_strip(derivative(h_ell, 1))
         f_base = (ell - (m + 1) / 2.0) * s.rho
         layer_terms = {
             "interaction": inter,
@@ -822,7 +825,7 @@ _NORMS = [(p, sigma_decay) for p in (1.0, 4.0, math.inf) for sigma_decay in (0.3
 @pytest.mark.parametrize("shape", list(_REFERENCE_K))
 @pytest.mark.parametrize("eps, n_y", _STRIPS, ids=["0.05", "0.0125", "0.05-ny160"])
 def test_residual_report_matches_the_full_strip_reference(m, shape, eps, n_y):
-    # the slabs, the cropped norms and the shared phase table keep every bit
+    # the slabs, the cropped norms and the one resample of every field keep every bit
     grid_k = PeriodicGrid(64, TWO_PI)
     y = grid_k.points()
     K = PeriodicField(grid_k, _REFERENCE_K[shape](y))
@@ -853,6 +856,43 @@ def test_residual_report_matches_the_full_strip_reference(m, shape, eps, n_y):
     assert (rep.p, rep.sigma_decay) == (p, sigma_decay)
     assert rep.u0.values.tobytes() == u0.tobytes()
     assert rep.residual.values.tobytes() == res.tobytes()
+
+
+@pytest.mark.parametrize("n_y", [16, 62, 64, 160, 502])
+def test_on_strip_is_the_phase_sum_at_the_stretched_nodes(n_y):
+    # row i is field i's trigonometric interpolant at arclength eps*y, summed
+    # up to the strip's band n_y/2: the reference curvatures and varying heights
+    eps = 0.05
+    grid_k = PeriodicGrid(64, TWO_PI)
+    y = grid_k.points()
+    fields = [PeriodicField(grid_k, shape(y)) for shape in _REFERENCE_K.values()]
+    fields += [PeriodicField(grid_k, 0.4 * (j - 2.5) + 0.3 * np.sin(y + j)
+                             + 0.1 * np.cos(2.0 * y)) for j in range(1, 5)]
+    grid = default_strip_grid(fields[0], eps, 4, n_y=n_y)
+    at = eps * grid.y_grid.points()
+    ref = np.stack([phase_sum(f.values, TWO_PI, at, band=n_y // 2) for f in fields])
+    assert np.max(np.abs(_on_strip(fields, grid, eps) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n_y", [16, 62, 64])
+def test_on_strip_truncates_the_modes_past_the_strip_band(n_y):
+    # onto fewer rows than the curve has samples, cos(k y) with n_y/2 < k < n/2
+    # resamples to 0 where the interpolant would alias it, and mode n_y/2 keeps
+    # its cosine, (-1)^i on the rows
+    eps = 0.05
+    curve = PeriodicGrid(128, TWO_PI)
+    i = np.arange(curve.n)
+
+    def mode(k, wave):
+        # k y_i reduced mod 2 pi before the wave is taken, so the samples are exact
+        return wave(TWO_PI * (k * i % curve.n) / curve.n)
+
+    grid = default_strip_grid(PeriodicField(curve, np.ones(curve.n)), eps, 2, n_y=n_y)
+    high = [PeriodicField(curve, mode(k, np.cos)) for k in range(n_y // 2 + 1, curve.n // 2)]
+    assert np.max(np.abs(_on_strip(high, grid, eps))) <= 1e-14
+    edge = PeriodicField(curve, mode(n_y // 2, np.cos) + mode(n_y // 2, np.sin))
+    [kept] = _on_strip([edge], grid, eps)
+    assert np.max(np.abs(kept - (-1.0) ** np.arange(n_y))) <= 1e-14
 
 
 @pytest.mark.parametrize("n_y", [16, 96], ids=["dy-above-1", "dy-below-1"])

@@ -13,15 +13,13 @@ from aclayers.geometry import (
     PeriodicGrid,
     _resample_rows,
     _spectral_derivative,
-    _trig_eval,
     ell0,
-    first_derivative,
     jacobi_is_degenerate,
     jacobi_singular_values,
     sample_curvature,
-    second_derivative,
     second_derivative_matrix,
 )
+from trig_oracle import phase_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,7 +32,8 @@ def jacobi_apply(f, K):
     """Jacobi operator f'' + K f on the curve; both fields share one grid."""
     if f.grid != K.grid:
         raise DomainError("fields live on different grids")
-    return PeriodicField(f.grid, second_derivative(f).values + K.values * f.values)
+    return PeriodicField(f.grid,
+                         _spectral_derivative(f.values, f.grid, 2) + K.values * f.values)
 
 
 def test_constant_curve_samples():
@@ -85,14 +84,14 @@ def test_grid_length_mismatch():
 def test_second_derivative_constant():
     g = unit_circle_grid()
     f = PeriodicField(g, np.ones(g.n))
-    assert np.max(np.abs(second_derivative(f).values)) < 1e-12
+    assert np.max(np.abs(_spectral_derivative(f.values, g, 2))) < 1e-12
 
 
 def test_second_derivative_cos_mode():
     g = unit_circle_grid()
     y = g.points()
     f = PeriodicField(g, np.cos(y))
-    assert np.max(np.abs(second_derivative(f).values + np.cos(y))) < 1e-10
+    assert np.max(np.abs(_spectral_derivative(f.values, g, 2) + np.cos(y))) < 1e-10
 
 
 def test_second_derivative_sin_mode_three():
@@ -100,7 +99,7 @@ def test_second_derivative_sin_mode_three():
     y = g.points()
     f = PeriodicField(g, np.sin(3.0 * y))
     expected = -9.0 * np.sin(3.0 * y)
-    assert np.max(np.abs(second_derivative(f).values - expected)) < 1e-10
+    assert np.max(np.abs(_spectral_derivative(f.values, g, 2) - expected)) < 1e-10
 
 
 def test_spectral_exactness_all_resolved_modes():
@@ -111,7 +110,7 @@ def test_spectral_exactness_all_resolved_modes():
         phase = rng.uniform(0.0, TWO_PI)
         f = PeriodicField(g, np.cos(TWO_PI * k * y / g.length + phase))
         om = TWO_PI * k / g.length
-        d2 = second_derivative(f).values
+        d2 = _spectral_derivative(f.values, g, 2)
         ref = -(om**2) * np.cos(TWO_PI * k * y / g.length + phase)
         assert np.max(np.abs(d2 - ref)) < 1e-10 * max(1.0, om**2)
 
@@ -122,7 +121,7 @@ def test_first_derivative_modes():
     om = TWO_PI * 2.0 / g.length
     f = PeriodicField(g, np.sin(om * y))
     ref = om * np.cos(om * y)
-    assert np.max(np.abs(first_derivative(f).values - ref)) < 1e-10 * om
+    assert np.max(np.abs(_spectral_derivative(f.values, g, 1) - ref)) < 1e-10 * om
 
 
 def test_jacobi_zero_field():
@@ -188,7 +187,7 @@ def test_sampled_curvature_roundtrip():
     base = PeriodicGrid(n=32, length=TWO_PI)
     y = base.points()
     raw = 1.0 + 0.25 * np.cos(y) + 0.1 * np.sin(2.0 * y)
-    curve = ClosedCurve(TWO_PI, lambda y: _trig_eval(raw, TWO_PI, y))
+    curve = ClosedCurve(TWO_PI, lambda y: phase_sum(raw, TWO_PI, y))
     fine = PeriodicGrid(n=128, length=TWO_PI)
     vals = sample_curvature(curve, fine).values
     yf = fine.points()
@@ -200,16 +199,15 @@ def test_second_derivative_matrix_matches_transform():
     g = PeriodicGrid(n=32, length=4.0)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(g.n)
-    f = PeriodicField(g, v)
     d2 = second_derivative_matrix(g)
-    assert d2 @ v == pytest.approx(second_derivative(f).values, rel=1e-12, abs=1e-12)
+    assert d2 @ v == pytest.approx(_spectral_derivative(v, g, 2), rel=1e-12, abs=1e-12)
 
     # a smooth field on a larger grid; matvec roundoff scales with |D2| |f|
     g = PeriodicGrid(n=184, length=3.0)
     f = PeriodicField(g, np.exp(np.sin(2.0 * np.pi * g.points() / g.length)))
     d2 = second_derivative_matrix(g)
     tol = 1e-14 * np.max(np.abs(d2)) * np.max(np.abs(f.values))
-    assert np.max(np.abs(d2 @ f.values - second_derivative(f).values)) <= tol
+    assert np.max(np.abs(d2 @ f.values - _spectral_derivative(f.values, g, 2))) <= tol
 
 
 @pytest.mark.parametrize("n, count", [(62, 207), (502, 287), (16, 21)])
@@ -217,23 +215,23 @@ def test_batched_derivative_matches_per_field(n, count):
     # one FFT along an axis gives each slice's derivative bit for bit
     g = PeriodicGrid(n=n, length=4.0 * n)
     vals = np.random.default_rng(n).standard_normal((n, count))
-    for order, one in ((1, first_derivative), (2, second_derivative)):
-        cols = np.column_stack([one(PeriodicField(g, c)).values for c in vals.T])
+    for order in (1, 2):
+        cols = np.column_stack([_spectral_derivative(c, g, order) for c in vals.T])
         assert np.array_equal(_spectral_derivative(vals, g, order, axis=0), cols)
-        rows = np.stack([one(PeriodicField(g, r)).values for r in vals.T])
+        rows = np.stack([_spectral_derivative(r, g, order) for r in vals.T])
         assert np.array_equal(_spectral_derivative(vals.T, g, order, axis=1), rows)
 
 
 def test_resample_rows_is_trig_interpolation():
     # up: every column of random samples, Nyquist mode included, lands on the
-    # interpolant that _trig_eval evaluates; down: a column whose modes stop
+    # interpolant that the phase sum evaluates; down: a column whose modes stop
     # at n/2 is sampled exactly, since sin(n y/2) vanishes on the n nodes
     length = 40.0
     small, large = PeriodicGrid(n=38, length=length), PeriodicGrid(n=126, length=length)
     rng = np.random.default_rng(12)
     coarse = rng.standard_normal((small.n, 5))
     up = _resample_rows(coarse, large.n)
-    ref = np.column_stack([_trig_eval(c, length, large.points()) for c in coarse.T])
+    ref = np.column_stack([phase_sum(c, length, large.points()) for c in coarse.T])
     assert np.max(np.abs(up - ref)) <= 1e-13
     assert np.max(np.abs(_resample_rows(up, small.n) - coarse)) <= 1e-13
 

@@ -16,9 +16,8 @@ from aclayers.geometry import (
     PeriodicField,
     PeriodicGrid,
     _fourier_multipliers,
-    _trig_eval,
+    _spectral_derivative,
     ell0,
-    second_derivative,
     second_derivative_matrix,
 )
 from aclayers.profile import BETA_EXACT, SQRT2
@@ -36,6 +35,7 @@ from aclayers.spectral import (
     sturm_liouville_eigs,
     weyl_count,
 )
+import aclayers.spectral as spectral_module
 import aclayers.toda as toda_module
 from aclayers.toda import (
     _SPLIT_RTOL,
@@ -47,6 +47,7 @@ from aclayers.toda import (
     first_order_profile,
     solve_toda,
 )
+from trig_oracle import phase_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -559,7 +560,7 @@ def covering_reference(K, lam_max):
     j_max = int(math.ceil(ell0(K) / TWO_PI * math.sqrt(1.3 * lam_max + 10.0))) + 3
     n = max(K.grid.n, 8 * j_max)
     fine = PeriodicGrid(n, K.grid.length)
-    K_fine = PeriodicField(fine, _trig_eval(K.values, K.grid.length, fine.points()))
+    K_fine = PeriodicField(fine, phase_sum(K.values, K.grid.length, fine.points()))
     return sturm_liouville_eigs(K_fine, 2 * j_max + 1)
 
 
@@ -592,6 +593,23 @@ def test_covering_grid_size_is_pinned(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: seen.append(H.shape) or eigvalsh(H))
     _sl_eigs_covering(K, lam_max)
     assert seen == [(304, 304)]
+
+
+# exp-cos-512's own samples already cover the spectrum: no finer grid
+@pytest.mark.parametrize("shape", sorted(set(COVERING_SHAPES) - {"exp-cos-512"}))
+def test_covering_spectrum_resamples_K_to_the_phase_sum(shape, monkeypatch):
+    # the finer grid's K is the trigonometric interpolant of K's samples
+    K = COVERING_SHAPES[shape]()
+    lam_max = float(np.max(decoupled_couplings(4, BETA_EXACT))) / scales_of(0.00625).sigma
+    seen = []
+    eigs = spectral_module.sturm_liouville_eigs
+    monkeypatch.setattr(spectral_module, "sturm_liouville_eigs",
+                        lambda K_fine, count: seen.append(K_fine) or eigs(K_fine, count))
+    _sl_eigs_covering(K, lam_max)
+    [K_fine] = seen
+    assert K_fine.grid.n > K.grid.n
+    ref = phase_sum(K.values, K.grid.length, K_fine.grid.points())
+    assert np.max(np.abs(K_fine.values - ref)) <= 1e-14
 
 
 # --- liouville transform: the normal-form oracle for sturm_liouville_eigs ---
@@ -628,8 +646,8 @@ def liouville_transform(K, n_t=256):
         return (math.pi / ell_0) * (mean * y + osc)
 
     # potential in y-variables, spectrally differentiated
-    psi = PeriodicField(grid, K.values ** -0.25)
-    q_y = (ell_0**2 / math.pi**2) * second_derivative(psi).values / (psi.values * K.values)
+    psi = K.values ** -0.25
+    q_y = (ell_0**2 / math.pi**2) * _spectral_derivative(psi, grid, 2) / (psi * K.values)
 
     # invert the monotone map t(y) on a uniform t-grid
     t_grid = np.arange(n_t) * (math.pi / n_t)
@@ -637,7 +655,7 @@ def liouville_transform(K, n_t=256):
     for i in range(1, n_t):
         y_at_t[i] = brentq(lambda y: t_of_y(y) - t_grid[i], y_at_t[i - 1], grid.length,
                            xtol=1e-13)
-    return LiouvilleData(ell0=ell_0, q=_trig_eval(q_y, grid.length, y_at_t))
+    return LiouvilleData(ell0=ell_0, q=phase_sum(q_y, grid.length, y_at_t))
 
 
 def liouville_eigs(data, count):
