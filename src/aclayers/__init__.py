@@ -36,10 +36,10 @@ from .spectral import (
     ResonanceReport,
     ScanResult,
     assemble_A,
+    dyadic_search,
     eigs_L_sigma,
     monotonicity_check,
     resonance_margin,
-    resonant_sigmas,
     scan_epsilons,
     weyl_count,
 )

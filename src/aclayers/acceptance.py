@@ -47,11 +47,10 @@ from .profile import (
 )
 from .scales import rho_expansion, scales_of, solve_rho
 from .spectral import (
-    admissible_sigma_in,
     assemble_A,
+    dyadic_search,
     monotonicity_check,
     resonance_margin,
-    resonant_sigmas,
     sturm_liouville_eigs,
     weyl_count,
 )
@@ -240,27 +239,16 @@ def check_monotonicity() -> tuple[bool, str]:
 def check_resonance_structure() -> tuple[bool, str]:
     """Detected resonances match mu/j^2; every dyadic band has a safe point."""
     K = _circle_K(128)
-    vals = resonant_sigmas(K, 2, sigma_min=1e-3, sigma_max=1e-1)
+    vals, best = dyadic_search(1e-3, 1e-1, K, 2, c_gap=0.1)
     oracle = np.array(sorted(24.0 / j**2 for j in range(16, 155)))
     oracle = oracle[(oracle >= 1e-3) & (oracle <= 1e-1)]
     match = max(
         max(float(np.min(np.abs(vals - o)) / o) for o in oracle),
         max(float(np.min(np.abs(oracle - v)) / v) for v in vals),
     )
-    bands_ok = True
-    k = 3
-    covered = 0
-    while 2.0 ** (-k - 1) < 1e-1:
-        lo = max(2.0 ** (-k - 1), 1e-3)
-        hi = min(2.0 ** (-k), 1e-1)
-        if hi <= lo:
-            break
-        found = admissible_sigma_in(lo, hi, K, 2, c_gap=0.1)
-        bands_ok = bands_ok and found is not None
-        covered += 1
-        k += 1
+    bands_ok = all(found is not None for found in best.values())
     details = (f"worst resonance mismatch {match:.2e}, "
-               f"{covered} dyadic bands admissible: {bands_ok}")
+               f"{len(best)} dyadic bands admissible: {bands_ok}")
     return match < 1e-6 and bands_ok, details
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -121,27 +120,21 @@ _D1_W = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2_W = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
 
-# bounded like toda.build_matrices: a sweep over many eps or m builds a new
-# (n_t, dt) pair per grid, and each pair holds two dense n_t x n_t arrays
-@lru_cache(maxsize=16)
 def _t_matrices(n_t: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense d/dt and d^2/dt^2 with even-reflection closure at both ends.
 
     Ghost values u(t_{-k}) = u(t_k) and u(t_{last+k}) = u(t_{last-k}) realize
-    homogeneous Neumann conditions while keeping the interior order.
+    homogeneous Neumann conditions while keeping the interior order. The
+    weights scatter row by row, offset by offset: folded ones add in order.
     """
+    last = n_t - 1
+    rows = np.repeat(np.arange(n_t), 2 * _BAND + 1)
+    cols = (np.arange(n_t)[:, None] + np.arange(-_BAND, _BAND + 1)).ravel()
+    cols = np.where(cols < 0, -cols, np.where(cols > last, 2 * last - cols, cols))
     d1 = np.zeros((n_t, n_t))
     d2 = np.zeros((n_t, n_t))
-    last = n_t - 1
-    for i in range(n_t):
-        for s in range(-3, 4):
-            j = i + s
-            if j < 0:
-                j = -j
-            elif j > last:
-                j = 2 * last - j
-            d1[i, j] += _D1_W[s + 3]
-            d2[i, j] += _D2_W[s + 3]
+    np.add.at(d1, (rows, cols), np.tile(_D1_W, n_t))
+    np.add.at(d2, (rows, cols), np.tile(_D2_W, n_t))
     return d1 / dt, d2 / (dt * dt)
 
 

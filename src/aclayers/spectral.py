@@ -13,9 +13,10 @@ the direct sum over the m - 1 decoupled channels
 
     -sigma d^2/dy^2 - (sigma + mu_i) K(y),
 
-with mu_i the eigenvalues of (beta/sqrt(2)) C^{1/2} diag(a) C^{1/2}: channel i
-has a zero eigenvalue when 1 + sigma^{-1} mu_i is an eigenvalue lambda_j of
-the curvature-weighted string problem -phi'' = lambda K phi. `eigs_L_sigma`
+with mu_i = (beta/sqrt(2)) i (i + 1), the eigenvalues of (beta/sqrt(2))
+C^{1/2} diag(a) C^{1/2} in closed form: channel i has a zero eigenvalue
+when 1 + sigma^{-1} mu_i is an eigenvalue lambda_j of the
+curvature-weighted string problem -phi'' = lambda K phi. `eigs_L_sigma`
 takes the spectrum group by group of the channels that A couples in the
 eigenbasis of its mean along the curve: channel by channel at v^1, and in
 closed form, sigma (2 pi j/ell)^2 - (sigma + mu_i) K over the grid's modes j,
@@ -28,8 +29,8 @@ monotonicity bounds in sigma, counts modes Weyl-style and scans for
 admissible parameters. The string spectrum is the closed form (2 pi j/ell)^2/K
 for constant K, else one standard symmetric eigvalsh on a grid sized by the
 WKB wavenumber of its highest covered mode (the tests check it against the
-Liouville normal form and a finer grid); a scan reads all its margins
-from one covering spectrum.
+Liouville normal form and a finer grid); a scan, or a `dyadic_search` of a
+sigma range, reads all its resonances and margins from one covering spectrum.
 
 Two operators carry the name L_sigma. `resonance_margin`, the scans and the
 CLI's `spectrum` measure the normalized one, A at the first-order profile
@@ -59,7 +60,7 @@ from .geometry import (
 )
 from .profile import BETA_EXACT, SQRT2
 from .scales import EPS_MAX, scales_of
-from .toda import _gap_spectrum, _symmetric_field, build_matrices, interaction_weights
+from .toda import _gap_spectrum, _symmetric_field
 
 DEFAULT_C_GAP = 0.5
 _TIE_RTOL = 1e-12
@@ -229,12 +230,12 @@ def sturm_liouville_eigs(K: PeriodicField, count: int) -> np.ndarray:
 
 
 def decoupled_couplings(m: int, beta: float) -> np.ndarray:
-    """mu_i = (beta/sqrt(2)) Lambda_i, eigenvalues of C^{1/2} diag(a) C^{1/2}."""
-    C_sqrt = build_matrices(m)
-    a = interaction_weights(m)
-    Q = C_sqrt @ np.diag(a.astype(float)) @ C_sqrt
-    lam = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    return (beta / SQRT2) * lam
+    """mu_i = (beta/sqrt(2)) i (i + 1) for i = 1..m-1, ascending: the eigenvalues
+    of (beta/sqrt(2)) C^{1/2} diag(a) C^{1/2}, in closed form."""
+    if m < 2:
+        raise DomainError(f"need at least 2 layers, got m={m}")
+    i = np.arange(1.0, m)
+    return (beta / SQRT2) * (i * (i + 1.0))
 
 
 def _squared_band(K: PeriodicField) -> int:
@@ -282,14 +283,6 @@ def _margins(mu: np.ndarray, sigma: float, lam: np.ndarray) -> np.ndarray:
     return np.abs(mu[:, None] / sigma - lam[None, :]) * math.sqrt(sigma)
 
 
-def _resonances(K: PeriodicField, mu: np.ndarray, lo: float,
-                hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct mu_i / lambda_j (lambda_j > 0) in [lo, hi]; the spectrum used."""
-    lam = _sl_eigs_covering(K, float(np.max(mu)) / lo)
-    vals = (mu[:, None] / lam[None, lam > 1e-9]).ravel()
-    return np.unique(vals[(vals >= lo) & (vals <= hi)]), lam
-
-
 @dataclass(frozen=True)
 class ResonanceReport:
     """Scaled distances of sigma^{-1} mu_i to the weighted string spectrum."""
@@ -320,33 +313,37 @@ def resonance_margin(epsilon: float, K: PeriodicField, m: int,
                            admissible=bool(scan.admissible[0]))
 
 
-def resonant_sigmas(K: PeriodicField, m: int, sigma_min: float, sigma_max: float) -> np.ndarray:
-    """All couplings sigma* = mu_i / lambda_j falling in [sigma_min, sigma_max]."""
+def dyadic_search(sigma_min: float, sigma_max: float, K: PeriodicField, m: int,
+                  c_gap: float) -> tuple[np.ndarray, dict]:
+    """Resonant couplings in [sigma_min, sigma_max] and the best admissible
+    coupling of each dyadic band there, all read from one string spectrum.
+
+    resonances are the sorted distinct sigma* = mu_i / lambda_j
+    (lambda_j > 1e-9) in [sigma_min, sigma_max]. best maps k =
+    floor(-log2 sigma), as in `scan_epsilons`, to the band
+    [2^-(k+1), 2^-k] clipped to that range: its candidates are the midpoints
+    between consecutive knots (the band's ends and its resonances), the one
+    of largest scaled margin wins (the first of equal maxima), and the value
+    is (sigma, margin), or None when that margin is below c_gap.
+    """
     if not 0.0 < sigma_min < sigma_max:
         raise DomainError("need 0 < sigma_min < sigma_max")
     mu = decoupled_couplings(m, BETA_EXACT)
-    return _resonances(K, mu, sigma_min, sigma_max)[0]
-
-
-def admissible_sigma_in(sigma_lo: float, sigma_hi: float, K: PeriodicField,
-                        m: int, c_gap: float) -> tuple[float, float] | None:
-    """Best admissible coupling inside [sigma_lo, sigma_hi], or None.
-
-    Candidates are the midpoints between consecutive resonant couplings
-    (interval endpoints included); the candidate maximizing the scaled margin
-    wins. Returns (sigma, margin) when the margin clears c_gap.
-    """
-    if not 0.0 < sigma_lo < sigma_hi:
-        raise DomainError("need 0 < sigma_lo < sigma_hi")
-    mu = decoupled_couplings(m, BETA_EXACT)
-    res, lam = _resonances(K, mu, sigma_lo, sigma_hi)
-    knots = np.concatenate([[sigma_lo], res, [sigma_hi]])
-    cands = 0.5 * (knots[:-1] + knots[1:])
-    margins = [float(np.min(_margins(mu, float(sg), lam))) for sg in cands]
-    best = int(np.argmax(margins))  # first of equal maxima
-    if margins[best] >= c_gap:
-        return float(cands[best]), margins[best]
-    return None
+    lam = _sl_eigs_covering(K, float(np.max(mu)) / sigma_min)
+    vals = (mu[:, None] / lam[None, lam > 1e-9]).ravel()
+    resonances = np.unique(vals[(vals >= sigma_min) & (vals <= sigma_max)])
+    best: dict = {}
+    k = int(math.floor(-math.log2(sigma_max)))
+    while 2.0 ** -k > sigma_min:
+        lo, hi = max(2.0 ** (-k - 1), sigma_min), min(2.0 ** -k, sigma_max)
+        inside = resonances[(resonances >= lo) & (resonances <= hi)]
+        knots = np.concatenate([[lo], inside, [hi]])
+        cands = 0.5 * (knots[:-1] + knots[1:])
+        margins = [float(np.min(_margins(mu, float(sg), lam))) for sg in cands]
+        i = int(np.argmax(margins))  # first of equal maxima
+        best[k] = (float(cands[i]), margins[i]) if margins[i] >= c_gap else None
+        k += 1
+    return resonances, best
 
 
 @dataclass(frozen=True)

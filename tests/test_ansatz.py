@@ -224,18 +224,33 @@ def test_operator_drift_sign():
     assert err < 1e-5
 
 
-def test_t_matrices_cache_is_bounded():
-    # an eps sweep builds one (n_t, dt) pair per grid; the cache keeps at
-    # most 16, and what it hands out equals a fresh build
+def stencil_loop(n_t, dt):
+    """d/dt and d^2/dt^2 built weight by weight: row by row, stencil offset by
+    offset, with the even reflection at both ends."""
+    w1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+    w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+    d1 = np.zeros((n_t, n_t))
+    d2 = np.zeros((n_t, n_t))
+    last = n_t - 1
+    for i in range(n_t):
+        for s in range(-3, 4):
+            j = i + s
+            j = -j if j < 0 else (2 * last - j if j > last else j)
+            d1[i, j] += w1[s + 3]
+            d2[i, j] += w2[s + 3]
+    return d1 / dt, d2 / (dt * dt)
+
+
+def test_t_matrices_match_the_stencil_loop():
+    # the one scatter adds every weight in the loop's order: equal bit for bit,
+    # on strip grids of an eps sweep and on the smallest t-grids
     K = circle_K()
     keys = {(g.n_t, g.dt) for g in (default_strip_grid(K, float(eps), 2, n_y=16)
                                     for eps in np.linspace(0.02, 0.15, 20))}
     assert len(keys) == 20
-    for n_t, dt in sorted(keys):
-        got = _t_matrices(n_t, dt)
-        assert _t_matrices.cache_info().currsize <= 16
-        for cached, fresh in zip(got, _t_matrices.__wrapped__(n_t, dt)):
-            assert np.array_equal(cached, fresh)
+    for n_t, dt in sorted(keys) + [(4, 0.5), (7, 0.25)]:
+        for got, want in zip(_t_matrices(n_t, dt), stencil_loop(n_t, dt)):
+            assert np.array_equal(got, want)
 
 
 def test_residual_constant_state():
@@ -1221,6 +1236,29 @@ def test_newton_stalled_gmres_cycle_fails_fast(m, eps):
                        match=r"^Newton step solve stalled \(GMRES restart cycle \d+ left "
                              r"[0-9.e+-]+ of the residual\) at iteration \d+$"):
         newton_allen_cahn(u0, K, eps)
+
+
+def test_newton_gmres_cycle_rule_on_a_cyclic_shift(monkeypatch):
+    # J P^-1 a cyclic shift of the unknowns and R one unit entry: every Krylov
+    # vector of a cycle shorter than the system is orthogonal to R, so the
+    # first restart cycle leaves all of the residual, whatever the round-off
+    K = shape_K("cos")
+    grid = default_strip_grid(K, 0.05, 2, n_y=16)
+    half = _HalfStrip.of(grid, 1)
+    u = np.zeros((16, half.t.size))
+    assert u.size > 60  # more unknowns than one restart cycle's 60 vectors
+
+    def unit_residual(vals, *_):
+        res = np.zeros_like(vals)
+        res[0, 0] = 1.0
+        return res
+
+    monkeypatch.setattr(ansatz_module, "_strip_residual", unit_residual)
+    monkeypatch.setattr(ansatz_module, "_right_preconditioned",
+                        lambda *_: (lambda x: np.roll(x, 1), lambda x: x))
+    with pytest.raises(ConvergenceError,
+                       match=r"GMRES restart cycle 1 left 1 of the residual\) at iteration 0$"):
+        ansatz_module._newton_steps(u, grid, half, K, 0.05)
 
 
 # layer positions against the reduction on 1 + 0.2 cos y. Measured: slopes

@@ -12,6 +12,7 @@ import pytest
 
 import aclayers
 from aclayers import DomainError
+from aclayers.acceptance import check_resonance_structure
 from aclayers.geometry import (
     PeriodicField,
     PeriodicGrid,
@@ -24,13 +25,12 @@ from aclayers.profile import BETA_EXACT, SQRT2
 from aclayers.scales import scales_of
 from aclayers.spectral import (
     _sl_eigs_covering,
-    admissible_sigma_in,
     assemble_A,
     decoupled_couplings,
+    dyadic_search,
     eigs_L_sigma,
     monotonicity_check,
     resonance_margin,
-    resonant_sigmas,
     scan_epsilons,
     sturm_liouville_eigs,
     weyl_count,
@@ -45,6 +45,7 @@ from aclayers.toda import (
     build_matrices,
     equilibrium_gap_forcing,
     first_order_profile,
+    interaction_weights,
     solve_toda,
 )
 from trig_oracle import phase_sum
@@ -705,10 +706,25 @@ def test_decoupled_couplings_m2_m3():
     assert decoupled_couplings(3, BETA_EXACT) == pytest.approx([24.0, 72.0], rel=1e-12)
 
 
+def test_decoupled_couplings_are_the_matrix_eigenvalues():
+    for m in range(2, 41):
+        C_sqrt = build_matrices(m)
+        Q = C_sqrt @ np.diag(interaction_weights(m).astype(float)) @ C_sqrt
+        oracle = (BETA_EXACT / SQRT2) * np.linalg.eigvalsh(0.5 * (Q + Q.T))
+        got = decoupled_couplings(m, BETA_EXACT)
+        assert got.shape == (m - 1,)
+        assert np.max(np.abs(got - oracle) / oracle) < 1e-12, m
+
+
+def test_decoupled_couplings_reject_one_layer():
+    with pytest.raises(DomainError):
+        decoupled_couplings(1, BETA_EXACT)
+
+
 def test_resonant_sigmas_match_ratios():
     # on the unit circle lambda_j = j^2: resonances exactly at mu_i/j^2
     K = unit_K(128)
-    vals = resonant_sigmas(K, 2, sigma_min=1e-3, sigma_max=1e-1)
+    vals, _ = dyadic_search(1e-3, 1e-1, K, 2, c_gap=0.1)
     oracle = np.array(sorted(24.0 / j**2 for j in range(16, 155)))
     oracle = oracle[(oracle >= 1e-3) & (oracle <= 1e-1)]
     for o in oracle:
@@ -788,8 +804,8 @@ def test_resonance_margin_monotone_in_cgap():
 
 
 @pytest.mark.parametrize("call", [
-    lambda K: resonant_sigmas(K, 2, sigma_min=0.0, sigma_max=1.0),
-    lambda K: resonant_sigmas(K, 2, sigma_min=0.5, sigma_max=0.1),
+    lambda K: dyadic_search(0.0, 1.0, K, 2, c_gap=0.1),
+    lambda K: dyadic_search(0.5, 0.1, K, 2, c_gap=0.1),
 ], ids=["sigma-min-zero", "sigma-range-reversed"])
 def test_sigma_entry_points_reject_bad_couplings(call):
     with pytest.raises(DomainError):
@@ -797,24 +813,66 @@ def test_sigma_entry_points_reject_bad_couplings(call):
 
 
 def test_admissible_sigma_in_dyadic():
+    # [0.025, 0.05] holds the clipped bands k = 4 and 5, each with a safe point
     K = unit_K(128)
-    hit = admissible_sigma_in(0.025, 0.05, K, 2, c_gap=0.1)
-    assert hit is not None
-    sg, margin = hit
-    assert 0.025 <= sg <= 0.05
-    assert margin >= 0.1
+    _, best = dyadic_search(0.025, 0.05, K, 2, c_gap=0.1)
+    assert sorted(best) == [4, 5]
+    for k, hit in best.items():
+        assert hit is not None
+        sg, margin = hit
+        assert max(2.0 ** (-k - 1), 0.025) <= sg <= min(2.0 ** -k, 0.05)
+        assert margin >= 0.1
+
+
+def per_band_search(lo, hi, K, m, c_gap):
+    """One band's best coupling from fresh spectra: the band's resonances from
+    a spectrum covering lo, each candidate's margin from its own spectrum."""
+    mu = decoupled_couplings(m, BETA_EXACT)
+    lam = _sl_eigs_covering(K, float(np.max(mu)) / lo)
+    ratios = (mu[:, None] / lam[None, lam > 1e-9]).ravel()
+    knots = np.concatenate([[lo], np.unique(ratios[(ratios >= lo) & (ratios <= hi)]), [hi]])
+    cands = 0.5 * (knots[:-1] + knots[1:])
+    margins = [sigma_margin(float(sg), K, m, BETA_EXACT)[0] for sg in cands]
+    best = int(np.argmax(margins))
+    return (cands[best], margins[best]) if margins[best] >= c_gap else None
 
 
 def test_admissible_sigma_in_matches_per_candidate_margins():
-    # one shared spectrum gives what a fresh sigma_margin per candidate gives
-    K = wavy_K(64, amp=0.2)
-    for lo, hi, m in ((0.025, 0.05, 2), (0.01, 0.02, 3)):
-        knots = np.concatenate([[lo], resonant_sigmas(K, m, lo, hi), [hi]])
-        cands = 0.5 * (knots[:-1] + knots[1:])
-        margins = [sigma_margin(float(sg), K, m, BETA_EXACT)[0] for sg in cands]
-        best = int(np.argmax(margins))
-        got = admissible_sigma_in(lo, hi, K, m, c_gap=0.0)
-        assert got == pytest.approx((cands[best], margins[best]), rel=1e-10)
+    # one shared spectrum gives each band what fresh spectra per band and per
+    # candidate give; at c_gap 4.8 and 4.75 the bands k = 3, 4 and 6 (wavy, m
+    # 3) and k = 3, 4 (B) miss it, and must be None alike
+    for shape, m, sigma_min, sigma_max, c_gap in (("wavy-0.2", 2, 0.025, 0.05, 0.0),
+                                                  ("wavy-0.2", 3, 0.01, 0.02, 0.0),
+                                                  ("wavy-0.2", 3, 4e-3, 0.1, 4.8),
+                                                  ("B", 4, 8e-3, 0.1, 4.75),
+                                                  ("unit", 2, 1e-3, 0.1, 0.1)):
+        K = unit_K(128) if shape == "unit" else COVERING_SHAPES[shape]()
+        _, best = dyadic_search(sigma_min, sigma_max, K, m, c_gap)
+        assert sorted(best) == list(range(math.floor(-math.log2(sigma_max)),
+                                          math.floor(-math.log2(sigma_min)) + 1))
+        for k, got in best.items():
+            want = per_band_search(max(2.0 ** (-k - 1), sigma_min),
+                                   min(2.0 ** -k, sigma_max), K, m, c_gap)
+            assert (got is None) == (want is None), (shape, m, k, got, want)
+            if got is not None:
+                assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_dyadic_search_solves_one_string_spectrum(monkeypatch):
+    calls = []
+
+    def counted(K, lam_max):
+        calls.append(lam_max)
+        return _sl_eigs_covering(K, lam_max)
+
+    monkeypatch.setattr(spectral_module, "_sl_eigs_covering", counted)
+    _, best = dyadic_search(1e-3, 1e-1, wavy_K(64, amp=0.2), 3, c_gap=1.0)
+    assert len(best) == 7
+    assert calls == [float(np.max(decoupled_couplings(3, BETA_EXACT))) / 1e-3]
+    # the resonance-structure criterion searches its seven bands the same way
+    calls.clear()
+    assert check_resonance_structure().passed
+    assert calls == [float(np.max(decoupled_couplings(2, BETA_EXACT))) / 1e-3]
 
 
 @pytest.mark.parametrize("values, m", [
