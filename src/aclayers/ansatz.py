@@ -146,15 +146,6 @@ def _curve_grid(fields: Sequence[PeriodicField]) -> PeriodicGrid:
     return curve
 
 
-def _slopes(fields: Sequence[PeriodicField]) -> list[PeriodicField]:
-    """Each field's d/dy, then each field's d^2/dy^2: one spectral derivative
-    per order of the stacked fields."""
-    curve = _curve_grid(fields)
-    values = np.stack([f.values for f in fields])
-    return [PeriodicField(curve, d) for order in (1, 2)
-            for d in _spectral_derivative(values, curve, order)]
-
-
 def _on_strip(fields: Sequence[PeriodicField], grid: StripGrid,
               epsilon: float) -> np.ndarray:
     """Sample curve fields at the stretched nodes, arclength s = eps*y; row i
@@ -276,17 +267,19 @@ def _layer_shares(positions: Sequence[np.ndarray],
 
 
 def _sample_layers(f: Sequence[PeriodicField], K: PeriodicField, grid: StripGrid,
-                   epsilon: float, *extra: PeriodicField):
-    """K, each f_j, the pairs (f_j', f_j'') and the extra fields, all on the strip.
+                   epsilon: float):
+    """K, each f_j and the pairs (f_j', f_j''), all on the strip.
 
-    f' and f'' are one spectral derivative per order (`_slopes`), and every
-    field reaches the strip in one `_on_strip` call: one resample.
+    f' and f'' are one spectral derivative per order of the stacked f, and
+    every field reaches the strip in one `_on_strip` call: one resample.
     """
     m = len(f)
-    kv, *sampled = _on_strip([K, *f, *_slopes(f), *extra], grid, epsilon)
-    positions = sampled[:m]
-    slopes = list(zip(sampled[m:2 * m], sampled[2 * m:3 * m]))
-    return kv, positions, slopes, sampled[3 * m:]
+    curve = _curve_grid(f)
+    values = np.stack([fj.values for fj in f])
+    slopes = [PeriodicField(curve, d) for order in (1, 2)
+              for d in _spectral_derivative(values, curve, order)]
+    kv, *sampled = _on_strip([K, *f, *slopes], grid, epsilon)
+    return kv, sampled[:m], list(zip(sampled[m:2 * m], sampled[2 * m:]))
 
 
 def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
@@ -305,7 +298,7 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     m = len(f)
     if m < 1:
         raise DomainError("need at least one layer position")
-    kv, positions, slopes, _ = _sample_layers(f, K, grid, epsilon)
+    kv, positions, slopes = _sample_layers(f, K, grid, epsilon)
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     out = np.zeros(grid.shape)
     layers = _layer_shares(positions, slopes, grid, kv, epsilon)
@@ -316,9 +309,9 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     return StripField(grid, out)
 
 
-def _expansion(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
+def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
                grid: StripGrid):
-    """u0 and S(u0) of the stack on the heights h, and the expansion near each layer.
+    """u0 and S(u0) of the stack on the positions f, and the expansion near each layer.
 
     Returns (u0, S(u0), terms, in_window). Each term field is that term of every
     layer ell on its own part of the disjoint nearest-layer partition of the
@@ -331,28 +324,25 @@ def _expansion(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
       curvature:   -eps^2 (t + fbase_ell) K w';
       jacobi:      -eps^2 (h_ell'' + K h_ell) w';
       gradient_sq: +eps^2 (h_ell')^2 w''.
-    Here t = z - f_ell is the local coordinate and fbase_ell = (ell - (m+1)/2) rho.
+    Here t = z - f_ell is the local coordinate, fbase_ell = (ell - (m+1)/2) rho
+    and h_ell = f_ell - fbase_ell the height, so h_ell' = f_ell', h_ell'' =
+    f_ell'' and h_{l+1} - h_l = f_{l+1} - f_l - rho.
 
     u0 and S(u0) cover the strip. The terms, the nearest layer and the window
     of layer ell are evaluated only on its column slab: the t-columns within
     rho/2 + M of f_ell on some row (found from the least and greatest f_ell,
-    one spare column each side), outside which its window is empty. h' and
-    h'' are one spectral derivative per order, and every curve field reaches
-    the strip in one `_on_strip` call: one resample.
+    one spare column each side), outside which its window is empty. Every
+    term is read off the sampled K, f, f' and f'' (`_sample_layers`): one
+    resample of 1 + 3m curve fields.
     """
-    m = len(h)
+    m = len(f)
     s = scales_of(epsilon)
     _check_window(grid, m, s.rho)
-    f = f_from_h(h, s)
     window = 0.5 * s.rho + M_BUDGET
     e2 = epsilon * epsilon
-    gaps = [PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values)))
-            for lo, hi in zip(h, h[1:])]
-    kv, positions, slopes, sampled = _sample_layers(
-        f, K, grid, epsilon, *h, *_slopes(h), *gaps)
-    height, grad_h, lap_h = sampled[:m], sampled[m:2 * m], sampled[2 * m:3 * m]
-    gap_exp = [g[:, None] for g in sampled[3 * m:]]
+    kv, positions, slopes = _sample_layers(f, K, grid, epsilon)
     stacked = np.stack(positions)
+    gap_exp = np.exp(-SQRT2 * (np.diff(stacked, axis=0) - s.rho))[:, :, None]
     t = grid.t
 
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
@@ -378,11 +368,12 @@ def _expansion(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: float,
         if ell <= m - 1:
             inter -= pref * gap_exp[ell - 1] * np.exp(SQRT2 * t_loc)
         f_base = (ell - (m + 1) / 2.0) * s.rho
+        fp, fpp = slopes[ell - 1]
         layer_terms = {
             "interaction": inter,
             "curvature": -e2 * (t_loc + f_base) * kv[:, None] * wp,
-            "jacobi": -e2 * ((lap_h[ell - 1] + kv * height[ell - 1])[:, None]) * wp,
-            "gradient_sq": e2 * (grad_h[ell - 1]**2)[:, None] * wpp,
+            "jacobi": -e2 * ((fpp + kv * (pos - f_base))[:, None]) * wp,
+            "gradient_sq": e2 * (fp**2)[:, None] * wpp,
         }
         nearest = np.argmin(np.abs(t[None, None, cols] - stacked[:, :, None]), axis=0)
         mask = (np.abs(t_loc) <= window) & (nearest == ell - 1)
@@ -504,7 +495,8 @@ def residual_report(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: flo
     raise DomainError before the expansion is built.
     """
     _check_norm_parameters(p, sigma_decay)
-    u0, res, terms, in_window = _expansion(h, K, epsilon, grid)
+    u0, res, terms, in_window = _expansion(f_from_h(h, scales_of(epsilon)), K,
+                                           epsilon, grid)
     predicted = sum(terms.values())
     norms = {name: weighted_norm(StripField(grid, vals), p, sigma_decay)
              for name, vals in terms.items()}

@@ -313,7 +313,7 @@ def test_expansion_center_layer_balance():
     K = circle_K()
     eps = 0.05
     grid = default_strip_grid(K, eps, 3, n_y=16)
-    _, _, terms, _ = _expansion(flat_layers(K, 3), K, eps, grid)
+    _, _, terms, _ = _expansion(f_from_h(flat_layers(K, 3), scales_of(eps)), K, eps, grid)
     pred = sum(terms.values())
     assert np.abs(pred[:, grid.n_t // 2]).max() < 1e-15
 
@@ -325,7 +325,7 @@ def test_expansion_tracks_residual():
     h = flat_layers(K, 2)
     f = f_from_h(h, s)
     grid = default_strip_grid(K, eps, 2, n_y=16)
-    _, res, terms, _ = _expansion(h, K, eps, grid)
+    _, res, terms, _ = _expansion(f, K, eps, grid)
     assert np.array_equal(res.values, residual_closed_form(f, grid, K, eps).values)
     pred = sum(terms.values())
     mask = np.abs(grid.t - f[1].values[0]) <= s.rho / 2.0
@@ -709,15 +709,19 @@ def test_residual_report_u0_is_the_assembled_stack(eps, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_residual_report_samples_each_layer_once(m, monkeypatch):
-    # one strip call samples K, each f_j, f_j', f_j'', h_j, h_j', h_j'' and each
-    # gap exponential in one resample; one tanh per layer gives w and w'
+    # one strip call samples K and each f_j, f_j', f_j'' in one resample of
+    # 1 + 3m columns: the heights, their slopes and the gap exponentials are
+    # read off the sampled positions; one tanh per layer gives w and w'
     counts = {"_on_strip": 0, "_resample_rows": 0, "heteroclinic": 0,
               "heteroclinic_derivative": 0}
+    columns = []
     for name in counts:
         fn = getattr(ansatz_module, name)
 
         def counted(*args, name=name, fn=fn):
             counts[name] += 1
+            if name == "_resample_rows":
+                columns.append(args[0].shape[1])
             return fn(*args)
 
         monkeypatch.setattr(ansatz_module, name, counted)
@@ -725,6 +729,7 @@ def test_residual_report_samples_each_layer_once(m, monkeypatch):
     eps = 0.05
     residual_report(report_layers(K, m, eps), K, eps, default_strip_grid(K, eps, m))
     assert counts["_on_strip"] == counts["_resample_rows"] == 1
+    assert columns == [1 + 3 * m]
     assert counts["heteroclinic"] == m
     assert counts["heteroclinic_derivative"] == 0
 
@@ -745,10 +750,19 @@ def test_residual_report_checks_p_and_sigma_before_the_expansion(monkeypatch):
             residual_report(h, K, eps, grid, sigma_decay=sigma_decay)
 
 
-def _full_strip_expansion(h, K, eps, grid):
+def _derivative(field, order):
+    return PeriodicField(field.grid, _spectral_derivative(field.values, field.grid, order))
+
+
+def _full_strip_expansion(h, K, eps, grid, sampled_heights=None):
     """Reference: `_expansion` on the whole strip, one `_on_strip` call and one
     spectral derivative per curve field, `heteroclinic_derivative` for w' and
-    the (m, n_y, n_t) argmin."""
+    the (m, n_y, n_t) argmin.
+
+    As in the kernel, the heights h_ell = f_ell - fbase_ell, their slopes
+    f_ell', f_ell'' and the gap exponentials e^{-sqrt2 (f_{l+1} - f_l - rho)}
+    come from the sampled positions, unless `sampled_heights` gives them as
+    ((h_ell, h_ell', h_ell'') per layer, the gap exponentials) on the strip."""
     m = len(h)
     s = scales_of(eps)
     f = f_from_h(h, s)
@@ -760,24 +774,27 @@ def _full_strip_expansion(h, K, eps, grid):
         [values] = _on_strip([field], grid, eps)
         return values
 
-    def derivative(field, order):
-        return PeriodicField(field.grid, _spectral_derivative(field.values, field.grid, order))
-
     kv = on_strip(K)
     positions = [on_strip(fj) for fj in f]
     nearest = np.argmin(np.abs(grid.t[None, None, :] - np.stack(positions)[:, :, None]),
                         axis=0)
-    gap_exp = [on_strip(PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values))))[:, None]
-               for lo, hi in zip(h, h[1:])]
+    slopes = [(on_strip(_derivative(fj, 1)), on_strip(_derivative(fj, 2))) for fj in f]
+    if sampled_heights is None:
+        heights = [(pos - (ell - (m + 1) / 2.0) * s.rho, fp, fpp)
+                   for ell, (pos, (fp, fpp)) in enumerate(zip(positions, slopes), start=1)]
+        gap_exp = [np.exp(-SQRT2 * (hi - lo - s.rho))
+                   for lo, hi in zip(positions, positions[1:])]
+    else:
+        heights, gap_exp = sampled_heights
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     res = np.zeros(grid.shape)
     in_window = np.zeros(grid.shape, dtype=bool)
     terms = {name: np.zeros(grid.shape)
              for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
-    for ell, (h_ell, f_ell, pos) in enumerate(zip(h, f, positions), start=1):
+    for ell, (pos, (fp, fpp), (height, grad_h, lap_h)) in enumerate(
+            zip(positions, slopes, heights), start=1):
         sign = (-1.0) ** (ell - 1)
-        fp = on_strip(derivative(f_ell, 1))[:, None]
-        fpp = on_strip(derivative(f_ell, 2))[:, None]
+        fp, fpp = fp[:, None], fpp[:, None]
         t_loc = z - pos[:, None]
         w = heteroclinic(t_loc)
         wp = heteroclinic_derivative(t_loc)
@@ -787,12 +804,9 @@ def _full_strip_expansion(h, K, eps, grid):
         pref = 6.0 * (1.0 - w * w) * e2 * s.rho
         inter = np.zeros(grid.shape)
         if ell >= 2:
-            inter += pref * gap_exp[ell - 2] * np.exp(-SQRT2 * t_loc)
+            inter += pref * gap_exp[ell - 2][:, None] * np.exp(-SQRT2 * t_loc)
         if ell <= m - 1:
-            inter -= pref * gap_exp[ell - 1] * np.exp(SQRT2 * t_loc)
-        height = on_strip(h_ell)
-        lap_h = on_strip(derivative(h_ell, 2))
-        grad_h = on_strip(derivative(h_ell, 1))
+            inter -= pref * gap_exp[ell - 1][:, None] * np.exp(SQRT2 * t_loc)
         f_base = (ell - (m + 1) / 2.0) * s.rho
         layer_terms = {
             "interaction": inter,
@@ -836,41 +850,86 @@ _STRIPS = [(0.05, None), (0.0125, None), (0.05, 160)]
 _NORMS = [(p, sigma_decay) for p in (1.0, 4.0, math.inf) for sigma_decay in (0.3, 1.0)]
 
 
+def _reference_case(m, shape, eps, n_y):
+    """K of the named shape, heights that vary along the curve (so each
+    layer's slab is wider than its window) and the strip grid."""
+    grid_k = PeriodicGrid(64, TWO_PI)
+    y = grid_k.points()
+    K = PeriodicField(grid_k, _REFERENCE_K[shape](y))
+    h = tuple(PeriodicField(grid_k, 0.4 * (j - (m + 1) / 2.0) + 0.3 * np.sin(y + j)
+                            + 0.1 * np.cos(2.0 * y))
+              for j in range(1, m + 1))
+    return K, h, default_strip_grid(K, eps, m, n_y=n_y)
+
+
+def _reference_norms(res, terms, in_window, grid, p, sigma_decay):
+    """The seven report norms of the reference fields, in `ResidualReport` order."""
+    predicted = sum(terms.values())
+    fields = {**terms, "remainder": np.where(in_window, res - predicted, 0.0),
+              "exterior": np.where(in_window, 0.0, res), "total": res}
+    want = {name: _full_strip_norm(vals, grid, p, sigma_decay) for name, vals in fields.items()}
+    slack = want.pop("exterior") + 1e-9 * sum(want.values())
+    return (want["interaction"], want["curvature"], want["jacobi"],
+            want["gradient_sq"], want["remainder"], want["total"], slack)
+
+
+def _report_norms(rep):
+    return (rep.interaction, rep.curvature, rep.jacobi, rep.gradient_sq,
+            rep.remainder, rep.total, rep.slack)
+
+
+def _reference_norm_choice(m, shape):
+    # one (p, sigma) per case: the m and the shapes of each strip meet all six
+    return _NORMS[(m + list(_REFERENCE_K).index(shape)) % len(_NORMS)]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("shape", list(_REFERENCE_K))
 @pytest.mark.parametrize("eps, n_y", _STRIPS, ids=["0.05", "0.0125", "0.05-ny160"])
 def test_residual_report_matches_the_full_strip_reference(m, shape, eps, n_y):
     # the slabs, the cropped norms and the one resample of every field keep every bit
-    grid_k = PeriodicGrid(64, TWO_PI)
-    y = grid_k.points()
-    K = PeriodicField(grid_k, _REFERENCE_K[shape](y))
-    # heights that vary along the curve, so each layer's slab is wider than its window
-    h = tuple(PeriodicField(grid_k, 0.4 * (j - (m + 1) / 2.0) + 0.3 * np.sin(y + j)
-                            + 0.1 * np.cos(2.0 * y))
-              for j in range(1, m + 1))
-    grid = default_strip_grid(K, eps, m, n_y=n_y)
+    K, h, grid = _reference_case(m, shape, eps, n_y)
     u0, res, terms, in_window = _full_strip_expansion(h, K, eps, grid)
-    got = _expansion(h, K, eps, grid)
+    got = _expansion(f_from_h(h, scales_of(eps)), K, eps, grid)
     assert got[0].values.tobytes() == u0.tobytes()
     assert got[1].values.tobytes() == res.tobytes()
     assert all(np.array_equal(got[2][name], terms[name]) for name in terms)
     assert np.array_equal(got[3], in_window)
 
-    predicted = sum(terms.values())
-    fields = {**terms, "remainder": np.where(in_window, res - predicted, 0.0),
-              "exterior": np.where(in_window, 0.0, res), "total": res}
-    # one (p, sigma) per case: the m and the shapes of each strip meet all six
-    p, sigma_decay = _NORMS[(m + list(_REFERENCE_K).index(shape)) % len(_NORMS)]
-    want = {name: _full_strip_norm(vals, grid, p, sigma_decay) for name, vals in fields.items()}
-    slack = want.pop("exterior") + 1e-9 * sum(want.values())
+    p, sigma_decay = _reference_norm_choice(m, shape)
     rep = residual_report(h, K, eps, grid, p, sigma_decay)
-    assert (rep.interaction, rep.curvature, rep.jacobi, rep.gradient_sq,
-            rep.remainder, rep.total, rep.slack) == (
-        want["interaction"], want["curvature"], want["jacobi"],
-        want["gradient_sq"], want["remainder"], want["total"], slack)
+    assert _report_norms(rep) == _reference_norms(res, terms, in_window, grid, p, sigma_decay)
     assert (rep.p, rep.sigma_decay) == (p, sigma_decay)
     assert rep.u0.values.tobytes() == u0.tobytes()
     assert rep.residual.values.tobytes() == res.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", list(_REFERENCE_K))
+@pytest.mark.parametrize("eps, n_y", _STRIPS, ids=["0.05", "0.0125", "0.05-ny160"])
+def test_expansion_terms_match_the_sampled_heights(m, shape, eps, n_y):
+    # the definition: h_ell, h_ell', h_ell'' and e^{-sqrt2 (h_{l+1} - h_l)} sampled
+    # from the curve; `_expansion` reads them off the sampled positions, which
+    # agree to round-off in every term field and every report norm
+    K, h, grid = _reference_case(m, shape, eps, n_y)
+
+    def on_strip(field):
+        [values] = _on_strip([field], grid, eps)
+        return values
+
+    heights = [(on_strip(h_ell), on_strip(_derivative(h_ell, 1)),
+                on_strip(_derivative(h_ell, 2))) for h_ell in h]
+    gap_exp = [on_strip(PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values))))
+               for lo, hi in zip(h, h[1:])]
+    _, res, terms, in_window = _full_strip_expansion(h, K, eps, grid, (heights, gap_exp))
+    got = _expansion(f_from_h(h, scales_of(eps)), K, eps, grid)[2]
+    for name, want in terms.items():
+        assert np.max(np.abs(got[name] - want)) <= 1e-11 * np.max(np.abs(want))
+
+    p, sigma_decay = _reference_norm_choice(m, shape)
+    rep = residual_report(h, K, eps, grid, p, sigma_decay)
+    assert _report_norms(rep) == pytest.approx(
+        _reference_norms(res, terms, in_window, grid, p, sigma_decay), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("n_y", [16, 62, 64, 160, 502])
