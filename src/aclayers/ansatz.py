@@ -63,6 +63,9 @@ STATE_BOUND = 1.5
 # 1 + 0.2 cos y every cycle after the first, at the residual's round-off
 # floor, ends at 0.012-5.2 times the one before
 _GMRES_CYCLE_CUT = 0.5
+# Krylov vectors per GMRES restart cycle, and restart cycles per linear solve
+_GMRES_RESTART = 60
+_GMRES_MAX_CYCLES = 50
 # automatic strip size: transverse room past the outer layers, target t-step
 _T_MARGIN = 6.0
 _DT_TARGET = 0.125
@@ -778,6 +781,69 @@ def _band_rows(values: np.ndarray) -> int:
     return max(16, 2 * (int(modes[-1]) + 1))
 
 
+def _gmres(apply, b: np.ndarray, tol: float):
+    """Restarted GMRES(_GMRES_RESTART) for apply(z) = b from z = 0.
+
+    Arnoldi orthogonalizes each new vector by classical Gram-Schmidt with one
+    re-orthogonalization (CGS2): two products with the basis so far, not one
+    per basis vector. Givens rotations on Python floats reduce the Hessenberg
+    columns as they come, and a restart cycle stops when their residual
+    estimate reaches tol, on a breakdown, or after _GMRES_RESTART vectors. It
+    ends with a triangular solve and the true residual |b - apply(z)|. The
+    solve stops once that residual is at most tol, when it is more than
+    _GMRES_CYCLE_CUT of the previous cycle's or NaN, or after
+    _GMRES_MAX_CYCLES cycles. Returns (z, products, cycles): products counts
+    the Arnoldi applications of `apply` alone, and cycles holds the true
+    residual norms at the start and after each cycle.
+    """
+    # scipy.linalg is loaded with the banded LU of the preconditioner
+    from scipy.linalg import solve_triangular
+
+    basis = np.empty((_GMRES_RESTART + 1, b.size))
+    triangle = np.zeros((_GMRES_RESTART, _GMRES_RESTART))  # the rotated Hessenberg
+    z = np.zeros(b.size)
+    r = b
+    products = 0
+    cycles = [float(np.linalg.norm(b))]
+    while not cycles[-1] <= tol:  # not <=: a NaN residual goes on to the stall rule
+        basis[0] = r / cycles[-1]
+        g = [cycles[-1]]  # the rotated right-hand side; |g[-1]| is the estimate
+        rotations: list[tuple[float, float]] = []
+        for j in range(_GMRES_RESTART):
+            w = apply(basis[j])
+            products += 1
+            w_norm = float(np.linalg.norm(w))
+            v = basis[:j + 1]
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            beta = float(np.linalg.norm(w))
+            col = (h + h2).tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            norm = math.hypot(col[j], beta)
+            if norm == 0.0:  # apply is singular on the Krylov space
+                break
+            c, s = col[j] / norm, beta / norm
+            rotations.append((c, s))
+            col[j] = norm
+            triangle[:j + 1, j] = col
+            g.append(-s * g[j])
+            g[j] *= c
+            breakdown = beta <= np.finfo(float).eps * w_norm
+            if breakdown or abs(g[-1]) <= tol:
+                break
+            basis[j + 1] = w / beta
+        k = len(rotations)
+        z += solve_triangular(triangle[:k, :k], g[:k]) @ basis[:k]
+        r = b - apply(z)
+        cycles.append(float(np.linalg.norm(r)))
+        if not cycles[-1] <= _GMRES_CYCLE_CUT * cycles[-2] or len(cycles) > _GMRES_MAX_CYCLES:
+            break
+    return z, products, cycles
+
+
 def _newton_steps(u: np.ndarray, grid: StripGrid, half: _HalfStrip, K: PeriodicField,
                   epsilon: float):
     """Damped Newton from u on one grid's half strip until |R|_inf < NEWTON_TOL.
@@ -785,10 +851,12 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, half: _HalfStrip, K: PeriodicF
     u holds the columns t >= 0 of `half` on the rows of grid. Returns (u,
     residual_norms, energies, linear_iterations) with one norm and one
     energy per iterate, start and end included, and one GMRES count per
-    step. The merit, the norms and the energies are the full strip's.
+    step. The merit, the norms and the energies are the full strip's. Each
+    step's linear solve is `_gmres` on the right-preconditioned Jacobian; a
+    restart cycle that does not cut the true residual to _GMRES_CYCLE_CUT of
+    the previous cycle's, or _GMRES_MAX_CYCLES cycles short of the floor,
+    raises ConvergenceError.
     """
-    import scipy.sparse.linalg
-
     [kv] = _on_strip([K], grid, epsilon)
     y_grid = grid.y_grid
     operators = (y_grid, half.t, half.d1, half.d2)
@@ -803,39 +871,21 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, half: _HalfStrip, K: PeriodicF
     def solve(u: np.ndarray, res: np.ndarray) -> np.ndarray:
         fused, precondition = _right_preconditioned(u, kv, *operators, epsilon)
         rhs = -res.ravel()
-        products, last = 0, None
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            nonlocal products, last
-            products += 1
-            last = fused(x)
-            return last
-
-        # true residual |rhs - J P^{-1} z| at the start and after each cycle
-        cycles = [float(np.linalg.norm(rhs))]
         # inexact-Newton floor: near its round-off floor a residual cannot be
         # cut 1e-12 relative, and a step residual far under NEWTON_TOL suffices
-        floor = max(1e-3 * NEWTON_TOL, 1e-12 * cycles[0])
-
-        def restarted(z: np.ndarray) -> None:
-            # gmres ends every cycle on rhs - matvec(z): that product is last
-            cycles.append(float(np.linalg.norm(rhs - last)))
-            if cycles[-1] > floor and cycles[-1] > _GMRES_CYCLE_CUT * cycles[-2]:
+        floor = max(1e-3 * NEWTON_TOL, 1e-12 * float(np.linalg.norm(rhs)))
+        # cycles: the true residual |rhs - J P^{-1} z| at the start and after each cycle
+        z, products, cycles = _gmres(fused, rhs, floor)
+        if not cycles[-1] <= floor:
+            if not cycles[-1] <= _GMRES_CYCLE_CUT * cycles[-2]:
                 raise ConvergenceError(
                     f"Newton step solve stalled (GMRES restart cycle {len(cycles) - 1} "
                     f"left {cycles[-1] / cycles[-2]:.3g} of the residual) "
                     f"at iteration {len(linear_iterations)}")
-
-        op = scipy.sparse.linalg.LinearOperator((u.size, u.size), matvec=matvec, dtype=float)
-        z, info = scipy.sparse.linalg.gmres(
-            op, rhs, rtol=1e-12, atol=1e-3 * NEWTON_TOL, restart=60, maxiter=50,
-            callback=restarted, callback_type="x")
-        if info != 0:
             raise ConvergenceError(
-                f"Newton step solve did not converge (GMRES info {info}) "
-                f"at iteration {len(linear_iterations)}")
-        # each cycle's inner iterations apply the operator once each, its end once more
-        linear_iterations.append(products - (len(cycles) - 1))
+                f"Newton step solve did not converge in {_GMRES_MAX_CYCLES} GMRES "
+                f"restart cycles at iteration {len(linear_iterations)}")
+        linear_iterations.append(products)
         return precondition(z)
 
     res_norms, energies = [], []
@@ -850,14 +900,16 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
                       epsilon: float) -> NewtonReport:
     """Damped Newton on the strip equation S(u) = 0 with Neumann walls.
 
-    Each Newton step solves J d = -R right-preconditioned: GMRES solves
+    Each Newton step solves J d = -R right-preconditioned: the restarted
+    GMRES of `_gmres` (60 Krylov vectors a cycle, CGS2 Arnoldi) solves
     J P^{-1} z = -R for z, with P the y-averaged transverse operator whose
     y-modes share one banded LU (`_mode_solver`), and the step is
     d = P^{-1} z. GMRES therefore minimizes and stops on the true linear
-    residual |R + J d|, at 1e-12 relative or 1e-3 NEWTON_TOL absolute.
-    Converges when the sup-norm residual falls under NEWTON_TOL; the returned
-    level curves must be as numerous as in the initial state (the layer count
-    is conserved or the solve is rejected).
+    residual |R + J d|, at 1e-12 relative or 1e-3 NEWTON_TOL absolute; a
+    restart cycle that does not halve it, or 50 cycles, raise
+    ConvergenceError. Converges when the sup-norm residual falls under
+    NEWTON_TOL; the returned level curves must be as numerous as in the
+    initial state (the layer count is conserved or the solve is rejected).
 
     The steps run on the half strip t >= 0, in the reflection sector
     u(-t) = s u(t) with s = (-1)^m for the m level curves of u_init: S

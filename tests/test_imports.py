@@ -4,11 +4,11 @@ Every name a module imports is used in it, and scipy is loaded at module
 level only for the CLI manifest's version string: the reduced pipeline
 (scales, toda, spectral, geometry, profile) runs on numpy alone, and the
 strip solvers import their scipy routines where they call them; no module
-imports scipy.optimize at all. Every function, class and method the library
-defines is used by the library or by the benchmark, and so is every default
-of its parameters and every field its classes declare (read outside the
-class's own __post_init__): helpers, settings and outputs only the tests need
-live in the tests.
+imports scipy.optimize or scipy.sparse at all. Every function, class and
+method the library defines is used by the library or by the benchmark, and
+so is every default of its parameters and every field its classes declare
+(read outside the class's own __post_init__): helpers, settings and outputs
+only the tests need live in the tests.
 """
 
 import ast
@@ -73,8 +73,12 @@ def test_scipy_is_imported_at_module_level_only_by_the_cli():
     assert found == [("cli.py", "scipy")]
 
 
+FORBIDDEN = ("scipy.optimize", "scipy.sparse")
+
+
 def test_no_module_imports_scipy_optimize():
-    # at module level or inside a function: root finding is a test-side oracle
+    # at module level or inside a function: root finding is a test-side
+    # oracle, and the Newton steps run their own GMRES
     found = []
     for path in MODULES:
         for node in ast.walk(_tree(path)):
@@ -85,8 +89,8 @@ def test_no_module_imports_scipy_optimize():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            found += [(path.name, name) for name in names
-                      if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+            found += [(path.name, name) for name in names for package in FORBIDDEN
+                      if name == package or name.startswith(f"{package}.")]
     assert found == []
 
 

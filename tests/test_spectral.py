@@ -918,8 +918,9 @@ def test_scan_epsilons_rejects_bad_ranges(lo, hi):
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # the reduced pipeline is numpy alone: the banded LU and GMRES of the strip
-    # solves are the only scipy users, so no README scipy-free command loads them
+    # the reduced pipeline is numpy alone: the banded LU and triangular solves
+    # of the strip solves are the only scipy users, so no README scipy-free
+    # command loads them
     config = tmp_path / "wavy.json"
     config.write_text(json.dumps({
         "m": 3, "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}},
