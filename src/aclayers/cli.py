@@ -42,7 +42,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._floatfmt import WIDTH, reprs
+from ._floatfmt import FIELD, WIDTH, reprs
 from .acceptance import format_lines, run_all
 from .ansatz import (
     StripGrid,
@@ -320,12 +320,16 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
 # ---------------------------------------------------------------------------
 # artifact writers
 
-# Values per `ArtifactWriter.matrix` block, cut at row boundaries: small
-# enough that the block's text and gather index (24 intp per distinct
-# value) stay under a megabyte, large enough that repeats across rows (far
-# fields, `y`-independent rows) are formatted once and numpy's per-call cost
-# spreads over many values.
-_MATRIX_BLOCK = 4096
+# Values per `ArtifactWriter.matrix` block, cut at row boundaries. Bounded
+# by the block's measured traced peak: about 131 B per distinct value (1.47
+# MB for a block of 11,214 on numpy 2.4.6), which must stay under the 1.61 MB
+# that `test_matrix_block_peak_stays_under_the_bound` allows, since this
+# block sets the strip-newton benchmark's peak RSS. 12288 would still fit,
+# by 0.3%, and wrote no faster. Large enough that repeats across rows (far
+# fields, `y`-independent rows) are formatted once and numpy's per-call
+# cost spreads over many values. A multiple of 64, so that the hard-values
+# test fills whole blocks with 64-column rows.
+_MATRIX_BLOCK = 11264
 
 
 def _cell(value) -> str:
@@ -381,31 +385,33 @@ class ArtifactWriter:
         of each distinct bit pattern in a block of about `_MATRIX_BLOCK`
         values, with numpy integer arithmetic for normal values and `repr`
         itself only for zeros, subnormals, infinities and NaNs; bits, not
-        float equality, keep `-0.0` apart from `0.0`. The cells are
-        gathered from those rows into NUL-padded fields, and each block is
-        written, NULs dropped, as it is formatted, so the file's text is
-        never held whole.
+        float equality, keep `-0.0` apart from `0.0`. Each cell is gathered
+        straight into a NUL-padded field that already ends in its comma (a
+        newline at the end of a row), and each block is written, NULs
+        dropped, as it is formatted, so the file's text is never held whole.
+        A block's size is bounded by its measured traced peak memory.
         """
         if "csv" not in self.formats:
             return
         a = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)))
         n_rows, n_cols = a.shape
-        rows = max(1, _MATRIX_BLOCK // max(1, n_cols))
-        # a comma after each cell but the last; a last field holds the newline
-        sep = np.full((n_cols, 1), ord(","), dtype=np.uint8)
-        sep[-1:] = 0
-        eol = np.zeros(WIDTH + 1, dtype=np.uint8)
-        eol[0] = ord("\n")
         with self._record(name).open("wb") as out:
             out.write(f"# schema: {SCHEMA}\n# {comment}\n".encode())
+            if not n_cols:
+                out.write(b"\n" * n_rows)
+                return
+            rows = max(1, _MATRIX_BLOCK // n_cols)
             for start in range(0, n_rows, rows):
                 block = a[start:start + rows]
                 bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-                lines = np.empty((len(block), n_cols + 1, WIDTH + 1), dtype=np.uint8)
-                lines[:, :-1, :WIDTH] = reprs(bits)[inverse.reshape(block.shape)]
-                lines[:, :-1, WIDTH:] = sep
-                lines[:, -1] = eol
-                out.write(lines[lines != 0].tobytes())
+                fields = reprs(bits)
+                fields[:, WIDTH] = ord(",")
+                lines = fields.take(inverse.ravel(), axis=0)
+                # each array goes as soon as it is spent: the peak sets the block
+                del bits, inverse, fields
+                lines.reshape(len(block), n_cols, FIELD)[:, -1, WIDTH] = ord("\n")
+                out.write(lines[lines != 0])
+                del lines
 
 
 def _strip_comment(grid: StripGrid) -> str:

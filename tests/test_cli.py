@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,29 @@ def test_matrix_matches_the_per_cell_repr_reference_on_hard_values(tmp_path):
     writer.matrix("m.csv", values, "hard values")
     got = (tmp_path / "m.csv").read_bytes().split(b"\n")
     assert got == _per_cell_matrix(values, "hard values").split(b"\n")
+
+
+# Traced peak of the writer's largest block, in bytes: what one 4005-value
+# block of a 126 x 267 strip residual took with 4096-value blocks (numpy
+# 2.4.6). The strip-newton benchmark's peak RSS is set by this block.
+MATRIX_BLOCK_PEAK = 1_610_000
+
+
+def test_matrix_block_peak_stays_under_the_bound(tmp_path):
+    cols = 267  # a strip field's t nodes
+    values = np.random.default_rng(19).standard_normal(
+        (3 * (cli._MATRIX_BLOCK // cols), cols))
+    assert len(np.unique(values)) == values.size  # no repeats to share text
+    writer = cli.ArtifactWriter(tmp_path, ("csv",))
+    writer.matrix("warm.csv", values[:1], "tables")  # cached once per process
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        writer.matrix("m.csv", values, "distinct")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < MATRIX_BLOCK_PEAK
 
 
 def test_strip_matrices_round_trip_through_shortest_reprs(tmp_path, monkeypatch):
