@@ -63,9 +63,8 @@ STATE_BOUND = 1.5
 # 1 + 0.2 cos y every cycle after the first, at the residual's round-off
 # floor, ends at 0.012-5.2 times the one before
 _GMRES_CYCLE_CUT = 0.5
-# Krylov vectors per GMRES restart cycle, and restart cycles per linear solve
+# Krylov vectors per GMRES restart cycle
 _GMRES_RESTART = 60
-_GMRES_MAX_CYCLES = 50
 # automatic strip size: transverse room past the outer layers, target t-step
 _T_MARGIN = 6.0
 _DT_TARGET = 0.125
@@ -653,25 +652,23 @@ class NewtonReport:
 
     The Newton steps ran on the `half_n_t` columns t >= 0 of the strip, in
     the reflection sector of the initial state (see `newton_allen_cahn`), so
-    `band_n_y * half_n_t` is the number of unknowns of the band pass. When
-    they ran on a band grid of `band_n_y` rows, the entries of
-    `residual_norms` and `energies` up to the band pass's last iterate are
-    measured on that grid: the sup over its rows, and the energy with its
-    y-spacing. The band pass's converged iterate, interpolated, and every
-    later one are measured on the caller's grid, so the last entries always
-    belong to `solution`. Every entry is that of the full strip: the sup
-    over t >= 0 and the energy with the folded trapezoid weights.
+    `band_n_y * half_n_t` is the number of unknowns of the solve. Every
+    entry of `residual_norms` and `energies` but the last is measured on the
+    band grid of `band_n_y` rows: the sup over its rows, and the energy with
+    its y-spacing. The last entries are those of the converged iterate
+    interpolated to the caller's grid, so they belong to `solution`. Every
+    entry is that of the full strip: the sup over t >= 0 and the energy with
+    the folded trapezoid weights.
     """
 
     solution: StripField
-    iterations: int  # Newton steps over both grids
+    iterations: int  # Newton steps, all on the band grid
     residual_norms: tuple[float, ...]  # sup norms, one per iterate incl. final
     energies: tuple[float, ...]  # discrete energy at each accepted iterate
     level_curves: np.ndarray  # (n_y, m) zero-crossing positions
     linear_iterations: tuple[int, ...]  # GMRES inner iterations per Newton step
     band_n_y: int  # y-size of the grid the steps ran on (n_y when it holds the band)
     half_n_t: int  # t-columns the steps ran on: t >= 0, n_t // 2 + 1
-    caller_grid_steps: int  # steps taken on the caller's grid
 
 
 @dataclass(frozen=True)
@@ -790,11 +787,10 @@ def _gmres(apply, b: np.ndarray, tol: float):
     columns as they come, and a restart cycle stops when their residual
     estimate reaches tol, on a breakdown, or after _GMRES_RESTART vectors. It
     ends with a triangular solve and the true residual |b - apply(z)|. The
-    solve stops once that residual is at most tol, when it is more than
-    _GMRES_CYCLE_CUT of the previous cycle's or NaN, or after
-    _GMRES_MAX_CYCLES cycles. Returns (z, products, cycles): products counts
-    the Arnoldi applications of `apply` alone, and cycles holds the true
-    residual norms at the start and after each cycle.
+    solve stops once that residual is at most tol, or when it is more than
+    _GMRES_CYCLE_CUT of the previous cycle's or NaN. Returns (z, products,
+    cycles): products counts the Arnoldi applications of `apply` alone, and
+    cycles holds the true residual norms at the start and after each cycle.
     """
     # scipy.linalg is loaded with the banded LU of the preconditioner
     from scipy.linalg import solve_triangular
@@ -839,7 +835,9 @@ def _gmres(apply, b: np.ndarray, tol: float):
         z += solve_triangular(triangle[:k, :k], g[:k]) @ basis[:k]
         r = b - apply(z)
         cycles.append(float(np.linalg.norm(r)))
-        if not cycles[-1] <= _GMRES_CYCLE_CUT * cycles[-2] or len(cycles) > _GMRES_MAX_CYCLES:
+        # every cycle that goes on halves the residual: from |b| to a tol of
+        # at least 1e-12 |b| that is at most 40 cycles, so no cycle cap is needed
+        if not cycles[-1] <= _GMRES_CYCLE_CUT * cycles[-2]:
             break
     return z, products, cycles
 
@@ -854,8 +852,7 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, half: _HalfStrip, K: PeriodicF
     step. The merit, the norms and the energies are the full strip's. Each
     step's linear solve is `_gmres` on the right-preconditioned Jacobian; a
     restart cycle that does not cut the true residual to _GMRES_CYCLE_CUT of
-    the previous cycle's, or _GMRES_MAX_CYCLES cycles short of the floor,
-    raises ConvergenceError.
+    the previous cycle's raises ConvergenceError.
     """
     [kv] = _on_strip([K], grid, epsilon)
     y_grid = grid.y_grid
@@ -877,14 +874,10 @@ def _newton_steps(u: np.ndarray, grid: StripGrid, half: _HalfStrip, K: PeriodicF
         # cycles: the true residual |rhs - J P^{-1} z| at the start and after each cycle
         z, products, cycles = _gmres(fused, rhs, floor)
         if not cycles[-1] <= floor:
-            if not cycles[-1] <= _GMRES_CYCLE_CUT * cycles[-2]:
-                raise ConvergenceError(
-                    f"Newton step solve stalled (GMRES restart cycle {len(cycles) - 1} "
-                    f"left {cycles[-1] / cycles[-2]:.3g} of the residual) "
-                    f"at iteration {len(linear_iterations)}")
             raise ConvergenceError(
-                f"Newton step solve did not converge in {_GMRES_MAX_CYCLES} GMRES "
-                f"restart cycles at iteration {len(linear_iterations)}")
+                f"Newton step solve stalled (GMRES restart cycle {len(cycles) - 1} "
+                f"left {cycles[-1] / cycles[-2]:.3g} of the residual) "
+                f"at iteration {len(linear_iterations)}")
         linear_iterations.append(products)
         return precondition(z)
 
@@ -906,10 +899,10 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     y-modes share one banded LU (`_mode_solver`), and the step is
     d = P^{-1} z. GMRES therefore minimizes and stops on the true linear
     residual |R + J d|, at 1e-12 relative or 1e-3 NEWTON_TOL absolute; a
-    restart cycle that does not halve it, or 50 cycles, raise
-    ConvergenceError. Converges when the sup-norm residual falls under
-    NEWTON_TOL; the returned level curves must be as numerous as in the
-    initial state (the layer count is conserved or the solve is rejected).
+    restart cycle that does not halve it raises ConvergenceError. Converges
+    when the sup-norm residual falls under NEWTON_TOL on the caller's grid;
+    the returned level curves must be as numerous as in the initial state
+    (the layer count is conserved or the solve is rejected).
 
     The steps run on the half strip t >= 0, in the reflection sector
     u(-t) = s u(t) with s = (-1)^m for the m level curves of u_init: S
@@ -926,11 +919,11 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     The solution is the mirror image of the half, u(-t) = s u(t) exactly.
 
     The steps run on the y-bandwidth of u_init, which K and the layer gaps
-    fix, not epsilon: when the `_band_rows` that carry it are fewer than the
-    caller's n_y, Newton first converges on a band grid of that many rows
-    and the same t-grid, the result is trig-interpolated to the caller's
-    grid, and the same iteration finishes there, normally with no step
-    because the interpolant's residual is already below NEWTON_TOL. The
+    fix, not epsilon: on a band grid of min(`_band_rows`, n_y) rows and the
+    same t-grid, so on the caller's grid itself when the band fills it. The
+    converged iterate is trig-interpolated to the caller's n_y rows and its
+    residual measured there once; one at or above NEWTON_TOL means the band
+    was too narrow and raises ConvergenceError, naming both row counts. The
     solution, its residual and its level curves are on the caller's grid.
     """
     grid = u_init.grid
@@ -953,17 +946,19 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     n_y = grid.y_grid.n
     u = half.fold(values)
     band_n_y = min(_band_rows(u), n_y)
-    res_norms: list[float] = []
-    energies: list[float] = []
-    linear_iterations: list[int] = []
-    if band_n_y < n_y:
-        band = replace(grid, y_grid=PeriodicGrid(band_n_y, grid.y_grid.length))
-        u, res_norms, energies, linear_iterations = _newton_steps(
-            _resample_rows(u, band_n_y), band, half, K, epsilon)
-        # the finish measures the band pass's last iterate again on the caller's grid
-        del res_norms[-1], energies[-1]
-        u = _resample_rows(u, n_y)
-    u, finish_norms, finish_energies, finish_inner = _newton_steps(u, grid, half, K, epsilon)
+    band = replace(grid, y_grid=PeriodicGrid(band_n_y, grid.y_grid.length))
+    u, res_norms, energies, linear_iterations = _newton_steps(
+        _resample_rows(u, band_n_y), band, half, K, epsilon)
+    # the last iterate, interpolated, is measured again on the caller's grid
+    u = _resample_rows(u, n_y)
+    [kv] = _on_strip([K], grid, epsilon)
+    res_norms[-1] = float(np.max(np.abs(
+        _strip_residual(u, kv, grid.y_grid, half.t, half.d1, half.d2, epsilon))))
+    if not res_norms[-1] < NEWTON_TOL:
+        raise ConvergenceError(
+            f"strip solve converged on {band_n_y} band rows but left "
+            f"|R|_inf = {res_norms[-1]:.3e} on the caller's {n_y} rows")
+    energies[-1] = _strip_energy(u, grid.y_grid, half.d1, half.energy_weights, epsilon)
 
     solution = StripField(grid, half.unfold(u))
     levels = level_sets(solution)
@@ -971,13 +966,11 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
         raise ConvergenceError(
             f"solve ended with {levels.shape[1]} level curves, "
             f"expected {m_expected}")
-    linear_iterations += finish_inner
     return NewtonReport(solution=solution,
                         iterations=len(linear_iterations),
-                        residual_norms=tuple(res_norms + finish_norms),
-                        energies=tuple(energies + finish_energies),
+                        residual_norms=tuple(res_norms),
+                        energies=tuple(energies),
                         level_curves=levels,
                         linear_iterations=tuple(linear_iterations),
                         band_n_y=band_n_y,
-                        half_n_t=u.shape[1],
-                        caller_grid_steps=len(finish_inner))
+                        half_n_t=u.shape[1])

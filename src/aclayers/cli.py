@@ -624,7 +624,6 @@ def _cmd_newton_solve(cfg: RunConfig, writer: ArtifactWriter) -> list[str]:
         "linear_iterations": report.linear_iterations,
         "band_n_y": report.band_n_y,
         "half_n_t": report.half_n_t,
-        "caller_grid_steps": report.caller_grid_steps,
         "residual_norms": report.residual_norms,
         "energies": report.energies,
         "level_curve_means": [float(np.mean(report.level_curves[:, j]))

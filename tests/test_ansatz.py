@@ -1256,7 +1256,7 @@ def test_newton_band_pass_matches_a_solve_on_the_callers_grid(shape, eps, m):
 
 def test_newton_steps_run_on_the_band_rows(monkeypatch):
     # the y-band of u0 at (0.025, 3) on 1 + 0.2 cos y needs 38 rows; the
-    # default grid has 126, which only the finish on the caller's grid sees.
+    # default grid has 126, which only the last residual and energy see.
     # Every step runs on the columns t >= 0 alone
     shapes = []
     right_preconditioned = ansatz_module._right_preconditioned
@@ -1272,7 +1272,25 @@ def test_newton_steps_run_on_the_band_rows(monkeypatch):
     assert grid.y_grid.n == 126
     assert rep.iterations == 8
     assert shapes == [(38, grid.n_t // 2 + 1)] * 8
-    assert (rep.band_n_y, rep.half_n_t, rep.caller_grid_steps) == (38, grid.n_t // 2 + 1, 0)
+    assert (rep.band_n_y, rep.half_n_t) == (38, grid.n_t // 2 + 1)
+    assert len(rep.residual_norms) == len(rep.energies) == 9
+    on_callers_grid = float(np.abs(residual(rep.solution, K, 0.025).values).max())
+    assert rep.residual_norms[-1] == pytest.approx(on_callers_grid, rel=1e-6)
+    assert rep.energies[-1] == pytest.approx(strip_energy(rep.solution, 0.025), rel=1e-12)
+
+
+def test_newton_band_too_narrow_for_the_callers_grid_fails_typed(monkeypatch):
+    # 16 band rows cannot carry u0 at (0.025, 3) on 1 + 0.2 cos y, whose band
+    # is 38 rows: Newton converges on them, but the interpolant's residual on
+    # the default 126 rows (measured 2.6e-6) is far above NEWTON_TOL
+    monkeypatch.setattr(ansatz_module, "_band_rows", lambda values: 16)
+    K = shape_K("cos")
+    grid, _, u0 = toda_start(K, 3, 0.025)
+    assert grid.y_grid.n == 126
+    with pytest.raises(ConvergenceError,
+                       match=r"^strip solve converged on 16 band rows but left "
+                             r"\|R\|_inf = [0-9.e+-]+ on the caller's 126 rows$"):
+        newton_allen_cahn(u0, K, 0.025)
 
 
 def test_newton_raises_at_its_step_cap(monkeypatch):

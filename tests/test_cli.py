@@ -690,9 +690,10 @@ def test_newton_solve_artifacts(tmp_path):
     assert len(inner) == doc["iterations"]
     assert all(isinstance(n, int) and n >= 1 for n in inner)
     # K = 1: u0 has no y-variation, so the steps run on the 16-row minimum
-    # and the interpolant already solves on the default 62 rows; they run on
-    # the 104 columns t >= 0 of the default strip's 207
-    assert (doc["band_n_y"], doc["half_n_t"], doc["caller_grid_steps"]) == (16, 104, 0)
+    # and on the 104 columns t >= 0 of the default strip's 207; one norm and
+    # one energy per iterate, the last measured on the default 62 rows
+    assert (doc["band_n_y"], doc["half_n_t"]) == (16, 104)
+    assert len(doc["residual_norms"]) == len(doc["energies"]) == doc["iterations"] + 1
     means = doc["level_curve_means"]
     assert len(means) == 2
     assert means[0] == pytest.approx(-means[1], abs=1e-6)

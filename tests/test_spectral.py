@@ -812,7 +812,7 @@ def test_sigma_entry_points_reject_bad_couplings(call):
         call(unit_K(64))
 
 
-def test_admissible_sigma_in_dyadic():
+def test_dyadic_search_finds_each_clipped_band():
     # [0.025, 0.05] holds the clipped bands k = 4 and 5, each with a safe point
     K = unit_K(128)
     _, best = dyadic_search(0.025, 0.05, K, 2, c_gap=0.1)
@@ -837,7 +837,7 @@ def per_band_search(lo, hi, K, m, c_gap):
     return (cands[best], margins[best]) if margins[best] >= c_gap else None
 
 
-def test_admissible_sigma_in_matches_per_candidate_margins():
+def test_dyadic_search_matches_per_candidate_margins():
     # one shared spectrum gives each band what fresh spectra per band and per
     # candidate give; at c_gap 4.8 and 4.75 the bands k = 3, 4 and 6 (wavy, m
     # 3) and k = 3, 4 (B) miss it, and must be None alike
