@@ -58,10 +58,10 @@ NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 STATE_BOUND = 1.5
 # a GMRES restart cycle must cut the true linear residual to at most this
-# share of the previous cycle's; measured: no step of a converging strip solve
-# (m = 2-5) needs a second cycle, and on the failing m = 4, 5 points on
-# 1 + 0.2 cos y every cycle after the first, at the residual's round-off
-# floor, ends at 0.012-5.2 times the one before
+# share of the previous cycle's; measured: converging steps on shape A
+# (1 + 0.25 cos y + 0.025 cos(2y + 1.25), m = 3) take 2-3 cycles at eps
+# 0.0125 and up to 9 at 0.00625; on the failing m = 4, 5 points on 1 + 0.2 cos y
+# every later cycle, at the round-off floor, ends at 0.012-5.2 times the last
 _GMRES_CYCLE_CUT = 0.5
 # Krylov vectors per GMRES restart cycle
 _GMRES_RESTART = 60
@@ -652,17 +652,17 @@ class NewtonReport:
 
     The Newton steps ran on the `half_n_t` columns t >= 0 of the strip, in
     the reflection sector of the initial state (see `newton_allen_cahn`), so
-    `band_n_y * half_n_t` is the number of unknowns of the solve. Every
-    entry of `residual_norms` and `energies` but the last is measured on the
-    band grid of `band_n_y` rows: the sup over its rows, and the energy with
-    its y-spacing. The last entries are those of the converged iterate
-    interpolated to the caller's grid, so they belong to `solution`. Every
-    entry is that of the full strip: the sup over t >= 0 and the energy with
-    the folded trapezoid weights.
+    `band_n_y * half_n_t` is the number of unknowns of the band pass. The
+    entries come from the band pass, measured on its `band_n_y` rows: the
+    sup over them, and the energy with their y-spacing. When the band is
+    narrower than the caller's grid, the caller's pass supplies the last
+    norm and energy and any further entries, so they belong to `solution`.
+    Every entry is that of the full strip: the sup over t >= 0 and the
+    energy with the folded trapezoid weights.
     """
 
     solution: StripField
-    iterations: int  # Newton steps, all on the band grid
+    iterations: int  # Newton steps over both passes
     residual_norms: tuple[float, ...]  # sup norms, one per iterate incl. final
     energies: tuple[float, ...]  # discrete energy at each accepted iterate
     level_curves: np.ndarray  # (n_y, m) zero-crossing positions
@@ -920,11 +920,11 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
 
     The steps run on the y-bandwidth of u_init, which K and the layer gaps
     fix, not epsilon: on a band grid of min(`_band_rows`, n_y) rows and the
-    same t-grid, so on the caller's grid itself when the band fills it. The
-    converged iterate is trig-interpolated to the caller's n_y rows and its
-    residual measured there once; one at or above NEWTON_TOL means the band
-    was too narrow and raises ConvergenceError, naming both row counts. The
-    solution, its residual and its level curves are on the caller's grid.
+    same t-grid, so on the caller's grid itself when the band fills it.
+    When it is narrower, `_newton_steps` goes on from the converged iterate
+    trig-interpolated to the caller's n_y rows; that pass steps only where
+    the solve grew y-modes past the band sized from u_init. The solution,
+    its residual and its level curves are on the caller's grid.
     """
     grid = u_init.grid
     values = u_init.values
@@ -949,16 +949,12 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
     band = replace(grid, y_grid=PeriodicGrid(band_n_y, grid.y_grid.length))
     u, res_norms, energies, linear_iterations = _newton_steps(
         _resample_rows(u, band_n_y), band, half, K, epsilon)
-    # the last iterate, interpolated, is measured again on the caller's grid
-    u = _resample_rows(u, n_y)
-    [kv] = _on_strip([K], grid, epsilon)
-    res_norms[-1] = float(np.max(np.abs(
-        _strip_residual(u, kv, grid.y_grid, half.t, half.d1, half.d2, epsilon))))
-    if not res_norms[-1] < NEWTON_TOL:
-        raise ConvergenceError(
-            f"strip solve converged on {band_n_y} band rows but left "
-            f"|R|_inf = {res_norms[-1]:.3e} on the caller's {n_y} rows")
-    energies[-1] = _strip_energy(u, grid.y_grid, half.d1, half.energy_weights, epsilon)
+    if band_n_y < n_y:
+        # the interpolated iterate starts the caller's pass, which measures it again
+        u, finish_norms, finish_energies, finish_inner = _newton_steps(
+            _resample_rows(u, n_y), grid, half, K, epsilon)
+        res_norms[-1:], energies[-1:] = finish_norms, finish_energies
+        linear_iterations += finish_inner
 
     solution = StripField(grid, half.unfold(u))
     levels = level_sets(solution)

@@ -1279,18 +1279,43 @@ def test_newton_steps_run_on_the_band_rows(monkeypatch):
     assert rep.energies[-1] == pytest.approx(strip_energy(rep.solution, 0.025), rel=1e-12)
 
 
-def test_newton_band_too_narrow_for_the_callers_grid_fails_typed(monkeypatch):
+def test_newton_callers_pass_finishes_a_band_too_narrow(monkeypatch):
     # 16 band rows cannot carry u0 at (0.025, 3) on 1 + 0.2 cos y, whose band
-    # is 38 rows: Newton converges on them, but the interpolant's residual on
-    # the default 126 rows (measured 2.6e-6) is far above NEWTON_TOL
+    # is 38 rows: Newton converges on them, the interpolant's residual on the
+    # default 126 rows is 2.6e-6 (measured), and the caller's pass finishes
+    # it there in one step
+    shapes = []
+    right_preconditioned = ansatz_module._right_preconditioned
+
+    def recorded(u, kv, y_grid, *operators):
+        shapes.append(y_grid.n)
+        return right_preconditioned(u, kv, y_grid, *operators)
+
+    monkeypatch.setattr(ansatz_module, "_right_preconditioned", recorded)
     monkeypatch.setattr(ansatz_module, "_band_rows", lambda values: 16)
     K = shape_K("cos")
     grid, _, u0 = toda_start(K, 3, 0.025)
+    rep = newton_allen_cahn(u0, K, 0.025)
     assert grid.y_grid.n == 126
-    with pytest.raises(ConvergenceError,
-                       match=r"^strip solve converged on 16 band rows but left "
-                             r"\|R\|_inf = [0-9.e+-]+ on the caller's 126 rows$"):
-        newton_allen_cahn(u0, K, 0.025)
+    assert rep.band_n_y == 16
+    assert np.abs(residual(rep.solution, K, 0.025).values).max() < NEWTON_TOL
+    first_caller = shapes.index(126)
+    assert first_caller > 0 and shapes[:first_caller] == [16] * first_caller
+    assert shapes[first_caller:] == [126] * (len(shapes) - first_caller)
+    assert rep.iterations == len(shapes)
+
+
+# the interpolated band solution leaves 8.5e-9 (cos, 38 of 90 rows) and
+# 2.9e-9 (A, 52 of 90 rows) on the caller's grid, measured: the solve grows
+# y-modes past the band that u0 sets, and one caller-grid step finishes it
+@pytest.mark.parametrize("shape", ["cos", "A"])
+def test_newton_converges_where_the_band_misses_the_solution(shape):
+    K = shape_K(shape)
+    grid, _, u0 = toda_start(K, 3, 0.035)
+    rep = newton_allen_cahn(u0, K, 0.035)
+    assert rep.band_n_y < grid.y_grid.n == 90
+    assert rep.level_curves.shape == (90, 3)
+    assert np.abs(residual(rep.solution, K, 0.035).values).max() < NEWTON_TOL
 
 
 def test_newton_raises_at_its_step_cap(monkeypatch):

@@ -10,15 +10,18 @@ CHECKOUT's `src/` (default: this script's checkout) on two configs: the
 defaults (`{}`) and a 3-point m = 3 sweep on a curvature with one cosine
 harmonic. On the sweep, `newton-solve` also runs at `--epsilon 0.025` (as
 `newton-solve-0.025`), whose 8 Newton steps on the band grid take 4
-line-search halvings; at 0.05 no step is damped, and `resonance-scan` also
-runs at `--epsilon 0.00625` (as `resonance-single`), the single-eps margin
-on the numeric string spectrum. On the defaults, `toda-solve` also runs at
-`--epsilon 0.0471` (as `near-resonance`), where the forced gap operator at
-the root is close to singular (margin 0.086), and `report` runs the
-acceptance battery once (about 0.5 s), whose `report.json` and `report.csv`
-hold each criterion's details but no runtime. A third config, `m4-fine`,
-runs `toda-solve`, `spectrum` and `ansatz-residual`: m = 4 on a curvature
-with two cosine harmonics, eps 0.04 and 0.06. Its `spectrum` takes the
+line-search halvings, and at `--epsilon 0.035` (as `newton-solve-0.035`),
+whose solve grows y-modes past its 38-row band, so that the last of its
+10 Newton steps runs on the caller's 90 rows; at 0.05 no step is damped.
+`resonance-scan` also runs at `--epsilon 0.00625` (as `resonance-single`),
+the single-eps margin on the numeric string spectrum. On the defaults,
+`toda-solve` also runs at `--epsilon 0.0471` (as `near-resonance`), where
+the forced gap operator at the root is close to singular (margin 0.086),
+and `report` runs the acceptance battery once (about 0.5 s), whose
+`report.json` and `report.csv` hold each criterion's details but no runtime.
+A third config, `m4-fine`, runs `toda-solve`, `spectrum` and
+`ansatz-residual`: m = 4 on a curvature with two cosine harmonics, eps 0.04
+and 0.06. Its `spectrum` takes the
 3-channel split of the operator at v^1, and its gap roots couple their two
 reflection-even channels, so `toda-solve`'s margins take one eigensolve of
 that pair and one of the odd channel; its 160 rows, whose y-spacing is
@@ -89,6 +92,7 @@ RUNS = [(label, command, command,
          ["--epsilon", "0.05"] if command == "newton-solve" else [])
         for label in ("default", "m3-sweep") for command in COMMANDS]
 RUNS.append(("m3-sweep", "newton-solve-0.025", "newton-solve", ["--epsilon", "0.025"]))
+RUNS.append(("m3-sweep", "newton-solve-0.035", "newton-solve", ["--epsilon", "0.035"]))
 RUNS.append(("m3-sweep", "resonance-single", "resonance-scan", ["--epsilon", "0.00625"]))
 RUNS.append(("default", "near-resonance", "toda-solve", ["--epsilon", "0.0471"]))
 RUNS.append(("default", "report", "report", []))
