@@ -300,6 +300,7 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     m = len(f)
     if m < 1:
         raise DomainError("need at least one layer position")
+    _check_window(grid, m, scales_of(epsilon).rho)
     kv, positions, slopes = _sample_layers(f, K, grid, epsilon)
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     out = np.zeros(grid.shape)

@@ -13,10 +13,11 @@ layer. The stack is centred: the heights sum to zero. Summing the height
 equations leaves the Jacobi equation sigma (s'' + K s) = 0 for
 s = h_1 + ... + h_m, whose only solution is zero on a curve without Jacobi
 fields (a non-degenerate curve, see `geometry.jacobi_is_degenerate`).
-The explicit profile v^1 kills the O(1) part exactly; sigma^k corrections
-refine it, and damped Newton from that profile, shifted to the forced
-leading-order balance, finishes the solve on `_damped_newton`, the driver the
-strip solve shares (here with the merit sup |F| and the damping floor 1e-6).
+The explicit profile v^1 kills the O(1) part exactly; chord steps (Newton with
+the Jacobian frozen at v^1) refine it to O(sigma^k), and damped Newton from
+it, shifted to the forced leading-order balance, finishes the solve on
+`_damped_newton`, the driver the strip solve shares (here with the merit
+sup |F| and the damping floor 1e-6).
 The system is unchanged by reversing the layer order (gap l <-> m - l), and
 so is every forcing the solve takes: the Newton iterates stay in the
 reflection-even sector, whose r = ceil((m-1)/2) basis fields (`_even_basis`)
@@ -184,11 +185,14 @@ def equilibrium_gap_forcing(K: PeriodicField, m: int, beta: float) -> np.ndarray
 
 def iterate_corrections(K: PeriodicField, sigma: float, beta: float, m: int,
                         k: int) -> np.ndarray:
-    """Gaps v^k = v^1 + the first k-1 corrections, ||S_bar(v^k)||_inf = O(sigma^k).
+    """The order-k gap profile v^k, with ||S_bar(v^k)||_inf = O(sigma^k).
 
-    k = 1 returns the first-order profile itself; each further order solves
-    one pointwise linear system against the fixed Jacobian at v^1. Orders
-    above 6 are rejected: the correction terms fall below conditioning noise.
+    v^1 is `first_order_profile`; each further order is one chord step
+    v <- v - M^{-1} S_bar(v), Newton with the pointwise Jacobian M = DS0_bar(v^1)
+    frozen at v^1: as beta K + S0_bar(v^1) = 0, that is exactly the order-by-order
+    sigma expansion about v^1. Orders above 6 are rejected: the expansion can
+    stop converging before then (K = 1 + 0.02 sin 2y, 128 samples, m = 2,
+    sigma = 0.2: ||S_bar|| is 3.0e-7 at order 5 and 1.4e-6 at order 6).
     """
     if not sigma > 0.0:
         raise DomainError("sigma must be positive")
@@ -196,41 +200,12 @@ def iterate_corrections(K: PeriodicField, sigma: float, beta: float, m: int,
         raise DomainError("correction order must be at least 1")
     if k > MAX_CORRECTION_ORDER:
         raise DomainError(f"correction order capped at {MAX_CORRECTION_ORDER}")
-    v1 = first_order_profile(K, m, beta)
-    if k == 1:
-        return v1
-    # fixed pointwise Jacobian at v^1, reused for every correction order
-    M = DS0_bar(v1)  # (n, m-1, m-1)
-    Kv = K.values
-
-    def jac_ky(g: np.ndarray) -> np.ndarray:
-        return sigma * (_spectral_derivative(g, K.grid, 2) + Kv[None, :] * g)
-
-    def nonlinear_part(s: np.ndarray) -> np.ndarray:
-        # N(s) = S0(v1+s) - S0(v1) - DS0(v1) s, evaluated pointwise
-        lin = np.einsum("nij,jn->in", M, s)
-        return S0_bar(v1 + s) - S0_bar(v1) - lin
-
-    def solve_pointwise(rhs: np.ndarray) -> np.ndarray:
-        # M(y) omega(y) = -rhs(y) at every grid point
-        sol = np.linalg.solve(M, -rhs.T[:, :, None])
-        return sol[:, :, 0].T
-
-    # r_j = sigma (Delta+K) omega_{j-1} + N(S_{j-1}) - N(S_{j-2}), S_j partial sums
-    omegas = []
-    partial = np.zeros_like(v1)
-    prev_nq = np.zeros_like(v1)  # N(S_0) = N(0) = 0
-    for order in range(1, k):
-        if order == 1:
-            r = jac_ky(v1)
-        else:
-            nq = nonlinear_part(partial)
-            r = jac_ky(omegas[-1]) + nq - prev_nq
-            prev_nq = nq
-        omega = solve_pointwise(r)
-        omegas.append(omega)
-        partial = partial + omega
-    return v1 + partial
+    gaps = first_order_profile(K, m, beta)
+    M = DS0_bar(gaps)  # (n, m-1, m-1)
+    for _ in range(k - 1):
+        step = np.linalg.solve(M, S_bar(gaps, sigma, K, beta).T[:, :, None])
+        gaps = gaps - step[:, :, 0].T
+    return gaps
 
 
 def _symmetric_field(gaps: np.ndarray, sigma: float, Kv: np.ndarray,

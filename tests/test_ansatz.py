@@ -306,6 +306,16 @@ def test_closed_form_variable_curvature():
     assert err < 1e-5
 
 
+def test_closed_form_narrow_grid_rejected():
+    # a strip short of (3/2 + 1) rho would cut the top layer of three off at the wall
+    K = circle_K()
+    eps = 0.05
+    s = scales_of(eps)
+    grid = StripGrid(PeriodicGrid(16, TWO_PI / eps), 2.4 * s.rho, 201)
+    with pytest.raises(DomainError, match=r"below the layer window \(3/2 \+ 1\) rho"):
+        residual_closed_form(f_from_h(flat_layers(K, 3), s), grid, K, eps)
+
+
 # ---------------------------------------------------------------- expansion
 
 
@@ -670,9 +680,9 @@ _REPORT_PINS = {
     (0.025, 1): (0.0, 0.004331147815179605, 9.487697803003018e-06,
                  5.183424002538404e-06, 7.737124309802636e-16, 0.004339709365061557,
                  0.003700585558576274, 1.243561314039356),
-    (0.025, 2): (0.050258997498528586, 0.18562454620658342, 0.05632347699463127,
-                 0.00033519540482889555, 0.00017644861146859787, 0.23210982197705593,
-                 0.14506047712471373, 15.789349934097718),
+    (0.025, 2): (0.05025899749852911, 0.18562454620658245, 0.05632347699462268,
+                 0.0003351954048287094, 0.00017644861146842226, 0.23210982197705396,
+                 0.14506047712532735, 15.789349934097745),
     (0.025, 3): (1.3921827942822858, 4.265530468108288, 1.4170322486221798,
                  0.03641233075673931, 0.009749308937327615, 5.288884904238719,
                  3.0031913002551347, 47.63243755780131),
