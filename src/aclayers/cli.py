@@ -3,14 +3,15 @@
 Every subcommand in `COMMANDS` (name -> function and help text) is a
 function `(cfg, writer) -> summary lines`: it reads one `RunConfig`, runs a
 slice of the pipeline, and writes artifacts through the `ArtifactWriter`
-into the output directory. The subcommands share one set of options
-(`--config`, `--epsilon`, `--out`, `--strict`), which act on the config
-alone. The artifacts are JSON and/or CSV data files whose first record
-carries the schema version, plus a `manifest.json` with the config hash,
-package versions, and wall time. Data artifacts are deterministic
-(bit-identical across repeated runs on the same config and BLAS thread
-count, which reaches the last bits of the gap, resonance, residual, Newton
-and report data; `OPENBLAS_NUM_THREADS=1` gives the bytes that
+into the output directory. The subcommands share one set of options:
+`--config` and `--epsilon` set the run, and `--out` (default `out`) names
+the directory. A config key the schema does not know is a `ConfigError`.
+The artifacts are JSON and CSV data files whose first record carries the
+schema version, plus a `manifest.json` with the config hash, package
+versions, and wall time. Data artifacts are deterministic (bit-identical
+across repeated runs on the same config, BLAS kernel and BLAS thread count,
+which reach the last bits of the gap, resonance, residual, Newton and report
+data; `OPENBLAS_NUM_THREADS=1` gives the bytes that
 `tools/artifact_digests.py` digests): timestamps and timings appear only in
 the manifest, and `report` prints each criterion's runtime on stdout only.
 Floats are written as their shortest round-trip repr, by json's own encoder
@@ -103,18 +104,9 @@ class RunConfig:
     epsilons: tuple[float, ...]
     n_y: int | None
     c_gap: float
-    out_dir: str
-    formats: tuple[str, ...]
 
     def curve(self) -> ClosedCurve:
-        # a constant curvature is the Fourier profile of that mean alone
-        mean = self.curvature.get("constant", self.curvature.get("mean", 1.0))
-        return ClosedCurve.fourier(
-            self.length,
-            mean,
-            cos=self.curvature.get("cos", ()),
-            sin=self.curvature.get("sin", ()),
-        )
+        return ClosedCurve.fourier(self.length, **self.curvature)
 
     def curvature_field(self) -> PeriodicField:
         grid = PeriodicGrid(n=self.samples, length=self.length)
@@ -137,25 +129,16 @@ class RunConfig:
         return doc
 
     def sha256(self) -> str:
-        """Hash of `resolved()` without `output.directory`: where a run writes
-        its artifacts does not change them."""
-        doc = self.resolved()
-        del doc["output"]["directory"]
-        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """Hash of `resolved()`."""
+        canonical = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _check_keys(doc: dict, allowed: set[str], path: str, strict: bool) -> None:
+def _check_keys(doc: dict, allowed: set[str], path: str) -> None:
     for key in doc:
         if key not in allowed:
             full = f"{path}.{key}" if path else str(key)
-            if strict:
-                raise ConfigError(f"unknown config key {full!r}")
-            _warn(f"ignoring unknown config key {full!r}")
+            raise ConfigError(f"unknown config key {full!r}")
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -190,17 +173,10 @@ def _check_epsilon_value(value: float, path: str) -> float:
     return value
 
 
-def _parse_curvature(curv, parsed: dict, strict: bool) -> dict:
+def _parse_curvature(curv, parsed: dict) -> dict:
     if not isinstance(curv, dict):
         raise ConfigError("geometry.curvature: must be an object")
-    if "constant" in curv:
-        _check_keys(curv, {"constant"}, "geometry.curvature", strict)
-        value = _real(curv["constant"], "geometry.curvature.constant")
-        if not value > 0.0:
-            raise ConfigError(
-                f"geometry.curvature: curvature must be positive, got {value}")
-        return {"constant": value}
-    _check_keys(curv, {"mean", "cos", "sin"}, "geometry.curvature", strict)
+    _check_keys(curv, {"mean", "cos", "sin"}, "geometry.curvature")
     mean = _real(curv.get("mean", 1.0), "geometry.curvature.mean")
     cos = [_real(a, "geometry.curvature.cos") for a in curv.get("cos", [])]
     sin = [_real(a, "geometry.curvature.sin") for a in curv.get("sin", [])]
@@ -211,9 +187,9 @@ def _parse_curvature(curv, parsed: dict, strict: bool) -> dict:
     return {"mean": mean, "cos": cos, "sin": sin}
 
 
-def _parse_epsilon(spec, parsed: dict, strict: bool) -> tuple[float, ...]:
+def _parse_epsilon(spec, parsed: dict) -> tuple[float, ...]:
     if isinstance(spec, dict):
-        _check_keys(spec, {"min", "max", "steps"}, "epsilon", strict)
+        _check_keys(spec, {"min", "max", "steps"}, "epsilon")
         lo = _check_epsilon_value(_real(spec.get("min", 0.01), "epsilon.min"),
                                   "epsilon.min")
         hi = _check_epsilon_value(_real(spec.get("max", 0.1), "epsilon.max"),
@@ -228,28 +204,13 @@ def _parse_epsilon(spec, parsed: dict, strict: bool) -> tuple[float, ...]:
     return (_check_epsilon_value(value, "epsilon"),)
 
 
-def _parse_directory(value, parsed: dict, strict: bool) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError("output.directory: must be a nonempty string")
-    return value
-
-
-def _parse_formats(value, parsed: dict, strict: bool) -> tuple[str, ...]:
-    if (not isinstance(value, list) or not value
-            or any(f not in ("json", "csv") for f in value)):
-        raise ConfigError(
-            "output.formats: must be a nonempty list drawn from "
-            "[\"json\", \"csv\"]")
-    return tuple(value)
-
-
 class _Field(NamedTuple):
     """One config field: where it sits in the document and how it parses.
 
     A scalar field has `kind` int or float and a range: `ok` tests a value
     of that kind, `requirement` says what it demands. Any other field names
-    its own parser as `kind`, called with the JSON value, the fields parsed
-    before it and the strict flag.
+    its own parser as `kind`, called with the JSON value and the fields
+    parsed before it.
     """
 
     path: str  # JSON path: "key" or "section.key"
@@ -265,7 +226,7 @@ class _Field(NamedTuple):
 _FIELDS = (
     _Field("geometry.length", "length", 2.0 * math.pi, float,
            lambda v: v > 0.0, "must be positive"),
-    _Field("geometry.curvature", "curvature", {"constant": 1.0},
+    _Field("geometry.curvature", "curvature", {"mean": 1.0},
            _parse_curvature),
     _Field("geometry.samples", "samples", 64, int,
            lambda v: v >= 16 and v % 2 == 0, "must be even and at least 16"),
@@ -275,16 +236,14 @@ _FIELDS = (
            lambda v: v >= 16 and v % 2 == 0, "must be even and at least 16"),
     _Field("spectral.c_gap", "c_gap", DEFAULT_C_GAP, float,
            lambda v: v > 0.0, "must be positive"),
-    _Field("output.directory", "out_dir", "out", _parse_directory),
-    _Field("output.formats", "formats", ["json", "csv"], _parse_formats),
 )
 
 
-def parse_config(text: str, strict: bool = False) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run config, filling defaults.
 
-    Unknown keys raise `ConfigError` under `strict`, otherwise warn on
-    stderr. All validation errors name the offending field.
+    Every error, an unknown key's included, is a `ConfigError` naming the
+    offending field.
     """
     try:
         doc = json.loads(text) if text.strip() else {}
@@ -294,7 +253,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
             f"(line {exc.lineno}, column {exc.colno})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(doc, {f.path.split(".")[0] for f in _FIELDS}, "", strict)
+    _check_keys(doc, {f.path.split(".")[0] for f in _FIELDS}, "")
 
     parsed: dict = {}
     checked = {""}
@@ -305,10 +264,10 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
             checked.add(name)
             _check_keys(section, {g.path.rpartition(".")[2] for g in _FIELDS
                                   if g.path.startswith(name + ".")},
-                        name, strict)
+                        name)
         value = section.get(key, f.default)
         if f.kind not in (int, float):
-            value = f.kind(value, parsed, strict)
+            value = f.kind(value, parsed)
         elif value is not None or f.default is not None:  # null: stays unset
             value = _integer(value, f.path) if f.kind is int else _real(value, f.path)
             if not f.ok(value):
@@ -351,7 +310,7 @@ def _json_default(value):
 
 
 class ArtifactWriter:
-    """Writes data files honoring the configured formats; tracks names."""
+    """Writes the data files of the given formats ("json", "csv"); tracks names."""
 
     def __init__(self, out_dir: Path, formats: Sequence[str]) -> None:
         self.out_dir = out_dir
@@ -675,10 +634,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSON run config (defaults apply when omitted)")
     common.add_argument("--epsilon", type=float, metavar="EPS",
                         help="override the config epsilon with one value")
-    common.add_argument("--out", metavar="DIR",
-                        help="override the output directory")
-    common.add_argument("--strict", action="store_true",
-                        help="reject unknown config keys instead of warning")
+    common.add_argument("--out", metavar="DIR", default="out",
+                        help="output directory (default: out)")
 
     parser = argparse.ArgumentParser(
         prog="aclayers",
@@ -703,16 +660,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         else:
             text = "{}"
-        cfg = parse_config(text, strict=args.strict)
+        cfg = parse_config(text)
         if args.epsilon is not None:
             eps = _check_epsilon_value(args.epsilon, "--epsilon")
             cfg = dataclasses.replace(cfg, epsilons=(eps,))
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
 
-        out_dir = Path(cfg.out_dir)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        writer = ArtifactWriter(out_dir, cfg.formats)
+        writer = ArtifactWriter(out_dir, ("json", "csv"))
         start = time.perf_counter()
         summary = COMMANDS[args.command][0](cfg, writer)
         wall = time.perf_counter() - start

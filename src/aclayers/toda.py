@@ -54,17 +54,24 @@ _RESONANCE_RATIO = 1e-6  # min |eig| at the root below this multiple of the medi
 MAX_ITERATIONS = 50  # Newton steps of the gap solve
 RESIDUAL_TOL = 1e-10  # sup-norm residual the gap solve must reach
 # largest coupling of two channels of a gap field in its y-mean eigenbasis,
-# relative to max |F|, up to which they count as decoupled (`_gap_spectrum`);
-# measured at the gap roots for m = 3-5 over the eps ladder on 64 and 128
-# samples of K = 1 and eleven shapes 1 + a1 cos y + a2 cos(2y + q): at most
-# 8.6e-14 where they decouple (a reflection-even channel against an odd one,
-# or a constant K), at least 6.9e-6 where they do not (two channels of one
-# sector on a varying K). It also bounds the variation of a lone channel's
-# coefficient along the curve up to which it counts as constant: at most
-# 2.7e-13 at the K = 1 roots (m = 2-5, 64 and 128 samples, eps 0.05 and
-# 0.00625), at least 6.4e-3 at v^1 and at the roots on 1 + 0.2 cos y and
-# 1 + 0.03 cos y + 0.01 cos(2y + 4)
-_SPLIT_RTOL = 1e-12
+# relative to max |F|, up to which they count as decoupled (`_gap_spectrum`),
+# and the variation of a lone channel's coefficient along the curve up to
+# which it counts as constant. Measured at the gap roots for m = 2-5 over the
+# eps ladder (8 points, 0.00625-0.05) plus 0.0125 and 0.025, on 64 and 128
+# samples of K = 1 and eleven shapes 1 + a1 cos y + a2 cos(2y + q), under
+# OpenBLAS's SkylakeX kernel and its Haswell kernel (any x86-64 host without
+# AVX-512), which round differently:
+# - decoupled channels (an even channel against an odd one, or a constant K)
+#   couple by at most 8.3e-14 (SkylakeX) and 8.9e-14 (Haswell);
+# - a lone channel of a K = 1 root varies by at most 9.1e-13 (SkylakeX) and
+#   1.52e-12 (Haswell, at m = 4, eps 0.025, 64 samples);
+# - two channels of one sector on a varying K couple by at least 7.0e-7, and
+#   a lone channel on a varying K varies by at least 7.1e-3, on both kernels.
+# 1e-9 sits in the gap both kernels leave: 660 times the largest variation,
+# 1/700 of the weakest coupling. By Weyl's inequality a dropped coupling or variation moves each
+# eigenvalue by at most 1e-9 max |F|; the measured ones move it by at most
+# 1.52e-12 max |F|.
+_SPLIT_RTOL = 1e-9
 
 
 @lru_cache(maxsize=16)

@@ -36,16 +36,15 @@ TWO_PI = 2.0 * math.pi
 def test_empty_config_fills_defaults():
     cfg = parse_config("")
     assert cfg.length == pytest.approx(TWO_PI)
-    assert cfg.curvature == {"constant": 1.0}
+    assert cfg.curvature == {"mean": 1.0, "cos": [], "sin": []}
     assert cfg.m == 2
     assert cfg.epsilons == (0.05,)
     assert cfg.n_y is None
-    assert cfg.formats == ("json", "csv")
 
 
 def test_minimal_document_parses():
     text = json.dumps({
-        "geometry": {"length": 6.283, "curvature": {"constant": 1}},
+        "geometry": {"length": 6.283, "curvature": {"mean": 1}},
         "m": 2,
         "epsilon": 0.05,
     })
@@ -53,11 +52,10 @@ def test_minimal_document_parses():
     assert cfg.length == 6.283
     assert cfg.samples == 64
     assert cfg.c_gap == DEFAULT_C_GAP
-    assert cfg.out_dir == "out"
 
 
 def test_negative_curvature_names_the_field():
-    text = json.dumps({"geometry": {"curvature": {"constant": -1}}})
+    text = json.dumps({"geometry": {"curvature": {"mean": -1}}})
     with pytest.raises(ConfigError, match="curvature.*positive"):
         parse_config(text)
 
@@ -93,13 +91,11 @@ def test_epsilon_range_validation():
             {"epsilon": {"min": 0.02, "max": 0.08, "steps": 0}}))
 
 
-def test_unknown_key_strict_vs_lenient(capsys):
-    text = json.dumps({"extra_key": 1})
-    with pytest.raises(ConfigError, match="extra_key"):
-        parse_config(text, strict=True)
-    cfg = parse_config(text, strict=False)
-    assert cfg.m == 2
-    assert "extra_key" in capsys.readouterr().err
+def test_unknown_key_is_a_config_error():
+    with pytest.raises(ConfigError, match="^unknown config key 'extra_key'$"):
+        parse_config(json.dumps({"extra_key": 1}))
+    with pytest.raises(ConfigError, match="^unknown config key 'geometry.extra'$"):
+        parse_config(json.dumps({"geometry": {"extra": 1}}))
 
 
 def test_invalid_json_reports_position():
@@ -115,26 +111,25 @@ def test_grid_validation():
     assert parse_config(json.dumps({"grid": {"n_y": None}})).n_y is None
     # the strip's t-window follows eps and m alone
     with pytest.raises(ConfigError, match="'grid.t_extent'"):
-        parse_config(json.dumps({"grid": {"t_extent": "auto"}}), strict=True)
+        parse_config(json.dumps({"grid": {"t_extent": "auto"}}))
 
 
 def test_toda_and_spectral_validation():
     # the gap solve takes no settings from the config
     with pytest.raises(ConfigError, match="unknown config key 'toda'"):
-        parse_config(json.dumps({"toda": {"k": 3}}), strict=True)
+        parse_config(json.dumps({"toda": {"k": 3}}))
     with pytest.raises(ConfigError, match="spectral.c_gap"):
         parse_config(json.dumps({"spectral": {"c_gap": -0.1}}))
     with pytest.raises(ConfigError, match="'spectral.eigen_count'"):
-        parse_config(json.dumps({"spectral": {"eigen_count": 40}}), strict=True)
+        parse_config(json.dumps({"spectral": {"eigen_count": 40}}))
 
 
 def test_output_validation():
-    with pytest.raises(ConfigError, match="output.formats"):
-        parse_config(json.dumps({"output": {"formats": ["xml"]}}))
-    with pytest.raises(ConfigError, match="output.directory"):
-        parse_config(json.dumps({"output": {"directory": ""}}))
-    cfg = parse_config(json.dumps({"output": {"formats": ["json"]}}))
-    assert cfg.formats == ("json",)
+    # --out names the directory and every run writes JSON and CSV: the config
+    # has no output section to set either
+    for doc in ({"output": {"directory": "out"}}, {"output": {"formats": ["json"]}}):
+        with pytest.raises(ConfigError, match="^unknown config key 'output'$"):
+            parse_config(json.dumps(doc))
 
 
 def test_booleans_are_not_numbers():
@@ -179,7 +174,6 @@ def test_scalar_field_rejects_bool_and_out_of_range(field):
 _REAL_PATHS = {
     "geometry.length": lambda v: {"geometry": {"length": v}},
     "spectral.c_gap": lambda v: {"spectral": {"c_gap": v}},
-    "geometry.curvature.constant": lambda v: {"geometry": {"curvature": {"constant": v}}},
     "geometry.curvature.mean": lambda v: {"geometry": {"curvature": {"mean": v}}},
     "geometry.curvature.cos": lambda v: {"geometry": {"curvature": {"cos": [0.1, v]}}},
     "geometry.curvature.sin": lambda v: {"geometry": {"curvature": {"sin": [v]}}},
@@ -208,7 +202,7 @@ def test_real_fields_reject_integers_past_the_float_range():
 def test_readme_config_example_parses_strictly():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]
-    cfg = parse_config(example, strict=True)
+    cfg = parse_config(example)
     assert cfg.curvature == {"mean": 1.0, "cos": [0.1], "sin": []}
     assert len(cfg.epsilons) == 7
 
@@ -238,12 +232,11 @@ def test_runconfig_strip_grid_overrides():
 
 
 @pytest.mark.parametrize("doc,digest", [
-    ({}, "3117cc34ad4ab3a68540e0f02fbefa9f1553b78050f1dec366fd83aae805044e"),
+    ({}, "82d70e7a6e8c7b4cac8c9a3a8501ab09e093761fea2ed13da512ca17d40f9e9f"),
     ({"m": 3, "epsilon": {"min": 0.02, "max": 0.08, "steps": 5},
       "geometry": {"curvature": {"mean": 1.0, "cos": [0.2]}, "samples": 128},
-      "spectral": {"c_gap": 0.1},
-      "output": {"formats": ["json"]}},
-     "7a3785908313c3719eb0f88b6bd3a8052118659c5726fc89cdb639ce5953cfc0"),
+      "spectral": {"c_gap": 0.1}},
+     "67740125fbb68dac0617df60c5294e14df5f9ecec63218ac76d1c1aaf7a76bbf"),
 ], ids=["defaults", "sweep"])
 def test_config_hash_is_stable(doc, digest):
     # manifests carry these hashes: only a change of the config schema moves them
@@ -260,15 +253,15 @@ def test_config_hash_tracks_content():
 
 
 def test_config_hash_leaves_out_the_output_directory(tmp_path):
-    # one config written to two places: one hash, each manifest naming its directory
+    # one config written to two places: one hash, and no directory in the config
     manifests = []
     for name in ("first", "second"):
         code = main(["scales", "--out", str(tmp_path / name)])
         assert code == 0
         manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
     assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
-    assert [m["config"]["output"]["directory"] for m in manifests] == [
-        str(tmp_path / "first"), str(tmp_path / "second")]
+    assert manifests[0]["config"] == manifests[1]["config"] == parse_config("").resolved()
+    assert "output" not in manifests[0]["config"]
 
 
 # ---------------------------------------------------------------------------
@@ -632,23 +625,20 @@ def test_ansatz_residual_evaluates_residual_once_per_epsilon(tmp_path,
     ("toda-solve", {"toda": {"k": 1, "max_iterations": 5}}, "toda"),
     ("ansatz-residual", {"grid": {"n_t": 201, "t_extent": 12.0}}, "grid.n_t"),
     ("spectrum", {"spectral": {"eigen_count": 10}}, "spectral.eigen_count"),
-], ids=["toda", "grid", "spectral"])
-def test_old_config_keys_are_ignored(tmp_path, capsys, command, doc, key):
-    # a config written for the settings since removed runs on the defaults
+    ("scales", {"output": {"directory": "elsewhere", "formats": ["json"]}}, "output"),
+    ("toda-solve", {"geometry": {"curvature": {"constant": 1.2}}},
+     "geometry.curvature.constant"),
+    ("constants", {"m": 3, "samples": 128}, "samples"),
+], ids=["toda", "grid", "spectral", "output", "constant", "unknown"])
+def test_old_config_keys_are_rejected(tmp_path, capsys, command, doc, key):
+    # a config with a removed setting or spelling, or a misplaced key, names
+    # the key and runs nothing, never the defaults in its place
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps(doc))
-    code, out = _run(tmp_path / "old", command, "--config", str(cfg))
-    assert code == 0
-    assert f"warning: ignoring unknown config key {key!r}" in capsys.readouterr().err
-    code, ref = _run(tmp_path / "ref", command)
-    assert code == 0
-    names = sorted(p.name for p in ref.iterdir() if p.name != "manifest.json")
-    assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == names
-    for name in names:
-        assert (out / name).read_bytes() == (ref / name).read_bytes()
-    code, _ = _run(tmp_path / "strict", command, "--config", str(cfg), "--strict")
+    code, out = _run(tmp_path, command, "--config", str(cfg))
     assert code == 1
-    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: unknown config key {key!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,first_files", [
@@ -754,13 +744,16 @@ def test_artifacts_are_deterministic(tmp_path):
 
 
 def test_formats_filter_artifacts(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"output": {"formats": ["json"]}}))
-    code, out = _run(tmp_path, "scales", "--config", str(cfg))
+    # the CLI writes both formats; a writer given one writes that one alone
+    code, out = _run(tmp_path, "scales")
     assert code == 0
-    assert (out / "scales.json").exists()
-    assert not (out / "scales.csv").exists()
-    assert (out / "manifest.json").exists()
+    assert {p.name for p in out.iterdir()} == {"scales.json", "scales.csv", "manifest.json"}
+    writer = cli.ArtifactWriter(tmp_path, ("csv",))
+    writer.json("a.json", {"x": 1.0})
+    writer.csv("a.csv", ("x",), [(1.0,)])
+    writer.matrix("b.csv", np.ones((2, 2)), "ones")
+    assert writer.names == ["a.csv", "b.csv"]
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_json_artifacts_carry_no_timestamps(tmp_path):

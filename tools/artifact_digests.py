@@ -38,7 +38,7 @@ strip line search after 17 Newton steps (exit 3, about 0.8 s), and
 `scales` on `m1` (m = 1) is a config error (exit 1).
 Prints one `exit <code>  <config>/<run>` line per run, one
 `stderr <sha256>  <config>/<run>` line for each run that wrote to stderr
-(its error message, or a config warning), one `config <sha256>
+(its error message), one `config <sha256>
 <config>/<run>` line with the `config_sha256` of each run that wrote a
 manifest, so a change of the config schema shows too, and one
 `<sha256>  <config>/<run>/<file>` line per artifact; `manifest.json` itself
@@ -48,10 +48,15 @@ config hashes when their outputs are equal:
 
     diff <(python3 tools/artifact_digests.py OTHER) <(python3 tools/artifact_digests.py)
 
-The BLAS and OpenMP pools are pinned to one thread, as in perfbench: the
-thread count reaches the last bits of the gap, resonance, residual, Newton
-and report data, so a run of the CLI reproduces these bytes under
-`OPENBLAS_NUM_THREADS=1`.
+The BLAS and OpenMP pools are pinned to one thread, as in perfbench. The
+bytes hold for one BLAS thread count and one BLAS kernel: both reach the
+last bits of the gap, resonance, residual, Newton and report data. Of the
+78 data-artifact lines, 24 change with 2 threads in place of 1, and 62
+under `OPENBLAS_CORETYPE=Haswell` (the kernel of any x86-64 host without
+AVX-512) in place of SkylakeX; the exit, stderr and config lines change
+with neither (2-core host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31). So
+a run of the CLI reproduces these bytes under `OPENBLAS_NUM_THREADS=1` on
+the same kernel, and two checkouts compare only under one kernel.
 """
 
 from __future__ import annotations
