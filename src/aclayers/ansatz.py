@@ -65,6 +65,14 @@ STATE_BOUND = 1.5
 _GMRES_CYCLE_CUT = 0.5
 # Krylov vectors per GMRES restart cycle
 _GMRES_RESTART = 60
+# solve_projected leaves the y-modes of g past the last one whose largest |g_k|
+# over t exceeds this share of the largest at zero; measured on the residuals
+# of the eight strip-residual benchmark slots, 24 turns each: the modes that
+# carry round-off alone (every mode past 0 on K = 1, the upper half of the
+# spectrum on a varying K) sit at 2.7e-15 to 1.7e-13 of the largest, at least
+# 5.9 times below (the K = 1 modes past 0 at most 1.7e-13, the upper-half
+# medians 4.7e-15 to 7.5e-14)
+_PROJECTED_RTOL = 1e-12
 # automatic strip size: transverse room past the outer layers, target t-step
 _T_MARGIN = 6.0
 _DT_TARGET = 0.125
@@ -254,6 +262,8 @@ def _layer_shares(positions: Sequence[np.ndarray],
 
     and w'' = w^3 - w. The shares sum to S(u0) - F(u0). One tanh per layer
     gives w and w' = (1 - w^2)/sqrt(2), the bits `heteroclinic_derivative` gives.
+    Each share is formed in place, one operation of the formula at a time in
+    its order, so it keeps the formula's bits with fewer strip-sized copies.
     """
     z = grid.t[None, :]
     e2 = epsilon * epsilon
@@ -261,10 +271,19 @@ def _layer_shares(positions: Sequence[np.ndarray],
         fp, fpp = fp[:, None], fpp[:, None]
         tj = z - pos[:, None]
         w = heteroclinic(tj)
-        wp = (1.0 - w * w) / SQRT2
-        wpp = w * w * w - w
-        share = (-1.0) ** (j - 1) * ((1.0 + e2 * fp * fp) * wpp
-                                     - e2 * (fpp + z * kv[:, None]) * wp)
+        w2 = w * w
+        wp = 1.0 - w2
+        wp /= SQRT2
+        wpp = np.multiply(w2, w, out=w2)
+        wpp -= w
+        drift = z * kv[:, None]
+        drift += fpp
+        drift *= e2
+        drift *= wp
+        share = (1.0 + e2 * fp * fp) * wpp
+        share -= drift
+        if j % 2 == 0:
+            np.negative(share, out=share)
         yield tj, w, wp, wpp, share
 
 
@@ -312,13 +331,19 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     return StripField(grid, out)
 
 
+def _slab(t: np.ndarray, low: float, high: float, reach: float) -> slice:
+    """The t-columns within reach of [low, high], one spare column each side."""
+    lo, hi = np.searchsorted(t, (low - reach, high + reach))
+    return slice(max(lo - 1, 0), min(hi + 1, len(t)))
+
+
 def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
                grid: StripGrid):
     """u0 and S(u0) of the stack on the positions f, and the expansion near each layer.
 
-    Returns (u0, S(u0), terms, in_window). Each term field is that term of every
-    layer ell on its own part of the disjoint nearest-layer partition of the
-    strip, capped at the window |z - f_ell| <= rho/2 + M, and zero elsewhere;
+    Returns (u0, S(u0), terms, in_window, cols). Each term field is that term of
+    every layer ell on its own part of the disjoint nearest-layer partition of
+    the strip, capped at the window |z - f_ell| <= rho/2 + M, and zero elsewhere;
     in_window marks the union of those parts. The terms of layer ell carry
     its orientation (-1)^{ell-1}:
       interaction: 6(1-w^2) eps^2 rho [alpha e^{-sqrt2 t} - gamma e^{+sqrt2 t}]
@@ -331,10 +356,11 @@ def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
     and h_ell = f_ell - fbase_ell the height, so h_ell' = f_ell', h_ell'' =
     f_ell'' and h_{l+1} - h_l = f_{l+1} - f_l - rho.
 
-    u0 and S(u0) cover the strip. The terms, the nearest layer and the window
-    of layer ell are evaluated only on its column slab: the t-columns within
-    rho/2 + M of f_ell on some row (found from the least and greatest f_ell,
-    one spare column each side), outside which its window is empty. Every
+    u0 and S(u0) cover the strip. The window of layer ell is empty outside its
+    column slab, the t-columns within rho/2 + M of f_ell on some row (found
+    from the least and greatest f_ell, one spare column each side): its terms
+    are evaluated there, and the terms, in_window and the nearest layer are
+    held only on the strip columns `cols`, the union of the slabs. Every
     term is read off the sampled K, f, f' and f'' (`_sample_layers`): one
     resample of 1 + 3m curve fields.
     """
@@ -347,11 +373,13 @@ def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
     stacked = np.stack(positions)
     gap_exp = np.exp(-SQRT2 * (np.diff(stacked, axis=0) - s.rho))[:, :, None]
     t = grid.t
+    cols = _slab(t, stacked.min(), stacked.max(), window)
+    nearest = np.argmin(np.abs(t[None, None, cols] - stacked[:, :, None]), axis=0)
 
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     res = np.zeros(grid.shape)
-    in_window = np.zeros(grid.shape, dtype=bool)
-    terms = {name: np.zeros(grid.shape)
+    in_window = np.zeros(nearest.shape, dtype=bool)
+    terms = {name: np.zeros(nearest.shape)
              for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
     layers = _layer_shares(positions, slopes, grid, kv, epsilon)
     for ell, (t_loc, w, wp, wpp, share) in enumerate(layers, start=1):
@@ -359,11 +387,9 @@ def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
         u0 += sign * w
         res += share
 
-        # the slab: columns within the window of some row's f_ell, one spare each side
         pos = positions[ell - 1]
-        lo, hi = np.searchsorted(t, (pos.min() - window, pos.max() + window))
-        cols = slice(max(lo - 1, 0), hi + 1)
-        t_loc, w, wp, wpp = t_loc[:, cols], w[:, cols], wp[:, cols], wpp[:, cols]
+        slab = _slab(t, pos.min(), pos.max(), window)
+        t_loc, w, wp, wpp = t_loc[:, slab], w[:, slab], wp[:, slab], wpp[:, slab]
         pref = 6.0 * (1.0 - w * w) * e2 * s.rho
         inter = np.zeros(t_loc.shape)
         if ell >= 2:
@@ -378,15 +404,16 @@ def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
             "jacobi": -e2 * ((fpp + kv * (pos - f_base))[:, None]) * wp,
             "gradient_sq": e2 * (fp**2)[:, None] * wpp,
         }
-        nearest = np.argmin(np.abs(t[None, None, cols] - stacked[:, :, None]), axis=0)
-        mask = (np.abs(t_loc) <= window) & (nearest == ell - 1)
-        in_window[:, cols] |= mask
+        part = slice(slab.start - cols.start, slab.stop - cols.start)
+        mask = (np.abs(t_loc) <= window) & (nearest[:, part] == ell - 1)
+        in_window[:, part] |= mask
         for name, term in layer_terms.items():
-            terms[name][:, cols] += np.where(mask, sign * term, 0.0)
+            on_slab = terms[name][:, part]
+            np.add(on_slab, sign * term, out=on_slab, where=mask)
         # free this layer's terms before the generator samples the next layer
         del pref, inter, layer_terms, term
     res += u0 - u0 * u0 * u0
-    return StripField(grid, u0), StripField(grid, res), terms, in_window
+    return StripField(grid, u0), StripField(grid, res), terms, in_window, cols
 
 
 def _ball_offsets(dy: float, dt: float) -> list[tuple[int, int]]:
@@ -410,6 +437,59 @@ def _check_norm_parameters(p: float, sigma_decay: float) -> None:
         raise DomainError("sigma_decay must lie in (0, sqrt(2))")
 
 
+def _widened(cols: slice, grid: StripGrid) -> slice:
+    """cols widened by the t-radius of the norm balls, clipped to the strip."""
+    rt = max(abs(it) for _, it in _ball_offsets(grid.y_grid.spacing, grid.dt))
+    return slice(max(cols.start - rt, 0), min(cols.stop + rt, grid.n_t))
+
+
+def _ball_peaks(powered: np.ndarray, start: int, out: slice, grid: StripGrid,
+                inf: bool) -> np.ndarray:
+    """The largest ball sum over y (ball maximum at p = inf) of each strip column in out.
+
+    powered holds |v|^p (|v| at p = inf) on the strip columns from start on.
+    Each ball sums the cells of those columns that it covers; every other cell
+    it covers must hold v = 0, which leaves the sum as it is.
+    """
+    offsets = _ball_offsets(grid.y_grid.spacing, grid.dt)
+    ry = max(abs(jy) for jy, _ in offsets)
+    combine = np.maximum if inf else np.add
+    n_y, width = powered.shape
+    # periodic in y; a ball that stays in its row needs no wrapped copy
+    rows = powered[np.arange(-ry, n_y + ry) % n_y] if ry else powered
+    acc = np.zeros((n_y, out.stop - out.start))
+    for jy, it in offsets:
+        # acc column j is strip column out.start + j; its offset cell is powered column j + shift
+        shift = out.start + it - start
+        lo = max(-shift, 0)
+        hi = max(min(width - shift, acc.shape[1]), lo)
+        view = acc[:, lo:hi]
+        combine(view, rows[ry + jy:ry + jy + n_y, lo + shift:hi + shift], out=view)
+    return np.max(acc, axis=0)
+
+
+def _weighted_sup(peaks: np.ndarray, out: slice, grid: StripGrid, p: float,
+                  sigma_decay: float) -> float:
+    """max over the columns out of e^{sigma|t|} times the L^p norm of their peak balls.
+
+    The cell measure, the 1/p root and the weight all rise with the ball sum,
+    so taking the largest ball of a column first leaves the sup as it is."""
+    weight = np.exp(sigma_decay * np.abs(grid.t))[out]
+    local = peaks if math.isinf(p) else (grid.y_grid.spacing * grid.dt * peaks) ** (1.0 / p)
+    return float(np.max(weight * local))
+
+
+def _slab_norm(values: np.ndarray, start: int, grid: StripGrid, p: float,
+               sigma_decay: float) -> float:
+    """`weighted_norm` of the field that is values on the strip columns from
+    start on and zero on every other column."""
+    inf = math.isinf(p)
+    powered = np.abs(values) if inf else np.abs(values) ** p
+    out = _widened(slice(start, start + values.shape[1]), grid)
+    return _weighted_sup(_ball_peaks(powered, start, out, grid, inf), out, grid,
+                         p, sigma_decay)
+
+
 def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     """sup over grid points of e^{sigma|t|} times the local L^p ball norm.
 
@@ -424,28 +504,11 @@ def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     every other ball holds zeros alone. An all-zero field has norm 0.
     """
     _check_norm_parameters(p, sigma_decay)
-    grid = field.grid
     held = np.flatnonzero(np.any(field.values != 0.0, axis=0))
     if held.size == 0:
         return 0.0
-    offsets = _ball_offsets(grid.y_grid.spacing, grid.dt)
-    ry = max(abs(jy) for jy, _ in offsets)
-    rt = max(abs(it) for _, it in offsets)
-    cols = slice(max(held[0] - rt, 0), held[-1] + rt + 1)
-    weight = np.exp(sigma_decay * np.abs(grid.t))[None, cols]
-    inf = math.isinf(p)
-    vals = np.abs(field.values[:, cols])
-    if not inf:
-        vals = vals ** p
-    combine = np.maximum if inf else np.add
-    n_y, n_t = vals.shape
-    # periodic in y, zero past the crop: adding 0.0 leaves acc as it is
-    padded = np.pad(vals[np.arange(-ry, n_y + ry) % n_y], ((0, 0), (rt, rt)))
-    acc = np.zeros_like(vals)
-    for jy, it in offsets:
-        combine(acc, padded[ry + jy:ry + jy + n_y, rt + it:rt + it + n_t], out=acc)
-    local = acc if inf else (grid.y_grid.spacing * grid.dt * acc) ** (1.0 / p)
-    return float(np.max(weight * local))
+    return _slab_norm(field.values[:, held[0]:held[-1] + 1], int(held[0]), field.grid,
+                      p, sigma_decay)
 
 
 @dataclass(frozen=True)
@@ -498,18 +561,26 @@ def residual_report(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: flo
     raise DomainError before the expansion is built.
     """
     _check_norm_parameters(p, sigma_decay)
-    u0, res, terms, in_window = _expansion(f_from_h(h, scales_of(epsilon)), K,
-                                           epsilon, grid)
+    u0, res, terms, in_window, cols = _expansion(f_from_h(h, scales_of(epsilon)), K,
+                                                 epsilon, grid)
     predicted = sum(terms.values())
-    norms = {name: weighted_norm(StripField(grid, vals), p, sigma_decay)
+    norms = {name: _slab_norm(vals, cols.start, grid, p, sigma_decay)
              for name, vals in terms.items()}
-    remainder = weighted_norm(
-        StripField(grid, np.where(in_window, res.values - predicted, 0.0)),
-        p, sigma_decay)
-    exterior = weighted_norm(
-        StripField(grid, np.where(in_window, 0.0, res.values)),
-        p, sigma_decay)
-    total = weighted_norm(res, p, sigma_decay)
+    remainder = _slab_norm(np.where(in_window, res.values[:, cols] - predicted, 0.0),
+                           cols.start, grid, p, sigma_decay)
+    # |S(u0)|^p once for the total and the exterior, S(u0) off the windows:
+    # their ball sums differ only on the columns `near` whose balls reach cols
+    inf = math.isinf(p)
+    powered = np.abs(res.values) if inf else np.abs(res.values) ** p
+    every = slice(0, grid.n_t)
+    peaks = _ball_peaks(powered, 0, every, grid, inf)
+    total = _weighted_sup(peaks, every, grid, p, sigma_decay)
+    near = _widened(cols, grid)
+    seen = _widened(near, grid)
+    outside = powered[:, seen].copy()
+    outside[:, cols.start - seen.start:cols.stop - seen.start][in_window] = 0.0
+    peaks[near] = _ball_peaks(outside, seen.start, near, grid, inf)
+    exterior = _weighted_sup(peaks, every, grid, p, sigma_decay)
     slack = exterior + 1e-9 * (sum(norms.values()) + remainder + total)
     return ResidualReport(p=p, sigma_decay=sigma_decay,
                           interaction=norms["interaction"],
@@ -531,7 +602,8 @@ def _mode_solver(base: np.ndarray, k2: np.ndarray):
     """Inverse of base - k^2 I on (len(k2), n_t) mode arrays, all k at once.
 
     The stack of shifted copies of `base` keeps its half-bandwidth _BAND: one
-    dgbtrf factors it, one dgbtrs on real and imaginary parts applies it."""
+    dgbtrf factors it, one dgbtrs applies it, to a complex right-hand side as
+    its real and imaginary parts and to a real one as one column."""
     # scipy.linalg costs about 0.18 s and 27 MB to import; only the strip solves use it
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -545,6 +617,9 @@ def _mode_solver(base: np.ndarray, k2: np.ndarray):
         raise NumericalError(f"transverse operator is singular (dgbtrf info {info})")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
+        if not np.iscomplexobj(rhs):
+            x, _ = dgbtrs(lu, _BAND, _BAND, rhs.reshape(-1, 1), piv)
+            return x.reshape(rhs.shape)
         cols = np.array([rhs.real.ravel(), rhs.imag.ravel()]).T
         x, _ = dgbtrs(lu, _BAND, _BAND, cols, piv)
         return (x[:, 0] + 1j * x[:, 1]).reshape(rhs.shape)
@@ -563,28 +638,36 @@ def solve_projected(g: StripField, epsilon: float) -> tuple[StripField, Periodic
     where W holds trapezoid weights, so that int phi w' dt = 0 holds per y
     to machine precision and c(y) w'(t) absorbs the kernel component of g;
     c(y) equals -int g w' dt / int (w')^2 dt up to discretization. One banded
-    LU of all blocks A = core - k^2 I eliminates it: phi = A^{-1}(g + c w'),
+    LU of the blocks A = core - k^2 I eliminates it: phi = A^{-1}(g + c w'),
     c = -(b.A^{-1} g)/(b.A^{-1} w'), b = W w'. At k = 0, A is near-singular (w'
     is nearly its kernel), so one step of iterative refinement follows.
+
+    Only the modes g carries are solved: 0 to the last mode whose largest
+    |g_k| over t exceeds _PROJECTED_RTOL of the largest. phi and c are zero on
+    the modes past it, and an all-zero g gives phi = 0, c = 0 from mode 0.
     """
     grid = g.grid
     n_y = grid.y_grid.n
+    ghat = np.fft.rfft(g.values, axis=0)
+    amplitude = np.max(np.abs(ghat), axis=1)
+    carried = np.flatnonzero(amplitude > _PROJECTED_RTOL * np.max(amplitude))
+    ghat = ghat[:1 + int(np.max(carried, initial=0))]
     w, wp = heteroclinic(grid.t), heteroclinic_derivative(grid.t)
     core = _t_matrices(grid.n_t, grid.dt)[1] + np.diag(1.0 - 3.0 * w * w)
     b = _trapezoid_weights(grid) * wp
-    k2 = _fourier_multipliers(grid.y_grid) ** 2
+    k2 = _fourier_multipliers(grid.y_grid)[:len(ghat)] ** 2
     solve = _mode_solver(core, k2)
-    x2 = solve(np.broadcast_to(wp, (len(k2), grid.n_t)))
+    x2 = solve(np.broadcast_to(wp, ghat.shape))
 
     def bordered(r: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
         x1 = solve(r)
         c = (s - x1 @ b) / (x2 @ b)
         return x1 + c[:, None] * x2, c
 
-    ghat = np.fft.rfft(g.values, axis=0)
     phihat, chat = bordered(ghat, 0.0)
     r = ghat - (phihat @ core.T - k2[:, None] * phihat) + chat[:, None] * wp
     dphi, dc = bordered(r, -(phihat @ b))
+    # irfft pads the modes past the solved ones with zeros
     phi = np.fft.irfft(phihat + dphi, n=n_y, axis=0)
     c = np.fft.irfft(chat + dc, n=n_y)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(c))):

@@ -325,14 +325,23 @@ def test_closed_form_narrow_grid_rejected():
 # ---------------------------------------------------------------- expansion
 
 
+def _on_the_strip(held, cols, grid):
+    """`_expansion`'s terms or windows, held on the strip columns cols, on the
+    whole strip: zero (False) on every other column."""
+    full = np.zeros(grid.shape, dtype=held.dtype)
+    full[:, cols] = held
+    return full
+
+
 def test_expansion_center_layer_balance():
     # middle layer of a symmetric flat triple: both neighbor pulls cancel at 0
     K = circle_K()
     eps = 0.05
     grid = default_strip_grid(K, eps, 3, n_y=16)
-    _, _, terms, _ = _expansion(f_from_h(flat_layers(K, 3), scales_of(eps)), K, eps, grid)
+    _, _, terms, _, cols = _expansion(f_from_h(flat_layers(K, 3), scales_of(eps)), K, eps,
+                                      grid)
     pred = sum(terms.values())
-    assert np.abs(pred[:, grid.n_t // 2]).max() < 1e-15
+    assert np.abs(pred[:, grid.n_t // 2 - cols.start]).max() < 1e-15
 
 
 def test_expansion_tracks_residual():
@@ -342,9 +351,9 @@ def test_expansion_tracks_residual():
     h = flat_layers(K, 2)
     f = f_from_h(h, s)
     grid = default_strip_grid(K, eps, 2, n_y=16)
-    _, res, terms, _ = _expansion(f, K, eps, grid)
+    _, res, terms, _, cols = _expansion(f, K, eps, grid)
     assert np.array_equal(res.values, residual_closed_form(f, grid, K, eps).values)
-    pred = sum(terms.values())
+    pred = _on_the_strip(sum(terms.values()), cols, grid)
     mask = np.abs(grid.t - f[1].values[0]) <= s.rho / 2.0
     err = np.abs(res.values[:, mask] - pred[:, mask]).max()
     scale = np.abs(res.values[:, mask]).max()
@@ -519,6 +528,85 @@ def test_projected_matches_dense_bordered(grid):
     assert np.abs(c.values - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
     wp = heteroclinic_derivative(grid.t)
     assert np.abs(phi.values @ (trapezoid(grid) * wp)).max() <= 1e-12
+
+
+def _count_solved_modes(monkeypatch):
+    """Record how many y-modes each `_mode_solver` call factors."""
+    counts = []
+    mode_solver = ansatz_module._mode_solver
+
+    def counted(base, k2):
+        counts.append(len(k2))
+        return mode_solver(base, k2)
+
+    monkeypatch.setattr(ansatz_module, "_mode_solver", counted)
+    return counts
+
+
+def test_projected_band_limited_matches_dense_bordered(monkeypatch):
+    # three y-modes times t-profiles, and noise at 1e-15 of g in every mode:
+    # the modes past the last carried one are left at zero, and phi and c
+    # still match the dense solve of every mode
+    grid = default_strip_grid(circle_K(), 0.05, 2)  # 62 x 207
+    t = grid.t
+    y = TWO_PI * grid.y_grid.points() / grid.y_grid.length
+    g = (np.exp(-0.8 * np.abs(t))[None, :]
+         + np.cos(3.0 * y + 0.4)[:, None] * (t * np.exp(-0.6 * t * t))[None, :]
+         + 0.5 * np.sin(7.0 * y)[:, None] * heteroclinic_derivative(t - 1.0)[None, :])
+    rng = np.random.default_rng(17)
+    g += 1e-15 * np.abs(g).max() * rng.standard_normal(grid.shape)
+    solved = _count_solved_modes(monkeypatch)
+    phi, c = solve_projected(StripField(grid, g), 0.05)
+    assert solved == [8]
+    phi_ref, c_ref = dense_bordered_reference(StripField(grid, g))
+    assert np.abs(phi.values - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+    assert np.abs(c.values - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+
+
+def test_projected_floor_is_relative(monkeypatch):
+    # y-modes that fall by 10 a mode: the floor, 1e-12 of the largest, lies
+    # between mode 11 (5.8e-12) and mode 12 (5.7e-13), so modes 0..11 are
+    # solved, as the dense solve of g cut to them; a power of two scales
+    # every step exactly, and the floor with it
+    grid = default_strip_grid(circle_K(), 0.05, 2)  # 62 x 207, modes 0..31
+    y = TWO_PI * grid.y_grid.points() / grid.y_grid.length
+    rng = np.random.default_rng(19)
+    g = sum(10.0**-k * np.cos(k * y + rng.uniform(0.0, TWO_PI))[:, None]
+            * np.exp(-rng.uniform(0.5, 1.0) * np.abs(grid.t - rng.uniform(-2.0, 2.0)))[None, :]
+            for k in range(32))
+    solved = _count_solved_modes(monkeypatch)
+    phi, c = solve_projected(StripField(grid, g), 0.05)
+    phi2, c2 = solve_projected(StripField(grid, 2.0**10 * g), 0.05)
+    assert solved[:2] == [12, 12]
+    assert np.array_equal(phi2.values, 2.0**10 * phi.values)
+    assert np.array_equal(c2.values, 2.0**10 * c.values)
+    cut = np.fft.irfft(np.fft.rfft(g, axis=0)[:12], n=grid.y_grid.n, axis=0)
+    phi_ref, c_ref = dense_bordered_reference(StripField(grid, cut))
+    assert np.abs(phi.values - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+    assert np.abs(c.values - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+
+
+def test_projected_zero_forcing():
+    # no mode above the floor: mode 0 alone is solved, to exact zeros, and no
+    # RuntimeWarning (an error under this suite's filter) is raised
+    grid = projected_grid()
+    phi, c = solve_projected(StripField(grid, np.zeros(grid.shape)), 0.05)
+    assert np.all(phi.values == 0.0)
+    assert np.all(c.values == 0.0)
+
+
+def test_projected_solves_the_modes_the_residual_carries(monkeypatch):
+    # on K = 1 the residual of the Toda stack is constant along the curve up to
+    # round-off: one of the 252 modes of the 502-row strip is solved
+    K = circle_K(n=64)
+    eps = 0.00625
+    sol = toda_layers(K, 3, eps)
+    grid = default_strip_grid(K, eps, 3)
+    assert grid.shape == (502, 335)
+    res = residual_closed_form(f_from_h(sol.h, scales_of(eps)), grid, K, eps)
+    solved = _count_solved_modes(monkeypatch)
+    solve_projected(res, eps)
+    assert solved == [1]
 
 
 def test_projected_stability_across_epsilon():
@@ -904,18 +992,24 @@ def _reference_norm_choice(m, shape):
     return _NORMS[(m + list(_REFERENCE_K).index(shape)) % len(_NORMS)]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("shape", list(_REFERENCE_K))
-@pytest.mark.parametrize("eps, n_y", _STRIPS, ids=["0.05", "0.0125", "0.05-ny160"])
+# every strip, shape and m, and the benchmark's heaviest strip, eps 0.00625:
+# 502 rows, 287 columns at m = 2 and 335 at m = 3
+@pytest.mark.parametrize("m, shape, eps, n_y", [
+    pytest.param(m, shape, eps, n_y, id=f"{strip}-{shape}-{m}")
+    for (eps, n_y), strip in zip(_STRIPS, ["0.05", "0.0125", "0.05-ny160"])
+    for shape in _REFERENCE_K for m in (1, 2, 3, 4)
+] + [pytest.param(m, "cos", 0.00625, None, id=f"0.00625-cos-{m}") for m in (2, 3)])
 def test_residual_report_matches_the_full_strip_reference(m, shape, eps, n_y):
     # the slabs, the cropped norms and the one resample of every field keep every bit
     K, h, grid = _reference_case(m, shape, eps, n_y)
     u0, res, terms, in_window = _full_strip_expansion(h, K, eps, grid)
-    got = _expansion(f_from_h(h, scales_of(eps)), K, eps, grid)
-    assert got[0].values.tobytes() == u0.tobytes()
-    assert got[1].values.tobytes() == res.tobytes()
-    assert all(np.array_equal(got[2][name], terms[name]) for name in terms)
-    assert np.array_equal(got[3], in_window)
+    got_u0, got_res, got_terms, got_in_window, cols = _expansion(
+        f_from_h(h, scales_of(eps)), K, eps, grid)
+    assert got_u0.values.tobytes() == u0.tobytes()
+    assert got_res.values.tobytes() == res.tobytes()
+    assert all(np.array_equal(_on_the_strip(got_terms[name], cols, grid), terms[name])
+               for name in terms)
+    assert np.array_equal(_on_the_strip(got_in_window, cols, grid), in_window)
 
     p, sigma_decay = _reference_norm_choice(m, shape)
     rep = residual_report(h, K, eps, grid, p, sigma_decay)
@@ -943,9 +1037,10 @@ def test_expansion_terms_match_the_sampled_heights(m, shape, eps, n_y):
     gap_exp = [on_strip(PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values))))
                for lo, hi in zip(h, h[1:])]
     _, res, terms, in_window = _full_strip_expansion(h, K, eps, grid, (heights, gap_exp))
-    got = _expansion(f_from_h(h, scales_of(eps)), K, eps, grid)[2]
+    _, _, got, _, cols = _expansion(f_from_h(h, scales_of(eps)), K, eps, grid)
     for name, want in terms.items():
-        assert np.max(np.abs(got[name] - want)) <= 1e-11 * np.max(np.abs(want))
+        assert (np.max(np.abs(_on_the_strip(got[name], cols, grid) - want))
+                <= 1e-11 * np.max(np.abs(want)))
 
     p, sigma_decay = _reference_norm_choice(m, shape)
     rep = residual_report(h, K, eps, grid, p, sigma_decay)
