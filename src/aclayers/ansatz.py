@@ -178,6 +178,13 @@ def _on_strip(fields: Sequence[PeriodicField], grid: StripGrid,
     return _resample_rows(stacked, grid.y_grid.n).T
 
 
+def _layer_window(m: int, rho: float) -> float:
+    """(m/2 + 1) rho: how far the strip must reach on both sides to hold m >= 1 layers."""
+    if m < 1:
+        raise DomainError("need at least one layer position")
+    return (m / 2.0 + 1.0) * rho
+
+
 def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
                        n_y: int | None = None) -> StripGrid:
     """Auto-sized strip: T = (m/2 + 1) rho + 6, t-spacing near 1/8.
@@ -188,9 +195,7 @@ def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
     and of the norms: `newton_allen_cahn` runs its steps on the y-bandwidth
     of its initial state and interpolates back to this grid.
     """
-    if m < 1:
-        raise DomainError("need at least one layer")
-    t_extent = (m / 2.0 + 1.0) * scales_of(epsilon).rho + _T_MARGIN
+    t_extent = _layer_window(m, scales_of(epsilon).rho) + _T_MARGIN
     stretched = K.grid.length / epsilon
     if n_y is None:
         n_y = max(16, 2 * int(round(stretched / 4.0)))
@@ -202,8 +207,8 @@ def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
 
 
 def _check_window(grid: StripGrid, m: int, rho: float) -> None:
-    """The strip must reach (m/2 + 1) rho on both sides to hold m layers."""
-    need = (m / 2.0 + 1.0) * rho
+    """The strip must reach the layer window of m layers on both sides."""
+    need = _layer_window(m, rho)
     if grid.t_extent < need * (1.0 - 1e-12):
         raise DomainError(
             f"t_extent {grid.t_extent:.4g} below the layer window "
@@ -218,8 +223,6 @@ def assemble_u0(f: Sequence[PeriodicField], grid: StripGrid,
     z -> -infinity and to (-1)^{m-1} as z -> +infinity.
     """
     m = len(f)
-    if m < 1:
-        raise DomainError("need at least one layer position")
     _check_window(grid, m, scales_of(epsilon).rho)
     z = grid.t[None, :]
     vals = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
@@ -317,8 +320,6 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     the sup region, where the weighted residual already decays.
     """
     m = len(f)
-    if m < 1:
-        raise DomainError("need at least one layer position")
     _check_window(grid, m, scales_of(epsilon).rho)
     kv, positions, slopes = _sample_layers(f, K, grid, epsilon)
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)

@@ -194,22 +194,14 @@ def second_derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(extended, n)[::-1].copy()
 
 
-def jacobi_singular_values(K: PeriodicField) -> tuple[float, float]:
-    """(smallest, largest) singular value of the discrete Jacobi operator.
-
-    D2 + diag(K) is exactly symmetric, so its singular values are the
-    absolute values of its eigenvalues: one eigvalsh.
-    """
-    J = second_derivative_matrix(K.grid) + np.diag(K.values)
-    s = np.abs(np.linalg.eigvalsh(J))
-    return float(s.min()), float(s.max())
-
-
 def jacobi_is_degenerate(K: PeriodicField) -> bool:
     """True when the Jacobi operator has a numerically periodic kernel.
 
     The unit circle of length 2 pi (K = 1) is the canonical degenerate case:
-    cos and sin are Jacobi fields there.
+    cos and sin are Jacobi fields there. D2 + diag(K) is exactly symmetric,
+    so its singular values are the absolute values of its eigenvalues: one
+    eigvalsh.
     """
-    s_min, s_max = jacobi_singular_values(K)
-    return s_min < DEGENERACY_RATIO * s_max
+    J = second_derivative_matrix(K.grid) + np.diag(K.values)
+    s = np.abs(np.linalg.eigvalsh(J))
+    return bool(s.min() < DEGENERACY_RATIO * s.max())

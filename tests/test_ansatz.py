@@ -171,6 +171,20 @@ def test_narrow_grid_rejected():
         residual_report(flat_layers(K, 2), K, eps, grid)
 
 
+@pytest.mark.parametrize("build", [
+    lambda K, eps, grid: residual_report((), K, eps, grid),
+    lambda K, eps, grid: assemble_u0((), grid, eps),
+    lambda K, eps, grid: residual_closed_form((), grid, K, eps),
+    lambda K, eps, grid: default_strip_grid(K, eps, 0),
+], ids=["residual_report", "assemble_u0", "residual_closed_form", "default_strip_grid"])
+def test_empty_stack_rejected(build):
+    K = circle_K()
+    eps = 0.05
+    grid = default_strip_grid(K, eps, 1, n_y=16)
+    with pytest.raises(DomainError, match="need at least one layer position"):
+        build(K, eps, grid)
+
+
 def test_strip_fields_share_one_curve_grid():
     # one resample per call: a field on another curve grid is rejected
     K = circle_K(n=16)

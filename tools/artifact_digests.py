@@ -32,10 +32,8 @@ even and the odd sector). A fifth, `m3-circle`, runs `toda-solve` and
 `spectrum` at m = 3 on the default K = 1, at the default eps 0.05 and at
 `--epsilon 0.00625` (as `toda-solve-0.00625` and `spectrum-0.00625`): its
 two channels are constant along the curve at v^1 and at the roots, so both
-spectra take the closed form and no eigensolve. Two runs fail:
-`newton-solve --epsilon 0.05` on `m5` (m = 5 on the defaults) stalls in the
-strip line search after 17 Newton steps (exit 3, about 0.8 s), and
-`scales` on `m1` (m = 1) is a config error (exit 1).
+spectra take the closed form and no eigensolve. `EXPECTED_EXIT` holds the
+exit code each run must give and says why the runs that fail do so.
 Prints one `exit <code>  <config>/<run>` line per run, one
 `stderr <sha256>  <config>/<run>` line for each run that wrote to stderr
 (its error message), one `config <sha256>
@@ -47,6 +45,10 @@ same messages and write byte-identical data artifacts under the same
 config hashes when their outputs are equal:
 
     diff <(python3 tools/artifact_digests.py OTHER) <(python3 tools/artifact_digests.py)
+
+After the last run, each run whose exit code is not its `EXPECTED_EXIT`
+is named on stderr, and the tool exits 1 if there is any. Unlike the
+digests, the exit codes do not depend on the BLAS thread count or kernel.
 
 The BLAS and OpenMP pools are pinned to one thread, as in perfbench. The
 bytes hold for one BLAS thread count and one BLAS kernel: both reach the
@@ -109,6 +111,14 @@ RUNS += [("m3-circle", f"{command}{suffix}", command, extra)
          for command in ("toda-solve", "spectrum")]
 RUNS.append(("m5", "newton-solve-stall", "newton-solve", ["--epsilon", "0.05"]))
 RUNS.append(("m1", "scales", "scales", []))
+# the exit code each run must give, 0 where a run is not named
+EXPECTED_EXIT = {
+    # m = 5 on the defaults stalls in the strip line search after 17 Newton
+    # steps (about 0.8 s)
+    ("m5", "newton-solve-stall"): 3,
+    # m = 1 is a config error
+    ("m1", "scales"): 1,
+}
 
 
 def main() -> None:
@@ -117,6 +127,7 @@ def main() -> None:
     from aclayers.cli import main as run
 
     cwd = Path.cwd()
+    unexpected = []
     with tempfile.TemporaryDirectory() as tmp:
         # relative paths: checkouts whose config hash still holds the output
         # directory hash the same one in every temporary directory
@@ -132,6 +143,9 @@ def main() -> None:
                         contextlib.redirect_stderr(stderr):
                     code = run(argv)
                 print(f"exit {code}  {label}/{name}")
+                want = EXPECTED_EXIT.get((label, name), 0)
+                if code != want:
+                    unexpected.append(f"unexpected exit {code} (want {want})  {label}/{name}")
                 if stderr.getvalue():
                     digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
                     print(f"stderr {digest}  {label}/{name}")
@@ -145,6 +159,10 @@ def main() -> None:
                         print(f"{digest}  {label}/{name}/{artifact.name}")
         finally:
             os.chdir(cwd)
+    for line in unexpected:
+        print(line, file=sys.stderr)
+    sys.exit(1 if unexpected else 0)
+
 
 if __name__ == "__main__":
     main()
