@@ -69,13 +69,23 @@ _GMRES_RESTART = 60
 # over t exceeds this share of the largest at zero; measured on the residuals
 # of the eight strip-residual benchmark slots, 24 turns each: the modes that
 # carry round-off alone (every mode past 0 on K = 1, the upper half of the
-# spectrum on a varying K) sit at 2.7e-15 to 1.7e-13 of the largest, at least
-# 5.9 times below (the K = 1 modes past 0 at most 1.7e-13, the upper-half
-# medians 4.7e-15 to 7.5e-14)
+# spectrum on a varying K, on the strips of more than 64 rows) sit at 2.6e-15
+# to 1.95e-13 of the largest, at least 5.1 times below (the K = 1 modes past 0
+# at most 1.95e-13, the upper-half medians 4.6e-15 to 7.2e-14)
 _PROJECTED_RTOL = 1e-12
-# automatic strip size: transverse room past the outer layers, target t-step
+# automatic strip size: transverse room past the outer layers, and the largest
+# t-step: the coarsest at which every accuracy bound of the tests and the
+# battery that moves with the step keeps a 10% margin, on the SkylakeX and
+# the Haswell BLAS kernel. The tightest is the closed-form residual against
+# finite differences (K = 1, m = 2, eps 0.05, bound 5e-6): 4.06e-6 at 0.18,
+# 4.56e-6 at 0.1825 and 4.95e-6 at 0.185
 _T_MARGIN = 6.0
-_DT_TARGET = 0.125
+_DT_TARGET = 0.18
+# level_sets: the interpolant through six nodes at x = -2.5, ..., 2.5 has the
+# monomial coefficients _LAGRANGE_TO_MONOMIAL @ values; at most this many
+# safeguarded Newton steps place its root (52 bisections reach round-off)
+_LAGRANGE_TO_MONOMIAL = np.linalg.inv(np.vander(np.arange(6.0) - 2.5, increasing=True))
+_ROOT_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -185,20 +195,34 @@ def _layer_window(m: int, rho: float) -> float:
     return (m / 2.0 + 1.0) * rho
 
 
+def _fft_rows(n: int) -> int:
+    """The least even count of at least n with no prime factor above 7."""
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1 and n % 2 == 0:
+            return n
+        n += 1
+
+
 def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
                        n_y: int | None = None) -> StripGrid:
-    """Auto-sized strip: T = (m/2 + 1) rho + 6, t-spacing near 1/8.
+    """Auto-sized strip: T = (m/2 + 1) rho + 6, t-spacing at most _DT_TARGET.
 
-    `n_y` overrides the automatic y-resolution, which keeps the spacing
-    near 2 in stretched units so that norm comparisons across epsilon sweeps
-    use a fixed cell size. n_y sets only the resolution of the output fields
-    and of the norms: `newton_allen_cahn` runs its steps on the y-bandwidth
-    of its initial state and interpolates back to this grid.
+    `n_y` overrides the automatic y-resolution. That keeps the spacing at
+    most near 2 in stretched units, so that norm comparisons across epsilon
+    sweeps use a near-fixed cell size: 2 round(ell/(4 eps)), at least 16,
+    rounded up to a count whose y-FFTs are fast (`_fft_rows`: 502 -> 504,
+    62 -> 64). n_y sets only the resolution of the output fields and of the
+    norms: `newton_allen_cahn` runs its steps on the y-bandwidth of its
+    initial state and interpolates back to this grid.
     """
     t_extent = _layer_window(m, scales_of(epsilon).rho) + _T_MARGIN
     stretched = K.grid.length / epsilon
     if n_y is None:
-        n_y = max(16, 2 * int(round(stretched / 4.0)))
+        n_y = _fft_rows(max(16, 2 * int(round(stretched / 4.0))))
     n_t = int(math.ceil(2.0 * t_extent / _DT_TARGET)) + 1
     if n_t % 2 == 0:
         n_t += 1
@@ -500,6 +524,11 @@ def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     a single t-column. The weight uses the strip transverse coordinate t
     (distance from the curve), not the distance to the nearest layer.
 
+    The ball counts whole cells, so the norm moves with the grid's steps as
+    well as with the field: a ball spans 2 floor(1/dt) + 1 t-cells, 11 at
+    the default step near 0.18 and 17 at dt = 1/8, and the report total of
+    two layers at eps 0.1 on K = 1 reads 1.0555 and 1.1462 on those steps.
+
     Only the t-columns from the first to the last that hold a nonzero value,
     widened by the ball's t-radius and clipped to the strip, are visited:
     every other ball holds zeros alone. An all-zero field has norm 0.
@@ -697,16 +726,52 @@ def strip_energy(u: StripField, epsilon: float) -> float:
     return _strip_energy(u.values, grid.y_grid, d1t, _trapezoid_weights(grid), epsilon)
 
 
+def _interpolated_roots(window: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Where each row's interpolant through its six nodes crosses zero past `node`.
+
+    Row i of window holds the values at six consecutive nodes, and between
+    its nodes node[i] and node[i] + 1 (node[i] at most 4) they change sign,
+    so the interpolant of degree five through them has a root there. Returns
+    that root as a fraction of the node spacing past node[i]. Newton's
+    method starts from the chord's root and keeps to a bracket that each
+    step narrows by the sign of the interpolant; a step that leaves it, or a
+    zero slope, bisects instead. It stops when no root moves by more than
+    1e-13 of a node spacing, or after _ROOT_STEPS steps; on a smooth row the
+    Newton steps from the chord's root get there in 3-4.
+    """
+    each = np.arange(len(node))
+    a, b = window[each, node], window[each, node + 1]
+    # x = node index - 2.5, the local coordinate of _LAGRANGE_TO_MONOMIAL
+    coef = (window @ _LAGRANGE_TO_MONOMIAL.T).T  # (6, count): p(x) = sum coef[k] x^k
+    slope = np.polynomial.polynomial.polyder(coef)
+    lo = node - 2.5
+    hi = lo + 1.0
+    x = lo - a / (b - a)
+    for _ in range(_ROOT_STEPS):
+        p = np.polynomial.polynomial.polyval(x, coef, tensor=False)
+        lo = np.where(np.sign(p) == np.sign(a), x, lo)
+        hi = np.where(np.sign(p) == np.sign(b), x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - p / np.polynomial.polynomial.polyval(x, slope, tensor=False)
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        moved = float(np.max(np.abs(step - x), initial=0.0))
+        x = step
+        if moved <= 1e-13:
+            break
+    return x - (node - 2.5)
+
+
 def level_sets(u: StripField) -> np.ndarray:
     """Zero crossings of u in t per y-row.
 
     A crossing is a sign change between consecutive nonzero nodes of a row;
     nodes equal to +-0.0 are skipped. Between neighbouring nodes j, j+1 it
-    is placed by linear interpolation at t_j - u_j (t_{j+1} - t_j)/(u_{j+1} - u_j),
-    across zero nodes at the first of them. A plateau or touch with one sign
-    on both sides, and zeros at the row ends, are no crossing. Returns an
-    (n_y, count) array of crossing t-values; the count must be the same on
-    every row.
+    is the root there of the interpolant of degree five through six nodes
+    of its row, the stencil's order: j - 2 to j + 3, shifted inside the
+    strip near a wall (`_interpolated_roots`). Across zero nodes it is the
+    first of them. A plateau or touch with one sign on both sides, and
+    zeros at the row ends, are no crossing. Returns an (n_y, count) array
+    of crossing t-values; the count must be the same on every row.
     """
     t = u.grid.t
     v = u.values
@@ -726,8 +791,12 @@ def level_sets(u: StripField) -> np.ndarray:
     if bad.size:
         raise NumericalError(
             f"level-set count varies along the curve: {counts[bad[0]]} vs {counts[0]}")
-    a, b = v[rows, j], v[rows, k]
-    where = np.where(k == j + 1, t[j] - a * (t[j + 1] - t[j]) / (b - a), t[j + 1])
+    where = t[j + 1]
+    adjacent = np.flatnonzero(k == j + 1)
+    r, j = rows[adjacent], j[adjacent]
+    start = np.clip(j - 2, 0, v.shape[1] - 6)
+    window = v[r[:, None], start[:, None] + np.arange(6)]
+    where[adjacent] = t[j] + _interpolated_roots(window, j - start) * u.grid.dt
     return where.reshape(v.shape[0], counts[0])
 
 

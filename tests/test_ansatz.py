@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.linalg
+import scipy.optimize
 
 import aclayers.ansatz as ansatz_module
 from aclayers import ConvergenceError, DomainError, NumericalError
@@ -120,6 +122,26 @@ def test_default_strip_grid_window():
         assert grid.n_t % 2 == 1
         assert grid.y_grid.n >= 16 and grid.y_grid.n % 2 == 0
         assert grid.y_grid.length == pytest.approx(TWO_PI / eps)
+
+
+def seven_smooth(n):
+    """True when no prime factor of n exceeds 7."""
+    for prime in (2, 3, 5, 7):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
+@pytest.mark.parametrize("eps", [*np.geomspace(0.00625, 0.05, 8), 0.04, 0.035])
+def test_default_rows_round_up_to_fast_fft_counts(eps):
+    # the automatic n_y is the least even 7-smooth count at or above the rule
+    # 2 round(ell/(4 eps)) (at least 16), so the y-spacing never coarsens
+    K = circle_K(n=64)
+    rule = max(16, 2 * round(TWO_PI / eps / 4.0))
+    n_y = default_strip_grid(K, float(eps), 2).y_grid.n
+    assert n_y % 2 == 0 and seven_smooth(n_y) and n_y >= rule
+    assert not any(seven_smooth(n) for n in range(rule, n_y, 2))
+    assert default_strip_grid(K, float(eps), 2, n_y=rule).y_grid.n == rule
 
 
 # ---------------------------------------------------------------- assembly
@@ -528,8 +550,8 @@ def dense_bordered_reference(g):
 
 @pytest.mark.parametrize("grid", [
     projected_grid(),
-    default_strip_grid(circle_K(), 0.05, 2),  # 62 x 207
-], ids=["16x201", "62x207"])
+    default_strip_grid(circle_K(), 0.05, 2),  # 64 x 143
+], ids=["16x201", "default"])
 def test_projected_matches_dense_bordered(grid):
     # the k = 0 block core is near-singular (w' is its discrete near-kernel);
     # the banded elimination needs its refinement step to match
@@ -561,7 +583,7 @@ def test_projected_band_limited_matches_dense_bordered(monkeypatch):
     # three y-modes times t-profiles, and noise at 1e-15 of g in every mode:
     # the modes past the last carried one are left at zero, and phi and c
     # still match the dense solve of every mode
-    grid = default_strip_grid(circle_K(), 0.05, 2)  # 62 x 207
+    grid = default_strip_grid(circle_K(), 0.05, 2)  # 64 x 143
     t = grid.t
     y = TWO_PI * grid.y_grid.points() / grid.y_grid.length
     g = (np.exp(-0.8 * np.abs(t))[None, :]
@@ -582,7 +604,7 @@ def test_projected_floor_is_relative(monkeypatch):
     # between mode 11 (5.8e-12) and mode 12 (5.7e-13), so modes 0..11 are
     # solved, as the dense solve of g cut to them; a power of two scales
     # every step exactly, and the floor with it
-    grid = default_strip_grid(circle_K(), 0.05, 2)  # 62 x 207, modes 0..31
+    grid = default_strip_grid(circle_K(), 0.05, 2)  # 64 x 143, modes 0..32
     y = TWO_PI * grid.y_grid.points() / grid.y_grid.length
     rng = np.random.default_rng(19)
     g = sum(10.0**-k * np.cos(k * y + rng.uniform(0.0, TWO_PI))[:, None]
@@ -611,12 +633,12 @@ def test_projected_zero_forcing():
 
 def test_projected_solves_the_modes_the_residual_carries(monkeypatch):
     # on K = 1 the residual of the Toda stack is constant along the curve up to
-    # round-off: one of the 252 modes of the 502-row strip is solved
+    # round-off: one of the 253 modes of the 504-row strip is solved
     K = circle_K(n=64)
     eps = 0.00625
     sol = toda_layers(K, 3, eps)
     grid = default_strip_grid(K, eps, 3)
-    assert grid.shape == (502, 335)
+    assert grid.shape == (504, 233)
     res = residual_closed_form(f_from_h(sol.h, scales_of(eps)), grid, K, eps)
     solved = _count_solved_modes(monkeypatch)
     solve_projected(res, eps)
@@ -675,6 +697,9 @@ def test_level_sets_shifted_layer():
     curves = level_sets(u)
     assert curves.shape == (16, 1)
     assert np.abs(curves - 0.3).max() < 1e-4
+    # the stack's nodes are exact, so the error is the interpolant's alone:
+    # measured 1.2e-7 at the default step; bound set before the test ran
+    assert np.abs(curves - 0.3).max() < 3e-6
 
 
 def test_level_sets_inconsistent_count():
@@ -687,7 +712,9 @@ def test_level_sets_inconsistent_count():
 
 
 def level_sets_loop(u):
-    """Row-by-row reference for `level_sets`: sign changes between nonzero nodes."""
+    """Row-by-row reference for `level_sets`: sign changes between nonzero nodes,
+    placed by Brent's method on the barycentric interpolant through the six
+    nodes around them, shifted inside the row at its ends."""
     t = u.grid.t
     rows = []
     for row in u.values:
@@ -698,8 +725,11 @@ def level_sets_loop(u):
                 continue
             if last is not None and (row[last] < 0.0) != (value < 0.0):
                 if j == last + 1:
-                    a, b = row[last], value
-                    crossings.append(float(t[last] - a * (t[j] - t[last]) / (b - a)))
+                    start = min(max(last - 2, 0), len(t) - 6)
+                    local = scipy.interpolate.BarycentricInterpolator(
+                        t[start:start + 6], row[start:start + 6])
+                    crossings.append(scipy.optimize.brentq(
+                        lambda x: float(local(x)), t[last], t[j], xtol=1e-15))
                 else:  # across zero nodes: at the first of them
                     crossings.append(float(t[last + 1]))
             last = j
@@ -709,7 +739,8 @@ def level_sets_loop(u):
 
 def test_level_sets_match_loop_with_exact_zeros():
     # one sign pattern on every row, random magnitudes, so every row has the
-    # same crossing count but its own interpolated positions
+    # same crossing count but its own interpolated positions; the two root
+    # finders agree to round-off in t (bound set before the comparison ran)
     grid = StripGrid(PeriodicGrid(16, TWO_PI), 6.0, 49)
     rng = np.random.default_rng(3)
     sign = np.where(np.sin(0.7 * grid.t + 0.1) >= 0.0, 1.0, -1.0)
@@ -724,7 +755,7 @@ def test_level_sets_match_loop_with_exact_zeros():
         u = StripField(grid, field)
         curves = level_sets(u)
         assert curves.shape[1] == 3  # the three sign changes of the pattern
-        np.testing.assert_array_equal(curves, level_sets_loop(u))
+        np.testing.assert_allclose(curves, level_sets_loop(u), rtol=0.0, atol=1e-12)
     assert level_sets(StripField(grid, zeros))[0, 0] == grid.t[edge]
 
 
@@ -741,6 +772,19 @@ def test_level_sets_zero_runs():
     assert level_sets(StripField(grid, np.zeros(grid.shape))).shape == (16, 0)
 
 
+def test_level_sets_place_the_roots_of_a_quintic_exactly():
+    # the interpolant through six nodes reproduces a polynomial of degree five,
+    # so its crossings are the polynomial's roots to round-off: inside the
+    # strip, and next to each wall, where the window shifts inside the strip
+    grid = StripGrid(PeriodicGrid(16, TWO_PI), 6.0, 49)
+    t = grid.t
+    shift = np.linspace(0.1, 0.9, 16)[:, None] * grid.dt
+    roots = (t[0] + shift, t[20] + shift, t[-2] + shift)
+    vals = (t - roots[0]) * (t - roots[1]) * (t - roots[2]) * (t * t + 1.0)
+    curves = level_sets(StripField(grid, vals))
+    np.testing.assert_allclose(curves, np.hstack(roots), rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -750,11 +794,11 @@ def test_residual_report_two_layers():
     sol = toda_layers(K, 2, eps)
     grid = default_strip_grid(K, eps, 2)  # n_y = 32: norms carry the cell area
     rep = residual_report(sol.h, K, eps, grid)
-    assert rep.total == pytest.approx(1.146186, rel=1e-4)
-    assert rep.remainder == pytest.approx(4.684e-3, rel=1e-2)
-    assert rep.interaction == pytest.approx(0.21686, rel=1e-3)
-    assert rep.curvature == pytest.approx(0.89112, rel=1e-3)
-    assert rep.jacobi == pytest.approx(0.31076, rel=1e-3)
+    assert rep.total == pytest.approx(1.055458, rel=1e-4)
+    assert rep.remainder == pytest.approx(4.389e-3, rel=1e-2)
+    assert rep.interaction == pytest.approx(0.19979, rel=1e-3)
+    assert rep.curvature == pytest.approx(0.81993, rel=1e-3)
+    assert rep.jacobi == pytest.approx(0.28602, rel=1e-3)
     assert rep.gradient_sq < 1e-20  # constant K, flat gaps in y
     assert rep.total <= (rep.interaction + rep.curvature + rep.jacobi
                          + rep.gradient_sq + rep.remainder + rep.slack)
@@ -778,24 +822,24 @@ def test_residual_report_decays():
 # forced first-order gaps, a closed form: no iterative solve, whose stopping
 # point moves with the BLAS kernel's rounding, sits before the report.
 _REPORT_PINS = {
-    (0.05, 1): (0.0, 0.017369839908403042,
-                3.809851655063519e-05, 2.0823186733809375e-05, 8.053881505024418e-16,
-                0.017435639125561054, 0.015929244954160107, 2.4466759406309366),
-    (0.05, 2): (0.08121077099617269, 0.5145155321041176,
-                0.19081115474618676, 0.0008251778706299275, 0.0005153032633772831,
-                0.6798975309726633, 0.48942296333723323, 19.281877168987982),
-    (0.05, 3): (1.7642855773405957, 8.214094774544384,
-                3.3202439892395788, 0.03897344928590336, 0.03086058904896274,
-                11.125143165050652, 7.182143501340492, 52.95234134087562),
-    (0.025, 1): (0.0, 0.004331147815179604,
-                 9.487697803003e-06, 5.183424002538404e-06, 7.730694463086631e-16,
-                 0.004339709365061557, 0.003700585558576274, 1.243561314039356),
-    (0.025, 2): (0.03815492655973105, 0.2159240466470582,
-                 0.07199476084403598, 0.00031150677236094313, 9.18136957739945e-05,
-                 0.2782301591489703, 0.1725080969927969, 12.851948600089603),
-    (0.025, 3): (1.245183640206642, 5.407160220376762,
-                 1.8810097317793233, 0.02208650228954211, 0.007027192946371045,
-                 7.031494736992883, 3.7920262509282203, 38.42289483058527),
+    (0.05, 1): (0.0, 0.015936347754666992,
+                3.493682518291946e-05, 1.9100336520061868e-05, 7.38459033611037e-16,
+                0.016002568853937332, 0.014625394616545564, 1.7587643866528193),
+    (0.05, 2): (0.07540110540856793, 0.4772890944555565,
+                0.1769839408953084, 0.0007650823383134659, 0.000487881448079369,
+                0.6304663069569881, 0.4468612803782787, 13.720158378774828),
+    (0.05, 3): (1.6165232647129326, 7.513289469337283,
+                3.0387322032370765, 0.03567639060004354, 0.026177588244048235,
+                10.191636021594416, 6.369931598686885, 38.15662115885915),
+    (0.025, 1): (0.0, 0.00400529412622013,
+                 8.761826780640954e-06, 4.790643108359511e-06, 7.219722450842127e-16,
+                 0.0040130534600928145, 0.0034342516575638655, 0.8664091637006085),
+    (0.025, 2): (0.0352295515900516, 0.19925661565895644,
+                 0.06645225386208992, 0.0002872391990162377, 8.62508481107327e-05,
+                 0.25686119801809765, 0.15933619786971423, 8.973636694229398),
+    (0.025, 3): (1.159445452543013, 5.033526285573976,
+                 1.753039683180431, 0.02056975355680255, 0.0077374301984677,
+                 6.545509967651127, 3.639196809379511, 26.571861762916562),
 }
 
 
@@ -1007,7 +1051,7 @@ def _reference_norm_choice(m, shape):
 
 
 # every strip, shape and m, and the benchmark's heaviest strip, eps 0.00625:
-# 502 rows, 287 columns at m = 2 and 335 at m = 3
+# 504 rows, 201 columns at m = 2 and 233 at m = 3
 @pytest.mark.parametrize("m, shape, eps, n_y", [
     pytest.param(m, shape, eps, n_y, id=f"{strip}-{shape}-{m}")
     for (eps, n_y), strip in zip(_STRIPS, ["0.05", "0.0125", "0.05-ny160"])
@@ -1322,7 +1366,7 @@ def test_newton_step_applies_preconditioner_inner_plus_two_times(amp, monkeypatc
     assert applications == sum(rep.linear_iterations) + 2 * rep.iterations
 
 
-# GMRES inner iterations per Newton step: measured 16-21 and 50-58; the
+# GMRES inner iterations per Newton step: measured 13-18 and 39-43; the
 # left-preconditioned solve took 73-105 at (0.0125, 3)
 _MAX_INNER = {(0.04, 2): 30, (0.0125, 3): 70}
 
@@ -1365,7 +1409,7 @@ def toda_start(K, m, eps):
 
 
 # the band pass against the same iteration run on the caller's grid from the
-# same start: measured level curves within 3e-11, Newton counts equal
+# same start: measured level curves within 1.6e-12, Newton counts equal
 @pytest.mark.parametrize("shape, eps, m",
                          [("cos", 0.025, 3), ("A", 0.05, 2), ("harmonic7", 0.05, 2)])
 def test_newton_band_pass_matches_a_solve_on_the_callers_grid(shape, eps, m):
@@ -1435,7 +1479,7 @@ def test_newton_callers_pass_finishes_a_band_too_narrow(monkeypatch):
 
 
 # the interpolated band solution leaves 8.5e-9 (cos, 38 of 90 rows) and
-# 2.9e-9 (A, 52 of 90 rows) on the caller's grid, measured: the solve grows
+# 3.0e-9 (A, 52 of 90 rows) on the caller's grid, measured: the solve grows
 # y-modes past the band that u0 sets, and one caller-grid step finishes it
 @pytest.mark.parametrize("shape", ["cos", "A"])
 def test_newton_converges_where_the_band_misses_the_solution(shape):
@@ -1557,6 +1601,39 @@ def test_newton_level_curves_converge_to_the_toda_positions(m, ladder, max_fract
                f"fractions={[f'{q:.4f}' for q in fractions]} slope={slope:.3f}")
     assert slope >= 1.4, message
     assert fraction <= max_fraction, message
+
+
+def nested_solves(m, eps, levels):
+    """Newton solves from the Toda start on 1 + 0.2 cos y on nested t-grids.
+
+    Level 1 has about twice the default t-step, and level q has q times as
+    many cells, so its nodes hold every node of the levels that divide q."""
+    K = shape_K("cos")
+    grid, f, _ = toda_start(K, m, eps)
+    cells = 2 * round(grid.t_extent / (2.0 * grid.dt))
+    solves = {}
+    for q in levels:
+        fine = StripGrid(grid.y_grid, grid.t_extent, cells * q + 1)
+        solves[q] = newton_allen_cahn(assemble_u0(f, fine, eps), K, eps)
+    return solves
+
+
+# error against the grid of level 16: measured ratios per halving 57.4, 61.7
+# (m = 2) and 56.4, 62.1 (m = 3), where the 6th-order stencil predicts 64. At
+# level 2, the default step, the level curves carry the field's own error
+# (measured 5.7e-7 and 6.1e-7, the field 6.7e-7 and 7.0e-7), not the 3.5e-5
+# of a linear interpolant between nodes. Bounds set before the test ran
+@pytest.mark.parametrize("m", [2, 3])
+def test_newton_converges_at_the_stencils_order(m):
+    solves = nested_solves(m, 0.05, (1, 2, 4, 16))
+    ref = solves[16]
+    errors = [float(np.abs(solves[q].solution.values - ref.solution.values[:, ::16 // q]).max())
+              for q in (1, 2, 4)]
+    assert errors[0] / errors[1] >= 40.0, errors
+    assert errors[1] / errors[2] >= 40.0, errors
+    default_dt = default_strip_grid(shape_K("cos"), 0.05, m).dt
+    assert solves[2].solution.grid.dt == pytest.approx(default_dt, rel=0.02)
+    assert np.abs(solves[2].level_curves - ref.level_curves).max() < 3e-6
 
 
 def test_newton_rejects_bad_initial_state():

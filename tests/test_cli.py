@@ -581,7 +581,7 @@ def test_ansatz_residual_artifacts(tmp_path):
     code, out = _run(tmp_path, "ansatz-residual", "--epsilon", "0.1")
     assert code == 0
     entry = json.loads((out / "ansatz_residual.json").read_text())["entries"][0]
-    assert entry["total"] == pytest.approx(1.146186, rel=1e-3)
+    assert entry["total"] == pytest.approx(1.055458, rel=1e-3)
     assert entry["remainder"] < 0.01 * entry["total"]
     u0 = (out / "u0_00.csv").read_text().splitlines()
     assert u0[0] == "# schema: aclayers/1"
@@ -680,9 +680,9 @@ def test_newton_solve_artifacts(tmp_path):
     assert len(inner) == doc["iterations"]
     assert all(isinstance(n, int) and n >= 1 for n in inner)
     # K = 1: u0 has no y-variation, so the steps run on the 16-row minimum
-    # and on the 104 columns t >= 0 of the default strip's 207; one norm and
-    # one energy per iterate, the last measured on the default 62 rows
-    assert (doc["band_n_y"], doc["half_n_t"]) == (16, 104)
+    # and on the 72 columns t >= 0 of the default strip's 143; one norm and
+    # one energy per iterate, the last measured on the default 64 rows
+    assert (doc["band_n_y"], doc["half_n_t"]) == (16, 72)
     assert len(doc["residual_norms"]) == len(doc["energies"]) == doc["iterations"] + 1
     means = doc["level_curve_means"]
     assert len(means) == 2

@@ -53,7 +53,7 @@ digests, the exit codes do not depend on the BLAS thread count or kernel.
 The BLAS and OpenMP pools are pinned to one thread, as in perfbench. The
 bytes hold for one BLAS thread count and one BLAS kernel: both reach the
 last bits of the gap, resonance, residual, Newton and report data. Of the
-78 data-artifact lines, 24 change with 2 threads in place of 1, and 62
+78 data-artifact lines, 18 change with 2 threads in place of 1, and 62
 under `OPENBLAS_CORETYPE=Haswell` (the kernel of any x86-64 host without
 AVX-512) in place of SkylakeX; the exit, stderr and config lines change
 with neither (2-core host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31). So
