@@ -183,7 +183,7 @@ def check_gap_solver_oracle() -> tuple[bool, str]:
     K = _circle_K(32)
     worst = 0.0
     for m in (2, 3, 4):
-        sol = solve_toda(K, s, m, k_start=3)
+        sol = solve_toda(K, s, m)
         oracle = _gap_oracle(m, s.sigma, s.beta)
         worst = max(worst, float(np.max(np.abs(sol.v - oracle[:, None]))))
     return worst < 1e-9, f"max |solve - oracle| = {worst:.2e} over m in (2, 3, 4)"

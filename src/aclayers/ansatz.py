@@ -316,12 +316,13 @@ def _layer_shares(positions: Sequence[np.ndarray],
 
 def _sample_layers(f: Sequence[PeriodicField], K: PeriodicField, grid: StripGrid,
                    epsilon: float):
-    """K, each f_j and the pairs (f_j', f_j''), all on the strip.
+    """K, each f_j and the pairs (f_j', f_j''), on a strip checked to hold their window.
 
     f' and f'' are one spectral derivative per order of the stacked f, and
     every field reaches the strip in one `_on_strip` call: one resample.
     """
     m = len(f)
+    _check_window(grid, m, scales_of(epsilon).rho)
     curve = _curve_grid(f)
     values = np.stack([fj.values for fj in f])
     slopes = [PeriodicField(curve, d) for order in (1, 2)
@@ -344,7 +345,6 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     the sup region, where the weighted residual already decays.
     """
     m = len(f)
-    _check_window(grid, m, scales_of(epsilon).rho)
     kv, positions, slopes = _sample_layers(f, K, grid, epsilon)
     u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     out = np.zeros(grid.shape)
@@ -391,7 +391,6 @@ def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
     """
     m = len(f)
     s = scales_of(epsilon)
-    _check_window(grid, m, s.rho)
     window = 0.5 * s.rho + M_BUDGET
     e2 = epsilon * epsilon
     kv, positions, slopes = _sample_layers(f, K, grid, epsilon)
@@ -529,16 +528,12 @@ def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     the default step near 0.18 and 17 at dt = 1/8, and the report total of
     two layers at eps 0.1 on K = 1 reads 1.0555 and 1.1462 on those steps.
 
-    Only the t-columns from the first to the last that hold a nonzero value,
-    widened by the ball's t-radius and clipped to the strip, are visited:
-    every other ball holds zeros alone. An all-zero field has norm 0.
+    Every t-column of the field is read. `residual_report` keeps the cost of
+    its term norms and remainder to their column slabs by calling
+    `_slab_norm` on those slabs alone.
     """
     _check_norm_parameters(p, sigma_decay)
-    held = np.flatnonzero(np.any(field.values != 0.0, axis=0))
-    if held.size == 0:
-        return 0.0
-    return _slab_norm(field.values[:, held[0]:held[-1] + 1], int(held[0]), field.grid,
-                      p, sigma_decay)
+    return _slab_norm(field.values, 0, field.grid, p, sigma_decay)
 
 
 @dataclass(frozen=True)
@@ -598,18 +593,16 @@ def residual_report(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: flo
              for name, vals in terms.items()}
     remainder = _slab_norm(np.where(in_window, res.values[:, cols] - predicted, 0.0),
                            cols.start, grid, p, sigma_decay)
-    # |S(u0)|^p once for the total and the exterior, S(u0) off the windows:
-    # their ball sums differ only on the columns `near` whose balls reach cols
+    # |S(u0)|^p once for the total and, zeroed on the windows in place, the
+    # exterior: their ball sums differ only on the columns `near` whose balls reach cols
     inf = math.isinf(p)
     powered = np.abs(res.values) if inf else np.abs(res.values) ** p
     every = slice(0, grid.n_t)
     peaks = _ball_peaks(powered, 0, every, grid, inf)
     total = _weighted_sup(peaks, every, grid, p, sigma_decay)
+    powered[:, cols][in_window] = 0.0
     near = _widened(cols, grid)
-    seen = _widened(near, grid)
-    outside = powered[:, seen].copy()
-    outside[:, cols.start - seen.start:cols.stop - seen.start][in_window] = 0.0
-    peaks[near] = _ball_peaks(outside, seen.start, near, grid, inf)
+    peaks[near] = _ball_peaks(powered, 0, near, grid, inf)
     exterior = _weighted_sup(peaks, every, grid, p, sigma_decay)
     slack = exterior + 1e-9 * (sum(norms.values()) + remainder + total)
     return ResidualReport(p=p, sigma_decay=sigma_decay,

@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._floatfmt import FIELD, WIDTH, reprs
@@ -382,6 +381,7 @@ def _strip_comment(grid: StripGrid) -> str:
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig,
                     wall_time: float, artifacts: list[str]) -> None:
+    import scipy  # only the manifest reads it: importing the CLI leaves it unloaded
     payload = {
         "schema": SCHEMA,
         "command": command,

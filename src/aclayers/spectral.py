@@ -20,9 +20,9 @@ curvature-weighted string problem -phi'' = lambda K phi. `eigs_L_sigma`
 takes the spectrum group by group of the channels that A couples in the
 eigenbasis of its mean along the curve: channel by channel at v^1, and in
 closed form, sigma (2 pi j/ell)^2 - (sigma + mu_i) K over the grid's modes j,
-for every channel on a constant K. The margins (`_margins`) read
-|sigma^{-1} mu_i - lambda_j| sqrt(sigma), without the shift by 1 that the
-sigma K I of A carries.
+for every channel on a constant K. The margin of a coupling
+(`_min_margins`) is the least |sigma^{-1} mu_i - lambda_j| sqrt(sigma),
+without the shift by 1 that the sigma K I of A carries.
 
 This module assembles A, computes spectra, verifies the eigenvalue
 monotonicity bounds in sigma, counts modes Weyl-style and scans for
@@ -39,7 +39,7 @@ solved gaps, through the same builders (`toda._symmetric_field`, which
 `assemble_A` calls, and `toda._gap_spectrum`). They can disagree: on K = 1,
 m = 2, eps 0.0471 the forced margin min |eig|/sigma is 0.086 while
 `min_margin` is 4.53. Which one the paper's gap condition refers to is open,
-and so is whether it means the normalized distance of `_margins` or the
+and so is whether it means the normalized distance of `_min_margins` or the
 assembled operator with its shift; PAPER.md holds only the abstract.
 """
 
@@ -279,8 +279,10 @@ def _sl_eigs_covering(K: PeriodicField, lam_max: float) -> np.ndarray:
     return sturm_liouville_eigs(K, 2 * j_max + 1)
 
 
-def _margins(mu: np.ndarray, sigma: float, lam: np.ndarray) -> np.ndarray:
-    return np.abs(mu[:, None] / sigma - lam[None, :]) * math.sqrt(sigma)
+def _min_margins(mu: np.ndarray, sigmas: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """min over i, j of |mu_i/sigma - lam_j| sqrt(sigma), for each coupling sigma."""
+    s = sigmas[:, None, None]
+    return np.min(np.abs(mu[:, None] / s - lam) * np.sqrt(s), axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -339,9 +341,9 @@ def dyadic_search(sigma_min: float, sigma_max: float, K: PeriodicField, m: int,
         inside = resonances[(resonances >= lo) & (resonances <= hi)]
         knots = np.concatenate([[lo], inside, [hi]])
         cands = 0.5 * (knots[:-1] + knots[1:])
-        margins = [float(np.min(_margins(mu, float(sg), lam))) for sg in cands]
+        margins = _min_margins(mu, cands, lam)
         i = int(np.argmax(margins))  # first of equal maxima
-        best[k] = (float(cands[i]), margins[i]) if margins[i] >= c_gap else None
+        best[k] = (float(cands[i]), float(margins[i])) if margins[i] >= c_gap else None
         k += 1
     return resonances, best
 
@@ -371,7 +373,7 @@ def scan_epsilons(eps_min: float, eps_max: float, steps: int, K: PeriodicField,
     mu = decoupled_couplings(m, BETA_EXACT)
     lam_max = float(np.max(mu) / np.min(sigmas))
     lam = _sl_eigs_covering(K, lam_max)
-    margins = np.array([float(np.min(_margins(mu, sg, lam))) for sg in sigmas])
+    margins = _min_margins(mu, sigmas, lam)
     admissible = margins >= c_gap
     dyadic: dict = {}
     for e, sg, mg in zip(eps[admissible], sigmas[admissible], margins[admissible]):

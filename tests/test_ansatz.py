@@ -1058,7 +1058,7 @@ def _reference_norm_choice(m, shape):
     for shape in _REFERENCE_K for m in (1, 2, 3, 4)
 ] + [pytest.param(m, "cos", 0.00625, None, id=f"0.00625-cos-{m}") for m in (2, 3)])
 def test_residual_report_matches_the_full_strip_reference(m, shape, eps, n_y):
-    # the slabs, the cropped norms and the one resample of every field keep every bit
+    # the slabs, the slab norms and the one resample of every field keep every bit
     K, h, grid = _reference_case(m, shape, eps, n_y)
     u0, res, terms, in_window = _full_strip_expansion(h, K, eps, grid)
     got_u0, got_res, got_terms, got_in_window, cols = _expansion(
@@ -1144,12 +1144,12 @@ def test_on_strip_truncates_the_modes_past_the_strip_band(n_y):
 
 
 @pytest.mark.parametrize("n_y", [16, 96], ids=["dy-above-1", "dy-below-1"])
-def test_weighted_norm_crop_matches_the_full_strip_reference(n_y):
+def test_weighted_norm_of_sparse_columns_matches_the_full_strip_reference(n_y):
     grid = StripGrid(PeriodicGrid(n_y, 60.0), 6.0, 49)
     rng = np.random.default_rng(23)
     cases = {"all-zero": np.zeros(grid.shape)}
     # a column held next to t = 0 gives its norm at the far edge of its
-    # ball, t-radius 1 away, where the crop ends
+    # ball, t-radius 1 away
     for name, cols in (("first-column", [0]), ("last-column", [-1]),
                        ("both-edges", [0, -1]), ("left-of-centre", [22]),
                        ("right-of-centre", [26]), ("two-columns", [20, 27])):

@@ -1,10 +1,11 @@
 """Import and definition hygiene of the library modules, read from their syntax trees.
 
-Every name a module imports is used in it, and scipy is loaded at module
-level only for the CLI manifest's version string: the reduced pipeline
-(scales, toda, spectral, geometry, profile) runs on numpy alone, and the
-strip solvers import their scipy routines where they call them; no module
-imports scipy.optimize or scipy.sparse at all. Every function, class and
+Every name a module imports is used in it, and no module imports scipy at
+module level: the reduced pipeline (scales, toda, spectral, geometry,
+profile) runs on numpy alone, the strip solvers import their scipy routines
+where they call them, and the CLI imports scipy where it writes the
+manifest's version string, so importing the CLI leaves scipy unloaded; no
+module imports scipy.optimize or scipy.sparse at all. Every function, class and
 method the library defines is used by the library or by the benchmark, and
 so is every default of its parameters and every field its classes declare
 (read outside the class's own __post_init__): helpers, settings and outputs
@@ -12,6 +13,9 @@ only the tests need live in the tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -62,7 +66,7 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
-def test_scipy_is_imported_at_module_level_only_by_the_cli():
+def test_no_module_imports_scipy_at_module_level():
     found = []
     for path in MODULES:
         for node in _module_level_imports(_tree(path)):
@@ -70,7 +74,16 @@ def test_scipy_is_imported_at_module_level_only_by_the_cli():
                        else [alias.name for alias in node.names])
             found += [(path.name, name) for name in modules
                       if name == "scipy" or name.startswith("scipy.")]
-    assert found == [("cli.py", "scipy")]
+    assert found == []
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, aclayers.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 FORBIDDEN = ("scipy.optimize", "scipy.sparse")
