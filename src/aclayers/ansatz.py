@@ -30,6 +30,16 @@ Discretization: 6th-order centered finite differences in t with an
 even-reflection (homogeneous Neumann) closure at t = +-T, spectral
 differentiation in y. Fields decay like e^{-sqrt(2)|z - f|}, so cutting the
 strip at T leaves an error near 3 e^{-sqrt(2) (T - max|f|)}.
+
+Memory: the strip grows like |ln eps|/eps cells, so the passes over it
+(`assemble_u0`, `residual_closed_form`, `residual_report`, `weighted_norm`
+and the energy) work on blocks of whole y-rows of at most _STRIP_BLOCK
+cells (`_row_blocks`) and keep at strip size only what they return: one
+field for u0 and the closed form, u0 and S(u0) for the report, the one
+array the energy sums, none for `weighted_norm`. Each cell is computed in
+the same order in any block, so the bits do not depend on the block size.
+The energy's u_y needs whole y-columns, so it works on blocks of columns;
+the Newton solve and `solve_projected` stay strip-wide.
 """
 
 from __future__ import annotations
@@ -86,6 +96,14 @@ _DT_TARGET = 0.18
 # safeguarded Newton steps place its root (52 bisections reach round-off)
 _LAGRANGE_TO_MONOMIAL = np.linalg.inv(np.vander(np.arange(6.0) - 2.5, increasing=True))
 _ROOT_STEPS = 60
+# cells per row block of the strip passes (`_row_blocks`), sized by traced
+# peak and time on the benchmark's heaviest strip (504 x 233: eps 0.00625,
+# m = 3; numpy 2.4.6): the report's peak is 3.4 strip-sized fields, 2 of them
+# the u0 and S(u0) it returns (16.4 on the whole strip), and the report and
+# the closed form take 35 and 6.1 ms against 42 and 11.6 on the whole strip.
+# 16384 cells peak at 3.8 and 24576 at 4.7, past the tests' bound of 4; 6144
+# adds a third to the report's time on a 126 x 163 strip (5.8 -> 7.8 ms)
+_STRIP_BLOCK = 12288
 
 
 @dataclass(frozen=True)
@@ -155,7 +173,9 @@ def _t_matrices(n_t: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     d2 = np.zeros((n_t, n_t))
     np.add.at(d1, (rows, cols), np.tile(_D1_W, n_t))
     np.add.at(d2, (rows, cols), np.tile(_D2_W, n_t))
-    return d1 / dt, d2 / (dt * dt)
+    d1 /= dt
+    d2 /= dt * dt
+    return d1, d2
 
 
 def _curve_grid(fields: Sequence[PeriodicField]) -> PeriodicGrid:
@@ -230,6 +250,15 @@ def default_strip_grid(K: PeriodicField, epsilon: float, m: int,
                      t_extent=t_extent, n_t=n_t)
 
 
+def _row_blocks(shape: tuple[int, int]):
+    """The rows of an array of this shape as slices of at most _STRIP_BLOCK
+    cells, at least one row each; shape[::-1] gives its column blocks."""
+    n_rows, width = shape
+    step = max(1, _STRIP_BLOCK // width)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
 def _check_window(grid: StripGrid, m: int, rho: float) -> None:
     """The strip must reach the layer window of m layers on both sides."""
     need = _layer_window(m, rho)
@@ -249,9 +278,12 @@ def assemble_u0(f: Sequence[PeriodicField], grid: StripGrid,
     m = len(f)
     _check_window(grid, m, scales_of(epsilon).rho)
     z = grid.t[None, :]
+    positions = _on_strip(f, grid, epsilon)
     vals = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
-    for j, pos in enumerate(_on_strip(f, grid, epsilon), start=1):
-        vals += (-1.0) ** (j - 1) * heteroclinic(z - pos[:, None])
+    for rows in _row_blocks(grid.shape):
+        block = vals[rows]
+        for j, pos in enumerate(positions[:, rows], start=1):
+            block += (-1.0) ** (j - 1) * heteroclinic(z - pos[:, None])
     return StripField(grid, vals)
 
 
@@ -275,14 +307,14 @@ def residual(u0: StripField, K: PeriodicField, epsilon: float) -> StripField:
                                             *_t_matrices(grid.n_t, grid.dt), epsilon))
 
 
-def _layer_shares(positions: Sequence[np.ndarray],
-                  slopes: Sequence[tuple[np.ndarray, np.ndarray]],
-                  grid: StripGrid, kv: np.ndarray, epsilon: float):
+def _layer_shares(positions: np.ndarray, slopes: np.ndarray, grid: StripGrid,
+                  kv: np.ndarray, epsilon: float):
     """Each layer's share of the closed-form S(u0), one layer at a time.
 
-    positions holds each f_j sampled on the strip, slopes the pairs
-    (f_j', f_j'') sampled there and kv the curvature. For layer j, with
-    t_j = z - f_j(eps y) and w_j = w(t_j), yields (t_j, w_j, w_j', w_j'', share_j)
+    positions (m, rows) holds each f_j sampled on some strip rows, slopes
+    (m, 2, rows) the pairs (f_j', f_j'') sampled there and kv the curvature
+    (`_sample_layers` on those rows). For layer j, with
+    t_j = z - f_j(eps y) and w_j = w(t_j), yields (j, t_j, w_j, w_j', w_j'', share_j)
     where
 
         share_j = (-1)^{j-1} [ (1 + eps^2 f_j'^2) w_j'' - eps^2 (f_j'' + z K) w_j' ]
@@ -291,6 +323,8 @@ def _layer_shares(positions: Sequence[np.ndarray],
     gives w and w' = (1 - w^2)/sqrt(2), the bits `heteroclinic_derivative` gives.
     Each share is formed in place, one operation of the formula at a time in
     its order, so it keeps the formula's bits with fewer strip-sized copies.
+    Iterate it directly: enumerate or zip around it would hold the last
+    layer's arrays while the next one is formed.
     """
     z = grid.t[None, :]
     e2 = epsilon * epsilon
@@ -309,17 +343,23 @@ def _layer_shares(positions: Sequence[np.ndarray],
         drift *= wp
         share = (1.0 + e2 * fp * fp) * wpp
         share -= drift
+        del drift
         if j % 2 == 0:
             np.negative(share, out=share)
-        yield tj, w, wp, wpp, share
+        yield j, tj, w, wp, wpp, share
+        # the consumer is done with this layer: free it before the next is formed
+        del tj, w, w2, wp, wpp, share
 
 
 def _sample_layers(f: Sequence[PeriodicField], K: PeriodicField, grid: StripGrid,
-                   epsilon: float):
+                   epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K, each f_j and the pairs (f_j', f_j''), on a strip checked to hold their window.
 
-    f' and f'' are one spectral derivative per order of the stacked f, and
-    every field reaches the strip in one `_on_strip` call: one resample.
+    Returns kv (n_y,), the positions (m, n_y) and the slopes (m, 2, n_y),
+    which a row block reads as kv[rows], positions[:, rows] and
+    slopes[:, :, rows]. f' and f'' are one spectral derivative per order of
+    the stacked f, and every field reaches the strip in one `_on_strip`
+    call: one resample.
     """
     m = len(f)
     _check_window(grid, m, scales_of(epsilon).rho)
@@ -327,8 +367,9 @@ def _sample_layers(f: Sequence[PeriodicField], K: PeriodicField, grid: StripGrid
     values = np.stack([fj.values for fj in f])
     slopes = [PeriodicField(curve, d) for order in (1, 2)
               for d in _spectral_derivative(values, curve, order)]
-    kv, *sampled = _on_strip([K, *f, *slopes], grid, epsilon)
-    return kv, sampled[:m], list(zip(sampled[m:2 * m], sampled[2 * m:]))
+    sampled = _on_strip([K, *f, *slopes], grid, epsilon)
+    return sampled[0], sampled[1:m + 1], np.stack([sampled[m + 1:2 * m + 1],
+                                                   sampled[2 * m + 1:]], axis=1)
 
 
 def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
@@ -346,13 +387,16 @@ def residual_closed_form(f: Sequence[PeriodicField], grid: StripGrid,
     """
     m = len(f)
     kv, positions, slopes = _sample_layers(f, K, grid, epsilon)
-    u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
     out = np.zeros(grid.shape)
-    layers = _layer_shares(positions, slopes, grid, kv, epsilon)
-    for j, (_, w, _, _, share) in enumerate(layers, start=1):
-        u0 += (-1.0) ** (j - 1) * w
-        out += share
-    out += u0 - u0 * u0 * u0
+    for rows in _row_blocks(grid.shape):
+        block = out[rows]
+        u0 = np.full(block.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
+        layers = _layer_shares(positions[:, rows], slopes[:, :, rows], grid, kv[rows],
+                               epsilon)
+        for j, _, w, _, _, share in layers:
+            u0 += (-1.0) ** (j - 1) * w
+            block += share
+        block += u0 - u0 * u0 * u0
     return StripField(grid, out)
 
 
@@ -362,15 +406,35 @@ def _slab(t: np.ndarray, low: float, high: float, reach: float) -> slice:
     return slice(max(lo - 1, 0), min(hi + 1, len(t)))
 
 
-def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
-               grid: StripGrid):
-    """u0 and S(u0) of the stack on the positions f, and the expansion near each layer.
+_TERMS = ("interaction", "curvature", "jacobi", "gradient_sq")
 
-    Returns (u0, S(u0), terms, in_window, cols). Each term field is that term of
-    every layer ell on its own part of the disjoint nearest-layer partition of
-    the strip, capped at the window |z - f_ell| <= rho/2 + M, and zero elsewhere;
-    in_window marks the union of those parts. The terms of layer ell carry
-    its orientation (-1)^{ell-1}:
+
+def _windows(positions: np.ndarray, grid: StripGrid, epsilon: float):
+    """(rho, window, cols, slabs): the layer scale, the expansion window
+    rho/2 + M, the union `cols` of the layers' slabs and each layer's slab.
+
+    The slab of layer ell is the t-columns within the window of f_ell on some
+    row, found from the least and greatest f_ell over the whole strip
+    (`_slab`), so every row block of a strip reads the same columns."""
+    rho = scales_of(epsilon).rho
+    window = 0.5 * rho + M_BUDGET
+    t = grid.t
+    return (rho, window, _slab(t, positions.min(), positions.max(), window),
+            [_slab(t, pos.min(), pos.max(), window) for pos in positions])
+
+
+def _expansion(sampled: tuple[np.ndarray, np.ndarray, np.ndarray], windows,
+               grid: StripGrid, epsilon: float, rows):
+    """u0 and S(u0) of the stack on some strip rows, and the expansion near each layer there.
+
+    sampled is `_sample_layers`' output on the whole strip, windows is
+    `_windows` of its positions and rows a slice or an index array of strip
+    rows. Returns (u0, S(u0), terms, in_window) on those rows. terms[k] is
+    the term _TERMS[k] of every layer ell on its own part of the disjoint
+    nearest-layer partition of the strip, capped at the window
+    |z - f_ell| <= rho/2 + M, and zero elsewhere; in_window marks the union
+    of those parts. The terms of layer ell carry its orientation
+    (-1)^{ell-1}:
       interaction: 6(1-w^2) eps^2 rho [alpha e^{-sqrt2 t} - gamma e^{+sqrt2 t}]
                    with alpha/gamma the lower/upper neighbor gap exponentials
                    e^{-sqrt2 (h_{l+1} - h_l)}, one-sided at ell = 1 and ell = m;
@@ -381,63 +445,58 @@ def _expansion(f: Sequence[PeriodicField], K: PeriodicField, epsilon: float,
     and h_ell = f_ell - fbase_ell the height, so h_ell' = f_ell', h_ell'' =
     f_ell'' and h_{l+1} - h_l = f_{l+1} - f_l - rho.
 
-    u0 and S(u0) cover the strip. The window of layer ell is empty outside its
-    column slab, the t-columns within rho/2 + M of f_ell on some row (found
-    from the least and greatest f_ell, one spare column each side): its terms
-    are evaluated there, and the terms, in_window and the nearest layer are
-    held only on the strip columns `cols`, the union of the slabs. Every
-    term is read off the sampled K, f, f' and f'' (`_sample_layers`): one
-    resample of 1 + 3m curve fields.
+    u0 and S(u0) cover the rows' whole width. The window of layer ell is empty
+    outside its column slab (`_windows`): its terms are evaluated there, and
+    the terms, in_window and the nearest layer are held only on the strip
+    columns `cols`, the union of the slabs. Every term is read off the sampled
+    K, f, f' and f''. Each cell is computed as on any other rows, so row
+    blocks put together give the whole strip's bits.
     """
-    m = len(f)
-    s = scales_of(epsilon)
-    window = 0.5 * s.rho + M_BUDGET
+    rho, window, cols, slabs = windows
+    kv, positions, slopes = sampled[0][rows], sampled[1][:, rows], sampled[2][:, :, rows]
+    m = len(positions)
     e2 = epsilon * epsilon
-    kv, positions, slopes = _sample_layers(f, K, grid, epsilon)
-    stacked = np.stack(positions)
-    gap_exp = np.exp(-SQRT2 * (np.diff(stacked, axis=0) - s.rho))[:, :, None]
+    gap_exp = np.exp(-SQRT2 * (np.diff(positions, axis=0) - rho))[:, :, None]
     t = grid.t
-    cols = _slab(t, stacked.min(), stacked.max(), window)
-    nearest = np.argmin(np.abs(t[None, None, cols] - stacked[:, :, None]), axis=0)
+    nearest = np.argmin(np.abs(t[None, None, cols] - positions[:, :, None]), axis=0)
 
-    u0 = np.full(grid.shape, ((-1.0) ** (m - 1) - 1.0) / 2.0)
-    res = np.zeros(grid.shape)
+    u0 = np.full((len(kv), grid.n_t), ((-1.0) ** (m - 1) - 1.0) / 2.0)
+    res = np.zeros(u0.shape)
     in_window = np.zeros(nearest.shape, dtype=bool)
-    terms = {name: np.zeros(nearest.shape)
-             for name in ("interaction", "curvature", "jacobi", "gradient_sq")}
+    terms = np.zeros((len(_TERMS),) + nearest.shape)
     layers = _layer_shares(positions, slopes, grid, kv, epsilon)
-    for ell, (t_loc, w, wp, wpp, share) in enumerate(layers, start=1):
+    for ell, t_loc, w, wp, wpp, share in layers:
         sign = (-1.0) ** (ell - 1)
+        slab = slabs[ell - 1]
         u0 += sign * w
         res += share
 
         pos = positions[ell - 1]
-        slab = _slab(t, pos.min(), pos.max(), window)
         t_loc, w, wp, wpp = t_loc[:, slab], w[:, slab], wp[:, slab], wpp[:, slab]
-        pref = 6.0 * (1.0 - w * w) * e2 * s.rho
+        pref = 6.0 * (1.0 - w * w) * e2 * rho
         inter = np.zeros(t_loc.shape)
         if ell >= 2:
             inter += pref * gap_exp[ell - 2] * np.exp(-SQRT2 * t_loc)
         if ell <= m - 1:
             inter -= pref * gap_exp[ell - 1] * np.exp(SQRT2 * t_loc)
-        f_base = (ell - (m + 1) / 2.0) * s.rho
+        f_base = (ell - (m + 1) / 2.0) * rho
         fp, fpp = slopes[ell - 1]
-        layer_terms = {
-            "interaction": inter,
-            "curvature": -e2 * (t_loc + f_base) * kv[:, None] * wp,
-            "jacobi": -e2 * ((fpp + kv * (pos - f_base))[:, None]) * wp,
-            "gradient_sq": e2 * (fp**2)[:, None] * wpp,
-        }
+        layer_terms = (
+            inter,
+            -e2 * (t_loc + f_base) * kv[:, None] * wp,
+            -e2 * ((fpp + kv * (pos - f_base))[:, None]) * wp,
+            e2 * (fp**2)[:, None] * wpp,
+        )
         part = slice(slab.start - cols.start, slab.stop - cols.start)
         mask = (np.abs(t_loc) <= window) & (nearest[:, part] == ell - 1)
         in_window[:, part] |= mask
-        for name, term in layer_terms.items():
-            on_slab = terms[name][:, part]
+        for held, term in zip(terms, layer_terms):
+            on_slab = held[:, part]
             np.add(on_slab, sign * term, out=on_slab, where=mask)
-        # free this layer's terms before the generator samples the next layer
-        del pref, inter, layer_terms, term
+        # free this layer and its terms before the generator samples the next layer
+        del t_loc, w, wp, wpp, share, pref, inter, layer_terms, term
     res += u0 - u0 * u0 * u0
-    return StripField(grid, u0), StripField(grid, res), terms, in_window, cols
+    return u0, res, terms, in_window
 
 
 def _ball_offsets(dy: float, dt: float) -> list[tuple[int, int]]:
@@ -454,6 +513,19 @@ def _ball_offsets(dy: float, dt: float) -> list[tuple[int, int]]:
     return offsets
 
 
+def _ball(grid: StripGrid) -> tuple[list[tuple[int, int]], int, int]:
+    """(offsets, ry, rt): the norm ball's grid offsets (`_ball_offsets`) and how
+    many rows and columns it reaches past its centre."""
+    offsets = _ball_offsets(grid.y_grid.spacing, grid.dt)
+    return (offsets, max(abs(jy) for jy, _ in offsets),
+            max(abs(it) for _, it in offsets))
+
+
+def _with_halo(rows: slice, ry: int, n_y: int) -> np.ndarray:
+    """The strip rows of a row block and ry more on each side, periodic in y."""
+    return np.arange(rows.start - ry, rows.stop + ry) % n_y
+
+
 def _check_norm_parameters(p: float, sigma_decay: float) -> None:
     if not p >= 1.0:
         raise DomainError("p must be at least 1 (or infinity)")
@@ -461,35 +533,42 @@ def _check_norm_parameters(p: float, sigma_decay: float) -> None:
         raise DomainError("sigma_decay must lie in (0, sqrt(2))")
 
 
-def _widened(cols: slice, grid: StripGrid) -> slice:
-    """cols widened by the t-radius of the norm balls, clipped to the strip."""
-    rt = max(abs(it) for _, it in _ball_offsets(grid.y_grid.spacing, grid.dt))
-    return slice(max(cols.start - rt, 0), min(cols.stop + rt, grid.n_t))
+def _to_power(values: np.ndarray, p: float) -> np.ndarray:
+    """values replaced in place by |values|^p (by |values| at p = inf)."""
+    np.abs(values, out=values)
+    if not math.isinf(p):
+        np.power(values, p, out=values)
+    return values
 
 
-def _ball_peaks(powered: np.ndarray, start: int, out: slice, grid: StripGrid,
-                inf: bool) -> np.ndarray:
-    """The largest ball sum over y (ball maximum at p = inf) of each strip column in out.
+def _fold_ball_peaks(peaks: np.ndarray, powered: np.ndarray, start: int, out: slice,
+                     ball: tuple[list[tuple[int, int]], int, int], inf: bool) -> None:
+    """Fold into peaks the largest ball sum (ball maximum at p = inf) over a
+    row block of each strip column in out.
 
-    powered holds |v|^p (|v| at p = inf) on the strip columns from start on.
-    Each ball sums the cells of those columns that it covers; every other cell
-    it covers must hold v = 0, which leaves the sum as it is.
+    ball is `_ball` of the strip. powered holds |v|^p (|v| at p = inf) of the
+    fields along its leading axes, on the rows of the block with the ball's
+    ry more on each side (`_with_halo`), and on the strip columns from start
+    on; peaks holds one
+    value per field and column of out. Each ball sums the cells of those
+    columns that it covers, offset by offset in `_ball_offsets`' order; every
+    other cell it covers must hold v = 0, which leaves the sum as it is. The
+    sums are non-negative and their maxima combine exactly, so blocks folded
+    into zeros give the whole strip's peaks.
     """
-    offsets = _ball_offsets(grid.y_grid.spacing, grid.dt)
-    ry = max(abs(jy) for jy, _ in offsets)
+    offsets, ry, _ = ball
     combine = np.maximum if inf else np.add
-    n_y, width = powered.shape
-    # periodic in y; a ball that stays in its row needs no wrapped copy
-    rows = powered[np.arange(-ry, n_y + ry) % n_y] if ry else powered
-    acc = np.zeros((n_y, out.stop - out.start))
+    *_, held, width = powered.shape
+    n_rows = held - 2 * ry
+    acc = np.zeros(powered.shape[:-2] + (n_rows, out.stop - out.start))
     for jy, it in offsets:
         # acc column j is strip column out.start + j; its offset cell is powered column j + shift
         shift = out.start + it - start
         lo = max(-shift, 0)
-        hi = max(min(width - shift, acc.shape[1]), lo)
-        view = acc[:, lo:hi]
-        combine(view, rows[ry + jy:ry + jy + n_y, lo + shift:hi + shift], out=view)
-    return np.max(acc, axis=0)
+        hi = max(min(width - shift, acc.shape[-1]), lo)
+        view = acc[..., lo:hi]
+        combine(view, powered[..., ry + jy:ry + jy + n_rows, lo + shift:hi + shift], out=view)
+    np.maximum(peaks, np.max(acc, axis=-2), out=peaks)
 
 
 def _weighted_sup(peaks: np.ndarray, out: slice, grid: StripGrid, p: float,
@@ -501,17 +580,6 @@ def _weighted_sup(peaks: np.ndarray, out: slice, grid: StripGrid, p: float,
     weight = np.exp(sigma_decay * np.abs(grid.t))[out]
     local = peaks if math.isinf(p) else (grid.y_grid.spacing * grid.dt * peaks) ** (1.0 / p)
     return float(np.max(weight * local))
-
-
-def _slab_norm(values: np.ndarray, start: int, grid: StripGrid, p: float,
-               sigma_decay: float) -> float:
-    """`weighted_norm` of the field that is values on the strip columns from
-    start on and zero on every other column."""
-    inf = math.isinf(p)
-    powered = np.abs(values) if inf else np.abs(values) ** p
-    out = _widened(slice(start, start + values.shape[1]), grid)
-    return _weighted_sup(_ball_peaks(powered, start, out, grid, inf), out, grid,
-                         p, sigma_decay)
 
 
 def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
@@ -528,12 +596,21 @@ def weighted_norm(field: StripField, p: float, sigma_decay: float) -> float:
     the default step near 0.18 and 17 at dt = 1/8, and the report total of
     two layers at eps 0.1 on K = 1 reads 1.0555 and 1.1462 on those steps.
 
-    Every t-column of the field is read. `residual_report` keeps the cost of
-    its term norms and remainder to their column slabs by calling
-    `_slab_norm` on those slabs alone.
+    The field is read in row blocks of at most _STRIP_BLOCK cells, each with
+    the rows its balls reach on either side, and each block's largest ball
+    per column is folded into one array of column peaks: the pass holds no
+    strip-sized array (a few blocks and one row of peaks), and any block size
+    gives the same bits.
     """
     _check_norm_parameters(p, sigma_decay)
-    return _slab_norm(field.values, 0, field.grid, p, sigma_decay)
+    grid = field.grid
+    ball = _ball(grid)
+    every = slice(0, grid.n_t)
+    peaks = np.zeros(grid.n_t)
+    for rows in _row_blocks(grid.shape):
+        held = field.values[_with_halo(rows, ball[1], grid.y_grid.n)]
+        _fold_ball_peaks(peaks, _to_power(held, p), 0, every, ball, math.isinf(p))
+    return _weighted_sup(peaks, every, grid, p, sigma_decay)
 
 
 @dataclass(frozen=True)
@@ -584,34 +661,56 @@ def residual_report(h: tuple[PeriodicField, ...], K: PeriodicField, epsilon: flo
     otherwise leak an O(w'(T - max f)/dt^2) artifact into the boundary rows,
     and the weight e^{sigma |t|} amplifies exactly there. Bad p or sigma_decay
     raise DomainError before the expansion is built.
+
+    The report streams the strip in row blocks of at most _STRIP_BLOCK
+    cells (`weighted_norm`'s blocks): each block's expansion, built on the
+    block's rows and the rows its norm balls reach past them, is folded into
+    the column peaks of all seven norms and freed, so u0 and S(u0), which the
+    report returns, are its only strip-sized arrays. Any block size gives
+    the same bits.
     """
     _check_norm_parameters(p, sigma_decay)
-    u0, res, terms, in_window, cols = _expansion(f_from_h(h, scales_of(epsilon)), K,
-                                                 epsilon, grid)
-    predicted = sum(terms.values())
-    norms = {name: _slab_norm(vals, cols.start, grid, p, sigma_decay)
-             for name, vals in terms.items()}
-    remainder = _slab_norm(np.where(in_window, res.values[:, cols] - predicted, 0.0),
-                           cols.start, grid, p, sigma_decay)
-    # |S(u0)|^p once for the total and, zeroed on the windows in place, the
-    # exterior: their ball sums differ only on the columns `near` whose balls reach cols
-    inf = math.isinf(p)
-    powered = np.abs(res.values) if inf else np.abs(res.values) ** p
+    sampled = _sample_layers(f_from_h(h, scales_of(epsilon)), K, grid, epsilon)
+    windows = _windows(sampled[1], grid, epsilon)
+    cols = windows[2]
+    ball = _ball(grid)
+    _, ry, rt = ball
+    # cols widened by the balls' t-reach: every column whose balls reach cols
+    near = slice(max(cols.start - rt, 0), min(cols.stop + rt, grid.n_t))
     every = slice(0, grid.n_t)
-    peaks = _ball_peaks(powered, 0, every, grid, inf)
-    total = _weighted_sup(peaks, every, grid, p, sigma_decay)
-    powered[:, cols][in_window] = 0.0
-    near = _widened(cols, grid)
-    peaks[near] = _ball_peaks(powered, 0, near, grid, inf)
-    exterior = _weighted_sup(peaks, every, grid, p, sigma_decay)
-    slack = exterior + 1e-9 * (sum(norms.values()) + remainder + total)
-    return ResidualReport(p=p, sigma_decay=sigma_decay,
-                          interaction=norms["interaction"],
-                          curvature=norms["curvature"],
-                          jacobi=norms["jacobi"],
-                          gradient_sq=norms["gradient_sq"],
+    inf = math.isinf(p)
+    u0, res = np.empty(grid.shape), np.empty(grid.shape)
+    # column peaks of the terms and the remainder, of |S(u0)|^p for the total and,
+    # zeroed on the windows, for the exterior: its ball sums differ from the
+    # total's only on the columns `near` whose balls reach cols
+    term_peaks = np.zeros((len(_TERMS), near.stop - near.start))
+    remainder_peaks = np.zeros(near.stop - near.start)
+    total_peaks = np.zeros(grid.n_t)
+    exterior_peaks = np.zeros(near.stop - near.start)
+    for rows in _row_blocks(grid.shape):
+        block_u0, block_res, terms, in_window = _expansion(
+            sampled, windows, grid, epsilon, _with_halo(rows, ry, grid.y_grid.n))
+        inner = slice(ry, ry + rows.stop - rows.start)
+        u0[rows], res[rows] = block_u0[inner], block_res[inner]
+        remainder = np.where(in_window, block_res[:, cols] - sum(terms), 0.0)
+        _fold_ball_peaks(term_peaks, _to_power(terms, p), cols.start, near, ball, inf)
+        _fold_ball_peaks(remainder_peaks, _to_power(remainder, p), cols.start, near,
+                         ball, inf)
+        powered = _to_power(block_res, p)
+        _fold_ball_peaks(total_peaks, powered, 0, every, ball, inf)
+        powered[:, cols][in_window] = 0.0
+        _fold_ball_peaks(exterior_peaks, powered, 0, near, ball, inf)
+        # free this block before the next one is built
+        del block_u0, block_res, terms, in_window, remainder, powered
+    norms = [_weighted_sup(peaks, near, grid, p, sigma_decay) for peaks in term_peaks]
+    remainder = _weighted_sup(remainder_peaks, near, grid, p, sigma_decay)
+    total = _weighted_sup(total_peaks, every, grid, p, sigma_decay)
+    total_peaks[near] = exterior_peaks
+    exterior = _weighted_sup(total_peaks, every, grid, p, sigma_decay)
+    slack = exterior + 1e-9 * (sum(norms) + remainder + total)
+    return ResidualReport(p=p, sigma_decay=sigma_decay, **dict(zip(_TERMS, norms)),
                           remainder=remainder, total=total, slack=slack,
-                          u0=u0, residual=res)
+                          u0=StripField(grid, u0), residual=StripField(grid, res))
 
 
 def _trapezoid_weights(grid: StripGrid) -> np.ndarray:
@@ -700,11 +799,20 @@ def solve_projected(g: StripField, epsilon: float) -> tuple[StripField, Periodic
 
 def _strip_energy(vals: np.ndarray, y_grid: PeriodicGrid, d1t: np.ndarray,
                   wt: np.ndarray, epsilon: float) -> float:
-    """`strip_energy` on raw values, with d/dt and the t-weights of their columns."""
-    uz = vals @ d1t.T
-    uy = _spectral_derivative(vals, y_grid, 1, axis=0)
-    dens = 0.5 * (uy * uy + uz * uz) + 0.25 * (1.0 - vals**2) ** 2
-    return float(epsilon * y_grid.spacing * np.sum(dens * wt[None, :]))
+    """`strip_energy` on raw values, with d/dt and the t-weights of their columns.
+
+    The weighted density overwrites u_t block by block, so u_t is the only
+    array of the values' size, and one np.sum adds it up. u_y needs whole
+    y-columns, so the blocks are blocks of columns: the y-derivative of a
+    column keeps its bits in any block.
+    """
+    dens = vals @ d1t.T
+    for cols in _row_blocks(vals.shape[::-1]):
+        uy = _spectral_derivative(vals[:, cols], y_grid, 1, axis=0)
+        uz, v = dens[:, cols], vals[:, cols]
+        np.multiply(0.5 * (uy * uy + uz * uz) + 0.25 * (1.0 - v**2) ** 2, wt[None, cols],
+                    out=uz)
+    return float(epsilon * y_grid.spacing * np.sum(dens))
 
 
 def strip_energy(u: StripField, epsilon: float) -> float:
@@ -715,7 +823,7 @@ def strip_energy(u: StripField, epsilon: float) -> float:
     + (1 - u^2)^2/4 ] dy dt (trapezoid in t).
     """
     grid = u.grid
-    d1t, _ = _t_matrices(grid.n_t, grid.dt)
+    d1t = _t_matrices(grid.n_t, grid.dt)[0]
     return _strip_energy(u.values, grid.y_grid, d1t, _trapezoid_weights(grid), epsilon)
 
 

@@ -281,8 +281,9 @@ def parse_config(text: str) -> RunConfig:
 # Values per `ArtifactWriter.matrix` block, cut at row boundaries. Bounded
 # by the block's measured traced peak: about 131 B per distinct value (1.47
 # MB for a block of 11,214 on numpy 2.4.6), which must stay under the 1.61 MB
-# that `test_matrix_block_peak_stays_under_the_bound` allows, since this
-# block sets the strip-newton benchmark's peak RSS. 12288 would still fit,
+# that `test_matrix_block_peak_stays_under_the_bound` allows, below the
+# traced peaks of the strip passes that run beside the writer (the Newton
+# solve's 1.84 MB on a warm strip-newton pass). 12288 would still fit,
 # by 0.3%, and wrote no faster. Large enough that repeats across rows (far
 # fields, `y`-independent rows) are formatted once and numpy's per-call
 # cost spreads over many values. A multiple of 64, so that the hard-values

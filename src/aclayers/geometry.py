@@ -21,6 +21,7 @@ trigonometric resampling, `_resample_rows`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -177,8 +178,8 @@ def ell0(K: PeriodicField) -> float:
     return float(K.grid.spacing * np.sum(np.sqrt(K.values)))
 
 
-def second_derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
-    """Dense spectral d^2/dy^2 as an n x n matrix (for eigenproblems).
+def _second_derivative_view(grid: PeriodicGrid) -> np.ndarray:
+    """The dense spectral d^2/dy^2 as a read-only view of its 2n - 1 values.
 
     D2 is a symmetric circulant, fixed by its first column: D2 applied to the
     unit impulse, one inverse FFT of the multipliers. Averaging that column
@@ -191,7 +192,21 @@ def second_derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
     col = np.fft.irfft(-(k * k), n=n)
     col = 0.5 * (col + np.roll(col[::-1], 1))
     extended = np.concatenate((col[::-1], col[:0:-1]))
-    return np.lib.stride_tricks.sliding_window_view(extended, n)[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(extended, n)[::-1]
+
+
+@functools.lru_cache(maxsize=8)
+def second_derivative_matrix(grid: PeriodicGrid) -> np.ndarray:
+    """Dense spectral d^2/dy^2 as an n x n matrix (for eigenproblems).
+
+    A copy of `_second_derivative_view`, memoized by grid and read-only: only
+    curvature grids reach it (the gap solve, the gap spectra and the Jacobi
+    check), and a workload rebuilds a handful of them many times over; the
+    string spectrum's finer grids read the view instead.
+    """
+    d2 = _second_derivative_view(grid).copy()
+    d2.flags.writeable = False
+    return d2
 
 
 def jacobi_is_degenerate(K: PeriodicField) -> bool:

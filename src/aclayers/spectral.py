@@ -55,6 +55,7 @@ from .geometry import (
     PeriodicField,
     PeriodicGrid,
     _resample_rows,
+    _second_derivative_view,
     ell0,
     second_derivative_matrix,
 )
@@ -218,6 +219,9 @@ def sturm_liouville_eigs(K: PeriodicField, count: int) -> np.ndarray:
 
     Standard symmetric form K^{-1/2} (-D2) K^{-1/2} psi = lambda psi, psi = K^{1/2}
     phi, with spectral D2: one eigvalsh. The constant eigenfunction gives 0.
+    The matrix is formed in place from a view of D2's values
+    (`_second_derivative_view`), with the bits of -D2 * outer(w, w), so no
+    n x n D2 is built.
     """
     if np.min(K.values) <= 0.0:
         raise DomainError("weight K must be positive")
@@ -225,7 +229,9 @@ def sturm_liouville_eigs(K: PeriodicField, count: int) -> np.ndarray:
     if count > n:
         raise DomainError(f"asked for {count} eigenvalues on an n={n} grid")
     w = K.values ** -0.5
-    H = -second_derivative_matrix(K.grid) * np.outer(w, w)
+    H = np.outer(w, w)
+    H *= _second_derivative_view(K.grid)
+    np.negative(H, out=H)
     return np.linalg.eigvalsh(H)[:count]
 
 

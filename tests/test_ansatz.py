@@ -8,6 +8,7 @@ converge to the Toda positions f_j as eps falls.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from aclayers.ansatz import (
     _HalfStrip,
     _on_strip,
     _right_preconditioned,
+    _sample_layers,
     _t_matrices,
     assemble_u0,
     default_strip_grid,
@@ -361,6 +363,15 @@ def test_closed_form_narrow_grid_rejected():
 # ---------------------------------------------------------------- expansion
 
 
+def _whole_strip_expansion(f, K, eps, grid):
+    """`_expansion` on every row of the strip at once, its terms by name, and
+    the columns `cols` they are held on."""
+    sampled = _sample_layers(f, K, grid, eps)
+    windows = ansatz_module._windows(sampled[1], grid, eps)
+    u0, res, terms, in_window = _expansion(sampled, windows, grid, eps, slice(None))
+    return u0, res, dict(zip(ansatz_module._TERMS, terms)), in_window, windows[2]
+
+
 def _on_the_strip(held, cols, grid):
     """`_expansion`'s terms or windows, held on the strip columns cols, on the
     whole strip: zero (False) on every other column."""
@@ -374,8 +385,8 @@ def test_expansion_center_layer_balance():
     K = circle_K()
     eps = 0.05
     grid = default_strip_grid(K, eps, 3, n_y=16)
-    _, _, terms, _, cols = _expansion(f_from_h(flat_layers(K, 3), scales_of(eps)), K, eps,
-                                      grid)
+    _, _, terms, _, cols = _whole_strip_expansion(
+        f_from_h(flat_layers(K, 3), scales_of(eps)), K, eps, grid)
     pred = sum(terms.values())
     assert np.abs(pred[:, grid.n_t // 2 - cols.start]).max() < 1e-15
 
@@ -387,12 +398,12 @@ def test_expansion_tracks_residual():
     h = flat_layers(K, 2)
     f = f_from_h(h, s)
     grid = default_strip_grid(K, eps, 2, n_y=16)
-    _, res, terms, _, cols = _expansion(f, K, eps, grid)
-    assert np.array_equal(res.values, residual_closed_form(f, grid, K, eps).values)
+    _, res, terms, _, cols = _whole_strip_expansion(f, K, eps, grid)
+    assert np.array_equal(res, residual_closed_form(f, grid, K, eps).values)
     pred = _on_the_strip(sum(terms.values()), cols, grid)
     mask = np.abs(grid.t - f[1].values[0]) <= s.rho / 2.0
-    err = np.abs(res.values[:, mask] - pred[:, mask]).max()
-    scale = np.abs(res.values[:, mask]).max()
+    err = np.abs(res[:, mask] - pred[:, mask]).max()
+    scale = np.abs(res[:, mask]).max()
     assert err < 0.08 * scale
 
 
@@ -1061,10 +1072,10 @@ def test_residual_report_matches_the_full_strip_reference(m, shape, eps, n_y):
     # the slabs, the slab norms and the one resample of every field keep every bit
     K, h, grid = _reference_case(m, shape, eps, n_y)
     u0, res, terms, in_window = _full_strip_expansion(h, K, eps, grid)
-    got_u0, got_res, got_terms, got_in_window, cols = _expansion(
+    got_u0, got_res, got_terms, got_in_window, cols = _whole_strip_expansion(
         f_from_h(h, scales_of(eps)), K, eps, grid)
-    assert got_u0.values.tobytes() == u0.tobytes()
-    assert got_res.values.tobytes() == res.tobytes()
+    assert got_u0.tobytes() == u0.tobytes()
+    assert got_res.tobytes() == res.tobytes()
     assert all(np.array_equal(_on_the_strip(got_terms[name], cols, grid), terms[name])
                for name in terms)
     assert np.array_equal(_on_the_strip(got_in_window, cols, grid), in_window)
@@ -1095,7 +1106,7 @@ def test_expansion_terms_match_the_sampled_heights(m, shape, eps, n_y):
     gap_exp = [on_strip(PeriodicField(lo.grid, np.exp(-SQRT2 * (hi.values - lo.values))))
                for lo, hi in zip(h, h[1:])]
     _, res, terms, in_window = _full_strip_expansion(h, K, eps, grid, (heights, gap_exp))
-    _, _, got, _, cols = _expansion(f_from_h(h, scales_of(eps)), K, eps, grid)
+    _, _, got, _, cols = _whole_strip_expansion(f_from_h(h, scales_of(eps)), K, eps, grid)
     for name, want in terms.items():
         assert (np.max(np.abs(_on_the_strip(got[name], cols, grid) - want))
                 <= 1e-11 * np.max(np.abs(want)))
@@ -1104,6 +1115,75 @@ def test_expansion_terms_match_the_sampled_heights(m, shape, eps, n_y):
     rep = residual_report(h, K, eps, grid, p, sigma_decay)
     assert _report_norms(rep) == pytest.approx(
         _reference_norms(res, terms, in_window, grid, p, sigma_decay), rel=1e-11, abs=0.0)
+
+
+def _strip_pass_outputs(h, K, eps, grid):
+    """The bits of every strip pass that streams row blocks, on one case."""
+    f = f_from_h(h, scales_of(eps))
+    u0 = assemble_u0(f, grid, eps)
+    res = residual_closed_form(f, grid, K, eps)
+    reports = [residual_report(h, K, eps, grid, p, sigma_decay)
+               for p, sigma_decay in ((4.0, 1.0), (math.inf, 0.3))]
+    half = _HalfStrip.of(grid, (-1) ** len(h))
+    half_energy = ansatz_module._strip_energy(half.fold(u0.values), grid.y_grid, half.d1,
+                                              half.energy_weights, eps)
+    return (u0.values.tobytes(), res.values.tobytes(),
+            [(_report_norms(rep), rep.u0.values.tobytes(), rep.residual.values.tobytes())
+             for rep in reports],
+            strip_energy(u0, eps), half_energy,
+            [weighted_norm(res, p, 0.7) for p in (1.0, 4.0, math.inf)])
+
+
+@pytest.mark.parametrize("n_y", [None, 160], ids=["dy-above-1", "dy-below-1"])
+def test_strip_passes_keep_their_bits_in_any_row_block(n_y, monkeypatch):
+    # per-cell operations keep their order, per-column ball maxima combine
+    # exactly and the energy is one sum over one array: blocks of one row, of
+    # a few rows and of the whole strip give the same bits; on 160 rows the
+    # balls span rows, so every block reads a halo row on each side
+    K, h, grid = _reference_case(3, "cos", 0.05, n_y)
+    want = _strip_pass_outputs(h, K, 0.05, grid)
+    n_rows, n_t = grid.shape
+    for rows in (1, 3, n_rows):
+        monkeypatch.setattr(ansatz_module, "_STRIP_BLOCK", rows * n_t)
+        assert _strip_pass_outputs(h, K, 0.05, grid) == want
+
+
+# Traced peak of each strip pass on the benchmark's heaviest strip (eps
+# 0.00625, m = 3: 504 x 233 cells), in strip-sized fields of 939,456 B: what
+# the pass keeps at strip size (the report's u0 and S(u0), one field for u0
+# and the closed form, at most u_t and u_y for the energy) plus its blocks.
+# Whole-strip passes took 4.02, 13.19, 16.44, 5.93 and 2.21 fields (numpy
+# 2.4.6).
+_STREAM_PEAK_FIELDS = {"assemble_u0": 1.5, "residual_closed_form": 2.5,
+                       "residual_report": 4.0, "strip_energy": 3.0,
+                       "weighted_norm": 1.0}
+
+
+def test_strip_passes_stay_under_their_traced_peaks():
+    K = circle_K(n=64, amp=0.2)
+    eps, m = 0.00625, 3
+    h = report_layers(K, m, eps)
+    f = f_from_h(h, scales_of(eps))
+    grid = default_strip_grid(K, eps, m)
+    assert grid.shape == (504, 233)
+    u0 = assemble_u0(f, grid, eps)
+    passes = {
+        "assemble_u0": lambda: assemble_u0(f, grid, eps),
+        "residual_closed_form": lambda: residual_closed_form(f, grid, K, eps),
+        "residual_report": lambda: residual_report(h, K, eps, grid),
+        "strip_energy": lambda: strip_energy(u0, eps),
+        "weighted_norm": lambda: weighted_norm(u0, 4.0, 1.0),
+    }
+    peaks = {}
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / u0.values.nbytes
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[name] < bound for name, bound in _STREAM_PEAK_FIELDS.items()), peaks
 
 
 @pytest.mark.parametrize("n_y", [16, 62, 64, 160, 502])

@@ -529,7 +529,9 @@ def test_matrix_matches_the_per_cell_repr_reference_on_hard_values(tmp_path):
 
 # Traced peak of the writer's largest block, in bytes: what one 4005-value
 # block of a 126 x 267 strip residual took with 4096-value blocks (numpy
-# 2.4.6). The strip-newton benchmark's peak RSS is set by this block.
+# 2.4.6). It bounds the writer alone: on a warm strip-newton pass the Newton
+# solve peaks higher (1.84 MB traced, against the writer's 1.44 MB), and on
+# strip-residual four ansatz passes do.
 MATRIX_BLOCK_PEAK = 1_610_000
 
 

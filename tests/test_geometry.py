@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
+import scipy.optimize
 
 from aclayers import DomainError
 from aclayers.geometry import (
@@ -276,3 +278,64 @@ def test_generic_curve_not_degenerate():
     assert not jacobi_is_degenerate(K)
     K2 = PeriodicField(g, 1.0 + 0.3 * np.cos(g.points()))
     assert not jacobi_is_degenerate(K2)
+
+
+# The z = 0 section of the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 is a
+# closed geodesic, along which the Gauss curvature is
+# K(theta) = 1/(a^2 b^2 c^2 (cos^2 theta/a^2 + sin^2 theta/b^2)^2) at the point
+# (a cos theta, b sin theta, 0). The config's {length, mean, cos, sin} form
+# carries ELLIPSOID_HARMONICS of it; set before the test first ran, the
+# harmonics past them may move K by at most this share of its mean.
+ELLIPSOID_HARMONICS = 12
+ELLIPSOID_TRUNCATION_RTOL = 1e-3
+
+
+def _ellipsoid_section(a, b, c, n=128):
+    """The section's length and its exact K at n equally spaced arclength
+    points, the arclength s(theta) by quadrature and inverted by bracketing."""
+    def speed(theta):
+        return math.hypot(a * math.sin(theta), b * math.cos(theta))
+
+    def arc(theta):
+        return scipy.integrate.quad(speed, 0.0, theta, epsabs=1e-13, epsrel=1e-13)[0]
+
+    length = arc(TWO_PI)
+    theta = np.array([0.0] + [
+        scipy.optimize.brentq(lambda th, s=s: arc(th) - s, 0.0, TWO_PI, xtol=1e-14)
+        for s in np.arange(1, n) * length / n])
+    kappa = 1.0 / (a * a * b * b * c * c
+                   * (np.cos(theta) ** 2 / a**2 + np.sin(theta) ** 2 / b**2) ** 2)
+    return length, kappa
+
+
+# (a, b, c): degenerate, the smallest |eigenvalue| of d^2 + K on 64 samples,
+# and the length and mean K where they are not exact
+_ELLIPSOID_SECTIONS = {
+    "prolate-meridian": ((1.3, 1.0, 1.0), True, None, None),
+    "triaxial-1.2-0.9": ((1.2, 1.0, 0.9), False, 0.194, (6.9258, 1.2346)),
+    "triaxial-1.1-0.95": ((1.1, 1.0, 0.95), False, 0.098, (6.6011, 1.1080)),
+    "oblate-equator": ((1.0, 1.0, 0.8), False, 0.5625, (TWO_PI, 1.5625)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ELLIPSOID_SECTIONS))
+def test_ellipsoid_sections_are_degenerate_where_rotation_requires(name):
+    # a meridian of a surface of revolution carries the rotation's Jacobi
+    # field; the other sections are non-degenerate closed geodesics with
+    # K > 0, the geometry the source paper's hypotheses cover
+    (a, b, c), degenerate, nearest, length_and_mean = _ELLIPSOID_SECTIONS[name]
+    length, kappa = _ellipsoid_section(a, b, c)
+    coef = np.fft.rfft(kappa) / kappa.size
+    kept = coef[1:ELLIPSOID_HARMONICS + 1]
+    curve = ClosedCurve.fourier(length, coef[0].real, 2.0 * kept.real, -2.0 * kept.imag)
+    s = np.arange(kappa.size) * length / kappa.size
+    assert (np.max(np.abs(curve.curvature(s) - kappa))
+            <= ELLIPSOID_TRUNCATION_RTOL * coef[0].real)
+    if length_and_mean is not None:
+        assert (length, coef[0].real) == pytest.approx(length_and_mean, abs=1e-4)
+
+    K = sample_curvature(curve, PeriodicGrid(64, length))
+    assert jacobi_is_degenerate(K) == degenerate
+    if nearest is not None:
+        ev = np.linalg.eigvalsh(second_derivative_matrix(K.grid) + np.diag(K.values))
+        assert float(np.min(np.abs(ev))) == pytest.approx(nearest, abs=1e-3)

@@ -50,10 +50,12 @@ After the last run, each run whose exit code is not its `EXPECTED_EXIT`
 is named on stderr, and the tool exits 1 if there is any. Unlike the
 digests, the exit codes do not depend on the BLAS thread count or kernel.
 
-The BLAS and OpenMP pools are pinned to one thread, as in perfbench. The
-bytes hold for one BLAS thread count and one BLAS kernel: both reach the
-last bits of the gap, resonance, residual, Newton and report data. Of the
-78 data-artifact lines, 18 change with 2 threads in place of 1, and 62
+The BLAS and OpenMP pools are pinned to one thread, as in perfbench, and
+the pin overrides the caller's environment: under OPENBLAS_NUM_THREADS=2
+the tool still runs on one thread and prints the same lines. The bytes
+hold for one BLAS thread count and one BLAS kernel: both reach the last
+bits of the gap, resonance, residual, Newton and report data. Of the 78
+data-artifact lines, 18 change with this pin set to 2 threads, and 62
 under `OPENBLAS_CORETYPE=Haswell` (the kernel of any x86-64 host without
 AVX-512) in place of SkylakeX; the exit, stderr and config lines change
 with neither (2-core host, numpy 2.4.6, scipy 1.17.1, OpenBLAS 0.3.31). So
