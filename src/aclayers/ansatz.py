@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -110,7 +111,7 @@ _STRIP_BLOCK = 12288
 class StripGrid:
     """Product grid: periodic y times a truncated uniform t-interval.
 
-    n_t is odd so that t = 0 (the curve itself) is a node.
+    n_t is odd so that t = 0 (the curve) is a node; t is built once, read-only.
     """
 
     y_grid: PeriodicGrid
@@ -123,9 +124,11 @@ class StripGrid:
         if not self.t_extent > 0.0:
             raise DomainError("t_extent must be positive")
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return np.linspace(-self.t_extent, self.t_extent, self.n_t)
+        t = np.linspace(-self.t_extent, self.t_extent, self.n_t)
+        t.flags.writeable = False
+        return t
 
     @property
     def dt(self) -> float:
@@ -909,11 +912,10 @@ class NewtonReport:
     the reflection sector of the initial state (see `newton_allen_cahn`), so
     `band_n_y * half_n_t` is the number of unknowns of the band pass. The
     entries come from the band pass, measured on its `band_n_y` rows: the
-    sup over them, and the energy with their y-spacing. When the band is
-    narrower than the caller's grid, the caller's pass supplies the last
-    norm and energy and any further entries, so they belong to `solution`.
-    Every entry is that of the full strip: the sup over t >= 0 and the
-    energy with the folded trapezoid weights.
+    sup over them, and the energy with their y-spacing. The caller's pass
+    always supplies the last norm and energy, and any further entries, so
+    they belong to `solution`. Every entry is that of the full strip: the
+    sup over t >= 0 and the energy with the folded trapezoid weights.
     """
 
     solution: StripField
@@ -962,13 +964,12 @@ class _HalfStrip:
         d1, d2 = map(folded, _t_matrices(grid.n_t, grid.dt))
         merit_weights = np.full(mid + 1, 2.0)
         merit_weights[0] = 1.0
-        energy_weights = grid.dt * merit_weights
-        energy_weights[-1] = grid.dt
         # linspace can leave round-off at the centre node; t = 0 there exactly
         # keeps the centre column of an odd-sector state at 0 through every step
-        t = grid.t[mid:]
+        t = grid.t[mid:].copy()
         t[0] = 0.0
-        return cls(s, t, d1, d2, merit_weights, energy_weights)
+        return cls(s, t, d1, d2, merit_weights,
+                   merit_weights * _trapezoid_weights(grid)[mid:])
 
     def fold(self, values: np.ndarray) -> np.ndarray:
         """The sector part (u(t) + s u(-t))/2 of strip values, on t >= 0."""
@@ -1175,10 +1176,10 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
 
     The steps run on the y-bandwidth of u_init, which K and the layer gaps
     fix, not epsilon: on a band grid of min(`_band_rows`, n_y) rows and the
-    same t-grid, so on the caller's grid itself when the band fills it.
-    When it is narrower, `_newton_steps` goes on from the converged iterate
-    trig-interpolated to the caller's n_y rows; that pass steps only where
-    the solve grew y-modes past the band sized from u_init. The solution,
+    same t-grid. `_newton_steps` then goes on from the converged iterate
+    trig-interpolated to the caller's n_y rows; that pass measures it again
+    and steps only where the solve grew y-modes past the band sized from
+    u_init, so none when the band fills the caller's grid. The solution,
     its residual and its level curves are on the caller's grid.
     """
     grid = u_init.grid
@@ -1198,18 +1199,16 @@ def newton_allen_cahn(u_init: StripField, K: PeriodicField,
             f"u(-t) = {half.s:+d} u(t): max|u(-t) - ({half.s:+d}) u(t)| = {defect:.3e} "
             f"exceeds 1e-12 max|u| = {bound:.3e}")
 
-    n_y = grid.y_grid.n
     u = half.fold(values)
-    band_n_y = min(_band_rows(u), n_y)
+    band_n_y = min(_band_rows(u), grid.y_grid.n)
     band = replace(grid, y_grid=PeriodicGrid(band_n_y, grid.y_grid.length))
-    u, res_norms, energies, linear_iterations = _newton_steps(
-        _resample_rows(u, band_n_y), band, half, K, epsilon)
-    if band_n_y < n_y:
-        # the interpolated iterate starts the caller's pass, which measures it again
-        u, finish_norms, finish_energies, finish_inner = _newton_steps(
-            _resample_rows(u, n_y), grid, half, K, epsilon)
-        res_norms[-1:], energies[-1:] = finish_norms, finish_energies
-        linear_iterations += finish_inner
+    res_norms, energies, linear_iterations = [], [], []
+    for pass_grid in (band, grid):
+        # each pass starts from the last iterate on its rows and measures it again
+        u, pass_norms, pass_energies, pass_inner = _newton_steps(
+            _resample_rows(u, pass_grid.y_grid.n), pass_grid, half, K, epsilon)
+        res_norms[-1:], energies[-1:] = pass_norms, pass_energies
+        linear_iterations += pass_inner
 
     solution = StripField(grid, half.unfold(u))
     levels = level_sets(solution)

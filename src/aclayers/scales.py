@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .profile import SQRT2, exact_constants
+from .profile import B1_EXACT, B2_EXACT, BETA_EXACT, SQRT2
 
 EPS_MAX = 0.2  # above this, rho < 1 and the spacing asymptotics are meaningless
 _MAX_NEWTON = 100
@@ -90,8 +90,7 @@ def rho_expansion(epsilon: float) -> float:
 
 
 def scales_of(epsilon: float) -> Scales:
-    """Assemble the scale bundle for one epsilon from the exact profile constants."""
-    constants = exact_constants()
+    """Assemble the scale bundle for one epsilon from the closed-form constants."""
     rho = solve_rho(epsilon)
-    sigma = constants.b1 / (constants.b2 * rho)
-    return Scales(epsilon=epsilon, rho=rho, sigma=sigma, beta=constants.beta)
+    return Scales(epsilon=epsilon, rho=rho, sigma=B1_EXACT / (B2_EXACT * rho),
+                  beta=BETA_EXACT)

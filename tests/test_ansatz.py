@@ -104,6 +104,21 @@ def test_strip_grid_axes():
     assert grid.shape == (16, 193)
 
 
+def test_strip_grid_builds_its_t_nodes_once():
+    # linspace leaves -8.9e-16 at the centre node of this grid; the half
+    # strip pins its own copy of that node to 0 and leaves the grid's alone
+    grid = StripGrid(PeriodicGrid(16, TWO_PI), 7.3, 49)
+    t = grid.t
+    assert grid.t is t
+    assert not t.flags.writeable
+    assert np.array_equal(t, np.linspace(-7.3, 7.3, 49))
+    centre = t[24]
+    assert centre != 0.0
+    for sector in (1, -1):
+        assert _HalfStrip.of(grid, sector).t[0] == 0.0
+        assert grid.t[24] == centre
+
+
 def test_strip_field_validation():
     grid = StripGrid(PeriodicGrid(16, TWO_PI), 12.0, 21)
     with pytest.raises(DomainError):

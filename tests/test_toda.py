@@ -615,6 +615,30 @@ def test_margin_constant_curvature_closed_form(m, eps):
     assert sol.margin == pytest.approx(closed, rel=1e-10)
 
 
+# over the 48 points below the margin and the oracle differ by at most 4.9e-9
+# relative (measured), the trace of the gap solve's residual tolerance
+_FORCED_MARGIN_REL = 1e-7
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("m", [2, 3])
+def test_forced_margin_on_the_circle_is_the_channel_oracle(n, m):
+    # K = 1 on l = 2 pi: the forced root is constant along the curve and its
+    # operator splits into constant channels, so the margin is min |k^2 - w^2|
+    # over the grid's modes k = 0..n/2 and the channels' w^2 = 1 + c sqrt(2)
+    # (v* + rho), with v* the mean gap and c = 1 at m = 2, and c = 1, 3 (the
+    # eigenvalues of C) at m = 3
+    K = unit_K(n)
+    k2 = np.arange(n // 2 + 1) ** 2.0
+    channels = np.array([1.0] if m == 2 else [1.0, 3.0])
+    for eps in np.geomspace(0.00625, 0.19, 12):
+        s = scales_of(float(eps))
+        sol = solve_toda(K, s, m, gbar=equilibrium_gap_forcing(K, m, s.beta))
+        omega2 = 1.0 + channels * SQRT2 * (float(np.mean(sol.v)) + s.rho)
+        oracle = float(np.min(np.abs(k2[:, None] - omega2[None, :])))
+        assert sol.margin == pytest.approx(oracle, rel=_FORCED_MARGIN_REL), eps
+
+
 @pytest.mark.parametrize("K,m,eps", [(unit_K(64), 2, 0.0471), (wavy_K(64, amp=0.2), 3, 0.025)])
 def test_margin_is_spectrals_operator_at_the_root(K, m, eps):
     # one builder: the margin is eigs_L_sigma's spectrum of assemble_A at sol.v
